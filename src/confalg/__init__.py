@@ -15,9 +15,8 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError,
                      DivisibilityError, LabelError, NonMonicDivisorError, ParseError,
                      RegistryError, UnsupportedError, UnsupportedSystemError,
                      WorkbenchError)
-from .modules import (ConformalModule, Rank1Action, SubmoduleWitness, Verdict,
-                      check_module, induced_action, irreducibility_verdict,
-                      rank1_classify, submodule_scan, vir_completeness)
+from .modules import (Rank1Action, SubmoduleWitness, Verdict, check_module, induced_action,
+                      irreducibility_verdict, rank1_classify, submodule_scan, vir_completeness)
 from .poly import Poly, Registry, group_coefficients, monic_div_rem, parse_poly
 from .presets import (PRESET_NAMES, PRESET_PARAMS, gamma_carrier, instantiate,
                       named_module, rank1_module, zero_module)
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnBasis", "AnnElement", "AxiomReport", "BindingError", "ConformalAlgebra",
-    "ConformalModule", "DefinitionError", "DiscrepancyError", "DivisibilityError",
-    "FiniteLie", "Generator", "LabelError", "LambdaElement", "NonMonicDivisorError",
+    "DefinitionError", "DiscrepancyError", "DivisibilityError", "FiniteLie", "Generator",
+    "LabelError", "LambdaElement", "NonMonicDivisorError",
     "PRESET_NAMES", "PRESET_PARAMS", "ParseError", "Poly", "Rank1Action", "Registry",
     "RegistryError", "ReportEntry", "SolutionFamily", "SolutionSet",
     "SubmoduleWitness", "UnsupportedError", "UnsupportedSystemError", "Verdict",

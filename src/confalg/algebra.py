@@ -448,8 +448,6 @@ class ConformalAlgebra:
 
 # ---- textual algebra definitions ----------------------------------------------
 
-_GEN_OPT_RE = None
-
 
 def parse_algebra(text: str, *, source: str = "<input>") -> ConformalAlgebra:
     """Parse the plain-text algebra format.
@@ -649,10 +647,7 @@ def _parse_bracket_rhs(textval: str, registry: Registry,
         raise ParseError(f"unknown name {name!r} (declare parameters in the header)",
                          line=lineno, column=col)
 
-    try:
-        value = parse_expression(textval, atom, lineno)
-    except ParseError:
-        raise
+    value = parse_expression(textval, atom, lineno)
     if isinstance(value, Fraction):
         if value != 0:
             raise ParseError("bracket value must be a generator combination or 0",

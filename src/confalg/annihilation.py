@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
 from .poly import PARAMETER, Poly
 from .algebra import ConformalAlgebra, Generator
+from .solve import rref
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,6 @@ def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
                     continue
                 factor = Fraction(binom * fall * (-1) ** e) * math.factorial(j)
                 target = AnnBasis(k, Fraction(t - e) - k.label_offset)
-                assert target.internal >= 0
                 term = c * factor * ca * cb
                 acc[target] = acc.get(target, Poly.zero(reg)) + term
     return AnnElement(reg, acc)
@@ -282,10 +282,6 @@ def filtration_check(alg: ConformalAlgebra, max_label: Fraction | int = 6) -> li
 
 
 # ---- finite quotients -------------------------------------------------------
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 class FiniteLie:
@@ -373,46 +369,11 @@ class FiniteLie:
 
     # ---- span arithmetic ----
 
-    def _echelon(self, vectors: Iterable[Sequence[Fraction]]) -> list[list[Fraction]]:
-        """Fraction-free (Bareiss) elimination; returns an echelon basis of
-        the span as integer-scaled rational vectors."""
-        rows = []
-        for vec in vectors:
-            scale = math.lcm(*(c.denominator for c in vec)) if any(vec) else 1
-            row = [int(c * scale) for c in vec]
-            if any(row):
-                g = math.gcd(*(abs(c) for c in row))
-                rows.append([c // g for c in row])
-        rank_rows = []
-        prev = 1
-        col = 0
-        while rows and col < self.dim:
-            pivot_at = next((r for r, row in enumerate(rows) if row[col] != 0), None)
-            if pivot_at is None:
-                col += 1
-                continue
-            pivot_row = rows.pop(pivot_at)
-            pivot = pivot_row[col]
-            reduced = []
-            for row in rows:
-                new = []
-                for rc, pc in zip(row, pivot_row):
-                    q, r = divmod(pivot * rc - row[col] * pc, prev)
-                    assert r == 0, "Bareiss exact division failed"
-                    new.append(q)
-                if any(new):
-                    reduced.append(new)
-            rank_rows.append(pivot_row)
-            rows = reduced
-            prev = pivot
-            col += 1
-        return [[Fraction(c) for c in row] for row in rank_rows]
-
     def _series_dims(self, step) -> list[int]:
         current = [[Fraction(int(r == c)) for c in range(self.dim)] for r in range(self.dim)]
         dims = [self.dim]
         while True:
-            nxt = self._echelon(step(current))
+            nxt = rref(step(current))
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims
@@ -448,11 +409,11 @@ class FiniteLie:
     def to_json(self) -> dict:
         brackets = []
         for (i, j) in sorted(self._table):
-            terms = [{"k": k, "coeff": _frac_str(c)}
+            terms = [{"k": k, "coeff": str(c)}
                      for k, c in sorted(self._table[(i, j)].items())]
             brackets.append({"i": i, "j": j, "terms": terms})
         return {
-            "basis": [{"gen": name, "label": _frac_str(label)} for name, label in self.basis],
+            "basis": [{"gen": name, "label": str(label)} for name, label in self.basis],
             "brackets": brackets,
         }
 
@@ -504,7 +465,9 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int,
             for basis, coeff in ann_bracket(alg, a, b).items():
                 if basis.degree >= depth:
                     continue
-                assert basis.degree >= 0
+                if basis.degree < 0:
+                    raise DefinitionError(
+                        f"[{a}, {b}] has term {basis} of negative degree {basis.degree}")
                 terms[index[(basis.gen.name, basis.label)]] = coeff.constant_value()
             if terms:
                 brackets[(i, j)] = terms

@@ -469,10 +469,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split_bindings(argv: list[str]) -> list[str]:
+    """Attach each NAME=VALUE after --param or --param-grid to its own flag.
+
+    Both flags take one or more values, so argparse would swallow a
+    positional written after them (``submodules tsv --param a=0 b=1 M_0_2``);
+    spelled ``--param=a=0 --param=b=1`` they take exactly their value and
+    the first word without '=' is left to the positionals.
+    """
+    out: list[str] = []
+    flag = None
+    for word in argv:
+        if flag and "=" in word and not word.startswith("-"):
+            if out[-1] == flag:
+                out.pop()
+            out.append(f"{flag}={word}")
+        else:
+            flag = word if word in ("--param", "--param-grid") else None
+            out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_split_bindings(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return BAD_INPUT if exc.code else PASS
     try:

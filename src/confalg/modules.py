@@ -38,7 +38,7 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
                      UnsupportedError)
 from .algebra import AxiomReport, ConformalAlgebra, Generator, ReportEntry
 from .poly import PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem, parse_poly
-from .solve import solve_system
+from .solve import rref, solve_system
 
 
 class Rank1Action:
@@ -153,61 +153,6 @@ def _names_in(text: str) -> set[str]:
     return set(_NAME_RE.findall(text))
 
 
-class ConformalModule:
-    """A module of finite rank: one square matrix of polynomials per
-    generator, columns giving the images of the basis vectors."""
-
-    def __init__(self, algebra: ConformalAlgebra, rank: int,
-                 actions: Mapping[str, Sequence[Sequence[Poly]]]):
-        self.algebra = algebra
-        self.rank = rank
-        names = [g.name for g in algebra.generators]
-        if set(actions) != set(names):
-            raise DefinitionError(f"action must cover exactly the generators {names}")
-        if rank < 1:
-            raise DefinitionError("rank must be positive")
-        self.actions = {}
-        for name in names:
-            mat = actions[name]
-            if len(mat) != rank or any(len(row) != rank for row in mat):
-                raise DefinitionError(f"action of {name} must be a {rank}x{rank} matrix")
-            self.actions[name] = tuple(tuple(row) for row in mat)
-
-    @classmethod
-    def from_rank1(cls, action: Rank1Action) -> "ConformalModule":
-        return cls(action.algebra, 1, {g: ((p,),) for g, p in action.items()})
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           start=a[0][0] * 0) for j in range(n)) for i in range(n))
-
-
-def _mat_map(mat, fn):
-    return tuple(tuple(fn(entry) for entry in row) for row in mat)
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _module_residual_matrix(alg: ConformalAlgebra, mats, aname: str, bname: str):
-    reg = alg.registry
-    d, x, y = reg.d, reg.x, reg.y
-    dp, xp, yp = (Poly.from_var(reg, v) for v in (d, x, y))
-    A, B = mats[aname], mats[bname]
-    t1 = _mat_mul(_mat_map(A, lambda p: p), _mat_map(B, lambda p: p.subs({d: dp + xp, x: yp})))
-    t2 = _mat_mul(_mat_map(B, lambda p: p.substitute(x, yp)),
-                  _mat_map(A, lambda p: p.substitute(d, dp + yp)))
-    total = _mat_sub(t1, t2)
-    for k, coeff in alg.entry(aname, bname).items():
-        scalar = coeff.subs({d: -(xp + yp)})
-        term = _mat_map(mats[k.name], lambda p: p.substitute(x, xp + yp) * scalar)
-        total = _mat_sub(total, term)
-    return total
-
-
 def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
                     aname: str, bname: str) -> Poly:
     reg = alg.registry
@@ -223,31 +168,23 @@ def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
 
 
 def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
-    """Verify the module identity for every ordered generator pair.
+    """Verify the rank-one module identity for every ordered generator pair.
 
-    Accepts a Rank1Action, a ConformalModule, or a plain mapping of
-    generator names to action polynomials.
+    Accepts a Rank1Action or a plain mapping of generator names to action
+    polynomials; each entry carries the residual polynomial of its pair.
     """
     if isinstance(module, Rank1Action):
-        mats = {g: ((p,),) for g, p in module.items()}
-    elif isinstance(module, ConformalModule):
-        mats = module.actions
+        actions = dict(module.items())
     elif isinstance(module, Mapping):
-        mats = {g: ((p,),) for g, p in module.items()}
+        actions = dict(module)
     else:
         raise DefinitionError(f"cannot check a {type(module).__name__}")
-    if set(mats) != {g.name for g in alg.generators}:
+    if set(actions) != {g.name for g in alg.generators}:
         raise DefinitionError("module actions do not match the algebra's generators")
     entries = []
     for a, b in alg.ordered_pairs():
-        res = _module_residual_matrix(alg, mats, a, b)
-        ok = all(p.is_zero() for row in res for p in row)
-        if len(res) == 1:
-            text = str(res[0][0])
-        else:
-            text = "[" + ", ".join("[" + ", ".join(str(p) for p in row) + "]"
-                                   for row in res) + "]"
-        entries.append(ReportEntry((a, b), text, ok))
+        res = _rank1_residual(alg, actions, a, b)
+        entries.append(ReportEntry((a, b), str(res), res.is_zero()))
     return AxiomReport("module", entries)
 
 
@@ -412,22 +349,9 @@ def _family_space(alg: ConformalAlgebra, actions: dict[str, Poly],
 
 def _in_span(target: dict, dirs: Sequence[dict]) -> bool:
     """Exact membership of a sparse vector in the rational span of others."""
-    keys = sorted(set(target) | {k for d in dirs for k in d})
-    rows = [[d.get(k, Fraction(0)) for d in dirs] + [target.get(k, Fraction(0))]
-            for k in keys]
-    col = 0
-    for pivot_col in range(len(dirs)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][pivot_col] != 0), None)
-        if pivot is None:
-            continue
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][pivot_col]
-        for r in range(len(rows)):
-            if r != col and rows[r][pivot_col] != 0:
-                factor = rows[r][pivot_col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-        col += 1
-    return all(row[-1] == 0 for row in rows[col:])
+    keys = sorted(set(target).union(*dirs))
+    rows = [[vec.get(k, 0) for k in keys] for vec in dirs]
+    return len(rref(rows)) == len(rref(rows + [[target.get(k, 0) for k in keys]]))
 
 
 def _action_frees(actions: dict[str, Poly]) -> list[Var]:
@@ -628,8 +552,12 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
                 f"leaves remainder {r}")
         quotients[g] = q
     induced = Rank1Action(alg, quotients)
-    report = check_module(alg, induced)
-    assert report.passed, "induced action lost the module identity"
+    failures = check_module(alg, induced).failures()
+    if failures:
+        bad = failures[0]
+        raise DiscrepancyError(
+            f"action induced by {divisor} fails the module identity at pair "
+            f"({', '.join(bad.key)}) with residual {bad.residual}")
     return induced
 
 

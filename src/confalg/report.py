@@ -127,10 +127,6 @@ def ann_to_latex(elem) -> str:
     return " ".join(parts)
 
 
-def _fmt_frac(value: Fraction) -> str:
-    return str(value)
-
-
 _REPORT_LABEL_BOUND = 6
 _REPORT_DEPTH = 4
 _REPORT_DEGREE = 2
@@ -153,10 +149,10 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
     jacobi = alg.check_jacobi()
     data: dict = {
         "algebra": alg.name,
-        "params": {k: _fmt_frac(v) for k, v in sorted(alg.param_values.items())},
+        "params": {k: str(v) for k, v in sorted(alg.param_values.items())},
         "free_params": sorted(v.name for v in alg.params),
-        "generators": [{"name": g.name, "offset": _fmt_frac(g.label_offset),
-                        "shift": _fmt_frac(g.filtration_shift)} for g in alg.generators],
+        "generators": [{"name": g.name, "offset": str(g.label_offset),
+                        "shift": str(g.filtration_shift)} for g in alg.generators],
         "table": [{"pair": [a, b], "value": alg.entry(a, b).render()}
                   for a, b in alg.upper_pairs()],
         "axioms": {

@@ -394,24 +394,47 @@ def _divide_by_power(p: Poly, v: Var, e: int) -> Poly:
 # ---- canonicalization --------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    rows = [row[:] for row in rows if any(row)]
-    pivot_row = 0
-    for col in range(ncols - 1):
-        src = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
-        if src is None:
+def _primitive(row: Sequence[Fraction | int]) -> list[int] | None:
+    """The primitive integer multiple of a rational row, or None for zero."""
+    if not any(row):
+        return None
+    scale = math.lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (scale // c.denominator) for c in row]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def rref(rows: Iterable[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+    """Reduced row-echelon basis of the rational span of ``rows``.
+
+    Each row is scaled to a primitive integer vector and reduced fraction-free
+    against the pivot rows found so far (cross-multiplying, then dividing out
+    the integer content); a surviving row becomes a new pivot and is cleared
+    from the earlier ones.  Fractions appear only in the final normalisation
+    to leading entry 1.  The basis is ordered by pivot column; like the span,
+    it is unique.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        vec = _primitive(row)
+        if vec is None:
             continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        piv = rows[pivot_row][col]
-        rows[pivot_row] = [c / piv for c in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [c - f * p for c, p in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [row for row in rows if any(row)]
+        for col, prow in pivots.items():
+            c = vec[col]
+            if c:
+                p = prow[col]
+                vec = [p * a - c * b for a, b in zip(vec, prow)]
+        vec = _primitive(vec)
+        if vec is None:
+            continue
+        lead = next(i for i, c in enumerate(vec) if c)
+        for col, prow in pivots.items():
+            c = prow[lead]
+            if c:
+                p = vec[lead]
+                pivots[col] = _primitive([p * a - c * b for a, b in zip(prow, vec)])
+        pivots[lead] = vec
+    return [[Fraction(c, pivots[col][col]) for c in pivots[col]] for col in sorted(pivots)]
 
 
 def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
@@ -436,15 +459,11 @@ def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
                 w = next(w for w in unknowns if w.index == idx)
                 row[index_of[w]] -= c
         rows.append(row)
-    reduced = _rref(rows, n + 1)
-    solved = {}
-    pivot_cols = set()
-    for row in reduced:
-        col = next(i for i in range(n) if row[i] != 0)
-        pivot_cols.add(col)
+    reduced = rref(rows)
+    pivot_cols = [next(i for i in range(n) if row[i] != 0) for row in reduced]
     free = [unknowns[i] for i in range(n) if i not in pivot_cols]
-    for row in reduced:
-        col = next(i for i in range(n) if row[i] != 0)
+    solved = {}
+    for col, row in zip(pivot_cols, reduced):
         expr = Poly.const(registry, -row[n])
         for j in range(col + 1, n):
             if row[j] != 0:

@@ -231,6 +231,19 @@ class TestSubmodules:
         assert "no proper submodules up to generator degree 3" in out
         assert "verdict: irreducible" in out
 
+    def test_module_before_or_after_param_values(self, capsys):
+        first = run(capsys, ["submodules", "tsv", "M_0_2", "--param", "a=0", "b=1"])
+        last = run(capsys, ["submodules", "tsv", "--param", "a=0", "b=1", "M_0_2"])
+        assert first[0] == 0
+        assert last == first
+
+    def test_missing_module_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["submodules", "tsv", "--param", "a=0", "b=1"])
+        assert code == 2
+        assert out == ""
+        assert "usage: confalg submodules" in err
+        assert "required: module" in err
+
     def test_json_verdict(self, capsys):
         code, out, _ = run(capsys, ["submodules", "w", "M_0_0_1",
                                     "--param", "a=1", "b=0", "--format", "json"])

@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from confalg import (
+    AxiomReport,
     BindingError,
     DefinitionError,
+    DiscrepancyError,
     DivisibilityError,
     Poly,
     Rank1Action,
+    ReportEntry,
     UnsupportedError,
     check_module,
     gamma_carrier,
@@ -26,6 +29,7 @@ from confalg import (
     vir_completeness,
     zero_module,
 )
+from confalg import modules
 
 
 @pytest.fixture
@@ -257,6 +261,13 @@ class TestInducedAction:
         with pytest.raises(DefinitionError):
             induced_action(vir, named_module(vir, "M_0_0"),
                            parse_poly(vir.registry, "d + x"))
+
+    def test_failing_induced_identity_is_a_discrepancy(self, vir, monkeypatch):
+        failing = AxiomReport("module", [ReportEntry(("L", "L"), "x*d", False)])
+        monkeypatch.setattr(modules, "check_module", lambda alg, action: failing)
+        with pytest.raises(DiscrepancyError, match=r"pair \(L, L\) with residual x\*d"):
+            induced_action(vir, named_module(vir, "M_0_2"),
+                           parse_poly(vir.registry, "d + 2"))
 
     def test_induced_action_is_certified(self):
         w10 = instantiate("w", {"a": 1, "b": 0})

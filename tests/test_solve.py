@@ -5,10 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg.errors import UnsupportedSystemError
+from confalg.modules import _in_span
 from confalg.poly import Poly, Registry, parse_poly
-from confalg.solve import solve_system
+from confalg.solve import rref, solve_system
 
 
 @pytest.fixture()
@@ -108,3 +110,53 @@ def test_point_extraction(reg):
     point = fam.point({v: Fraction(3)})
     assert point[u] == Fraction(6)
     assert point[v] == Fraction(3)
+
+
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _rational_rows(draw):
+    """Small rational matrices padded with zero, repeated and dependent rows."""
+    ncols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combination"]),
+                              max_size=3)):
+        if kind == "zero":
+            row = [Fraction(0)] * ncols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(base)))
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            s, t = draw(_ENTRIES), draw(_ENTRIES)
+            row = [s * p + t * q for p, q in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_rows())
+def test_rref_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    want, pivots = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]).rref()
+    got = rref(rows)
+    assert [next(j for j, c in enumerate(row) if c) for row in got] == list(pivots)
+    assert got == [[Fraction(int(c.p), int(c.q)) for c in want.row(i)]
+                   for i in range(len(pivots))]
+
+
+def test_rref_accepts_integer_rows():
+    assert rref([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 3, 3]]) == \
+        [[1, 0, 1], [0, 1, 1]]
+    assert rref([]) == []
+
+
+def test_in_span_membership():
+    dirs = [{"a": Fraction(1), "b": Fraction(2)}, {"c": Fraction(1, 3)}]
+    assert _in_span({"a": Fraction(-2), "b": Fraction(-4), "c": Fraction(5)}, dirs)
+    assert _in_span({}, dirs)
+    assert not _in_span({"a": Fraction(1)}, dirs)
+    assert not _in_span({"d": Fraction(1)}, [])
