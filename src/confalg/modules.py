@@ -24,7 +24,10 @@ and the residuals become linear systems; cross relations among the
 non-Virasoro generators are then quadratic and close the search.  Because
 the formal treatment only finds actions valid for every (alpha, beta), a
 rational grid of (alpha, beta) values is re-solved independently and any
-sporadic extra family raises DiscrepancyError.
+sporadic extra family raises DiscrepancyError.  Each residual is built once
+per classification: a grid point specialises the symbolic residuals by
+substituting its (alpha, beta) values, but extracts and solves the resulting
+equations on its own.
 """
 
 from __future__ import annotations
@@ -133,16 +136,19 @@ class Rank1Action:
         if {k: str(Fraction(v)) for k, v in data.get("params", {}).items()} != declared:
             raise DefinitionError("action data has mismatched parameter bindings")
         reg = algebra.registry
-        actions = {}
-        for g, text in data.get("actions", {}).items():
+        texts = data.get("actions", {})
+        fresh = set()
+        for g, text in texts.items():
             for name in _names_in(text):
                 if not reg.has_name(name):
-                    if _MODULE_PARAM_RE.fullmatch(name):
-                        reg.param(name)
-                    else:
+                    if not _MODULE_PARAM_RE.fullmatch(name):
                         raise DefinitionError(f"unknown name {name!r} in action of {g}")
-            actions[g] = parse_poly(reg, text)
-        return cls(algebra, actions)
+                    fresh.add(name)
+        # Registration order is term order, so new module parameters are
+        # registered by name, never in set iteration order.
+        for name in sorted(fresh):
+            reg.param(name)
+        return cls(algebra, {g: parse_poly(reg, text) for g, text in texts.items()})
 
 
 _MODULE_PARAM_RE = re.compile(r"(alpha|beta|gamma)(_[A-Za-z0-9_]+)?")
@@ -250,49 +256,70 @@ def _ansatz_prefix(gname: str) -> str:
     return f"u_{gname}"
 
 
-def _classify_branch(alg: ConformalAlgebra, virasoro: Generator,
-                     others: Sequence[Generator], f: Poly,
-                     max_degree: int) -> list[dict[str, Poly]]:
-    """All bounded-degree actions extending a fixed Virasoro action f.
+class _Branch:
+    """Residuals of the staged search for one Virasoro action f: ``stage1``
+    pairs the Virasoro generator with each other generator, ``cross`` pairs
+    the other generators among themselves."""
 
-    Stage one solves the Virasoro pair residuals, which are linear in the
-    generic coefficients; stage two substitutes each solution family into the
-    residuals of the remaining pairs and solves the cross relations.
-    """
-    reg = alg.registry
-    ansatz: dict[str, Poly] = {virasoro.name: f}
-    unknowns: list[Var] = []
-    for g in others:
-        poly, uvars = _generic_poly(reg, _ansatz_prefix(g.name), max_degree)
-        ansatz[g.name] = poly
-        unknowns += uvars
+    __slots__ = ("f", "stage1", "cross")
 
-    self_residual = _rank1_residual(alg, ansatz, virasoro.name, virasoro.name)
-    if not self_residual.is_zero():
-        raise UnsupportedError("the proposed Virasoro action fails its own pair identity")
+    def __init__(self, f: Poly, stage1: tuple[Poly, ...], cross: tuple[Poly, ...]):
+        self.f, self.stage1, self.cross = f, stage1, cross
 
-    stage1 = []
-    for g in others:
-        stage1 += _extract(_rank1_residual(alg, ansatz, virasoro.name, g.name), unknowns)
-    families = solve_system(stage1, unknowns)
+    def specialise(self, point: Mapping[Var, Fraction]) -> "_Branch":
+        return _Branch(self.f.subs(point), tuple(r.subs(point) for r in self.stage1),
+                       tuple(r.subs(point) for r in self.cross))
 
-    cross = {}
-    for i, g in enumerate(others):
-        for h in others[i:]:
-            cross[(g.name, h.name)] = _rank1_residual(alg, ansatz, g.name, h.name)
 
-    out = []
-    for fam in families:
-        frees = list(fam.free)
-        stage2 = []
-        for residual in cross.values():
-            stage2 += _extract(fam.substitute_into(residual), frees)
-        for sub in solve_system(stage2, frees):
-            actions = {virasoro.name: f}
-            for g in others:
-                actions[g.name] = sub.substitute_into(fam.substitute_into(ansatz[g.name]))
-            out.append(actions)
-    return out
+class _Ansatz:
+    """Generic bounded-degree actions of the non-Virasoro generators, built
+    once per classification and shared by every branch."""
+
+    def __init__(self, alg: ConformalAlgebra, virasoro: Generator,
+                 others: Sequence[Generator], max_degree: int):
+        self.alg, self.virasoro, self.others = alg, virasoro, others
+        self.actions: dict[str, Poly] = {}
+        self.unknowns: list[Var] = []
+        for g in others:
+            poly, uvars = _generic_poly(alg.registry, _ansatz_prefix(g.name), max_degree)
+            self.actions[g.name] = poly
+            self.unknowns += uvars
+
+    def residuals(self, f: Poly, cross: tuple[Poly, ...] | None = None) -> _Branch:
+        """The residuals for the Virasoro action f; ``cross`` reuses cross
+        residuals already built for another f when they do not involve it."""
+        alg, vname = self.alg, self.virasoro.name
+        actions = {vname: f, **self.actions}
+        if not _rank1_residual(alg, actions, vname, vname).is_zero():
+            raise UnsupportedError("the proposed Virasoro action fails its own pair identity")
+        stage1 = tuple(_rank1_residual(alg, actions, vname, g.name) for g in self.others)
+        if cross is None:
+            cross = tuple(_rank1_residual(alg, actions, g.name, h.name)
+                          for i, g in enumerate(self.others) for h in self.others[i:])
+        return _Branch(f, stage1, cross)
+
+    def solve(self, branch: _Branch) -> list[dict[str, Poly]]:
+        """All bounded-degree actions extending the branch's Virasoro action.
+
+        Stage one solves the Virasoro pair residuals, which are linear in the
+        generic coefficients; stage two substitutes each solution family into
+        the cross residuals and solves the relations among its free ones.
+        """
+        stage1 = []
+        for residual in branch.stage1:
+            stage1 += _extract(residual, self.unknowns)
+        out = []
+        for fam in solve_system(stage1, self.unknowns):
+            frees = list(fam.free)
+            stage2 = []
+            for residual in branch.cross:
+                stage2 += _extract(fam.substitute_into(residual), frees)
+            for sub in solve_system(stage2, frees):
+                actions = {self.virasoro.name: branch.f}
+                for g in self.others:
+                    actions[g.name] = sub.substitute_into(fam.substitute_into(self.actions[g.name]))
+                out.append(actions)
+        return out
 
 
 def _rename_frees(alg: ConformalAlgebra, actions: dict[str, Poly]) -> dict[str, Poly]:
@@ -422,9 +449,14 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
     beta = Poly.from_var(reg, reg.param("beta"))
     affine = d + alpha * x + beta
 
-    raw = []
-    for f in (Poly.zero(reg), affine):
-        raw += _classify_branch(alg, virasoro, others, f, max_degree)
+    ansatz = _Ansatz(alg, virasoro, others, max_degree)
+    zero = ansatz.residuals(Poly.zero(reg))
+    # A cross residual involves f only through a Virasoro component of its
+    # bracket entry; without one the zero branch's cross residuals serve both.
+    shared = all(alg.entry(g, h).coeff(virasoro).is_zero()
+                 for i, g in enumerate(others) for h in others[i:])
+    symbolic = ansatz.residuals(affine, zero.cross if shared else None)
+    raw = ansatz.solve(zero) + ansatz.solve(symbolic)
     named = [_rename_frees(alg, fam) for fam in raw]
     families = _dedupe_families(alg, named)
     families.sort(key=lambda fam: (0 if all(p.is_zero() for p in fam.values()) else 1,
@@ -437,7 +469,7 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
             raise DiscrepancyError(
                 f"classified family {action.render()} fails the module identity")
     if cross_check:
-        _grid_cross_check(alg, virasoro, others, families, max_degree)
+        _grid_cross_check(ansatz, symbolic, families)
     return result
 
 
@@ -445,22 +477,22 @@ _GRID_ALPHAS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 _GRID_BETAS = (Fraction(0), Fraction(1))
 
 
-def _grid_cross_check(alg, virasoro, others, families, max_degree):
-    """Re-run the classification at rational (alpha, beta) points and demand
-    the same families; sporadic extras would invalidate the formal stage."""
-    reg = alg.registry
-    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    alpha, beta = reg.param("alpha"), reg.param("beta")
+def _grid_cross_check(ansatz: _Ansatz, symbolic: _Branch, families):
+    """Re-solve the classification at rational (alpha, beta) points and
+    demand the same families; sporadic extras would invalidate the formal
+    stage.  Each point specialises the symbolic residuals and solves them
+    from scratch."""
+    alg = ansatz.alg
+    alpha, beta = alg.registry.param("alpha"), alg.registry.param("beta")
     for a0 in _GRID_ALPHAS:
         for b0 in _GRID_BETAS:
-            f0 = d + a0 * x + b0
-            found = _classify_branch(alg, virasoro, others, f0, max_degree)
+            point = {alpha: a0, beta: b0}
+            found = ansatz.solve(symbolic.specialise(point))
             found = _dedupe_families(alg, [_rename_frees(alg, fam) for fam in found])
             expected = []
             for fam in families:
-                inst = {g: p.subs({alpha: Fraction(a0), beta: Fraction(b0)})
-                        for g, p in fam.items()}
-                if inst[virasoro.name].is_zero():
+                inst = {g: p.subs(point) for g, p in fam.items()}
+                if inst[ansatz.virasoro.name].is_zero():
                     continue
                 expected.append(inst)
             expected = _dedupe_families(alg, expected)

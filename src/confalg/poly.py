@@ -142,6 +142,15 @@ def _mono_key(m: Mono):
     return (_mono_degree(m), tuple(arr))
 
 
+def _mentions(terms: Iterable[Mono], indices) -> bool:
+    """Whether some monomial uses a variable whose index is in ``indices``."""
+    for m in terms:
+        for idx, _ in m:
+            if idx in indices:
+                return True
+    return False
+
+
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -315,12 +324,14 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Poly.one(self.registry)
+        if n == 0:
+            return Poly.one(self.registry)
+        out = None
         base = self
         k = n
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
         return out
@@ -364,7 +375,11 @@ class Poly:
         return self.subs({v: replacement})
 
     def subs(self, mapping: Mapping[Var, "Poly | Scalar"]) -> "Poly":
-        """Simultaneous substitution of several variables."""
+        """Simultaneous substitution of several variables.
+
+        Returns ``self`` itself when no mapped variable occurs, so untouched
+        polynomials keep their cached hash and signature.
+        """
         if not mapping:
             return self
         repl: dict[int, Poly] = {}
@@ -374,30 +389,34 @@ class Poly:
             if p.registry is not self.registry:
                 raise RegistryError("replacement polynomial from a different registry")
             repl[v.index] = p
+        if not _mentions(self._terms, repl):
+            return self
+        # Each distinct replaced part of a monomial, e.g. d^2 x under
+        # {d: d + x, x: y}, expands once; every term then scatters its
+        # coefficient times that expansion into one accumulator.
         powers: dict[tuple[int, int], Poly] = {}
-
-        def power(idx: int, e: int) -> Poly:
-            key = (idx, e)
-            got = powers.get(key)
-            if got is None:
-                got = repl[idx] ** e
-                powers[key] = got
-            return got
-
-        out = Poly.zero(self.registry)
+        expansions: dict[Mono, dict[Mono, Fraction]] = {}
+        out: dict[Mono, Fraction] = {}
         for m, c in self._terms.items():
             rest = []
-            factors = []
+            hit = []
             for idx, e in m:
-                if idx in repl:
-                    factors.append(power(idx, e))
-                else:
-                    rest.append((idx, e))
-            piece = Poly(self.registry, {tuple(rest): c}, _normalized=True)
-            for f in factors:
-                piece = piece * f
-            out = out + piece
-        return out
+                (hit if idx in repl else rest).append((idx, e))
+            key = tuple(hit)
+            expansion = expansions.get(key)
+            if expansion is None:
+                prod = None
+                for factor in key:
+                    power = powers.get(factor)
+                    if power is None:
+                        power = powers[factor] = repl[factor[0]] ** factor[1]
+                    prod = power if prod is None else prod * power
+                expansion = expansions[key] = {(): Fraction(1)} if prod is None else prod._terms
+            rest = tuple(rest)
+            for fm, fc in expansion.items():
+                mono = _mono_mul(rest, fm)
+                out[mono] = out.get(mono, 0) + c * fc
+        return Poly(self.registry, out)
 
     # ---- rendering -------------------------------------------------------
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,7 @@ from confalg import (
     zero_module,
 )
 from confalg import modules
+from confalg.solve import SolutionFamily, SolutionSet
 
 
 @pytest.fixture
@@ -100,6 +105,29 @@ class TestRank1Action:
         action = rank1_module(w, Fraction(1, 2), -2, 3)
         data = action.to_json()
         assert Rank1Action.from_json(w, data) == action
+
+
+_DETERMINISM_SCRIPT = """
+from confalg import Rank1Action, instantiate, rank1_classify
+vir = instantiate("vir")
+data = {"algebra": "vir", "params": {}, "actions": {"L": "beta*alpha + d + gamma_L*x"}}
+print(Rank1Action.from_json(vir, data).render())
+for fam in rank1_classify(instantiate("w", {"a": 1, "b": 0}), 2):
+    print(fam.render())
+"""
+
+
+def test_output_is_independent_of_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in range(5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
+                             capture_output=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().decode().splitlines()[0] == "L -> x*gamma_L + alpha*beta + d"
 
 
 class TestNamedModules:
@@ -188,6 +216,82 @@ class TestClassification:
     def test_unbound_structure_parameters_rejected(self):
         with pytest.raises(BindingError):
             rank1_classify(instantiate("w"), 2)
+
+
+class TestClassificationResiduals:
+    @pytest.mark.parametrize("preset, bindings", [
+        ("w", {"a": 1, "b": 0}), ("wb", {"b": 0}),
+        ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})])
+    def test_specialised_residuals_match_rebuilt_ones(self, preset, bindings):
+        alg = instantiate(preset, bindings)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha, beta = reg.param("alpha"), reg.param("beta")
+        virasoro = alg.virasoro_generator
+        others = [g for g in alg.generators if g is not virasoro]
+        ansatz = modules._Ansatz(alg, virasoro, others, 2)
+        symbolic = ansatz.residuals(d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta))
+        a0, b0 = Fraction(-1), Fraction(1, 2)
+        specialised = symbolic.specialise({alpha: a0, beta: b0})
+        rebuilt = ansatz.residuals(d + a0 * x + b0)
+
+        def stage1(branch):
+            return {eq for r in branch.stage1 for eq in modules._extract(r, ansatz.unknowns)}
+
+        assert stage1(specialised) == stage1(rebuilt)
+        assert specialised.cross == rebuilt.cross
+
+    def test_grid_cross_check_builds_no_residuals(self, monkeypatch):
+        real = modules._rank1_residual
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modules, "_rank1_residual", counting)
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        rank1_classify(alg, 2, cross_check=False)
+        unchecked = len(calls)
+        calls.clear()
+        rank1_classify(alg, 2)
+        assert len(calls) == unchecked
+        # Per branch the Virasoro self pair and its two pairs with Y and M,
+        # the three cross pairs once, then 9 pairs per certified family.
+        assert unchecked == 2 * 3 + 3 + 2 * 9
+
+    def _tamper_grid_point(self, monkeypatch, change):
+        """Apply ``change`` to the stage-one solutions of the second grid
+        point, (alpha, beta) = (-1, 1)."""
+        real = modules.solve_system
+        stage1 = []
+
+        def tampered(eqs, unknowns):
+            result = real(eqs, unknowns)
+            if not stage1 or tuple(unknowns) == stage1[0]:
+                stage1.append(tuple(unknowns))
+                if len(stage1) == 4:  # zero branch, symbolic branch, two points
+                    return SolutionSet(result.unknowns, change(result))
+            return result
+
+        monkeypatch.setattr(modules, "solve_system", tampered)
+
+    def test_cross_check_catches_a_dropped_family(self, monkeypatch):
+        self._tamper_grid_point(monkeypatch, lambda result: list(result)[:-1])
+        with pytest.raises(DiscrepancyError, match=r"alpha=-1, beta=1\b"):
+            rank1_classify(instantiate("w", {"a": 2, "b": 0}), 2)
+
+    def test_cross_check_catches_an_extra_family(self, monkeypatch):
+        def add_constant_action(result):
+            unknowns = result.unknowns
+            return list(result) + [SolutionFamily(unknowns, {
+                v: Poly.const(alg.registry, 1 if v.name == "u_W_0_0" else 0)
+                for v in unknowns}, ())]
+
+        alg = instantiate("w", {"a": 2, "b": 0})
+        self._tamper_grid_point(monkeypatch, add_constant_action)
+        with pytest.raises(DiscrepancyError, match=r"alpha=-1, beta=1\b"):
+            rank1_classify(alg, 2)
 
 
 class TestGammaCarrier:

@@ -87,6 +87,22 @@ class TestSubstitution:
         with pytest.raises(RegistryError):
             P(reg, "d").substitute(foreign.param("q"), 1)
 
+    def test_cancellation_gives_canonical_zero(self, reg):
+        got = P(reg, "x - y").subs({reg.x: P(reg, "y")})
+        assert got.is_zero()
+        assert got == Poly.zero(reg)
+        assert hash(got) == hash(Poly.zero(reg))
+        assert str(got) == "0"
+
+    def test_untouched_polynomial_comes_back(self, reg):
+        p = P(reg, "d^2 + c*x - beta")
+        assert p.subs({reg.y: P(reg, "d + x"), reg.z: 3}) is p
+        assert p.substitute(reg.y, 0) == p
+
+    def test_simultaneous_shift(self, reg):
+        got = P(reg, "d^2*x + x*y").subs({reg.d: P(reg, "d + x"), reg.x: P(reg, "y")})
+        assert got == P(reg, "(d + x)^2*y + y^2")
+
 
 class TestCoefficients:
     def test_linear_extraction(self, reg):
@@ -195,6 +211,17 @@ def _poly_triples():
     return st.builds(split, st.lists(chunk, min_size=3, max_size=3))
 
 
+def _to_sympy(p, sympy):
+    """The same polynomial as a sympy expression (test-only oracle)."""
+    total = sympy.Integer(0)
+    for mono, c in p.terms():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for idx, e in mono:
+            term *= sympy.Symbol(p.registry.name_of(idx)) ** e
+        total += term
+    return total
+
+
 class TestRingLaws:
     @settings(max_examples=60, deadline=None)
     @given(_poly_triples())
@@ -213,6 +240,24 @@ class TestRingLaws:
         shift = -Poly.from_var(reg, reg.x) - Poly.from_var(reg, reg.d)
         twice = p.substitute(reg.x, shift).substitute(reg.x, shift)
         assert twice == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(_poly_triples(), st.lists(st.sampled_from("dxya"), min_size=1, max_size=2,
+                                     unique=True),
+           st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+    def test_subs_matches_sympy(self, triple, names, affine):
+        sympy = pytest.importorskip("sympy")
+        p, q, _ = triple
+        reg = p.registry
+        # An affine replacement such as d + x or -x - d makes the expansions
+        # of distinct terms collide; a second variable gets the random q.
+        gens = [Poly.from_var(reg, reg.var(n)) for n in "dxya"] + [Poly.one(reg)]
+        form = sum((g * c for g, c in zip(gens, affine)), Poly.zero(reg))
+        mapping = {reg.var(n): value for n, value in zip(names, (form, q))}
+        want = sympy.expand(_to_sympy(p, sympy).subs(
+            {sympy.Symbol(v.name): _to_sympy(value, sympy) for v, value in mapping.items()},
+            simultaneous=True))
+        assert sympy.expand(_to_sympy(p.subs(mapping), sympy) - want) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(_polys(), st.integers(1, 3), st.integers(-3, 3))
