@@ -284,12 +284,27 @@ def filtration_check(alg: ConformalAlgebra, max_label: Fraction | int = 6) -> li
 # ---- finite quotients -------------------------------------------------------
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonzeros(vector: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """The (index, coeff) pairs of the nonzero entries of a dense vector."""
+    return [(i, c) for i, c in enumerate(vector) if c]
+
+
 class FiniteLie:
     """A finite-dimensional Lie algebra over Q given by structure constants.
 
-    The basis is a sequence of (generator name, label) pairs; brackets are
-    stored for index pairs i < j and extended by antisymmetry.  Solvability
-    and nilpotency are decided by exact linear algebra.
+    The basis is a sequence of (generator name, label) pairs.  Brackets are
+    given for index pairs i < j and kept twice: as the validated table
+    ``(i, j) -> {k: coeff}`` that serialization and equality read, and as a
+    sparse adjacency ``ad[i][j] = {k: coeff}`` holding both orders of every
+    nonzero pair (the reversed one negated), so [e_i, e_j] is one lookup.
+    Vectors are handled as (index, coeff) pairs over their nonzero entries;
+    the Jacobi re-check and the derived and lower central series run on
+    these sparse rows and make dense rows only for the exact elimination
+    that decides the span dimensions.
     """
 
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
@@ -299,16 +314,21 @@ class FiniteLie:
             raise DefinitionError("duplicate basis symbols")
         dim = len(self.basis)
         table = {}
+        ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(dim)]
         for (i, j), terms in brackets.items():
-            if not (0 <= i < j < dim):
-                raise DefinitionError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < dim")
+            if not (_is_index(i) and _is_index(j) and 0 <= i < j < dim):
+                raise DefinitionError(
+                    f"bracket indices ({i!r},{j!r}) must be integers with 0 <= i < j < dim")
             cleaned = {k: Fraction(c) for k, c in terms.items() if c != 0}
             for k in cleaned:
-                if not 0 <= k < dim:
-                    raise DefinitionError(f"bracket ({i},{j}) targets invalid index {k}")
+                if not (_is_index(k) and 0 <= k < dim):
+                    raise DefinitionError(f"bracket ({i},{j}) targets invalid index {k!r}")
             if cleaned:
                 table[(i, j)] = cleaned
+                ad[i][j] = cleaned
+                ad[j][i] = {k: -c for k, c in cleaned.items()}
         self._table = table
+        self._ad = ad
 
     @property
     def dim(self) -> int:
@@ -326,72 +346,83 @@ class FiniteLie:
         raise LabelError(f"no basis symbol {name}_{label}")
 
     def bracket_indices(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {k: -c for k, c in self._table.get((j, i), {}).items()}
+        return dict(self._ad[i].get(j, {}))
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], list[tuple[int, Fraction]]]]:
         """Stored bracket table as ((i, j), [(k, coeff), ...]) rows, sorted."""
         return [((i, j), sorted(terms.items()))
                 for (i, j), terms in sorted(self._table.items())]
 
+    def _bracket(self, u, v) -> dict[int, Fraction]:
+        """[u, v] for vectors given as (index, coeff) pairs; zero entries
+        are dropped from the result."""
+        out: dict[int, Fraction] = {}
+        for i, ci in u:
+            row = self._ad[i]
+            if not row:
+                continue
+            for j, cj in v:
+                terms = row.get(j)
+                if terms:
+                    cij = ci * cj
+                    for k, c in terms.items():
+                        out[k] = out.get(k, 0) + cij * c
+        return {k: c for k, c in out.items() if c}
+
     def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(u):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(v):
-                if cj == 0:
-                    continue
-                for k, c in self.bracket_indices(i, j).items():
-                    out[k] += ci * cj * c
+        for k, c in self._bracket(_nonzeros(u), _nonzeros(v)).items():
+            out[k] = c
         return out
 
     def check_jacobi(self) -> list[str]:
         """Residual [x,[y,z]] + [y,[z,x]] + [z,[x,y]] per basis triple;
         returns the failing triples."""
         failures = []
-        unit = [[Fraction(int(r == c)) for c in range(self.dim)] for r in range(self.dim)]
+        ad = self._ad
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    x, y, z = unit[i], unit[j], unit[k]
-                    total = self.bracket_vectors(x, self.bracket_vectors(y, z))
-                    for a, cf in enumerate(self.bracket_vectors(y, self.bracket_vectors(z, x))):
-                        total[a] += cf
-                    for a, cf in enumerate(self.bracket_vectors(z, self.bracket_vectors(x, y))):
-                        total[a] += cf
-                    if any(c != 0 for c in total):
+                    total: dict[int, Fraction] = {}
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, c in ad[y].get(z, {}).items():
+                            for n, e in ad[x].get(m, {}).items():
+                                total[n] = total.get(n, 0) + c * e
+                    if any(total.values()):
                         failures.append(f"({self.symbol(i)}, {self.symbol(j)}, {self.symbol(k)})")
         return failures
 
     # ---- span arithmetic ----
 
     def _series_dims(self, step) -> list[int]:
-        current = [[Fraction(int(r == c)) for c in range(self.dim)] for r in range(self.dim)]
+        """Dimensions of the spaces reached by repeating ``step``, which maps
+        a basis of sparse rows to brackets spanning the next space."""
+        current = [[(i, Fraction(1))] for i in range(self.dim)]
         dims = [self.dim]
         while True:
-            nxt = rref(step(current))
+            rows = (self._dense(b) for b in step(current) if b)
+            nxt = [_nonzeros(row) for row in rref(rows)]
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims
             current = nxt
 
+    def _dense(self, terms: Mapping[int, Fraction]) -> list[Fraction | int]:
+        row: list[Fraction | int] = [0] * self.dim
+        for k, c in terms.items():
+            row[k] = c
+        return row
+
     def derived_series(self) -> list[int]:
         """Dimensions of g, [g,g], [[g,g],[g,g]], ... until zero or stable."""
         def step(space):
-            return [self.bracket_vectors(u, v)
-                    for a, u in enumerate(space) for v in space[a + 1:]]
+            return (self._bracket(u, v) for a, u in enumerate(space) for v in space[a + 1:])
         return self._series_dims(step)
 
     def lower_central_series(self) -> list[int]:
         """Dimensions of g, [g,g], [g,[g,g]], ... until zero or stable."""
-        whole = [[Fraction(int(r == c)) for c in range(self.dim)] for r in range(self.dim)]
-
         def step(space):
-            return [self.bracket_vectors(u, v) for u in whole for v in space]
+            return (self._bracket(((i, 1),), v) for i in range(self.dim) for v in space)
         return self._series_dims(step)
 
     def is_solvable(self) -> tuple[bool, int | None]:

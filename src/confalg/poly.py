@@ -162,7 +162,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 class Poly:
     """Immutable exact polynomial in canonical sparse form."""
 
-    __slots__ = ("registry", "_terms", "_hash", "_sig")
+    __slots__ = ("registry", "_terms", "_hash", "_sig", "_deg")
 
     def __init__(self, registry: Registry, terms: Mapping[Mono, Fraction], *, _normalized=False):
         self.registry = registry
@@ -172,6 +172,7 @@ class Poly:
             self._terms = {m: c for m, c in terms.items() if c != 0}
         self._hash = None
         self._sig = None
+        self._deg = None
 
     # ---- constructors -------------------------------------------------
 
@@ -220,10 +221,10 @@ class Poly:
         return self._sig
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
+        """Cached total degree; -1 for the zero polynomial."""
+        if self._deg is None:
+            self._deg = max((_mono_degree(m) for m in self._terms), default=-1)
+        return self._deg
 
     def degree(self, v: Var) -> int:
         """Degree in ``v``; -1 for the zero polynomial."""

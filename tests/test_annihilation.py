@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg import (
     AnnBasis,
@@ -26,6 +28,8 @@ from confalg import (
 )
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
+PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
+                   ("tsv", {"a": 0, "b": 0}), ("tsvc", {"c": 1})]
 
 
 def basis(alg, name, label):
@@ -231,10 +235,7 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncated_quotient(instantiate("vir"), 0)
 
-    @pytest.mark.parametrize("preset,bindings", [
-        ("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
-        ("tsv", {"a": 0, "b": 0}), ("tsvc", {"c": 1}),
-    ])
+    @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)
     def test_quotients_are_solvable(self, preset, bindings):
         for depth in (1, 2, 3):
             q = truncated_quotient(instantiate(preset, bindings), depth)
@@ -283,6 +284,20 @@ class TestFiniteLie:
         with pytest.raises(DefinitionError):
             FiniteLie([("u", 0), ("v", 0)], {(0, 1): {5: 1}})
 
+    @pytest.mark.parametrize("data,entry", [
+        ({"i": "0", "j": 1, "terms": [{"k": 1, "coeff": "1"}]}, "('0',1)"),
+        ({"i": 0, "j": 1, "terms": [{"k": "0", "coeff": "1"}]}, "'0'"),
+        ({"i": 0, "j": 1, "terms": [{"k": 0.5, "coeff": "1"}]}, "0.5"),
+        ({"i": False, "j": 1, "terms": [{"k": 1, "coeff": "1"}]}, "(False,1)"),
+    ])
+    def test_non_integer_indices_rejected(self, data, entry):
+        basis = [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}]
+        with pytest.raises(DefinitionError, match=re.escape(entry)):
+            FiniteLie.from_json({"basis": basis, "brackets": [data]})
+        terms = {t["k"]: Fraction(t["coeff"]) for t in data["terms"]}
+        with pytest.raises(DefinitionError, match=re.escape(entry)):
+            FiniteLie([("u", 0), ("v", 0)], {(data["i"], data["j"]): terms})
+
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(DefinitionError):
             FiniteLie([("u", 0), ("u", 0)], {})
@@ -300,3 +315,147 @@ class TestFiniteLie:
         back = FiniteLie.from_json(data)
         assert back.basis == q.basis
         assert back.nonzero_brackets() == q.nonzero_brackets()
+
+    def test_sparse_paths_never_build_dense_brackets(self, monkeypatch):
+        calls = []
+        dense = FiniteLie.bracket_vectors
+
+        def counting(self, u, v):
+            calls.append((u, v))
+            return dense(self, u, v)
+
+        monkeypatch.setattr(FiniteLie, "bracket_vectors", counting)
+        q = truncated_quotient(instantiate("tsv", {"a": 0, "b": 0}), 8)
+        q.derived_series()
+        q.lower_central_series()
+        assert len(calls) == 0
+        sl2 = FiniteLie([("e", 0), ("f", 0), ("h", 0)],
+                        {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+        e = [Fraction(1), Fraction(0), Fraction(0)]
+        f = [Fraction(0), Fraction(1), Fraction(0)]
+        assert sl2.bracket_vectors(e, f) == [Fraction(0), Fraction(0), Fraction(1)]
+        assert len(calls) == 1
+
+
+# ---- FiniteLie against independent dense references ------------------------
+#
+# The references below build every bracket from a dense structure-constant
+# tensor and leave the span dimensions to sympy, so they share neither the
+# sparse adjacency nor ``rref`` with the code under test.
+
+def _dense_constants(lie):
+    """C[i][j] is the dense vector [e_i, e_j], filled in by antisymmetry."""
+    n = lie.dim
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in lie.nonzero_brackets():
+        for k, c in terms:
+            table[i][j][k] = c
+            table[j][i][k] = -c
+    return table
+
+
+def _dense_bracket(table, u, v):
+    n = len(table)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if u[i] and v[j]:
+                for k in range(n):
+                    out[k] += u[i] * v[j] * table[i][j][k]
+    return out
+
+
+def _naive_jacobi(lie):
+    """Failing triples of the dense Jacobiator
+    J(i, j, k)_n = sum_m C[j][k][m] C[i][m][n] + cyclic, in the order i < j < k."""
+    table = _dense_constants(lie)
+    n = lie.dim
+    failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [Fraction(0)] * n
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in range(n):
+                        for t in range(n):
+                            total[t] += table[y][z][m] * table[x][m][t]
+                if any(total):
+                    failures.append(f"({lie.symbol(i)}, {lie.symbol(j)}, {lie.symbol(k)})")
+    return failures
+
+
+def _sympy_series(sympy, lie, lower):
+    """Series dimensions with every span reduced by sympy's ``rowspace``."""
+    table = _dense_constants(lie)
+    whole = [[Fraction(int(r == c)) for c in range(lie.dim)] for r in range(lie.dim)]
+    space = whole
+    dims = [lie.dim]
+    while True:
+        if lower:
+            rows = [_dense_bracket(table, u, v) for u in whole for v in space]
+        else:
+            rows = [_dense_bracket(table, u, v)
+                    for a, u in enumerate(space) for v in space[a + 1:]]
+        rows = [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+        basis = sympy.Matrix(rows).rowspace() if rows else []
+        dims.append(len(basis))
+        if not basis or len(basis) == len(space):
+            return dims
+        space = [[Fraction(int(c.p), int(c.q)) for c in row] for row in basis]
+
+
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _random_tables(draw):
+    """Antisymmetric tables on up to 6 basis symbols; most break Jacobi."""
+    dim = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    brackets = {pair: draw(st.dictionaries(st.integers(0, dim - 1), _COEFFS,
+                                           min_size=1, max_size=2))
+                for pair in chosen}
+    return FiniteLie([("e", i) for i in range(dim)], brackets)
+
+
+@st.composite
+def _perturbed_truncations(draw):
+    """A small truncation of a preset with one stored coefficient changed or
+    one bracket added, so that some triples fail Jacobi and others pass."""
+    preset, bindings = draw(st.sampled_from(PRESET_BINDINGS))
+    q = truncated_quotient(instantiate(preset, bindings), draw(st.integers(2, 3)))
+    brackets = {pair: dict(terms) for pair, terms in q.nonzero_brackets()}
+    i = draw(st.integers(0, q.dim - 2))
+    j = draw(st.integers(i + 1, q.dim - 1))
+    k = draw(st.integers(0, q.dim - 1))
+    brackets.setdefault((i, j), {})[k] = draw(_COEFFS)
+    return FiniteLie(q.basis, brackets)
+
+
+class TestFiniteLieOracle:
+    @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)
+    def test_truncation_series_match_sympy(self, preset, bindings):
+        sympy = pytest.importorskip("sympy")
+        alg = instantiate(preset, bindings)
+        for depth in range(1, 7):
+            q = truncated_quotient(alg, depth)
+            assert q.derived_series() == _sympy_series(sympy, q, lower=False), depth
+            assert q.lower_central_series() == _sympy_series(sympy, q, lower=True), depth
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_tables())
+    def test_random_table_series_match_sympy(self, lie):
+        sympy = pytest.importorskip("sympy")
+        assert lie.derived_series() == _sympy_series(sympy, lie, lower=False)
+        assert lie.lower_central_series() == _sympy_series(sympy, lie, lower=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_random_tables(), _perturbed_truncations()))
+    def test_jacobi_failures_match_dense_jacobiator(self, lie):
+        assert lie.check_jacobi() == _naive_jacobi(lie)
+
+    @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)
+    def test_truncations_pass_dense_jacobiator(self, preset, bindings):
+        q = truncated_quotient(instantiate(preset, bindings), 4)
+        assert q.check_jacobi() == _naive_jacobi(q) == []

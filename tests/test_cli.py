@@ -187,6 +187,14 @@ class TestTruncate:
         assert data["derived_series"] == [2, 1, 0]
         assert len(data["basis"]) == 2
 
+    def test_depth_twenty(self, capsys):
+        code, out, _ = run(capsys, ["truncate", "tsv", "--param", "a=0", "b=0",
+                                    "--truncate", "20"])
+        assert code == 0
+        assert out.startswith("dimension 60\n")
+        assert "derived series dims: [60, 59, 55, 45, 24, 0]\n" in out
+        assert "lower central series dims: [60, 59, 59]\n" in out
+
     def test_requires_depth(self, capsys):
         assert main(["truncate", "vir"]) == 2
         capsys.readouterr()

@@ -65,6 +65,14 @@ class TestCanonicalForm:
         assert all(coeff != 0 for _, coeff in p.terms())
         assert p == P(reg, "d")
 
+    def test_total_degree(self, reg):
+        assert Poly.zero(reg).total_degree() == -1
+        assert Poly.one(reg).total_degree() == 0
+        p = P(reg, "d^2*x + c*beta*x^3 + 5")
+        assert p.total_degree() == 5
+        assert p.total_degree() == 5
+        assert (p - P(reg, "c*beta*x^3")).total_degree() == 3
+
     def test_parse_round_trip(self, reg):
         for text in ["d + 2*x", "-d^2 - 2*d*x - 2*d*c - 4*x*c",
                      "x*c + d + y + beta", "1/2*x", "0", "-3"]:
