@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, ParseError
-from .poly import PARAMETER, Poly, Registry, Var, parse_expression
+from .poly import PARAMETER, Combination, Poly, Registry, Var, parse_expression
 
 _ALLOWED_OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1))
 _ALLOWED_SHIFTS = (Fraction(0), Fraction(1, 2))
@@ -59,92 +59,24 @@ class Generator:
         return self.name
 
 
-class LambdaElement:
+class LambdaElement(Combination):
     """A finite sum of generators with polynomial coefficients.
 
     Coefficients may involve d, x and parameters.  Elements whose
     coefficients are free of x play the role of plain module elements (inputs
     to brackets, values of j-th products); the same class covers both since
-    the invariants differ only in which variables appear.
+    the invariants differ only in which variables appear.  Terms are listed
+    by generator name and rendered joined by " + ".
     """
 
-    __slots__ = ("registry", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, registry: Registry, coeffs: Mapping[Generator, Poly] | None = None):
-        self.registry = registry
-        self._coeffs = {}
-        for g, p in (coeffs or {}).items():
-            if p.registry is not registry:
-                raise DefinitionError("coefficient polynomial from a different registry")
-            if not p.is_zero():
-                self._coeffs[g] = p
-
-    @classmethod
-    def of(cls, registry: Registry, g: Generator) -> "LambdaElement":
-        return cls(registry, {g: Poly.one(registry)})
-
-    def coeff(self, g: Generator) -> Poly:
-        return self._coeffs.get(g, Poly.zero(self.registry))
-
-    def generators(self) -> list[Generator]:
-        return sorted(self._coeffs, key=lambda g: g.name)
-
-    def items(self) -> list[tuple[Generator, Poly]]:
-        return [(g, self._coeffs[g]) for g in self.generators()]
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "LambdaElement") -> "LambdaElement":
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for g, p in other._coeffs.items():
-            out[g] = out.get(g, Poly.zero(self.registry)) + p
-        return LambdaElement(self.registry, out)
-
-    def __neg__(self) -> "LambdaElement":
-        return LambdaElement(self.registry, {g: -p for g, p in self._coeffs.items()})
-
-    def __sub__(self, other: "LambdaElement") -> "LambdaElement":
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor: Poly | int | Fraction) -> "LambdaElement":
-        return LambdaElement(self.registry, {g: p * factor for g, p in self._coeffs.items()})
-
-    def map_coeffs(self, fn) -> "LambdaElement":
-        return LambdaElement(self.registry, {g: fn(p) for g, p in self._coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaElement):
-            return NotImplemented
-        return self.registry is other.registry and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((id(self.registry), frozenset(self._coeffs.items())))
+    @staticmethod
+    def _order(g: Generator) -> str:
+        return g.name
 
     def render(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for g, p in self.items():
-            if p.is_constant():
-                c = p.constant_value()
-                if c == 1:
-                    parts.append(str(g))
-                    continue
-                if c == -1:
-                    parts.append(f"-{g}")
-                    continue
-                parts.append(f"{c}*{g}")
-                continue
-            parts.append(f"({p}) {g}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LambdaElement({self.render()})"
+        return " + ".join(self.rendered_terms()) or "0"
 
 
 @dataclass(frozen=True)
@@ -447,6 +379,11 @@ class ConformalAlgebra:
 
 
 # ---- textual algebra definitions ----------------------------------------------
+
+
+def format_params(values: Mapping[str, Fraction]) -> dict[str, str]:
+    """Parameter bindings as name -> rational string, sorted by name."""
+    return {k: str(v) for k, v in sorted(values.items())}
 
 
 def parse_algebra(text: str, *, source: str = "<input>") -> ConformalAlgebra:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
-from .poly import PARAMETER, Poly
+from .poly import PARAMETER, Combination, Poly, signed_sum
 from .algebra import ConformalAlgebra, Generator
 from .solve import rref
 
@@ -58,95 +58,30 @@ class AnnBasis:
         return f"{self.gen.name}_{self.label}"
 
 
-class AnnElement:
+class AnnElement(Combination):
     """Finite rational-coefficient combination of coefficient-algebra symbols.
 
     Coefficients are polynomials in the declared parameters only, so bracket
-    tables can be compared symbolically before parameters are bound.
+    tables can be compared symbolically before parameters are bound.  Terms
+    are listed by generator name, then label, and rendered as a signed sum.
     """
 
-    __slots__ = ("registry", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, registry, coeffs: Mapping[AnnBasis, Poly | Fraction | int] | None = None):
-        self.registry = registry
-        self._coeffs = {}
-        for basis, c in (coeffs or {}).items():
-            p = c if isinstance(c, Poly) else Poly.const(registry, c)
-            if p.registry is not registry:
-                raise DefinitionError("coefficient polynomial from a different registry")
-            for v in p.variables():
-                if v.kind != PARAMETER:
-                    raise DefinitionError(
-                        f"coefficient of {basis} uses {v.name}; only parameters are allowed")
-            if not p.is_zero():
-                self._coeffs[basis] = p
+    def _coefficient(self, basis: AnnBasis, c: Poly | Fraction | int) -> Poly:
+        p = super()._coefficient(basis, c if isinstance(c, Poly) else Poly.const(self.registry, c))
+        for v in p.variables():
+            if v.kind != PARAMETER:
+                raise DefinitionError(
+                    f"coefficient of {basis} uses {v.name}; only parameters are allowed")
+        return p
 
-    @classmethod
-    def of(cls, registry, basis: AnnBasis) -> "AnnElement":
-        return cls(registry, {basis: Poly.one(registry)})
-
-    def coeff(self, basis: AnnBasis) -> Poly:
-        return self._coeffs.get(basis, Poly.zero(self.registry))
-
-    def items(self) -> list[tuple[AnnBasis, Poly]]:
-        order = sorted(self._coeffs, key=lambda s: (s.gen.name, s.label))
-        return [(s, self._coeffs[s]) for s in order]
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "AnnElement") -> "AnnElement":
-        if not isinstance(other, AnnElement):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for s, p in other._coeffs.items():
-            out[s] = out.get(s, Poly.zero(self.registry)) + p
-        return AnnElement(self.registry, out)
-
-    def __neg__(self) -> "AnnElement":
-        return AnnElement(self.registry, {s: -p for s, p in self._coeffs.items()})
-
-    def __sub__(self, other: "AnnElement") -> "AnnElement":
-        if not isinstance(other, AnnElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "AnnElement":
-        return AnnElement(self.registry, {s: p * factor for s, p in self._coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnnElement):
-            return NotImplemented
-        return self.registry is other.registry and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((id(self.registry), frozenset(self._coeffs.items())))
+    @staticmethod
+    def _order(basis: AnnBasis) -> tuple[str, Fraction]:
+        return (basis.gen.name, basis.label)
 
     def render(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for s, p in self.items():
-            if p.is_constant():
-                c = p.constant_value()
-                if c == 1:
-                    piece = str(s)
-                elif c == -1:
-                    piece = f"-{s}"
-                else:
-                    piece = f"{c}*{s}"
-            else:
-                piece = f"({p})*{s}"
-            if not parts:
-                parts.append(piece)
-            elif piece.startswith("-"):
-                parts.append(f"- {piece[1:]}")
-            else:
-                parts.append(f"+ {piece}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"AnnElement({self.render()})"
+        return signed_sum(self.rendered_terms(group="({})*{}"))
 
 
 def _as_ann_element(alg: ConformalAlgebra, value) -> AnnElement:

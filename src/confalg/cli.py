@@ -17,15 +17,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, parse_algebra
+from .algebra import ConformalAlgebra, format_params, parse_algebra
 from .annihilation import (AnnBasis, ann_bracket, compare_closed_form,
                            labels_through, truncated_quotient)
 from .errors import (BindingError, DiscrepancyError, DivisibilityError, ParseError,
                      UnsupportedError, WorkbenchError)
 from .modules import irreducibility_verdict, rank1_classify, submodule_scan
 from .presets import PRESET_NAMES, instantiate, named_module
-from .report import (ann_symbol_to_latex, ann_to_latex, attach_tex, build_report,
-                     family_verdict, poly_to_latex, render_tex, render_text)
+from .poly import scaled, signed_sum
+from .report import (LATEX, ann_symbol_to_latex, ann_to_latex, attach_tex, build_report,
+                     families_json, family_verdict, poly_to_latex, render_tex, render_text)
 
 PASS = 0
 CHECK_FAILED = 1
@@ -101,10 +102,6 @@ def _emit_json(data) -> None:
     _emit(json.dumps(data, indent=2) + "\n")
 
 
-def _params_block(alg: ConformalAlgebra) -> dict:
-    return {k: str(v) for k, v in sorted(alg.param_values.items())}
-
-
 # ---- subcommands ------------------------------------------------------------------
 
 
@@ -150,7 +147,7 @@ def _cmd_verify(args) -> int:
         for alg, skew, jacobi in results:
             blocks.append({
                 "algebra": alg.name,
-                "params": _params_block(alg),
+                "params": format_params(alg.param_values),
                 "skew": {"passed": skew.passed, "checks": len(skew.entries),
                          "failures": [{"pair": list(e.key), "residual": e.residual}
                                       for e in skew.failures()]},
@@ -162,7 +159,7 @@ def _cmd_verify(args) -> int:
     elif args.format == "tex":
         lines = [r"\section*{Axioms for " + base.name + "}"]
         for alg, skew, jacobi in results:
-            point = _params_block(alg)
+            point = format_params(alg.param_values)
             if point and len(results) > 1:
                 lines.append(r"\paragraph{" + ", ".join(
                     f"${k} = {v}$" for k, v in point.items()) + "}")
@@ -179,7 +176,7 @@ def _cmd_verify(args) -> int:
         for alg, skew, jacobi in results:
             prefix = ""
             if len(results) > 1:
-                point = _params_block(alg)
+                point = format_params(alg.param_values)
                 _emit("at " + ", ".join(f"{k} = {v}" for k, v in point.items()) + ":\n")
                 prefix = "  "
             npairs, ntriples = len(skew.entries), len(jacobi.entries)
@@ -210,7 +207,7 @@ def _cmd_ann(args) -> int:
     if args.format == "json":
         _emit_json({
             "algebra": alg.name,
-            "params": _params_block(alg),
+            "params": format_params(alg.param_values),
             "max_label": str(bound),
             "brackets": [{"left": f"{a}_{m}", "right": f"{b}_{n}", "value": v.render()}
                          for a, m, b, n, v in rows],
@@ -240,14 +237,6 @@ def _cmd_ann(args) -> int:
     return CHECK_FAILED if mismatches else PASS
 
 
-def _scaled_symbol(coeff: Fraction, symbol: str) -> str:
-    if coeff == 1:
-        return symbol
-    if coeff == -1:
-        return f"-{symbol}"
-    return f"{coeff}*{symbol}"
-
-
 def _cmd_truncate(args) -> int:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     finite = truncated_quotient(alg, args.truncate)
@@ -271,7 +260,7 @@ def _cmd_truncate(args) -> int:
             return ann_symbol_to_latex(name, label)
         lines = [r"\begin{align*}"]
         for (i, j), terms in finite.nonzero_brackets():
-            rhs = " + ".join(_scaled_symbol(c, tex_symbol(k)) for k, c in terms) or "0"
+            rhs = signed_sum(scaled(c, tex_symbol(k), LATEX) for k, c in terms)
             lines.append(f"[{tex_symbol(i)}, {tex_symbol(j)}] &= {rhs} \\\\")
         lines.append(r"\end{align*}")
         _emit("\n".join(lines) + "\n")
@@ -279,7 +268,7 @@ def _cmd_truncate(args) -> int:
         _emit(f"dimension {finite.dim}\n")
         _emit("basis: " + ", ".join(finite.symbol(i) for i in range(finite.dim)) + "\n")
         for (i, j), terms in finite.nonzero_brackets():
-            rhs = " + ".join(_scaled_symbol(c, finite.symbol(k)) for k, c in terms)
+            rhs = " + ".join(scaled(c, finite.symbol(k)) for k, c in terms)
             _emit(f"[{finite.symbol(i)}, {finite.symbol(j)}] = {rhs}\n")
         _emit(f"derived series dims: {series}\n")
         _emit(f"lower central series dims: {lower}\n")
@@ -289,11 +278,6 @@ def _cmd_truncate(args) -> int:
             _emit("solvable: no\n")
         _emit(f"nilpotent: {'yes' if nilpotent else 'no'}\n")
     return PASS
-
-
-def _families_json(families) -> list[dict]:
-    return [{"actions": {g: str(p) for g, p in fam.items()},
-             "verdict": family_verdict(fam)} for fam in families]
 
 
 def _cmd_classify(args) -> int:
@@ -314,16 +298,16 @@ def _cmd_classify(args) -> int:
             _emit_json({
                 "algebra": base.name,
                 "degree": args.degree,
-                "grid": [{"params": {k: str(v) for k, v in sorted(p.items())},
-                          "families": _families_json(f)} for p, f in results],
+                "grid": [{"params": format_params(p), "families": families_json(f)}
+                         for p, f in results],
             })
         else:
             point, families = results[0]
             _emit_json({
                 "algebra": base.name,
-                "params": {k: str(v) for k, v in sorted(point.items())},
+                "params": format_params(point),
                 "degree": args.degree,
-                "families": _families_json(families),
+                "families": families_json(families),
             })
     elif args.format == "tex":
         lines = []
@@ -356,7 +340,7 @@ def _cmd_submodules(args) -> int:
     if args.format == "json":
         _emit_json({
             "algebra": alg.name,
-            "params": _params_block(alg),
+            "params": format_params(alg.param_values),
             "module": args.module,
             "action": {g: str(p) for g, p in action.items()},
             "witnesses": [{"generator": str(w.generator),

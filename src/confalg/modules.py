@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from .errors import (BindingError, DefinitionError, DiscrepancyError, DivisibilityError,
                      UnsupportedError)
-from .algebra import AxiomReport, ConformalAlgebra, Generator, ReportEntry
+from .algebra import AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params
 from .poly import PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem, parse_poly
 from .solve import rref, solve_system
 
@@ -123,7 +123,7 @@ class Rank1Action:
     def to_json(self) -> dict:
         return {
             "algebra": self.algebra.name,
-            "params": {k: str(v) for k, v in sorted(self.algebra.param_values.items())},
+            "params": format_params(self.algebra.param_values),
             "actions": {g: str(p) for g, p in self.items()},
         }
 
@@ -132,8 +132,8 @@ class Rank1Action:
         if data.get("algebra") != algebra.name:
             raise DefinitionError(
                 f"action data is for {data.get('algebra')!r}, not {algebra.name!r}")
-        declared = {k: str(v) for k, v in sorted(algebra.param_values.items())}
-        if {k: str(Fraction(v)) for k, v in data.get("params", {}).items()} != declared:
+        given = {k: Fraction(v) for k, v in data.get("params", {}).items()}
+        if format_params(given) != format_params(algebra.param_values):
             raise DefinitionError("action data has mismatched parameter bindings")
         reg = algebra.registry
         texts = data.get("actions", {})

@@ -24,9 +24,9 @@ from __future__ import annotations
 import re
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
-from .errors import NonMonicDivisorError, ParseError, RegistryError
+from .errors import DefinitionError, NonMonicDivisorError, ParseError, RegistryError
 
 Scalar = Union[int, Fraction]
 #: Exponent map: ((variable index, exponent), ...) sorted by index, exponents > 0.
@@ -157,6 +157,49 @@ def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+# ---- rendering terms ---------------------------------------------------------
+
+
+class Spelling(NamedTuple):
+    """How rendered terms spell their parts: a variable name, a power of a
+    spelled base, the product sign between factors (and after a coefficient),
+    and a rational coefficient."""
+
+    var: Callable[[str], str]
+    power: Callable[[str, int], str]
+    times: str
+    coeff: Callable[[Fraction], str]
+
+
+TEXT = Spelling(var=str, power="{}^{}".format, times="*", coeff=str)
+
+
+def scaled(coeff: Fraction, atom: str, spelling: Spelling = TEXT) -> str:
+    """``coeff`` times ``atom`` with a coefficient of 1 or -1 left out.  An
+    empty atom stands for 1, so a constant is its spelled coefficient."""
+    if not atom:
+        return spelling.coeff(coeff)
+    if coeff == 1:
+        return atom
+    if coeff == -1:
+        return "-" + atom
+    return spelling.coeff(coeff) + spelling.times + atom
+
+
+def signed_sum(pieces: Iterable[str]) -> str:
+    """Join rendered terms as ``a + b - c``: a piece with a leading '-' is
+    subtracted.  The empty sum is "0"."""
+    out = []
+    for piece in pieces:
+        if not out:
+            out.append(piece)
+        elif piece.startswith("-"):
+            out.append("- " + piece[1:])
+        else:
+            out.append("+ " + piece)
+    return " ".join(out) or "0"
 
 
 class Poly:
@@ -421,30 +464,110 @@ class Poly:
 
     # ---- rendering -------------------------------------------------------
 
+    def render(self, spelling: Spelling = TEXT) -> str:
+        """The terms in canonical order as a signed sum, spelled by
+        ``spelling`` (plain text by default)."""
+        def factor(index: int, exp: int) -> str:
+            base = spelling.var(self.registry.name_of(index))
+            return base if exp == 1 else spelling.power(base, exp)
+
+        return signed_sum(scaled(c, spelling.times.join(factor(i, e) for i, e in m), spelling)
+                          for m, c in self.terms())
+
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for m, c in self.terms():
-            factors = []
-            for idx, e in m:
-                name = self.registry.name_of(idx)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag), *factors])
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return self.render()
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+# ---- sums of symbols with polynomial coefficients ------------------------------
+
+
+class Combination:
+    """A finite sum of symbols with :class:`Poly` coefficients.
+
+    The shared core of lambda-bracket values (``LambdaElement``) and
+    coefficient-algebra elements (``AnnElement``).  A subclass chooses which
+    coefficients it accepts (``_coefficient``), the order in which ``items``
+    lists the symbols (``_order``), and how ``render`` joins the terms.
+    """
+
+    __slots__ = ("registry", "_coeffs")
+
+    def __init__(self, registry: Registry, coeffs: Mapping | None = None):
+        self.registry = registry
+        self._coeffs = {}
+        for symbol, c in (coeffs or {}).items():
+            p = self._coefficient(symbol, c)
+            if not p.is_zero():
+                self._coeffs[symbol] = p
+
+    def _coefficient(self, symbol, c) -> Poly:
+        if c.registry is not self.registry:
+            raise DefinitionError("coefficient polynomial from a different registry")
+        return c
+
+    @staticmethod
+    def _order(symbol):
+        raise NotImplementedError
+
+    @classmethod
+    def of(cls, registry: Registry, symbol):
+        return cls(registry, {symbol: Poly.one(registry)})
+
+    def coeff(self, symbol) -> Poly:
+        return self._coeffs.get(symbol, Poly.zero(self.registry))
+
+    def items(self) -> list[tuple[object, Poly]]:
+        return [(s, self._coeffs[s]) for s in sorted(self._coeffs, key=self._order)]
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for s, p in other._coeffs.items():
+            out[s] = out.get(s, Poly.zero(self.registry)) + p
+        return type(self)(self.registry, out)
+
+    def __neg__(self):
+        return self.map_coeffs(lambda p: -p)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, factor: "Poly | Scalar"):
+        return self.map_coeffs(lambda p: p * factor)
+
+    def map_coeffs(self, fn):
+        return type(self)(self.registry, {s: fn(p) for s, p in self._coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.registry is other.registry and self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash((id(self.registry), frozenset(self._coeffs.items())))
+
+    def rendered_terms(self, spelling: Spelling = TEXT, symbol: Callable = str,
+                       group: str = "({}) {}") -> list[str]:
+        """Each term in ``items`` order: a constant coefficient through
+        :func:`scaled`, any other as ``group`` filled with the polynomial
+        and the symbol, all spelled by ``spelling``."""
+        return [scaled(p.constant_value(), symbol(s), spelling) if p.is_constant()
+                else group.format(p.render(spelling), symbol(s)) for s, p in self.items()]
+
+    def render(self) -> str:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
 
 
 # ---- division ------------------------------------------------------------

@@ -5,6 +5,12 @@ table, axiom verdicts, locality orders, a closed-form check and sample
 brackets of the coefficient algebra, a truncation with its solvability
 analysis, the rank-one module families, and irreducibility samples.  All
 content is deterministic, so renderings are stable byte for byte.
+
+Terms are rendered in one place, :mod:`confalg.poly` (``Poly.render``,
+``scaled``, ``signed_sum``); this module only supplies the LaTeX spelling
+``LATEX`` (\\partial, \\lambda, ``\\tfrac`` coefficients, braced powers).
+It also holds the families block that ``build_report`` and ``confalg
+classify --format json`` share.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra
+from .algebra import ConformalAlgebra, format_params
 from .errors import DefinitionError
 from .annihilation import (AnnBasis, ann_bracket, compare_closed_form, labels_through,
                            truncated_quotient)
 from .modules import irreducibility_verdict, rank1_classify
-from .poly import Poly
+from .poly import Poly, Spelling, signed_sum
 from .presets import gamma_carrier, named_module
 
 _LATEX_NAMES = {
@@ -48,53 +54,18 @@ def _latex_coeff(value: Fraction) -> str:
     return f"{sign}\\tfrac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
+LATEX = Spelling(var=_latex_var, power="{}^{{{}}}".format, times=" ", coeff=_latex_coeff)
+_LATEX_GROUP = r"\left({}\right) {}"
+
+
 def poly_to_latex(p: Poly) -> str:
     """Canonical-order LaTeX for a polynomial (d becomes \\partial, x, y, z
     become lambda, mu, nu)."""
-    if p.is_zero():
-        return "0"
-    reg = p.registry
-    parts = []
-    for mono, coeff in p.terms():
-        factors = []
-        for index, exp in mono:
-            base = _latex_var(reg.name_of(index))
-            factors.append(base if exp == 1 else base + "^{" + str(exp) + "}")
-        body = " ".join(factors)
-        if not factors:
-            piece = _latex_coeff(coeff)
-        elif coeff == 1:
-            piece = body
-        elif coeff == -1:
-            piece = "-" + body
-        else:
-            piece = _latex_coeff(coeff) + " " + body
-        if not parts:
-            parts.append(piece)
-        elif piece.startswith("-"):
-            parts.append("- " + piece[1:])
-        else:
-            parts.append("+ " + piece)
-    return " ".join(parts)
+    return p.render(LATEX)
 
 
 def _latex_element(elem) -> str:
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for g, p in elem.items():
-        if p.is_constant():
-            c = p.constant_value()
-            if c == 1:
-                parts.append(str(g))
-                continue
-            if c == -1:
-                parts.append("-" + str(g))
-                continue
-            parts.append(_latex_coeff(c) + " " + str(g))
-            continue
-        parts.append(r"\left(" + poly_to_latex(p) + r"\right) " + str(g))
-    return " + ".join(parts)
+    return " + ".join(elem.rendered_terms(LATEX, group=_LATEX_GROUP)) or "0"
 
 
 def ann_symbol_to_latex(gen_name: str, label) -> str:
@@ -103,28 +74,8 @@ def ann_symbol_to_latex(gen_name: str, label) -> str:
 
 def ann_to_latex(elem) -> str:
     """LaTeX for a coefficient-algebra element, labels in braced subscripts."""
-    if not elem.items():
-        return "0"
-    parts = []
-    for s, p in elem.items():
-        sym = ann_symbol_to_latex(s.gen.name, s.label)
-        if p.is_constant():
-            c = p.constant_value()
-            if c == 1:
-                piece = sym
-            elif c == -1:
-                piece = "-" + sym
-            else:
-                piece = _latex_coeff(c) + " " + sym
-        else:
-            piece = r"\left(" + poly_to_latex(p) + r"\right) " + sym
-        if not parts:
-            parts.append(piece)
-        elif piece.startswith("-"):
-            parts.append("- " + piece[1:])
-        else:
-            parts.append("+ " + piece)
-    return " ".join(parts)
+    return signed_sum(elem.rendered_terms(
+        LATEX, lambda s: ann_symbol_to_latex(s.gen.name, s.label), _LATEX_GROUP))
 
 
 _REPORT_LABEL_BOUND = 6
@@ -143,13 +94,19 @@ def family_verdict(fam) -> str:
     return "irreducible iff alpha != 0"
 
 
+def families_json(families) -> list[dict]:
+    """Rank-one families as their actions and irreducibility verdicts."""
+    return [{"actions": {g: str(p) for g, p in fam.items()},
+             "verdict": family_verdict(fam)} for fam in families]
+
+
 def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
     """Assemble the dossier as plain nested data (strings, lists, dicts)."""
     skew = alg.check_skew()
     jacobi = alg.check_jacobi()
     data: dict = {
         "algebra": alg.name,
-        "params": {k: str(v) for k, v in sorted(alg.param_values.items())},
+        "params": format_params(alg.param_values),
         "free_params": sorted(v.name for v in alg.params),
         "generators": [{"name": g.name, "offset": str(g.label_offset),
                         "shift": str(g.filtration_shift)} for g in alg.generators],
@@ -225,8 +182,7 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
             })
         data["modules"] = {
             "degree": _REPORT_DEGREE,
-            "families": [{"actions": {g: str(p) for g, p in fam.items()},
-                          "verdict": family_verdict(fam)} for fam in families],
+            "families": families_json(families),
             "pattern": pattern,
             "verdicts": verdicts,
         }

@@ -17,6 +17,7 @@ from confalg import (
     DefinitionError,
     FiniteLie,
     LabelError,
+    LambdaElement,
     UnsupportedError,
     ann_bracket,
     compare_closed_form,
@@ -80,6 +81,29 @@ class TestElements:
         assert (a + b - a).render() == "W_1"
         assert (a.scale(3) - a.scale(3)).is_zero()
         assert (-a).render() == "-L_0"
+
+    def test_shared_element_core(self):
+        w = instantiate("w")
+        reg = w.registry
+        a = AnnElement(reg, {basis(w, "W", 1): 2, basis(w, "L", 0): Fraction(1, 2)})
+        same = AnnElement(reg, {basis(w, "L", 0): Fraction(1, 2), basis(w, "W", 1): 2})
+        assert a == same and hash(a) == hash(same)
+        assert [str(s) for s, _ in a.items()] == ["L_0", "W_1"]
+        assert a.coeff(basis(w, "W", 1)) == 2
+        assert a.coeff(basis(w, "W", 5)).is_zero()
+        assert a.map_coeffs(lambda p: p * 2) == a.scale(2)
+        assert repr(a) == "AnnElement(1/2*L_0 + 2*W_1)"
+        lam = LambdaElement.of(reg, w.gen("L"))
+        assert lam != AnnElement.of(reg, basis(w, "L", 0))
+        with pytest.raises(TypeError):
+            a + lam
+
+    def test_scaling_keeps_parameter_check(self):
+        w = instantiate("w")
+        a = AnnElement.of(w.registry, basis(w, "L", 0))
+        from confalg import Poly
+        with pytest.raises(DefinitionError):
+            a.scale(Poly.from_var(w.registry, w.registry.d))
 
     def test_zero_coefficients_dropped(self):
         w = instantiate("w")

@@ -195,6 +195,38 @@ class TestTruncate:
         assert "derived series dims: [60, 59, 55, 45, 24, 0]\n" in out
         assert "lower central series dims: [60, 59, 59]\n" in out
 
+    def test_tex_integer_coefficients(self, capsys):
+        code, out, _ = run(capsys, ["truncate", "vir", "--truncate", "3",
+                                    "--format", "tex"])
+        assert code == 0
+        assert out == ("\\begin{align*}\n"
+                       "[L_{0}, L_{1}] &= -L_{1} \\\\\n"
+                       "[L_{0}, L_{2}] &= -2 L_{2} \\\\\n"
+                       "\\end{align*}\n")
+
+    def test_tex_fractional_coefficients(self, capsys):
+        code, out, _ = run(capsys, ["truncate", "wb", "--param", "b=1/2",
+                                    "--truncate", "2", "--format", "tex"])
+        assert code == 0
+        assert out == ("\\begin{align*}\n"
+                       "[L_{0}, L_{1}] &= -L_{1} \\\\\n"
+                       "[L_{0}, W_{0}] &= -\\tfrac{1}{2} W_{0} \\\\\n"
+                       "[L_{0}, W_{1}] &= -\\tfrac{3}{2} W_{1} \\\\\n"
+                       "[L_{1}, W_{0}] &= -W_{1} \\\\\n"
+                       "\\end{align*}\n")
+
+    def test_tex_signed_join(self, capsys):
+        code, out, _ = run(capsys, ["truncate", "tsv", "--param", "a=1", "b=-1/2",
+                                    "--truncate", "2", "--format", "tex"])
+        assert code == 0
+        assert "[L_{0}, Y_{1/2}] &= -Y_{1/2} - \\tfrac{1}{2} Y_{3/2} \\\\\n" in out
+
+    def test_text_keeps_plus_join(self, capsys):
+        code, out, _ = run(capsys, ["truncate", "tsv", "--param", "a=1", "b=-1/2",
+                                    "--truncate", "2"])
+        assert code == 0
+        assert "[L_0, Y_1/2] = -Y_1/2 + -1/2*Y_3/2\n" in out
+
     def test_requires_depth(self, capsys):
         assert main(["truncate", "vir"]) == 2
         capsys.readouterr()
@@ -208,6 +240,31 @@ class TestClassify:
                        "  trivial (all actions zero)\n"
                        "L -> x*alpha + d + beta; Y -> 0; M -> 0\n"
                        "  irreducible iff alpha != 0\n")
+
+    def test_tex(self, capsys):
+        code, out, _ = run(capsys, ["classify", "vir", "--degree", "1", "--format", "tex"])
+        assert code == 0
+        assert out == ("\\begin{align*}\n"
+                       "L &\\mapsto 0 \\\\\n"
+                       "L &\\mapsto \\lambda \\alpha + \\partial + \\beta \\\\\n"
+                       "\\end{align*}\n")
+
+    def test_tex_grid(self, capsys):
+        code, out, _ = run(capsys, ["classify", "w", "--degree", "1", "--format", "tex",
+                                    "--param-grid", "a=1", "b=0,1/2"])
+        assert code == 0
+        assert out == ("\\paragraph{$a = 1$, $b = 0$}\n"
+                       "\\begin{align*}\n"
+                       "L &\\mapsto 0 \\quad W &\\mapsto 0 \\\\\n"
+                       "L &\\mapsto \\lambda \\alpha + \\partial + \\beta \\quad "
+                       "W &\\mapsto \\gamma \\\\\n"
+                       "\\end{align*}\n"
+                       "\\paragraph{$a = 1$, $b = 1/2$}\n"
+                       "\\begin{align*}\n"
+                       "L &\\mapsto 0 \\quad W &\\mapsto 0 \\\\\n"
+                       "L &\\mapsto \\lambda \\alpha + \\partial + \\beta \\quad "
+                       "W &\\mapsto 0 \\\\\n"
+                       "\\end{align*}\n")
 
     def test_grid(self, capsys):
         code, out, _ = run(capsys, ["classify", "w", "--param-grid",

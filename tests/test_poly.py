@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg.errors import NonMonicDivisorError, ParseError, RegistryError
-from confalg.poly import Poly, Registry, group_coefficients, monic_div_rem, parse_poly
+from confalg.poly import (Poly, Registry, group_coefficients, monic_div_rem, parse_poly, scaled,
+                         signed_sum)
 
 
 @pytest.fixture()
@@ -72,6 +73,19 @@ class TestCanonicalForm:
         assert p.total_degree() == 5
         assert p.total_degree() == 5
         assert (p - P(reg, "c*beta*x^3")).total_degree() == 3
+
+    def test_scaled_leaves_out_unit_coefficients(self):
+        assert scaled(Fraction(1), "d") == "d"
+        assert scaled(Fraction(-1), "d") == "-d"
+        assert scaled(Fraction(-3, 2), "d*x") == "-3/2*d*x"
+        assert scaled(Fraction(-1), "") == "-1"
+        assert scaled(Fraction(5), "") == "5"
+
+    def test_signed_sum(self):
+        assert signed_sum([]) == "0"
+        assert signed_sum(["-a"]) == "-a"
+        assert signed_sum(["a", "-2*b", "c"]) == "a - 2*b + c"
+        assert signed_sum(iter(["-a", "-b"])) == "-a - b"
 
     def test_parse_round_trip(self, reg):
         for text in ["d + 2*x", "-d^2 - 2*d*x - 2*d*c - 4*x*c",
@@ -266,6 +280,13 @@ class TestRingLaws:
             {sympy.Symbol(v.name): _to_sympy(value, sympy) for v, value in mapping.items()},
             simultaneous=True))
         assert sympy.expand(_to_sympy(p.subs(mapping), sympy) - want) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys())
+    def test_render_parse_round_trip(self, p):
+        # _polys draws negative and fractional coefficients, so this covers
+        # the signed join and unit elision of the renderer.
+        assert parse_poly(p.registry, str(p)) == p
 
     @settings(max_examples=60, deadline=None)
     @given(_polys(), st.integers(1, 3), st.integers(-3, 3))

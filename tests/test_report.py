@@ -14,8 +14,13 @@ from confalg import (
     rank1_module,
     zero_module,
 )
+from confalg.algebra import LambdaElement
+from confalg.annihilation import AnnBasis, AnnElement
+from confalg.poly import Poly
 from confalg.report import (
+    _latex_element,
     ann_symbol_to_latex,
+    ann_to_latex,
     attach_tex,
     build_report,
     family_verdict,
@@ -52,6 +57,47 @@ class TestLatex:
     def test_subscripted_symbols(self):
         assert ann_symbol_to_latex("L", Fraction(-1)) == "L_{-1}"
         assert ann_symbol_to_latex("Y", Fraction(1, 2)) == "Y_{1/2}"
+
+
+class TestJoinStyles:
+    """Table entries join their terms with " + " (so a negative constant
+    shows as ``+ -3*W``); coefficient-algebra elements use signed joins."""
+
+    def test_lambda_element_keeps_plus_join(self):
+        w = instantiate("w")
+        reg = w.registry
+        e = LambdaElement(reg, {w.gen("W"): Poly.const(reg, -3),
+                                w.gen("L"): Poly.const(reg, 2)})
+        assert e.render() == "2*L + -3*W"
+        assert _latex_element(e) == "2 L + -3 W"
+
+    def test_lambda_element_polynomial_and_unit_terms(self):
+        w = instantiate("w")
+        reg = w.registry
+        e = LambdaElement(reg, {w.gen("L"): parse_poly(reg, "-d - 2*x"),
+                                w.gen("W"): Poly.const(reg, -1)})
+        assert e.render() == "(-d - 2*x) L + -W"
+        assert _latex_element(e) == r"\left(-\partial - 2 \lambda\right) L + -W"
+        assert LambdaElement(reg).render() == "0"
+        assert _latex_element(LambdaElement(reg)) == "0"
+
+    def test_ann_element_signed_join(self):
+        w = instantiate("w")
+        reg = w.registry
+        e = AnnElement(reg, {AnnBasis(w.gen("W"), Fraction(1)): -3,
+                             AnnBasis(w.gen("L"), Fraction(0)): 2})
+        assert e.render() == "2*L_0 - 3*W_1"
+        assert ann_to_latex(e) == "2 L_{0} - 3 W_{1}"
+
+    def test_ann_element_polynomial_and_fractional_terms(self):
+        w = instantiate("w")
+        reg = w.registry
+        e = AnnElement(reg, {AnnBasis(w.gen("L"), Fraction(0)): Fraction(-1, 2),
+                             AnnBasis(w.gen("W"), Fraction(1)): parse_poly(reg, "a - 1"),
+                             AnnBasis(w.gen("W"), Fraction(2)): -1})
+        assert e.render() == "-1/2*L_0 + (a - 1)*W_1 - W_2"
+        assert ann_to_latex(e) == (r"-\tfrac{1}{2} L_{0} + \left(a - 1\right) W_{1} - W_{2}")
+        assert ann_to_latex(AnnElement(reg)) == "0"
 
 
 class TestFamilyVerdicts:
