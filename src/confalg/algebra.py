@@ -100,16 +100,6 @@ class AxiomReport:
     def failures(self) -> list[ReportEntry]:
         return [e for e in self.entries if not e.ok]
 
-    def render(self, *, only_failures: bool = False) -> str:
-        lines = [f"{self.kind}: {'pass' if self.passed else 'FAIL'} "
-                 f"({len(self.entries)} checks, {len(self.failures())} failing)"]
-        for e in self.entries:
-            if only_failures and e.ok:
-                continue
-            status = "ok " if e.ok else "FAIL"
-            lines.append(f"  {status} ({', '.join(e.key)}): residual {e.residual}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return f"AxiomReport({self.kind}, passed={self.passed})"
 
@@ -240,11 +230,6 @@ class ConformalAlgebra:
                                 virasoro=self.virasoro_name,
                                 closed_ann_form=self.closed_ann_form,
                                 param_values=self.param_values)
-
-    def table_equal(self, other: "ConformalAlgebra") -> bool:
-        if [g.name for g in self.generators] != [g.name for g in other.generators]:
-            return False
-        return all(self._table[p] == other._table[p] for p in self.ordered_pairs())
 
     # ---- parameter binding -------------------------------------------------
 

@@ -280,9 +280,6 @@ class FiniteLie:
                 return i
         raise LabelError(f"no basis symbol {name}_{label}")
 
-    def bracket_indices(self, i: int, j: int) -> dict[int, Fraction]:
-        return dict(self._ad[i].get(j, {}))
-
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], list[tuple[int, Fraction]]]]:
         """Stored bracket table as ((i, j), [(k, coeff), ...]) rows, sorted."""
         return [((i, j), sorted(terms.items()))

@@ -2,31 +2,35 @@
 
 Subcommands: verify, ann, truncate, classify, submodules, report.  Algebras
 are given by preset name (vir, w, wb, tsv, tsvc) or by a table file ending
-in .alg.  Parameters bind with --param a=2 b=1; classify also takes
---param-grid a=0..2 or a=0,1/2,1 and runs the cartesian product.  Output
+in .alg.  Parameters bind with --param a=2 b=1; verify and classify also
+take --param-grid a=0..2 or a=0,1/2,1 and run the cartesian product.  Output
 formats: text (default), json, tex.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 bad input, 3 the request is outside what the
 solver handles.
+
+Each subcommand computes its results, renders only the requested format
+with the layout pieces of :mod:`confalg.report`, and returns whether all
+checks passed together with one document; ``main`` prints that document
+once.  An error exit prints nothing on stdout, only a message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, format_params, parse_algebra
 from .annihilation import (AnnBasis, ann_bracket, compare_closed_form,
                            labels_through, truncated_quotient)
-from .errors import (BindingError, DiscrepancyError, DivisibilityError, ParseError,
-                     UnsupportedError, WorkbenchError)
+from .errors import DiscrepancyError, DivisibilityError, UnsupportedError, WorkbenchError
 from .modules import irreducibility_verdict, rank1_classify, submodule_scan
 from .presets import PRESET_NAMES, instantiate, named_module
 from .poly import scaled, signed_sum
-from .report import (LATEX, ann_symbol_to_latex, ann_to_latex, attach_tex, build_report,
-                     families_json, family_verdict, poly_to_latex, render_tex, render_text)
+from .report import (LATEX, align, ann_symbol_to_latex, ann_to_latex, attach_tex, build_report,
+                     document, families_json, family_verdict, grid_heading, mapsto_row,
+                     plural, poly_to_latex, render_json, render_tex, render_text)
 
 PASS = 0
 CHECK_FAILED = 1
@@ -94,20 +98,16 @@ def _load_algebra(ref: str, bindings: dict[str, Fraction]) -> ConformalAlgebra:
         f"unknown algebra {ref!r}: expected one of {', '.join(PRESET_NAMES)} or a .alg file")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _load_grid(args) -> tuple[ConformalAlgebra, list[tuple[dict, ConformalAlgebra]], bool]:
+    """The algebra bound at every point of --param times --param-grid.
 
-
-def _emit_json(data) -> None:
-    _emit(json.dumps(data, indent=2) + "\n")
-
-
-# ---- subcommands ------------------------------------------------------------------
-
-
-def _grid_points(base: ConformalAlgebra, bindings: dict[str, Fraction],
-                 grid: dict[str, list[Fraction]]) -> list[dict[str, Fraction]]:
-    """Expand --param/--param-grid into a list of binding points."""
+    Returns the unbound algebra, the (point, bound algebra) pairs and
+    whether a grid was applied; a grid on a parameterless algebra is
+    dropped with a warning.
+    """
+    bindings = _parse_bindings(args.param)
+    grid = _parse_grid(args.param_grid)
+    base = _load_algebra(args.algebra, {})
     declared = {v.name for v in base.params}
     if grid and not declared:
         sys.stderr.write(f"warning: {base.name} has no parameters; ignoring --param-grid\n")
@@ -117,52 +117,34 @@ def _grid_points(base: ConformalAlgebra, bindings: dict[str, Fraction],
             raise _InputError(f"grid parameter {name} is not a parameter of {base.name}")
         if name in bindings:
             raise _InputError(f"parameter {name} given both in --param and --param-grid")
-    if not grid:
-        return [bindings]
     axes = sorted(grid)
-    points = []
-    for combo in itertools.product(*(grid[name] for name in axes)):
-        point = dict(bindings)
-        point.update(dict(zip(axes, combo)))
-        points.append(point)
-    return points
+    points = [{**bindings, **dict(zip(axes, combo))}
+              for combo in itertools.product(*(grid[name] for name in axes))]
+    return base, [(point, _load_algebra(args.algebra, point)) for point in points], bool(grid)
 
 
-def _cmd_verify(args) -> int:
-    bindings = _parse_bindings(args.param)
-    grid = _parse_grid(args.param_grid)
-    base = _load_algebra(args.algebra, {})
-    points = _grid_points(base, bindings, grid)
+# ---- subcommands: each returns (all checks passed, the document for stdout) -------
 
-    results = []
-    ok = True
-    for point in points:
-        alg = _load_algebra(args.algebra, point)
-        skew, jacobi = alg.check_skew(), alg.check_jacobi()
-        results.append((alg, skew, jacobi))
-        ok = ok and skew.passed and jacobi.passed
 
+def _cmd_verify(args) -> tuple[bool, str]:
+    base, pairs, _ = _load_grid(args)
+    results = [(alg, alg.check_skew(), alg.check_jacobi()) for _, alg in pairs]
+    ok = all(skew.passed and jacobi.passed for _, skew, jacobi in results)
+    headed = len(results) > 1
     if args.format == "json":
-        blocks = []
-        for alg, skew, jacobi in results:
-            blocks.append({
-                "algebra": alg.name,
-                "params": format_params(alg.param_values),
-                "skew": {"passed": skew.passed, "checks": len(skew.entries),
-                         "failures": [{"pair": list(e.key), "residual": e.residual}
-                                      for e in skew.failures()]},
-                "jacobi": {"passed": jacobi.passed, "checks": len(jacobi.entries),
-                           "failures": [{"triple": list(e.key), "residual": e.residual}
-                                        for e in jacobi.failures()]},
-            })
-        _emit_json(blocks[0] if len(blocks) == 1 else blocks)
-    elif args.format == "tex":
+        def axiom(report, key):
+            return {"passed": report.passed, "checks": len(report.entries),
+                    "failures": [{key: list(e.key), "residual": e.residual}
+                                 for e in report.failures()]}
+        blocks = [{"algebra": alg.name, "params": format_params(alg.param_values),
+                   "skew": axiom(skew, "pair"), "jacobi": axiom(jacobi, "triple")}
+                  for alg, skew, jacobi in results]
+        return ok, render_json(blocks[0] if len(blocks) == 1 else blocks)
+    if args.format == "tex":
         lines = [r"\section*{Axioms for " + base.name + "}"]
         for alg, skew, jacobi in results:
-            point = format_params(alg.param_values)
-            if point and len(results) > 1:
-                lines.append(r"\paragraph{" + ", ".join(
-                    f"${k} = {v}$" for k, v in point.items()) + "}")
+            if headed:
+                lines.append(grid_heading(alg.param_values, "tex"))
             lines.append("Skew symmetry: " + ("pass" if skew.passed else "fail") + r" \\")
             for e in skew.failures():
                 lines.append(rf"\quad $({', '.join(e.key)})$: "
@@ -171,27 +153,22 @@ def _cmd_verify(args) -> int:
             for e in jacobi.failures():
                 lines.append(rf" \\ \quad $({', '.join(e.key)})$: "
                              rf"residual \texttt{{{e.residual}}}")
-        _emit("\n".join(lines) + "\n")
-    else:
-        for alg, skew, jacobi in results:
-            prefix = ""
-            if len(results) > 1:
-                point = format_params(alg.param_values)
-                _emit("at " + ", ".join(f"{k} = {v}" for k, v in point.items()) + ":\n")
-                prefix = "  "
-            npairs, ntriples = len(skew.entries), len(jacobi.entries)
-            _emit(f"{prefix}skew symmetry: {'pass' if skew.passed else 'FAIL'} "
-                  f"({npairs} pair{'s' if npairs != 1 else ''})\n")
-            for e in skew.failures():
-                _emit(f"{prefix}  ({', '.join(e.key)}): residual {e.residual}\n")
-            _emit(f"{prefix}jacobi identity: {'pass' if jacobi.passed else 'FAIL'} "
-                  f"({ntriples} triple{'s' if ntriples != 1 else ''})\n")
-            for e in jacobi.failures():
-                _emit(f"{prefix}  ({', '.join(e.key)}): residual {e.residual}\n")
-    return PASS if ok else CHECK_FAILED
+        return ok, document(lines)
+    lines = []
+    prefix = "  " if headed else ""
+    for alg, skew, jacobi in results:
+        if headed:
+            lines.append(grid_heading(alg.param_values, "text"))
+        for title, report, noun in (("skew symmetry", skew, "pair"),
+                                    ("jacobi identity", jacobi, "triple")):
+            lines.append(f"{prefix}{title}: {'pass' if report.passed else 'FAIL'} "
+                         f"({plural(len(report.entries), noun)})")
+            lines += [f"{prefix}  ({', '.join(e.key)}): residual {e.residual}"
+                      for e in report.failures()]
+    return ok, document(lines)
 
 
-def _cmd_ann(args) -> int:
+def _cmd_ann(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     bound = Fraction(args.degree)
     rows = []
@@ -204,40 +181,32 @@ def _cmd_ann(args) -> int:
     mismatches: list[str] | None = None
     if alg.closed_ann_form is not None:
         mismatches = compare_closed_form(alg, bound)
+    ok = not mismatches
+    closed = "unavailable" if mismatches is None else "fail" if mismatches else "pass"
     if args.format == "json":
-        _emit_json({
+        return ok, render_json({
             "algebra": alg.name,
             "params": format_params(alg.param_values),
             "max_label": str(bound),
             "brackets": [{"left": f"{a}_{m}", "right": f"{b}_{n}", "value": v.render()}
                          for a, m, b, n, v in rows],
-            "closed_form": ("unavailable" if mismatches is None
-                            else "pass" if not mismatches else "fail"),
+            "closed_form": closed,
             "mismatches": mismatches or [],
         })
-    elif args.format == "tex":
-        lines = [r"\begin{align*}"]
-        for a, m, b, n, v in rows:
-            left = ann_symbol_to_latex(a, m)
-            right = ann_symbol_to_latex(b, n)
-            lines.append(f"[{left}, {right}] &= {ann_to_latex(v)} \\\\")
-        lines.append(r"\end{align*}")
-        _emit("\n".join(lines) + "\n")
+    if args.format == "tex":
+        return ok, document(align(
+            f"[{ann_symbol_to_latex(a, m)}, {ann_symbol_to_latex(b, n)}] "
+            f"&= {ann_to_latex(v)} \\\\" for a, m, b, n, v in rows))
+    lines = [f"[{a}_{m}, {b}_{n}] = {v.render()}" for a, m, b, n, v in rows]
+    if mismatches:
+        lines.append(f"closed form: FAIL ({len(mismatches)} mismatches)")
+        lines += [f"  {m}" for m in mismatches[:10]]
     else:
-        for a, m, b, n, v in rows:
-            _emit(f"[{a}_{m}, {b}_{n}] = {v.render()}\n")
-        if mismatches is None:
-            _emit("closed form: unavailable\n")
-        elif mismatches:
-            _emit(f"closed form: FAIL ({len(mismatches)} mismatches)\n")
-            for m in mismatches[:10]:
-                _emit(f"  {m}\n")
-        else:
-            _emit("closed form: pass\n")
-    return CHECK_FAILED if mismatches else PASS
+        lines.append(f"closed form: {closed}")
+    return ok, document(lines)
 
 
-def _cmd_truncate(args) -> int:
+def _cmd_truncate(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     finite = truncated_quotient(alg, args.truncate)
     series = finite.derived_series()
@@ -253,92 +222,68 @@ def _cmd_truncate(args) -> int:
             "derived_length": length,
             "nilpotent": nilpotent,
         })
-        _emit_json(data)
-    elif args.format == "tex":
+        return True, render_json(data)
+    if args.format == "tex":
         def tex_symbol(index):
-            name, label = finite.basis[index]
-            return ann_symbol_to_latex(name, label)
-        lines = [r"\begin{align*}"]
-        for (i, j), terms in finite.nonzero_brackets():
-            rhs = signed_sum(scaled(c, tex_symbol(k), LATEX) for k, c in terms)
-            lines.append(f"[{tex_symbol(i)}, {tex_symbol(j)}] &= {rhs} \\\\")
-        lines.append(r"\end{align*}")
-        _emit("\n".join(lines) + "\n")
-    else:
-        _emit(f"dimension {finite.dim}\n")
-        _emit("basis: " + ", ".join(finite.symbol(i) for i in range(finite.dim)) + "\n")
-        for (i, j), terms in finite.nonzero_brackets():
-            rhs = " + ".join(scaled(c, finite.symbol(k)) for k, c in terms)
-            _emit(f"[{finite.symbol(i)}, {finite.symbol(j)}] = {rhs}\n")
-        _emit(f"derived series dims: {series}\n")
-        _emit(f"lower central series dims: {lower}\n")
-        if solvable:
-            _emit(f"solvable: yes (derived length {length})\n")
-        else:
-            _emit("solvable: no\n")
-        _emit(f"nilpotent: {'yes' if nilpotent else 'no'}\n")
-    return PASS
+            return ann_symbol_to_latex(*finite.basis[index])
+        return True, document(align(
+            f"[{tex_symbol(i)}, {tex_symbol(j)}] &= "
+            f"{signed_sum(scaled(c, tex_symbol(k), LATEX) for k, c in terms)} \\\\"
+            for (i, j), terms in finite.nonzero_brackets()))
+    lines = [f"dimension {finite.dim}",
+             "basis: " + ", ".join(finite.symbol(i) for i in range(finite.dim))]
+    for (i, j), terms in finite.nonzero_brackets():
+        rhs = " + ".join(scaled(c, finite.symbol(k)) for k, c in terms)
+        lines.append(f"[{finite.symbol(i)}, {finite.symbol(j)}] = {rhs}")
+    lines += [f"derived series dims: {series}",
+              f"lower central series dims: {lower}",
+              f"solvable: yes (derived length {length})" if solvable else "solvable: no",
+              f"nilpotent: {'yes' if nilpotent else 'no'}"]
+    return True, document(lines)
 
 
-def _cmd_classify(args) -> int:
-    bindings = _parse_bindings(args.param)
-    grid = _parse_grid(args.param_grid)
-    base = _load_algebra(args.algebra, {})
-    points = _grid_points(base, bindings, grid)
-    gridded = len(points) > 1 or bool(grid)
-
-    results = []
-    for point in points:
-        alg = _load_algebra(args.algebra, point)
-        families = rank1_classify(alg, args.degree)
-        results.append((point, families))
-
+def _cmd_classify(args) -> tuple[bool, str]:
+    base, pairs, gridded = _load_grid(args)
+    results = [(point, rank1_classify(alg, args.degree)) for point, alg in pairs]
     if args.format == "json":
         if gridded:
-            _emit_json({
+            return True, render_json({
                 "algebra": base.name,
                 "degree": args.degree,
                 "grid": [{"params": format_params(p), "families": families_json(f)}
                          for p, f in results],
             })
-        else:
-            point, families = results[0]
-            _emit_json({
-                "algebra": base.name,
-                "params": format_params(point),
-                "degree": args.degree,
-                "families": families_json(families),
-            })
-    elif args.format == "tex":
-        lines = []
+        point, families = results[0]
+        return True, render_json({
+            "algebra": base.name,
+            "params": format_params(point),
+            "degree": args.degree,
+            "families": families_json(families),
+        })
+    lines = []
+    if args.format == "tex":
         for point, families in results:
             if point:
-                lines.append(r"\paragraph{" + ", ".join(
-                    f"${k} = {v}$" for k, v in sorted(point.items())) + "}")
-            lines.append(r"\begin{align*}")
-            for fam in families:
-                lines.append(" \\quad ".join(
-                    f"{g} &\\mapsto {poly_to_latex(p)}" for g, p in fam.items()) + r" \\")
-            lines.append(r"\end{align*}")
-        _emit("\n".join(lines) + "\n")
-    else:
-        for point, families in results:
-            if gridded:
-                _emit("at " + ", ".join(f"{k} = {v}" for k, v in sorted(point.items())) + ":\n")
-            indent = "  " if gridded else ""
-            for fam in families:
-                _emit(indent + fam.render() + "\n")
-                _emit(indent + "  " + family_verdict(fam) + "\n")
-    return PASS
+                lines.append(grid_heading(point, "tex"))
+            lines += align(mapsto_row({g: poly_to_latex(p) for g, p in fam.items()})
+                           for fam in families)
+        return True, document(lines)
+    indent = "  " if gridded else ""
+    for point, families in results:
+        if gridded:
+            lines.append(grid_heading(point, "text"))
+        for fam in families:
+            lines += [indent + fam.render(), indent + "  " + family_verdict(fam)]
+    return True, document(lines)
 
 
-def _cmd_submodules(args) -> int:
+def _cmd_submodules(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     action = named_module(alg, args.module)
     witnesses = submodule_scan(alg, action, args.degree)
     verdict = irreducibility_verdict(alg, action, args.degree)
     if args.format == "json":
-        _emit_json({
+        return True, render_json({
             "algebra": alg.name,
             "params": format_params(alg.param_values),
             "module": args.module,
@@ -349,40 +294,35 @@ def _cmd_submodules(args) -> int:
             "verdict": {"status": verdict.status, "certificate": verdict.certificate,
                         "reason": verdict.reason},
         })
-    elif args.format == "tex":
+    if args.format == "tex":
         lines = [f"Module {args.module}: {verdict.status}."]
         for w in witnesses:
             lines.append(r"Proper submodule generated by $" + poly_to_latex(w.generator)
                          + r"$ acting by $" + ", ".join(
                              f"{g} \\mapsto {poly_to_latex(p)}" for g, p in w.induced.items())
                          + "$.")
-        _emit("\n".join(lines) + "\n")
-    else:
-        _emit(f"module {args.module}: {action.render()}\n")
-        if witnesses:
-            for w in witnesses:
-                _emit(f"submodule generator: {w.generator}\n")
-                _emit(f"  induced action: {w.induced.render()}\n")
-        else:
-            _emit(f"no proper submodules up to generator degree {args.degree}\n")
-        _emit(f"verdict: {verdict.status} ({verdict.reason})\n")
-    return PASS
+        return True, document(lines)
+    lines = [f"module {args.module}: {action.render()}"]
+    for w in witnesses:
+        lines += [f"submodule generator: {w.generator}",
+                  f"  induced action: {w.induced.render()}"]
+    if not witnesses:
+        lines.append(f"no proper submodules up to generator degree {args.degree}")
+    lines.append(f"verdict: {verdict.status} ({verdict.reason})")
+    return True, document(lines)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     data = build_report(alg, depth=args.truncate)
-    if args.format == "json":
-        _emit_json(data)
-    elif args.format == "tex":
-        attach_tex(alg, data)
-        _emit(render_tex(data))
-    else:
-        _emit(render_text(data))
     ax = data["axioms"]
     closed = data["annihilation"]["closed_form"]
     ok = ax["skew"] and ax["jacobi"] and closed in ("pass", "unavailable")
-    return PASS if ok else CHECK_FAILED
+    if args.format == "json":
+        return ok, render_json(data)
+    if args.format == "tex":
+        return ok, render_tex(attach_tex(alg, data))
+    return ok, render_text(data)
 
 
 # ---- argument wiring --------------------------------------------------------------
@@ -481,19 +421,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return BAD_INPUT if exc.code else PASS
     try:
-        return args.func(args)
-    except (_InputError, ParseError, BindingError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return BAD_INPUT
+        ok, document = args.func(args)
     except UnsupportedError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return UNSUPPORTED
     except (DiscrepancyError, DivisibilityError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return CHECK_FAILED
-    except WorkbenchError as exc:
+    except (_InputError, WorkbenchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return BAD_INPUT
+    sys.stdout.write(document)
+    return PASS if ok else CHECK_FAILED
 
 
 if __name__ == "__main__":

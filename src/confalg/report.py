@@ -9,13 +9,16 @@ content is deterministic, so renderings are stable byte for byte.
 Terms are rendered in one place, :mod:`confalg.poly` (``Poly.render``,
 ``scaled``, ``signed_sum``); this module only supplies the LaTeX spelling
 ``LATEX`` (\\partial, \\lambda, ``\\tfrac`` coefficients, braced powers).
-It also holds the families block that ``build_report`` and ``confalg
-classify --format json`` share.
+It also holds the layout that the dossier and the CLI subcommands share:
+the line join of a document, count plurals, grid-point headings, the
+``align*`` block and its ``g &\\mapsto p`` rows, the JSON writer, and the
+families block of ``build_report`` and ``confalg classify --format json``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, format_params
@@ -56,6 +59,34 @@ def _latex_coeff(value: Fraction) -> str:
 
 LATEX = Spelling(var=_latex_var, power="{}^{{{}}}".format, times=" ", coeff=_latex_coeff)
 _LATEX_GROUP = r"\left({}\right) {}"
+
+
+def document(lines: Iterable[str]) -> str:
+    """Lines joined into one document, each ending in a newline."""
+    return "".join(f"{line}\n" for line in lines)
+
+
+def plural(count: int, noun: str) -> str:
+    return f"{count} {noun}" + ("" if count == 1 else "s")
+
+
+def grid_heading(point: Mapping[str, object], fmt: str) -> str:
+    """The heading of one grid point: ``at a = 1, b = 0:``, or in TeX a
+    ``\\paragraph`` of the bindings."""
+    items = sorted(point.items())
+    if fmt == "tex":
+        return r"\paragraph{" + ", ".join(f"${k} = {v}$" for k, v in items) + "}"
+    return "at " + ", ".join(f"{k} = {v}" for k, v in items) + ":"
+
+
+def align(rows: Iterable[str]) -> list[str]:
+    """An ``align*`` block around already terminated rows."""
+    return [r"\begin{align*}", *rows, r"\end{align*}"]
+
+
+def mapsto_row(actions: Mapping[str, str]) -> str:
+    """One align row ``g &\\mapsto p \\quad ...`` of LaTeX actions."""
+    return " \\quad ".join(f"{g} &\\mapsto {p}" for g, p in actions.items()) + r" \\"
 
 
 def poly_to_latex(p: Poly) -> str:
@@ -203,11 +234,9 @@ def render_text(data: dict) -> str:
         a, b = row["pair"]
         lines.append(f"  [{a},{b}] = {row['value']}")
     ax = data["axioms"]
-    def _n(count):
-        return f"{count} check" + ("" if count == 1 else "s")
     lines.append(f"axioms: skew {'pass' if ax['skew'] else 'FAIL'} "
-                 f"({_n(ax['skew_checks'])}), jacobi "
-                 f"{'pass' if ax['jacobi'] else 'FAIL'} ({_n(ax['jacobi_checks'])})")
+                 f"({plural(ax['skew_checks'], 'check')}), jacobi "
+                 f"{'pass' if ax['jacobi'] else 'FAIL'} ({plural(ax['jacobi_checks'], 'check')})")
     for key in ax["failures"]:
         lines.append("  failing: (" + ", ".join(key) + ")")
     lines.append("locality orders: " + ", ".join(
@@ -245,33 +274,25 @@ def render_text(data: dict) -> str:
             elif v["certificate"] == "bounded":
                 extra = " (up to the scan bound)"
             lines.append(f"  {v['module']}: {v['status']}{extra}")
-    return "\n".join(lines) + "\n"
+    return document(lines)
 
 
-def render_json(data: dict) -> str:
+def render_json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
 def render_tex(data: dict) -> str:
     if any("tex" not in row for row in data["table"]):
         raise DefinitionError("call attach_tex on the report before render_tex")
-    lines = [
-        r"\section*{Algebra " + data["algebra"] + "}",
-        r"\begin{align*}",
-    ]
-    for row in data["table"]:
-        a, b = row["pair"]
-        lines.append(f"[{a}_\\lambda {b}] &= {row['tex']} \\\\")
-    lines.append(r"\end{align*}")
+    lines = [r"\section*{Algebra " + data["algebra"] + "}"]
+    lines += align(f"[{row['pair'][0]}_\\lambda {row['pair'][1]}] &= {row['tex']} \\\\"
+                   for row in data["table"])
     ax = data["axioms"]
     lines.append(r"Axioms: skew " + ("pass" if ax["skew"] else "fail")
                  + ", Jacobi " + ("pass" if ax["jacobi"] else "fail") + r".")
     if "modules" in data:
-        lines.append(r"\begin{align*}")
-        for fam in data["modules"]["families_tex"]:
-            lines.append(" \\quad ".join(f"{g} &\\mapsto {p}" for g, p in fam.items()) + r" \\")
-        lines.append(r"\end{align*}")
-    return "\n".join(lines) + "\n"
+        lines += align(map(mapsto_row, data["modules"]["families_tex"]))
+    return document(lines)
 
 
 def attach_tex(alg: ConformalAlgebra, data: dict) -> dict:

@@ -54,13 +54,6 @@ class SolutionFamily:
     def is_point(self) -> bool:
         return not self.free
 
-    def value_of(self, v: Var) -> Poly:
-        if v in self.solved:
-            return self.solved[v]
-        if v in self.free:
-            raise KeyError(f"{v.name} is free in this family")
-        raise KeyError(f"{v.name} is not an unknown of this family")
-
     def substitute_into(self, p: Poly) -> Poly:
         """Apply the family's assignments to ``p`` (free unknowns stay)."""
         return p.subs(self.solved)

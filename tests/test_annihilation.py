@@ -292,8 +292,9 @@ class TestFiniteLie:
     def test_antisymmetric_lookup(self):
         sl2 = FiniteLie([("e", 0), ("f", 0), ("h", 0)],
                         {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
-        assert sl2.bracket_indices(1, 0) == {2: Fraction(-1)}
-        assert sl2.bracket_indices(0, 0) == {}
+        e, f = [Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]
+        assert sl2.bracket_vectors(f, e) == [Fraction(0), Fraction(0), Fraction(-1)]
+        assert sl2.bracket_vectors(e, e) == [Fraction(0)] * 3
 
     def test_vector_bracket(self):
         sl2 = FiniteLie([("e", 0), ("f", 0), ("h", 0)],

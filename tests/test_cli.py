@@ -273,6 +273,14 @@ class TestClassify:
         assert "at a = 1, b = 0:" in out
         assert "irreducible iff alpha != 0 or gamma != 0" in out
 
+    def test_grid_on_parameterless_algebra_is_dropped(self, capsys):
+        for fmt in ("text", "json", "tex"):
+            plain = run(capsys, ["classify", "vir", "--degree", "1", "--format", fmt])
+            code, out, err = run(capsys, ["classify", "vir", "--param-grid", "a=0..1",
+                                          "--degree", "1", "--format", fmt])
+            assert (code, out) == plain[:2]
+            assert err == "warning: vir has no parameters; ignoring --param-grid\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, ["classify", "vir", "--format", "json"])
         data = json.loads(out)

@@ -61,7 +61,7 @@ def test_free_direction(reg):
     assert len(sol) == 1
     fam = sol.families[0]
     assert fam.free == (v,)
-    assert fam.value_of(u) == P(reg, "v")
+    assert fam.solved[u] == P(reg, "v")
 
 
 def test_all_zero_equations_leave_everything_free(reg):
