@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,142 @@ def test_in_span_membership():
     assert _in_span({}, dirs)
     assert not _in_span({"a": Fraction(1)}, dirs)
     assert not _in_span({"d": Fraction(1)}, [])
+
+
+# ---- solve_system against sympy -------------------------------------------
+#
+# sympy is a test-only oracle: these tests are skipped when it is missing.
+
+_SMALL = st.integers(-3, 3)
+
+
+def _unknowns(n):
+    reg = Registry()
+    return reg, [reg.param(f"u{i}") for i in range(n)]
+
+
+def _affine(reg, unknowns, coeffs, const):
+    total = Poly.const(reg, const)
+    for v, c in zip(unknowns, coeffs):
+        total = total + Poly.from_var(reg, v) * c
+    return total
+
+
+def _sympy_system(sympy, eqs, unknowns):
+    syms = sympy.symbols([v.name for v in unknowns])
+    return [sympy.sympify(str(eq)) for eq in eqs], syms
+
+
+def _contains(fam, point):
+    """Whether the rational point (unknown name -> value) lies in ``fam``."""
+    free = {v: point[v.name] for v in fam.free}
+    return all(expr.subs(free).constant_value() == point[v.name]
+               for v, expr in fam.solved.items())
+
+
+def _sympy_point(sympy, solution, syms):
+    """The point of a sympy solution with every unsolved unknown set to 0."""
+    point = {s: sympy.Integer(0) for s in syms if s not in solution}
+    for s, expr in solution.items():
+        point[s] = expr.subs(point)
+    if not all(value.is_Rational for value in point.values()):
+        raise AssertionError(f"sympy left a non-rational point: {point}")
+    return {s.name: Fraction(int(v.p), int(v.q)) for s, v in point.items()}
+
+
+@st.composite
+def _affine_systems(draw):
+    """Integer affine systems in 3-6 unknowns.  At most as many random rows as
+    unknowns (so free directions are common), plus integer combinations of
+    them, either exact (consistent) or with a shifted constant (usually
+    inconsistent)."""
+    n = draw(st.integers(3, 6))
+    rows = draw(st.lists(st.lists(_SMALL, min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=n))
+    for kind in draw(st.lists(st.sampled_from(["combination", "shifted"]), max_size=2)):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(_SMALL), draw(_SMALL)
+        row = [s * p + t * q for p, q in zip(a, b)]
+        if kind == "shifted":
+            row[-1] += draw(st.integers(1, 3))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_affine_systems())
+def test_affine_systems_match_sympy_linsolve(system):
+    sympy = pytest.importorskip("sympy")
+    n, rows = system
+    reg, unknowns = _unknowns(n)
+    eqs = [_affine(reg, unknowns, row[:-1], row[-1]) for row in rows]
+    sol = solve_system(eqs, unknowns)
+    assert sol.verify(eqs)
+    exprs, syms = _sympy_system(sympy, eqs, unknowns)
+    want = sympy.linsolve(exprs, syms)
+    assert sol.inconsistent == (want == sympy.EmptySet)
+    if sol.inconsistent:
+        return
+    (values,) = list(want)
+    free = set().union(*(sympy.sympify(e).free_symbols for e in values))
+    assert len(sol) == 1
+    assert sol.families[0].dim == len(free)
+    solution = {s: e for s, e in zip(syms, values) if s not in free}
+    assert _contains(sol.families[0], _sympy_point(sympy, solution, syms))
+
+
+@st.composite
+def _product_systems(draw):
+    """One to four equations, each a product of two random affine forms, in
+    3-5 unknowns.  Equation k has its own leading unknown u_{n-1-k}, with a
+    nonzero coefficient in both forms, and otherwise only lower unknowns; the
+    solver can always factor such a system, whatever it substitutes first."""
+    n = draw(st.integers(3, 5))
+    eqs = []
+    for k in range(draw(st.integers(1, min(n, 4)))):
+        lead = n - 1 - k
+        factors = []
+        for _ in range(2):
+            coeffs = [draw(st.integers(-2, 2)) for _ in range(lead)]
+            coeffs.append(draw(st.sampled_from([-2, -1, 1, 2])))
+            factors.append((coeffs + [0] * (n - 1 - lead), draw(_SMALL)))
+        eqs.append(factors)
+    return n, eqs
+
+
+@settings(max_examples=50, deadline=None)
+@given(_product_systems())
+def test_factorable_quadratics_contain_sympy_solutions(system):
+    """Each choice of one factor per equation is an affine system; the points
+    sympy's ``linsolve`` finds for it must lie in some returned family."""
+    sympy = pytest.importorskip("sympy")
+    n, factor_pairs = system
+    reg, unknowns = _unknowns(n)
+    eqs = [_affine(reg, unknowns, *f) * _affine(reg, unknowns, *g) for f, g in factor_pairs]
+    sol = solve_system(eqs, unknowns)
+    assert sol.verify(eqs)
+    for choice in itertools.product(*factor_pairs):
+        exprs, syms = _sympy_system(
+            sympy, [_affine(reg, unknowns, *f) for f in choice], unknowns)
+        for values in sympy.linsolve(exprs, syms):
+            free = set().union(*(sympy.sympify(e).free_symbols for e in values))
+            solution = {s: e for s, e in zip(syms, values) if s not in free}
+            point = _sympy_point(sympy, solution, syms)
+            assert any(_contains(fam, point) for fam in sol), (choice, sol.render())
+
+
+# ---- solver limits -----------------------------------------------------------
+
+
+def test_branch_depth_limit():
+    reg, unknowns = _unknowns(401)
+    eqs = [Poly.from_var(reg, v) ** 2 for v in unknowns]
+    with pytest.raises(UnsupportedSystemError, match="branch depth exhausted"):
+        solve_system(eqs, unknowns)
+
+
+def test_component_limit():
+    reg, unknowns = _unknowns(10)
+    eqs = [Poly.from_var(reg, v) ** 2 - Poly.from_var(reg, v) for v in unknowns]
+    with pytest.raises(UnsupportedSystemError, match="exploded into 1024 components"):
+        solve_system(eqs, unknowns)
