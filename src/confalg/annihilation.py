@@ -332,18 +332,11 @@ class FiniteLie:
         current = [[(i, Fraction(1))] for i in range(self.dim)]
         dims = [self.dim]
         while True:
-            rows = (self._dense(b) for b in step(current) if b)
-            nxt = [_nonzeros(row) for row in rref(rows)]
+            nxt = [list(row.items()) for row in rref(step(current))]
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims
             current = nxt
-
-    def _dense(self, terms: Mapping[int, Fraction]) -> list[Fraction | int]:
-        row: list[Fraction | int] = [0] * self.dim
-        for k, c in terms.items():
-            row[k] = c
-        return row
 
     def derived_series(self) -> list[int]:
         """Dimensions of g, [g,g], [[g,g],[g,g]], ... until zero or stable."""

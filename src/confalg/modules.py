@@ -20,8 +20,11 @@ Classification is staged.  The Virasoro generator acts by f = 0 or by
 f = d + alpha*x + beta (the completeness of this list is itself checkable
 through ``vir_completeness``).  With alpha and beta kept as formal symbols,
 the remaining generators get generic polynomial actions of bounded degree
-and the residuals become linear systems; cross relations among the
-non-Virasoro generators are then quadratic and close the search.  Because
+and the residuals become linear systems.  Each solution family of that
+first stage is substituted into the small ansatz actions, and the cross
+relations among the non-Virasoro generators, built from those substituted
+actions, are quadratic in the family's free coefficients and close the
+search.  Because
 the formal treatment only finds actions valid for every (alpha, beta), a
 rational grid of (alpha, beta) values is re-solved independently and any
 sporadic extra family raises DiscrepancyError.  Each residual is built once
@@ -41,7 +44,7 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
                      UnsupportedError)
 from .algebra import AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params
 from .poly import PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem, parse_poly
-from .solve import rref, solve_system
+from .solve import SolutionFamily, rref, solve_system
 
 
 class Rank1Action:
@@ -257,18 +260,16 @@ def _ansatz_prefix(gname: str) -> str:
 
 
 class _Branch:
-    """Residuals of the staged search for one Virasoro action f: ``stage1``
-    pairs the Virasoro generator with each other generator, ``cross`` pairs
-    the other generators among themselves."""
+    """Stage-one residuals of the staged search for one Virasoro action f:
+    the Virasoro generator paired with each other generator."""
 
-    __slots__ = ("f", "stage1", "cross")
+    __slots__ = ("f", "stage1")
 
-    def __init__(self, f: Poly, stage1: tuple[Poly, ...], cross: tuple[Poly, ...]):
-        self.f, self.stage1, self.cross = f, stage1, cross
+    def __init__(self, f: Poly, stage1: tuple[Poly, ...]):
+        self.f, self.stage1 = f, stage1
 
     def specialise(self, point: Mapping[Var, Fraction]) -> "_Branch":
-        return _Branch(self.f.subs(point), tuple(r.subs(point) for r in self.stage1),
-                       tuple(r.subs(point) for r in self.cross))
+        return _Branch(self.f.subs(point), tuple(r.subs(point) for r in self.stage1))
 
 
 class _Ansatz:
@@ -285,40 +286,46 @@ class _Ansatz:
             self.actions[g.name] = poly
             self.unknowns += uvars
 
-    def residuals(self, f: Poly, cross: tuple[Poly, ...] | None = None) -> _Branch:
-        """The residuals for the Virasoro action f; ``cross`` reuses cross
-        residuals already built for another f when they do not involve it."""
+    def residuals(self, f: Poly) -> _Branch:
+        """The stage-one residuals for the Virasoro action f."""
         alg, vname = self.alg, self.virasoro.name
         actions = {vname: f, **self.actions}
         if not _rank1_residual(alg, actions, vname, vname).is_zero():
             raise UnsupportedError("the proposed Virasoro action fails its own pair identity")
-        stage1 = tuple(_rank1_residual(alg, actions, vname, g.name) for g in self.others)
-        if cross is None:
-            cross = tuple(_rank1_residual(alg, actions, g.name, h.name)
-                          for i, g in enumerate(self.others) for h in self.others[i:])
-        return _Branch(f, stage1, cross)
+        return _Branch(f, tuple(_rank1_residual(alg, actions, vname, g.name)
+                                for g in self.others))
+
+    def stage_two(self, f: Poly, fam: SolutionFamily) -> tuple[dict[str, Poly], list[Poly]]:
+        """The actions of a stage-one family under the Virasoro action f, and
+        the cross-pair equations in the family's free coefficients.
+
+        The cross residuals are built from the substituted actions, which
+        equals substituting the family into the generic cross residuals."""
+        actions = {self.virasoro.name: f}
+        for g in self.others:
+            actions[g.name] = fam.substitute_into(self.actions[g.name])
+        eqs = []
+        for i, g in enumerate(self.others):
+            for h in self.others[i:]:
+                eqs += _extract(_rank1_residual(self.alg, actions, g.name, h.name), fam.free)
+        return actions, eqs
 
     def solve(self, branch: _Branch) -> list[dict[str, Poly]]:
         """All bounded-degree actions extending the branch's Virasoro action.
 
         Stage one solves the Virasoro pair residuals, which are linear in the
-        generic coefficients; stage two substitutes each solution family into
-        the cross residuals and solves the relations among its free ones.
+        generic coefficients.  Stage two substitutes each solution family into
+        the ansatz actions, builds the cross residuals from them and solves
+        the relations among the family's free coefficients.
         """
         stage1 = []
         for residual in branch.stage1:
             stage1 += _extract(residual, self.unknowns)
         out = []
         for fam in solve_system(stage1, self.unknowns):
-            frees = list(fam.free)
-            stage2 = []
-            for residual in branch.cross:
-                stage2 += _extract(fam.substitute_into(residual), frees)
-            for sub in solve_system(stage2, frees):
-                actions = {self.virasoro.name: branch.f}
-                for g in self.others:
-                    actions[g.name] = sub.substitute_into(fam.substitute_into(self.actions[g.name]))
-                out.append(actions)
+            actions, stage2 = self.stage_two(branch.f, fam)
+            for sub in solve_system(stage2, fam.free):
+                out.append({g: sub.substitute_into(p) for g, p in actions.items()})
         return out
 
 
@@ -376,9 +383,7 @@ def _family_space(alg: ConformalAlgebra, actions: dict[str, Poly],
 
 def _in_span(target: dict, dirs: Sequence[dict]) -> bool:
     """Exact membership of a sparse vector in the rational span of others."""
-    keys = sorted(set(target).union(*dirs))
-    rows = [[vec.get(k, 0) for k in keys] for vec in dirs]
-    return len(rref(rows)) == len(rref(rows + [[target.get(k, 0) for k in keys]]))
+    return len(rref(dirs)) == len(rref([*dirs, target]))
 
 
 def _action_frees(actions: dict[str, Poly]) -> list[Var]:
@@ -451,11 +456,7 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
 
     ansatz = _Ansatz(alg, virasoro, others, max_degree)
     zero = ansatz.residuals(Poly.zero(reg))
-    # A cross residual involves f only through a Virasoro component of its
-    # bracket entry; without one the zero branch's cross residuals serve both.
-    shared = all(alg.entry(g, h).coeff(virasoro).is_zero()
-                 for i, g in enumerate(others) for h in others[i:])
-    symbolic = ansatz.residuals(affine, zero.cross if shared else None)
+    symbolic = ansatz.residuals(affine)
     raw = ansatz.solve(zero) + ansatz.solve(symbolic)
     named = [_rename_frees(alg, fam) for fam in raw]
     families = _dedupe_families(alg, named)

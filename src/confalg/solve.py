@@ -7,12 +7,16 @@ finite union of affine-parametrized families, each written as assignments of
 affine expressions in the remaining free unknowns, or the empty union when
 the system is inconsistent.
 
-Strategy: equations affine in the unknowns are eliminated by exact Gaussian
-steps; residual nonlinear equations are branched on in a bounded way
-(single-monomial equations, univariate residuals via rational roots,
-monomial-content splits, and total-degree-2 equations that factor into two
-affine forms over Q).  Anything else raises UnsupportedSystemError naming the
-offending equation.
+Strategy: each step first takes every equation of total degree at most 1 at
+once and reduces them together in one sparse exact elimination (``rref``,
+pivoting on the highest-index unknown of each row); a pivot row with only a
+constant means the system is inconsistent.  All pivots are then substituted
+into the nonlinear remainder in one pass, and the pivots' assignments are
+composed once with the remainder's solutions.  A system with no affine
+equation is branched on in a bounded way (single-monomial equations,
+univariate residuals via rational roots, monomial-content splits, and
+total-degree-2 equations that factor into two affine forms over Q).
+Anything else raises UnsupportedSystemError naming the offending equation.
 
 The base field is Q throughout: only rational roots of univariate residuals
 are kept, so solution components with irrational or complex coordinates are
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import UnsupportedSystemError
 from .poly import Poly, Var
@@ -255,11 +259,12 @@ def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:
 # the same reduced system, so results are memoized per solve_system call.
 
 
-def _compose(v: Var, expr: Poly, subsolutions: list[dict]) -> list[dict]:
+def _compose(assign: Mapping[Var, Poly], subsolutions: list[dict]) -> list[dict]:
     out = []
     for sol in subsolutions:
         combined = dict(sol)
-        combined[v] = expr.subs(sol) if sol else expr
+        for v, expr in assign.items():
+            combined[v] = expr.subs(sol) if sol else expr
         out.append(combined)
     return out
 
@@ -282,26 +287,44 @@ def _solve(eqs: Iterable[Poly], memo: dict, depth: int) -> list[dict[Var, Poly]]
     return result
 
 
+# Column keys of an affine equation's row: variable index i sorts as -i, so
+# each pivot is the highest-index unknown of its row, and the constant sorts
+# last under key 1.
+_CONSTANT = 1
+
+
+def _linear_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var, Poly]]:
+    """Eliminate every affine equation at once and solve the substituted rest."""
+    registry = eqs[0].registry
+    rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()}
+            for eq in eqs if eq.total_degree() <= 1]
+    assign = {}
+    for row in rref(rows):
+        lead = next(iter(row))
+        if lead == _CONSTANT:
+            return []
+        assign[registry.all_vars()[-lead]] = Poly(registry, {
+            () if k == _CONSTANT else ((-k, 1),): -c for k, c in row.items() if k != lead
+        }, _normalized=True)
+    rest = [eq.subs(assign) for eq in eqs if eq.total_degree() > 1]
+    return _compose(assign, _solve(rest, memo, depth - 1))
+
+
 def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var, Poly]]:
     registry = eqs[0].registry
+    if any(eq.total_degree() <= 1 for eq in eqs):
+        return _linear_step(eqs, memo, depth)
 
-    def substituted(v: Var, value: Poly, skip=None):
-        return [e.substitute(v, value) for e in eqs if e is not skip]
+    def substituted(v: Var, value: Poly):
+        return [e.substitute(v, value) for e in eqs]
 
-    # Forced moves first: single-term equations in one variable pin it to 0,
-    # affine equations eliminate their highest-index variable exactly.
+    # Forced move: a single-term equation in one variable pins it to 0.
     for eq in eqs:
         if len(eq._terms) == 1:
             vs = eq.variables()
             if len(vs) == 1:
                 zero = Poly.zero(registry)
-                return _compose(vs[0], zero, _solve(substituted(vs[0], zero), memo, depth - 1))
-    for eq in eqs:
-        if eq.total_degree() <= 1:
-            v = max(eq.variables(), key=lambda w: w.index)
-            c = eq.coeff_of(v, 1).constant_value()
-            expr = (eq.coeff_of(v, 1) * Poly.from_var(registry, v) - eq) / c
-            return _compose(v, expr, _solve(substituted(v, expr, skip=eq), memo, depth - 1))
+                return _compose({vs[0]: zero}, _solve(substituted(vs[0], zero), memo, depth - 1))
 
     # Tier 1: a single-monomial equation vanishes iff one of its variables does.
     for eq in eqs:
@@ -309,7 +332,7 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             out = []
             zero = Poly.zero(registry)
             for v in eq.variables():
-                out.extend(_compose(v, zero, _solve(substituted(v, zero), memo, depth - 1)))
+                out.extend(_compose({v: zero}, _solve(substituted(v, zero), memo, depth - 1)))
             return out
     # Tier 2: univariate equations branch on their rational roots.
     for eq in eqs:
@@ -320,7 +343,7 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             out = []
             for r in rational_roots(coeffs):
                 value = Poly.const(registry, r)
-                out.extend(_compose(v, value, _solve(substituted(v, value), memo, depth - 1)))
+                out.extend(_compose({v: value}, _solve(substituted(v, value), memo, depth - 1)))
             return out
     # Tier 3: split off a common monomial factor.
     for eq in eqs:
@@ -341,7 +364,7 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             zero = Poly.zero(registry)
             for idx in sorted(content):
                 v = registry.all_vars()[idx]
-                out.extend(_compose(v, zero, _solve(substituted(v, zero), memo, depth - 1)))
+                out.extend(_compose({v: zero}, _solve(substituted(v, zero), memo, depth - 1)))
             rest = [e2 for e2 in eqs if e2 is not eq]
             out.extend(_solve(rest + [cofactor], memo, depth - 1))
             return out
@@ -387,54 +410,67 @@ def _divide_by_power(p: Poly, v: Var, e: int) -> Poly:
 # ---- canonicalization --------------------------------------------------------
 
 
-def _primitive(row: Sequence[Fraction | int]) -> list[int] | None:
-    """The primitive integer multiple of a rational row, or None for zero."""
-    if not any(row):
+def _primitive(row: Mapping[Hashable, Fraction | int]) -> dict | None:
+    """The primitive integer multiple of a sparse rational row, zero entries
+    dropped, or None for the zero row."""
+    row = {k: c for k, c in row.items() if c}
+    if not row:
         return None
-    scale = math.lcm(*(c.denominator for c in row))
-    ints = [c.numerator * (scale // c.denominator) for c in row]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    scale = math.lcm(*(c.denominator for c in row.values()))
+    ints = {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+    g = math.gcd(*ints.values())
+    return {k: c // g for k, c in ints.items()}
 
 
-def rref(rows: Iterable[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Reduced row-echelon basis of the rational span of ``rows``.
+def _cancel(row: dict, pivot: dict, col) -> dict:
+    """The integer combination of ``row`` and ``pivot`` that is zero at ``col``."""
+    p, c = pivot[col], row[col]
+    out = {k: p * a for k, a in row.items()}
+    for k, b in pivot.items():
+        v = out.get(k, 0) - c * b
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
 
+
+def rref(rows: Iterable[Mapping[Hashable, Fraction | int]]) -> list[dict[Hashable, Fraction]]:
+    """Reduced row-echelon basis of the rational span of sparse ``rows``.
+
+    A row maps column keys (any mutually sortable values; the smallest key of
+    a row is its leading column) to coefficients, and absent keys are zero.
     Each row is scaled to a primitive integer vector and reduced fraction-free
     against the pivot rows found so far (cross-multiplying, then dividing out
     the integer content); a surviving row becomes a new pivot and is cleared
     from the earlier ones.  Fractions appear only in the final normalisation
-    to leading entry 1.  The basis is ordered by pivot column; like the span,
-    it is unique.
+    to leading entry 1.  The basis is ordered by pivot column, each row with
+    its keys in order and no zero entries; like the span, it is unique.
     """
-    pivots: dict[int, list[int]] = {}
+    pivots: dict = {}
     for row in rows:
         vec = _primitive(row)
         if vec is None:
             continue
-        for col, prow in pivots.items():
-            c = vec[col]
-            if c:
-                p = prow[col]
-                vec = [p * a - c * b for a, b in zip(vec, prow)]
+        for col in [k for k in vec if k in pivots]:
+            vec = _cancel(vec, pivots[col], col)
         vec = _primitive(vec)
         if vec is None:
             continue
-        lead = next(i for i, c in enumerate(vec) if c)
+        lead = min(vec)
         for col, prow in pivots.items():
-            c = prow[lead]
-            if c:
-                p = vec[lead]
-                pivots[col] = _primitive([p * a - c * b for a, b in zip(prow, vec)])
+            if lead in prow:
+                pivots[col] = _primitive(_cancel(prow, vec, lead))
         pivots[lead] = vec
-    return [[Fraction(c, pivots[col][col]) for c in pivots[col]] for col in sorted(pivots)]
+    return [{k: Fraction(c, pivots[col][col]) for k, c in sorted(pivots[col].items())}
+            for col in sorted(pivots)]
 
 
 def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
                       registry) -> SolutionFamily:
     """Rewrite an assignment map in reduced row echelon form over the unknown
     order, giving a unique (solved, free) presentation of the affine space."""
-    index_of = {v: i for i, v in enumerate(unknowns)}
+    position = {v.index: i for i, v in enumerate(unknowns)}
     n = len(unknowns)
     rows = []
     for v, expr in assign.items():
@@ -442,26 +478,18 @@ def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
             raise UnsupportedSystemError(
                 "solution family is not affine in its free unknowns", expr
             )
-        row = [Fraction(0)] * (n + 1)
-        row[index_of[v]] = Fraction(1)
+        row = {position[v.index]: Fraction(1)}
         for m, c in expr._terms.items():
-            if not m:
-                row[n] -= c
-            else:
-                (idx, e), = m
-                w = next(w for w in unknowns if w.index == idx)
-                row[index_of[w]] -= c
+            col = position[m[0][0]] if m else n
+            row[col] = row.get(col, 0) - c
         rows.append(row)
-    reduced = rref(rows)
-    pivot_cols = [next(i for i in range(n) if row[i] != 0) for row in reduced]
-    free = [unknowns[i] for i in range(n) if i not in pivot_cols]
     solved = {}
-    for col, row in zip(pivot_cols, reduced):
-        expr = Poly.const(registry, -row[n])
-        for j in range(col + 1, n):
-            if row[j] != 0:
-                expr = expr - Poly.from_var(registry, unknowns[j]) * row[j]
-        solved[unknowns[col]] = expr
+    for row in rref(rows):
+        col = next(iter(row))
+        solved[unknowns[col]] = Poly(registry, {
+            () if j == n else ((unknowns[j].index, 1),): -c for j, c in row.items() if j != col
+        }, _normalized=True)
+    free = [v for v in unknowns if v not in solved]
     return SolutionFamily(unknowns, solved, free)
 
 

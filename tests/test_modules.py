@@ -34,7 +34,8 @@ from confalg import (
     zero_module,
 )
 from confalg import modules
-from confalg.solve import SolutionFamily, SolutionSet
+from confalg import solve as solve_module
+from confalg.solve import SolutionFamily, SolutionSet, solve_system
 
 
 @pytest.fixture
@@ -218,18 +219,52 @@ class TestClassification:
             rank1_classify(instantiate("w"), 2)
 
 
+STAGED_PRESETS = [("w", {"a": 1, "b": 0}), ("wb", {"b": 0}),
+                  ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})]
+
+
+def _degree_two_ansatz(alg):
+    virasoro = alg.virasoro_generator
+    return modules._Ansatz(alg, virasoro, [g for g in alg.generators if g is not virasoro], 2)
+
+
+def _probe_family(ansatz) -> SolutionFamily:
+    """An affine family of ansatz coefficients that solves nothing: per
+    generator, u_0_0 and u_0_1 stay free, u_1_0 = u_0_0 + 1, the rest are 0."""
+    reg = ansatz.alg.registry
+    free, solved = [], {}
+    for g in ansatz.others:
+        u00, u01, u10 = (reg.var(f"{modules._ansatz_prefix(g.name)}_{i}_{j}")
+                         for i, j in ((0, 0), (0, 1), (1, 0)))
+        free += [u00, u01]
+        solved[u10] = Poly.from_var(reg, u00) + 1
+    for v in ansatz.unknowns:
+        if v not in free:
+            solved.setdefault(v, Poly.zero(reg))
+    return SolutionFamily(ansatz.unknowns, solved, free)
+
+
+def _record_ansatzes(monkeypatch) -> list:
+    """Patch ``modules._Ansatz`` to keep every ansatz a classification builds."""
+    ansatzes = []
+    real = modules._Ansatz
+
+    def recording(*args):
+        ansatzes.append(real(*args))
+        return ansatzes[-1]
+
+    monkeypatch.setattr(modules, "_Ansatz", recording)
+    return ansatzes
+
+
 class TestClassificationResiduals:
-    @pytest.mark.parametrize("preset, bindings", [
-        ("w", {"a": 1, "b": 0}), ("wb", {"b": 0}),
-        ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})])
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_specialised_residuals_match_rebuilt_ones(self, preset, bindings):
         alg = instantiate(preset, bindings)
         reg = alg.registry
         d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
         alpha, beta = reg.param("alpha"), reg.param("beta")
-        virasoro = alg.virasoro_generator
-        others = [g for g in alg.generators if g is not virasoro]
-        ansatz = modules._Ansatz(alg, virasoro, others, 2)
+        ansatz = _degree_two_ansatz(alg)
         symbolic = ansatz.residuals(d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta))
         a0, b0 = Fraction(-1), Fraction(1, 2)
         specialised = symbolic.specialise({alpha: a0, beta: b0})
@@ -239,26 +274,85 @@ class TestClassificationResiduals:
             return {eq for r in branch.stage1 for eq in modules._extract(r, ansatz.unknowns)}
 
         assert stage1(specialised) == stage1(rebuilt)
-        assert specialised.cross == rebuilt.cross
+        assert specialised.f == rebuilt.f
 
-    def test_grid_cross_check_builds_no_residuals(self, monkeypatch):
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
+    def test_stage_two_matches_the_substituted_generic_cross_residuals(self, preset, bindings):
+        """Building the cross residuals from a family's substituted actions
+        gives the equations of substituting it into the generic ones.  The
+        stage-one families of these presets leave no cross equation, so a
+        probe family that is not a solution is compared as well."""
+        alg = instantiate(preset, bindings)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha, beta = Poly.from_var(reg, reg.param("alpha")), Poly.from_var(reg, reg.param("beta"))
+        ansatz = _degree_two_ansatz(alg)
+        others = [g.name for g in ansatz.others]
+        for f in (Poly.zero(reg), d + alpha * x + beta):
+            generic = {alg.virasoro_generator.name: f, **ansatz.actions}
+            cross = [modules._rank1_residual(alg, generic, g, h)
+                     for i, g in enumerate(others) for h in others[i:]]
+            branch = ansatz.residuals(f)
+            stage1 = [eq for r in branch.stage1 for eq in modules._extract(r, ansatz.unknowns)]
+            families = list(solve_system(stage1, ansatz.unknowns))
+            assert families
+            for fam in families + [_probe_family(ansatz)]:
+                _, eqs = ansatz.stage_two(f, fam)
+                assert eqs == [eq for r in cross
+                               for eq in modules._extract(fam.substitute_into(r), fam.free)]
+            assert eqs
+
+    def test_grid_cross_check_builds_no_generic_residuals(self, monkeypatch):
+        """The grid points build no residual over the generic ansatz; they
+        only build each stage-one family's small cross residuals."""
+        ansatzes = _record_ansatzes(monkeypatch)
         real = modules._rank1_residual
-        calls = []
+        generic, total = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(alg, actions, a, b):
+            total.append((a, b))
+            if any(actions.get(g) is ans.actions[g] for ans in ansatzes for g in ans.actions):
+                generic.append((a, b))
+            return real(alg, actions, a, b)
 
         monkeypatch.setattr(modules, "_rank1_residual", counting)
         alg = instantiate("tsv", {"a": 1, "b": 0})
         rank1_classify(alg, 2, cross_check=False)
-        unchecked = len(calls)
-        calls.clear()
+        unchecked = (len(generic), len(total))
+        generic.clear()
+        total.clear()
         rank1_classify(alg, 2)
-        assert len(calls) == unchecked
-        # Per branch the Virasoro self pair and its two pairs with Y and M,
-        # the three cross pairs once, then 9 pairs per certified family.
-        assert unchecked == 2 * 3 + 3 + 2 * 9
+        # Per branch the Virasoro self pair and its two pairs with Y and M
+        # over the generic ansatz, the three cross pairs for the branch's one
+        # stage-one family, then 9 pairs per certified family.
+        assert unchecked == (2 * 3, 2 * 3 + 2 * 3 + 2 * 9) == (6, 30)
+        # Each of the 8 grid points adds the three cross pairs of its family.
+        assert (len(generic), len(total)) == (6, 30 + 3 * 8) == (6, 54)
+
+    def test_stage_one_is_one_elimination_step(self, monkeypatch):
+        """Stage one is affine, so the solver reduces it in a single step."""
+        ansatzes = _record_ansatzes(monkeypatch)
+        real_step, real_solve = solve_module._solve_step, modules.solve_system
+        steps = []
+        per_stage_one = []
+
+        def counting_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        def solving(eqs, unknowns):
+            steps.clear()
+            result = real_solve(eqs, unknowns)
+            if unknowns is ansatzes[-1].unknowns:
+                per_stage_one.append(len(steps))
+            return result
+
+        monkeypatch.setattr(solve_module, "_solve_step", counting_step)
+        monkeypatch.setattr(modules, "solve_system", solving)
+        rank1_classify(instantiate("tsv", {"a": 1, "b": 0}), 4)
+        # Two branches and 8 grid points.
+        assert per_stage_one == [1] * 10
+
 
     def _tamper_grid_point(self, monkeypatch, change):
         """Apply ``change`` to the stage-one solutions of the second grid

@@ -137,21 +137,32 @@ def _rational_rows(draw):
     return rows
 
 
+def _sparse(rows):
+    """Dense rows as the sparse ``{column: coefficient}`` rows ``rref`` takes,
+    zero entries included."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rational_rows())
 def test_rref_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
     want, pivots = sympy.Matrix(
         [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]).rref()
-    got = rref(rows)
-    assert [next(j for j, c in enumerate(row) if c) for row in got] == list(pivots)
-    assert got == [[Fraction(int(c.p), int(c.q)) for c in want.row(i)]
-                   for i in range(len(pivots))]
+    got = rref(_sparse(rows))
+    assert [next(iter(row)) for row in got] == list(pivots)
+    assert all(list(row) == sorted(row) and all(row.values()) for row in got)
+    assert _dense(got, len(rows[0])) == [[Fraction(int(c.p), int(c.q)) for c in want.row(i)]
+                                         for i in range(len(pivots))]
 
 
 def test_rref_accepts_integer_rows():
-    assert rref([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 3, 3]]) == \
-        [[1, 0, 1], [0, 1, 1]]
+    assert rref(_sparse([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 3, 3]])) == \
+        [{0: 1, 2: 1}, {1: 1, 2: 1}]
     assert rref([]) == []
 
 
@@ -300,3 +311,13 @@ def test_component_limit():
     eqs = [Poly.from_var(reg, v) ** 2 - Poly.from_var(reg, v) for v in unknowns]
     with pytest.raises(UnsupportedSystemError, match="exploded into 1024 components"):
         solve_system(eqs, unknowns)
+
+
+def test_affine_block_takes_one_depth_unit():
+    """An affine system longer than the depth limit is one elimination."""
+    reg, unknowns = _unknowns(450)
+    u = [Poly.from_var(reg, v) for v in unknowns]
+    eqs = [u[i] - u[i + 1] - 1 for i in range(449)] + [u[449]]
+    sol = solve_system(eqs, unknowns)
+    assert len(sol) == 1 and sol.families[0].is_point()
+    assert sol.families[0].point() == {v: Fraction(449 - i) for i, v in enumerate(unknowns)}
