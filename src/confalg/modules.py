@@ -20,17 +20,16 @@ Classification is staged.  The Virasoro generator acts by f = 0 or by
 f = d + alpha*x + beta (the completeness of this list is itself checkable
 through ``vir_completeness``).  With alpha and beta kept as formal symbols,
 the remaining generators get generic polynomial actions of bounded degree
-and the residuals become linear systems.  Each solution family of that
-first stage is substituted into the small ansatz actions, and the cross
-relations among the non-Virasoro generators, built from those substituted
-actions, are quadratic in the family's free coefficients and close the
-search.  Because
+and the residuals become linear systems.  Stage two substitutes each
+solution family of that first stage into the small ansatz actions and builds
+the cross relations among the non-Virasoro generators from them; they are
+quadratic in the family's free coefficients and close the search.  Because
 the formal treatment only finds actions valid for every (alpha, beta), a
 rational grid of (alpha, beta) values is re-solved independently and any
-sporadic extra family raises DiscrepancyError.  Each residual is built once
-per classification: a grid point specialises the symbolic residuals by
-substituting its (alpha, beta) values, but extracts and solves the resulting
-equations on its own.
+sporadic extra family raises DiscrepancyError.  Each stage-one residual is
+built once per classification: a grid point specialises the symbolic
+residuals by substituting its (alpha, beta) values, but extracts and solves
+the resulting equations on its own.
 """
 
 from __future__ import annotations

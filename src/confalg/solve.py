@@ -293,27 +293,25 @@ def _solve(eqs: Iterable[Poly], memo: dict, depth: int) -> list[dict[Var, Poly]]
 _CONSTANT = 1
 
 
-def _linear_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var, Poly]]:
-    """Eliminate every affine equation at once and solve the substituted rest."""
-    registry = eqs[0].registry
-    rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()}
-            for eq in eqs if eq.total_degree() <= 1]
-    assign = {}
-    for row in rref(rows):
-        lead = next(iter(row))
-        if lead == _CONSTANT:
-            return []
-        assign[registry.all_vars()[-lead]] = Poly(registry, {
-            () if k == _CONSTANT else ((-k, 1),): -c for k, c in row.items() if k != lead
-        }, _normalized=True)
-    rest = [eq.subs(assign) for eq in eqs if eq.total_degree() > 1]
-    return _compose(assign, _solve(rest, memo, depth - 1))
-
-
 def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var, Poly]]:
     registry = eqs[0].registry
-    if any(eq.total_degree() <= 1 for eq in eqs):
-        return _linear_step(eqs, memo, depth)
+
+    # Forced move: eliminate every affine equation at once, substitute all
+    # pivots into the nonlinear rest and solve that.
+    rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()}
+            for eq in eqs if eq.total_degree() <= 1]
+    if rows:
+        variables = registry.all_vars()
+        assign = {}
+        for row in rref(rows):
+            lead = next(iter(row))
+            if lead == _CONSTANT:
+                return []
+            assign[variables[-lead]] = Poly(registry, {
+                () if k == _CONSTANT else ((-k, 1),): -c for k, c in row.items() if k != lead
+            }, _normalized=True)
+        rest = [eq.subs(assign) for eq in eqs if eq.total_degree() > 1]
+        return _compose(assign, _solve(rest, memo, depth - 1))
 
     def substituted(v: Var, value: Poly):
         return [e.substitute(v, value) for e in eqs]
