@@ -232,14 +232,13 @@ class FiniteLie:
     """A finite-dimensional Lie algebra over Q given by structure constants.
 
     The basis is a sequence of (generator name, label) pairs.  Brackets are
-    given for index pairs i < j and kept twice: as the validated table
-    ``(i, j) -> {k: coeff}`` that serialization and equality read, and as a
-    sparse adjacency ``ad[i][j] = {k: coeff}`` holding both orders of every
-    nonzero pair (the reversed one negated), so [e_i, e_j] is one lookup.
-    Vectors are handled as (index, coeff) pairs over their nonzero entries;
-    the Jacobi re-check and the derived and lower central series run on
-    these sparse rows and make dense rows only for the exact elimination
-    that decides the span dimensions.
+    given for index pairs i < j and kept once, as a sparse adjacency
+    ``ad[i][j] = {k: coeff}`` holding both orders of every nonzero pair (the
+    reversed one negated), so [e_i, e_j] is one lookup; serialization and
+    equality read its upper triangle.  Vectors are handled as (index, coeff)
+    pairs over their nonzero entries; the Jacobi re-check and the derived
+    and lower central series run on these sparse rows, down to the exact
+    sparse elimination that decides the span dimensions.
     """
 
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
@@ -248,7 +247,6 @@ class FiniteLie:
         if len(set(self.basis)) != len(self.basis):
             raise DefinitionError("duplicate basis symbols")
         dim = len(self.basis)
-        table = {}
         ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(dim)]
         for (i, j), terms in brackets.items():
             if not (_is_index(i) and _is_index(j) and 0 <= i < j < dim):
@@ -259,10 +257,8 @@ class FiniteLie:
                 if not (_is_index(k) and 0 <= k < dim):
                     raise DefinitionError(f"bracket ({i},{j}) targets invalid index {k!r}")
             if cleaned:
-                table[(i, j)] = cleaned
                 ad[i][j] = cleaned
                 ad[j][i] = {k: -c for k, c in cleaned.items()}
-        self._table = table
         self._ad = ad
 
     @property
@@ -282,8 +278,8 @@ class FiniteLie:
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], list[tuple[int, Fraction]]]]:
         """Stored bracket table as ((i, j), [(k, coeff), ...]) rows, sorted."""
-        return [((i, j), sorted(terms.items()))
-                for (i, j), terms in sorted(self._table.items())]
+        return [((i, j), sorted(row[j].items()))
+                for i, row in enumerate(self._ad) for j in sorted(row) if i < j]
 
     def _bracket(self, u, v) -> dict[int, Fraction]:
         """[u, v] for vectors given as (index, coeff) pairs; zero entries
@@ -363,11 +359,8 @@ class FiniteLie:
     # ---- serialization ----
 
     def to_json(self) -> dict:
-        brackets = []
-        for (i, j) in sorted(self._table):
-            terms = [{"k": k, "coeff": str(c)}
-                     for k, c in sorted(self._table[(i, j)].items())]
-            brackets.append({"i": i, "j": j, "terms": terms})
+        brackets = [{"i": i, "j": j, "terms": [{"k": k, "coeff": str(c)} for k, c in terms]}
+                    for (i, j), terms in self.nonzero_brackets()]
         return {
             "basis": [{"gen": name, "label": str(label)} for name, label in self.basis],
             "brackets": brackets,
@@ -388,7 +381,7 @@ class FiniteLie:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteLie):
             return NotImplemented
-        return self.basis == other.basis and self._table == other._table
+        return self.basis == other.basis and self._ad == other._ad
 
     def __repr__(self) -> str:
         return f"FiniteLie(dim={self.dim})"

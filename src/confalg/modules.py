@@ -23,13 +23,16 @@ the remaining generators get generic polynomial actions of bounded degree
 and the residuals become linear systems.  Stage two substitutes each
 solution family of that first stage into the small ansatz actions and builds
 the cross relations among the non-Virasoro generators from them; they are
-quadratic in the family's free coefficients and close the search.  Because
-the formal treatment only finds actions valid for every (alpha, beta), a
-rational grid of (alpha, beta) values is re-solved independently and any
-sporadic extra family raises DiscrepancyError.  Each stage-one residual is
-built once per classification: a grid point specialises the symbolic
-residuals by substituting its (alpha, beta) values, but extracts and solves
-the resulting equations on its own.
+quadratic in the family's free coefficients and close the search.  For a
+fixed Virasoro action the generic coefficients are the action coefficients,
+so families are compared as canonical solution families over them and
+become actions only for output.  Because the formal treatment only finds
+actions valid for every (alpha, beta), a rational grid of (alpha, beta)
+values is re-solved independently and any family on one side only raises
+DiscrepancyError.  Each stage-one residual is built once per
+classification: a grid point specialises the symbolic residuals by
+substituting its (alpha, beta) values, but extracts and solves the
+resulting equations on its own.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
                      UnsupportedError)
 from .algebra import AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params
 from .poly import PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem, parse_poly
-from .solve import SolutionFamily, rref, solve_system
+from .solve import SolutionFamily, SolutionSet, _compose, solve_system
 
 
 class Rank1Action:
@@ -254,10 +257,6 @@ def vir_completeness(max_degree: int) -> list[Poly]:
     return results
 
 
-def _ansatz_prefix(gname: str) -> str:
-    return f"u_{gname}"
-
-
 class _Branch:
     """Stage-one residuals of the staged search for one Virasoro action f:
     the Virasoro generator paired with each other generator."""
@@ -273,17 +272,20 @@ class _Branch:
 
 class _Ansatz:
     """Generic bounded-degree actions of the non-Virasoro generators, built
-    once per classification and shared by every branch."""
+    once per classification and shared by every branch.  ``owner`` maps each
+    generic coefficient to the generator whose action carries it."""
 
     def __init__(self, alg: ConformalAlgebra, virasoro: Generator,
                  others: Sequence[Generator], max_degree: int):
         self.alg, self.virasoro, self.others = alg, virasoro, others
         self.actions: dict[str, Poly] = {}
         self.unknowns: list[Var] = []
+        self.owner: dict[Var, str] = {}
         for g in others:
-            poly, uvars = _generic_poly(alg.registry, _ansatz_prefix(g.name), max_degree)
+            poly, uvars = _generic_poly(alg.registry, f"u_{g.name}", max_degree)
             self.actions[g.name] = poly
             self.unknowns += uvars
+            self.owner.update((v, g.name) for v in uvars)
 
     def residuals(self, f: Poly) -> _Branch:
         """The stage-one residuals for the Virasoro action f."""
@@ -294,134 +296,63 @@ class _Ansatz:
         return _Branch(f, tuple(_rank1_residual(alg, actions, vname, g.name)
                                 for g in self.others))
 
-    def stage_two(self, f: Poly, fam: SolutionFamily) -> tuple[dict[str, Poly], list[Poly]]:
-        """The actions of a stage-one family under the Virasoro action f, and
-        the cross-pair equations in the family's free coefficients.
-
-        The cross residuals are built from the substituted actions, which
-        equals substituting the family into the generic cross residuals."""
+    def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
+        """The actions of a solution family under the Virasoro action f."""
         actions = {self.virasoro.name: f}
         for g in self.others:
             actions[g.name] = fam.substitute_into(self.actions[g.name])
+        return actions
+
+    def stage_two(self, f: Poly, fam: SolutionFamily) -> list[Poly]:
+        """The cross-pair equations of a stage-one family under the Virasoro
+        action f, in the family's free coefficients.
+
+        The cross residuals are built from the substituted actions, which
+        equals substituting the family into the generic cross residuals."""
+        actions = self.family_actions(f, fam)
         eqs = []
         for i, g in enumerate(self.others):
             for h in self.others[i:]:
                 eqs += _extract(_rank1_residual(self.alg, actions, g.name, h.name), fam.free)
-        return actions, eqs
+        return eqs
 
-    def solve(self, branch: _Branch) -> list[dict[str, Poly]]:
-        """All bounded-degree actions extending the branch's Virasoro action.
+    def solve(self, branch: _Branch) -> SolutionSet:
+        """All bounded-degree actions extending the branch's Virasoro action,
+        as canonical solution families over the generic coefficients.
 
         Stage one solves the Virasoro pair residuals, which are linear in the
         generic coefficients.  Stage two substitutes each solution family into
         the ansatz actions, builds the cross residuals from them and solves
-        the relations among the family's free coefficients.
+        the relations among the family's free coefficients; each stage-two
+        solution is composed with its stage-one family.
         """
         stage1 = []
         for residual in branch.stage1:
             stage1 += _extract(residual, self.unknowns)
-        out = []
+        raw = []
         for fam in solve_system(stage1, self.unknowns):
-            actions, stage2 = self.stage_two(branch.f, fam)
-            for sub in solve_system(stage2, fam.free):
-                out.append({g: sub.substitute_into(p) for g, p in actions.items()})
-        return out
+            subs = solve_system(self.stage_two(branch.f, fam), fam.free)
+            raw += _compose(fam.solved, [sub.solved for sub in subs])
+        return SolutionSet.from_assignments(self.unknowns, raw, self.alg.registry)
 
-
-def _rename_frees(alg: ConformalAlgebra, actions: dict[str, Poly]) -> dict[str, Poly]:
-    """Rename surviving generic coefficients to gamma (or gamma_<generator>
-    when several remain)."""
-    reg = alg.registry
-    owners: dict[Var, str] = {}
-    for g in alg.generators:
-        pattern = re.compile(re.escape(_ansatz_prefix(g.name)) + r"_\d+_\d+")
-        for p in actions.values():
-            for v in p.variables():
-                if pattern.fullmatch(v.name):
-                    owners[v] = g.name
-    frees = sorted(owners, key=lambda v: v.index)
-    if not frees:
-        return actions
-    sub = {}
-    if len(frees) == 1:
-        sub[frees[0]] = Poly.from_var(reg, reg.param("gamma"))
-    else:
-        per_owner: dict[str, int] = {}
-        for v in frees:
-            owner = owners[v]
-            count = per_owner.get(owner, 0)
-            name = f"gamma_{owner}" if count == 0 else f"gamma_{owner}_{count}"
-            per_owner[owner] = count + 1
-            sub[v] = Poly.from_var(reg, reg.param(name))
-    return {g: p.subs(sub) for g, p in actions.items()}
-
-
-def _poly_vector(polys: Sequence[Poly]) -> dict:
-    out = {}
-    for slot, p in enumerate(polys):
-        for mono, coeff in p.terms():
-            out[(slot, mono)] = coeff
-    return out
-
-
-def _family_space(alg: ConformalAlgebra, actions: dict[str, Poly],
-                  frees: Sequence[Var]):
-    """Express an affine family of action tuples as base point plus
-    direction vectors over the free coefficients."""
-    order = [g.name for g in alg.generators]
-    zero = {v: Fraction(0) for v in frees}
-    base = [actions[g].subs(zero) for g in order]
-    dirs = []
-    for v in frees:
-        one = dict(zero)
-        one[v] = Fraction(1)
-        shifted = [actions[g].subs(one) for g in order]
-        dirs.append(_poly_vector([s - b for s, b in zip(shifted, base)]))
-    return _poly_vector(base), dirs
-
-
-def _in_span(target: dict, dirs: Sequence[dict]) -> bool:
-    """Exact membership of a sparse vector in the rational span of others."""
-    return len(rref(dirs)) == len(rref([*dirs, target]))
-
-
-def _action_frees(actions: dict[str, Poly]) -> list[Var]:
-    seen = {}
-    for p in actions.values():
-        for v in p.variables():
-            if v.kind == PARAMETER and (v.name.startswith("u_") or
-                                        _MODULE_PARAM_RE.fullmatch(v.name)):
-                if v.name in ("alpha", "beta"):
-                    continue
-                seen[v.index] = v
-    return [seen[i] for i in sorted(seen)]
-
-
-def _space_contains(alg, big: dict[str, Poly], small: dict[str, Poly]) -> bool:
-    base_b, dirs_b = _family_space(alg, big, _action_frees(big))
-    base_s, dirs_s = _family_space(alg, small, _action_frees(small))
-    diff = dict(base_s)
-    for k, v in base_b.items():
-        diff[k] = diff.get(k, Fraction(0)) - v
-    diff = {k: v for k, v in diff.items() if v != 0}
-    if not _in_span(diff, dirs_b):
-        return False
-    return all(_in_span(d, dirs_b) for d in dirs_s)
-
-
-def _spaces_equal(alg, one: dict[str, Poly], two: dict[str, Poly]) -> bool:
-    return _space_contains(alg, one, two) and _space_contains(alg, two, one)
-
-
-def _dedupe_families(alg, families: list[dict[str, Poly]]) -> list[dict[str, Poly]]:
-    kept: list[dict[str, Poly]] = []
-    for fam in families:
-        if not any(_spaces_equal(alg, fam, other) for other in kept):
-            kept.append(fam)
-    absorbed = [fam for fam in kept
-                if not any(other is not fam and _space_contains(alg, other, fam)
-                           and not _space_contains(alg, fam, other) for other in kept)]
-    return absorbed
+    def named_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
+        """The actions of a solution family under the Virasoro action f, its
+        free coefficients renamed to gamma (or gamma_<generator> when several
+        remain)."""
+        reg = self.alg.registry
+        frees = sorted(fam.free, key=lambda v: v.index)
+        sub = {}
+        if len(frees) == 1:
+            sub[frees[0]] = Poly.from_var(reg, reg.param("gamma"))
+        else:
+            per_owner: dict[str, int] = {}
+            for v in frees:
+                owner = self.owner[v]
+                count = per_owner.get(owner, 0)
+                name = f"gamma_{owner}" if count == 0 else f"gamma_{owner}_{count}"
+                per_owner[owner] = count + 1
+                sub[v] = Poly.from_var(reg, reg.param(name))
+        return {g: p.subs(sub) for g, p in self.family_actions(f, fam).items()}
 
 
 def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
@@ -456,9 +387,9 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
     ansatz = _Ansatz(alg, virasoro, others, max_degree)
     zero = ansatz.residuals(Poly.zero(reg))
     symbolic = ansatz.residuals(affine)
-    raw = ansatz.solve(zero) + ansatz.solve(symbolic)
-    named = [_rename_frees(alg, fam) for fam in raw]
-    families = _dedupe_families(alg, named)
+    at_zero, at_affine = ansatz.solve(zero), ansatz.solve(symbolic)
+    families = [ansatz.named_actions(zero.f, fam) for fam in at_zero] + \
+        [ansatz.named_actions(affine, fam) for fam in at_affine]
     families.sort(key=lambda fam: (0 if all(p.is_zero() for p in fam.values()) else 1,
                                    "; ".join(str(fam[g.name]) for g in alg.generators)))
 
@@ -469,7 +400,7 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
             raise DiscrepancyError(
                 f"classified family {action.render()} fails the module identity")
     if cross_check:
-        _grid_cross_check(ansatz, symbolic, families)
+        _grid_cross_check(ansatz, symbolic, at_affine)
     return result
 
 
@@ -477,30 +408,29 @@ _GRID_ALPHAS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 _GRID_BETAS = (Fraction(0), Fraction(1))
 
 
-def _grid_cross_check(ansatz: _Ansatz, symbolic: _Branch, families):
+def _grid_cross_check(ansatz: _Ansatz, symbolic: _Branch, expected: SolutionSet):
     """Re-solve the classification at rational (alpha, beta) points and
-    demand the same families; sporadic extras would invalidate the formal
-    stage.  Each point specialises the symbolic residuals and solves them
-    from scratch."""
+    demand the symbolic branch's families; sporadic extras would invalidate
+    the formal stage.  Each point specialises the symbolic residuals and
+    solves them from scratch.  A disagreement names every family found on
+    one side only, rendered as actions at the grid point."""
     alg = ansatz.alg
     alpha, beta = alg.registry.param("alpha"), alg.registry.param("beta")
     for a0 in _GRID_ALPHAS:
         for b0 in _GRID_BETAS:
-            point = {alpha: a0, beta: b0}
-            found = ansatz.solve(symbolic.specialise(point))
-            found = _dedupe_families(alg, [_rename_frees(alg, fam) for fam in found])
-            expected = []
-            for fam in families:
-                inst = {g: p.subs(point) for g, p in fam.items()}
-                if inst[ansatz.virasoro.name].is_zero():
-                    continue
-                expected.append(inst)
-            expected = _dedupe_families(alg, expected)
-            if len(found) != len(expected) or not all(
-                    any(_spaces_equal(alg, fm, ex) for ex in expected) for fm in found):
-                raise DiscrepancyError(
-                    f"classification at alpha={a0}, beta={b0} disagrees with the "
-                    f"symbolic families")
+            branch = symbolic.specialise({alpha: a0, beta: b0})
+            found = ansatz.solve(branch)
+            if found == expected:
+                continue
+            lines = sorted(
+                f"\n  missing from {where}: "
+                f"{Rank1Action(alg, ansatz.named_actions(branch.f, fam)).render()}"
+                for where, fams in (("the symbolic families", set(found) - set(expected)),
+                                    ("the grid point", set(expected) - set(found)))
+                for fam in fams)
+            raise DiscrepancyError(
+                f"classification at alpha={a0}, beta={b0} disagrees with the "
+                f"symbolic families:" + "".join(lines))
 
 
 # ---- submodules and irreducibility -------------------------------------------
@@ -562,7 +492,8 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
 
     For each generator the product A_g(d, x) divisor(d + x) must be
     divisible by divisor(d); the quotients form the induced action, which is
-    re-certified before being returned.
+    re-certified before being returned.  When it fails, the source action is
+    checked too, and a source that is no module is named as the culprit.
     """
     reg = alg.registry
     d, x = reg.d, reg.x
@@ -586,9 +517,12 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
     induced = Rank1Action(alg, quotients)
     failures = check_module(alg, induced).failures()
     if failures:
-        bad = failures[0]
+        # A source action that is no module is the input at fault.
+        source = check_module(alg, action).failures()
+        what = f"the action {action.render()}" if source else f"action induced by {divisor}"
+        bad = (source or failures)[0]
         raise DiscrepancyError(
-            f"action induced by {divisor} fails the module identity at pair "
+            f"{what} fails the module identity at pair "
             f"({', '.join(bad.key)}) with residual {bad.residual}")
     return induced
 

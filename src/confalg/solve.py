@@ -104,6 +104,31 @@ class SolutionSet:
         self.unknowns = tuple(unknowns)
         self.families = tuple(families)
 
+    @classmethod
+    def from_assignments(cls, unknowns: Sequence[Var], assignments: Iterable[Mapping[Var, Poly]],
+                         registry) -> "SolutionSet":
+        """The union of affine assignment maps over ``unknowns`` (other
+        variables are ignored): canonical, deduplicated, with contained
+        components absorbed and families sorted by (dim, render)."""
+        unknowns = list(unknowns)
+        unknown_set = set(unknowns)
+        families = []
+        for assign in assignments:
+            relevant = {v: p for v, p in assign.items() if v in unknown_set}
+            families.append(_canonical_family(unknowns, relevant, registry))
+        uniq = []
+        for fam in families:
+            if fam not in uniq:
+                uniq.append(fam)
+        kept = [
+            fam for fam in uniq
+            if not any(other is not fam and _family_contains(other, fam, registry)
+                       and not _family_contains(fam, other, registry)
+                       for other in uniq)
+        ]
+        kept.sort(key=lambda f: (f.dim, f.render()))
+        return cls(unknowns, kept)
+
     @property
     def inconsistent(self) -> bool:
         return not self.families
@@ -529,26 +554,9 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
     if not unknowns:
         # Remaining equations are nonzero constants: inconsistent.
         return SolutionSet(unknowns, ())
-    registry = eqs[0].registry
     raw = _solve(list(eqs), {}, _MAX_BRANCH_DEPTH)
     if raw and len(raw) > 512:
         raise UnsupportedSystemError(
             f"solution decomposition exploded into {len(raw)} components", eqs[0]
         )
-    families = []
-    for assign in raw:
-        relevant = {v: p for v, p in assign.items() if v in unknown_set}
-        families.append(_canonical_family(unknowns, relevant, registry))
-    # Dedupe, absorb components contained in larger ones, sort.
-    uniq = []
-    for fam in families:
-        if fam not in uniq:
-            uniq.append(fam)
-    kept = [
-        fam for fam in uniq
-        if not any(other is not fam and _family_contains(other, fam, registry)
-                   and not _family_contains(fam, other, registry)
-                   for other in uniq)
-    ]
-    kept.sort(key=lambda f: (f.dim, f.render()))
-    return SolutionSet(unknowns, kept)
+    return SolutionSet.from_assignments(unknowns, raw, eqs[0].registry)

@@ -35,6 +35,7 @@ from confalg import (
 )
 from confalg import modules
 from confalg import solve as solve_module
+from confalg.algebra import parse_algebra
 from confalg.solve import SolutionFamily, SolutionSet, solve_system
 
 
@@ -108,13 +109,27 @@ class TestRank1Action:
         assert Rank1Action.from_json(w, data) == action
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_algebra(name):
+    path = GOLDEN / name
+    return parse_algebra(path.read_text(), source=str(path))
+
+
 _DETERMINISM_SCRIPT = """
-from confalg import Rank1Action, instantiate, rank1_classify
+import sys
+from pathlib import Path
+from confalg import DiscrepancyError, Rank1Action, instantiate, parse_algebra, rank1_classify
 vir = instantiate("vir")
 data = {"algebra": "vir", "params": {}, "actions": {"L": "beta*alpha + d + gamma_L*x"}}
 print(Rank1Action.from_json(vir, data).render())
 for fam in rank1_classify(instantiate("w", {"a": 1, "b": 0}), 2):
     print(fam.render())
+try:
+    rank1_classify(parse_algebra(Path(sys.argv[1]).read_text()), 1)
+except DiscrepancyError as exc:
+    print(exc)
 """
 
 
@@ -124,11 +139,13 @@ def test_output_is_independent_of_the_hash_seed():
     for seed in range(5):
         env = dict(os.environ, PYTHONHASHSEED=str(seed),
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
-                             capture_output=True, check=True)
+        run = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT, str(GOLDEN / "wl.alg")],
+                             env=env, capture_output=True, check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1
-    assert outputs.pop().decode().splitlines()[0] == "L -> x*gamma_L + alpha*beta + d"
+    lines = outputs.pop().decode().splitlines()
+    assert lines[0] == "L -> x*gamma_L + alpha*beta + d"
+    assert lines[-1] == "  missing from the symbolic families: L -> d - x; W -> d - x"
 
 
 class TestNamedModules:
@@ -234,7 +251,7 @@ def _probe_family(ansatz) -> SolutionFamily:
     reg = ansatz.alg.registry
     free, solved = [], {}
     for g in ansatz.others:
-        u00, u01, u10 = (reg.var(f"{modules._ansatz_prefix(g.name)}_{i}_{j}")
+        u00, u01, u10 = (reg.var(f"u_{g.name}_{i}_{j}")
                          for i, j in ((0, 0), (0, 1), (1, 0)))
         free += [u00, u01]
         solved[u10] = Poly.from_var(reg, u00) + 1
@@ -297,7 +314,7 @@ class TestClassificationResiduals:
             families = list(solve_system(stage1, ansatz.unknowns))
             assert families
             for fam in families + [_probe_family(ansatz)]:
-                _, eqs = ansatz.stage_two(f, fam)
+                eqs = ansatz.stage_two(f, fam)
                 assert eqs == [eq for r in cross
                                for eq in modules._extract(fam.substitute_into(r), fam.free)]
             assert eqs
@@ -387,6 +404,18 @@ class TestClassificationResiduals:
         with pytest.raises(DiscrepancyError, match=r"alpha=-1, beta=1\b"):
             rank1_classify(alg, 2)
 
+    def test_grid_check_names_the_disagreeing_families(self):
+        """W acting by +-(d + alpha*x + beta) is a module at every grid point
+        of wl, but its coefficients depend on alpha and beta, so the formal
+        stage cannot produce it and the first grid point names both."""
+        with pytest.raises(DiscrepancyError) as caught:
+            rank1_classify(golden_algebra("wl.alg"), 1)
+        assert str(caught.value).splitlines() == [
+            "classification at alpha=-1, beta=0 disagrees with the symbolic families:",
+            "  missing from the symbolic families: L -> d - x; W -> -d + x",
+            "  missing from the symbolic families: L -> d - x; W -> d - x",
+        ]
+
 
 class TestGammaCarrier:
     def test_carrier_locus(self):
@@ -461,11 +490,21 @@ class TestInducedAction:
                            parse_poly(vir.registry, "d + x"))
 
     def test_failing_induced_identity_is_a_discrepancy(self, vir, monkeypatch):
+        source = named_module(vir, "M_0_2")
         failing = AxiomReport("module", [ReportEntry(("L", "L"), "x*d", False)])
-        monkeypatch.setattr(modules, "check_module", lambda alg, action: failing)
-        with pytest.raises(DiscrepancyError, match=r"pair \(L, L\) with residual x\*d"):
-            induced_action(vir, named_module(vir, "M_0_2"),
-                           parse_poly(vir.registry, "d + 2"))
+        real = modules.check_module
+        monkeypatch.setattr(modules, "check_module",
+                            lambda alg, action: real(alg, action) if action is source else failing)
+        with pytest.raises(DiscrepancyError, match=r"^action induced by d \+ 2 fails the module "
+                                                   r"identity at pair \(L, L\) with residual x\*d"):
+            induced_action(vir, source, parse_poly(vir.registry, "d + 2"))
+
+    def test_a_source_that_is_no_module_is_blamed(self):
+        """On wl, W acting by 0 is no module, since [W_x W] is nonzero."""
+        wl = golden_algebra("wl.alg")
+        with pytest.raises(DiscrepancyError, match=r"^the action L -> d \+ 2; W -> 0 fails the "
+                                                   r"module identity at pair \(W, W\)"):
+            induced_action(wl, named_module(wl, "M_0_2"), parse_poly(wl.registry, "d + 2"))
 
     def test_induced_action_is_certified(self):
         w10 = instantiate("w", {"a": 1, "b": 0})

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg.errors import UnsupportedSystemError
-from confalg.modules import _in_span
 from confalg.poly import Poly, Registry, parse_poly
-from confalg.solve import rref, solve_system
+from confalg.solve import SolutionSet, rref, solve_system
 
 
 @pytest.fixture()
@@ -166,12 +165,19 @@ def test_rref_accepts_integer_rows():
     assert rref([]) == []
 
 
-def test_in_span_membership():
-    dirs = [{"a": Fraction(1), "b": Fraction(2)}, {"c": Fraction(1, 3)}]
-    assert _in_span({"a": Fraction(-2), "b": Fraction(-4), "c": Fraction(5)}, dirs)
-    assert _in_span({}, dirs)
-    assert not _in_span({"a": Fraction(1)}, dirs)
-    assert not _in_span({"d": Fraction(1)}, [])
+def test_from_assignments_canonicalises_dedupes_absorbs_and_sorts(reg):
+    u, v, w = (reg.var(name) for name in "uvw")
+    plane = {u: P(reg, "v + w + 1")}
+    same_plane = {v: P(reg, "u - w - 1")}
+    line_in_plane = {u: P(reg, "2*w + 1"), v: P(reg, "w")}
+    point = {u: P(reg, "0"), v: P(reg, "0"), w: P(reg, "7")}
+    line = {u: P(reg, "w"), v: P(reg, "1")}
+    got = SolutionSet.from_assignments([u, v, w], [line_in_plane, plane, line, same_plane, point],
+                                       reg)
+    # The plane's two presentations are one family and absorb the line
+    # inside it; the point and the other line lie off the plane.
+    assert [fam.render() for fam in got] == ["{u = 0; v = 0; w = 7}", "{u = w; v = 1; free: w}",
+                                             "{u = v + w + 1; free: v, w}"]
 
 
 # ---- solve_system against sympy -------------------------------------------
