@@ -4,9 +4,11 @@ An algebra is a free C[d]-module over finitely many generators together with
 a table of lambda-brackets [g_x h], one per ordered generator pair, each a
 finite sum of generators with coefficients polynomial in d (the translation
 generator), x (the bracket variable lambda) and declared parameters.  The
-table is usually given for pairs (i, j) with i <= j in declaration order and
-completed by skew-symmetry, which in the commutative polynomial model is the
-substitution x -> -x - d followed by negation.
+table must give every diagonal pair and every other pair in at least one
+order; a missing order is completed by skew-symmetry, which in the
+commutative polynomial model is the substitution x -> -x - d followed by
+negation.  A pair given in both orders is kept as given, so a disagreement
+shows up as a skew-symmetry residual.
 
 Axioms checked here, with residuals reported per pair or triple:
 
@@ -26,7 +28,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, ParseError
-from .poly import PARAMETER, Combination, Poly, Registry, Var, parse_expression
+from .poly import (PARAMETER, Combination, Poly, Registry, Var, group_coefficients,
+                   parse_expression)
 
 _ALLOWED_OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1))
 _ALLOWED_SHIFTS = (Fraction(0), Fraction(1, 2))
@@ -109,7 +112,7 @@ class ConformalAlgebra:
 
     def __init__(self, name: str, registry: Registry, generators: Sequence[Generator],
                  table: Mapping[tuple[str, str], LambdaElement], params: Sequence[Var] = (),
-                 *, complete_skew: bool = True, virasoro: str | None = None,
+                 *, virasoro: str | None = None,
                  closed_ann_form=None, param_values: Mapping[str, Fraction] | None = None):
         self.name = name
         self.registry = registry
@@ -125,8 +128,7 @@ class ConformalAlgebra:
             if v.kind != PARAMETER:
                 raise DefinitionError(f"{v.name} is not a parameter variable")
         self._by_name = {g.name: g for g in self.generators}
-        self._order = {g.name: i for i, g in enumerate(self.generators)}
-        self._table = self._build_table(dict(table), complete_skew)
+        self._table = self._build_table(dict(table))
         if self.virasoro_name is None:
             self.virasoro_name = self._detect_virasoro()
 
@@ -149,36 +151,24 @@ class ConformalAlgebra:
         minus = -Poly.from_var(reg, reg.x) - Poly.from_var(reg, reg.d)
         return (-(elem.map_coeffs(lambda p: p.substitute(reg.x, minus))))
 
-    def _build_table(self, given, complete_skew):
+    def _build_table(self, table):
+        """Validate ``table`` and complete each pair given in one order only
+        by its skew image; see the module docstring."""
         names = [g.name for g in self.generators]
-        table = {}
-        for (a, b), elem in given.items():
+        for (a, b), elem in table.items():
             if a not in self._by_name or b not in self._by_name:
                 raise DefinitionError(f"bracket ({a},{b}) names an undeclared generator")
             if not isinstance(elem, LambdaElement):
                 raise DefinitionError(f"bracket ({a},{b}) is not a LambdaElement")
             self._validate_entry((a, b), elem)
-            if complete_skew and self._order[a] > self._order[b]:
-                raise DefinitionError(
-                    f"bracket ({a},{b}): give pairs in declaration order, the rest "
-                    f"is completed by skew-symmetry")
-            if (a, b) in table:
-                raise DefinitionError(f"duplicate bracket entry ({a},{b})")
-            table[(a, b)] = elem
-        if complete_skew:
-            for i, a in enumerate(names):
-                for j in range(i, len(names)):
-                    b = names[j]
-                    if (a, b) not in table:
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                if (a, b) not in table:
+                    if a == b or (b, a) not in table:
                         raise DefinitionError(f"missing bracket entry ({a},{b})")
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
+                    table[(a, b)] = self._skew_image(table[(b, a)])
+                elif (b, a) not in table:
                     table[(b, a)] = self._skew_image(table[(a, b)])
-        else:
-            for a in names:
-                for b in names:
-                    if (a, b) not in table:
-                        raise DefinitionError(f"missing bracket entry ({a},{b})")
         return table
 
     def _detect_virasoro(self) -> str | None:
@@ -226,8 +216,7 @@ class ConformalAlgebra:
         table = self.full_table()
         table[(a, b)] = elem
         return ConformalAlgebra(self.name, self.registry, self.generators, table,
-                                self.params, complete_skew=False,
-                                virasoro=self.virasoro_name,
+                                self.params, virasoro=self.virasoro_name,
                                 closed_ann_form=self.closed_ann_form,
                                 param_values=self.param_values)
 
@@ -255,7 +244,7 @@ class ConformalAlgebra:
         values = dict(self.param_values)
         values.update({v.name: Fraction(bindings[v.name]) for v in self.params})
         return ConformalAlgebra(self.name, self.registry, self.generators, table, (),
-                                complete_skew=False, virasoro=self.virasoro_name,
+                                virasoro=self.virasoro_name,
                                 closed_ann_form=self.closed_ann_form, param_values=values)
 
     # ---- bracket machinery ---------------------------------------------------
@@ -316,12 +305,9 @@ class ConformalAlgebra:
 
     def check_skew(self) -> AxiomReport:
         """Residual [g_x h] + ([h_x g] with x -> -x - d) per ordered pair."""
-        reg = self.registry
-        minus = -Poly.from_var(reg, reg.x) - Poly.from_var(reg, reg.d)
         entries = []
         for a, b in self.ordered_pairs():
-            residual = self._table[(a, b)] + self._table[(b, a)].map_coeffs(
-                lambda p: p.substitute(reg.x, minus))
+            residual = self._table[(a, b)] - self._skew_image(self._table[(b, a)])
             entries.append(ReportEntry((a, b), residual.render(), residual.is_zero()))
         return AxiomReport("skew-symmetry", entries)
 
@@ -371,7 +357,7 @@ def format_params(values: Mapping[str, Fraction]) -> dict[str, str]:
     return {k: str(v) for k, v in sorted(values.items())}
 
 
-def parse_algebra(text: str, *, source: str = "<input>") -> ConformalAlgebra:
+def parse_algebra(text: str) -> ConformalAlgebra:
     """Parse the plain-text algebra format.
 
     Line oriented::
@@ -385,10 +371,12 @@ def parse_algebra(text: str, *, source: str = "<input>") -> ConformalAlgebra:
         [W,W] = 0
 
     The header declares the name and parameters; ``gen`` lines declare
-    generators in order (offset/shift default to 0); bracket lines cover the
-    pairs (i, j) with i <= j in declaration order, and the table is completed
-    by skew-symmetry.  Coefficients may use d, x, declared parameters and
-    rational literals; each additive term must be linear in the generators.
+    generators in order (offset/shift default to 0).  Bracket lines must
+    give every diagonal pair and every other pair in at least one order; a
+    missing order is completed by skew-symmetry.  A bracket value is 0 or a
+    polynomial in d, x, the declared parameters, rational literals and the
+    generators that, once expanded, is linear in the generators with no
+    generator-free term.  Every error is a ParseError naming its line.
     """
     registry = Registry()
     name = None
@@ -463,7 +451,7 @@ def parse_algebra(text: str, *, source: str = "<input>") -> ConformalAlgebra:
             for gname in (a, b):
                 if gname not in gen_names:
                     raise ParseError(f"undeclared generator {gname!r}", line=lineno)
-            elem = _parse_bracket_rhs(rhs.strip(), registry,
+            elem = _parse_bracket_rhs(rhs.strip(), registry, params,
                                       {g.name: g for g in generators}, lineno)
             if (a, b) in table:
                 raise ParseError(f"duplicate bracket [{a},{b}]", line=lineno)
@@ -479,93 +467,23 @@ def parse_algebra(text: str, *, source: str = "<input>") -> ConformalAlgebra:
         raise ParseError(str(exc), line=len(text.splitlines()) or 1) from None
 
 
-class _GenLinear:
-    """Expression value for bracket right-hand sides: a polynomial part plus
-    a generator-linear part; multiplication rejects generator products."""
-
-    __slots__ = ("registry", "scalar", "gens")
-
-    def __init__(self, registry, scalar: Poly, gens: dict[Generator, Poly]):
-        self.registry = registry
-        self.scalar = scalar
-        self.gens = {g: p for g, p in gens.items() if not p.is_zero()}
-
-    @classmethod
-    def of_poly(cls, registry, p: Poly):
-        return cls(registry, p, {})
-
-    @classmethod
-    def of_gen(cls, registry, g: Generator):
-        return cls(registry, Poly.zero(registry), {g: Poly.one(registry)})
-
-    def _coerce(self, other):
-        if isinstance(other, _GenLinear):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _GenLinear.of_poly(self.registry, Poly.const(self.registry, other))
-        if isinstance(other, Poly):
-            return _GenLinear.of_poly(self.registry, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        gens = dict(self.gens)
-        for g, p in o.gens.items():
-            gens[g] = gens.get(g, Poly.zero(self.registry)) + p
-        return _GenLinear(self.registry, self.scalar + o.scalar, gens)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _GenLinear(self.registry, -self.scalar,
-                          {g: -p for g, p in self.gens.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.gens and o.gens:
-            raise ParseError("bracket values must be linear in the generators")
-        if o.gens:
-            return _GenLinear(self.registry, self.scalar * o.scalar,
-                              {g: self.scalar * p for g, p in o.gens.items()})
-        return _GenLinear(self.registry, self.scalar * o.scalar,
-                          {g: p * o.scalar for g, p in self.gens.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if self.gens:
-            if n == 1:
-                return self
-            raise ParseError("generators cannot be raised to powers")
-        return _GenLinear.of_poly(self.registry, self.scalar ** n)
-
-
-def _parse_bracket_rhs(textval: str, registry: Registry,
+def _parse_bracket_rhs(textval: str, registry: Registry, params: Sequence[Var],
                        gens: Mapping[str, Generator], lineno: int) -> LambdaElement:
-    def atom(name: str, col: int):
+    # The value is read as a polynomial in a scratch registry that repeats
+    # ``registry`` (d, x, y, z, then the parameters) and appends one variable
+    # per generator, so each generator's coefficient already has the
+    # algebra's variable indices.
+    scratch = Registry()
+    scratch.params(*(v.name for v in params))
+
+    def atom(name: str, col: int) -> Poly:
         if name in gens:
-            return _GenLinear.of_gen(registry, gens[name])
+            return Poly.from_var(scratch, scratch.param(name))
         if name in ("y", "z"):
             raise ParseError("bracket coefficients may only use d, x and parameters",
                              line=lineno, column=col)
-        if registry.has_name(name):
-            return _GenLinear.of_poly(registry, Poly.from_var(registry, registry.var(name)))
+        if scratch.has_name(name):
+            return Poly.from_var(scratch, scratch.var(name))
         raise ParseError(f"unknown name {name!r} (declare parameters in the header)",
                          line=lineno, column=col)
 
@@ -575,8 +493,11 @@ def _parse_bracket_rhs(textval: str, registry: Registry,
             raise ParseError("bracket value must be a generator combination or 0",
                              line=lineno)
         return LambdaElement(registry)
-    if isinstance(value, _GenLinear):
-        if not value.scalar.is_zero():
-            raise ParseError("bracket value has a stray scalar term", line=lineno)
-        return LambdaElement(registry, value.gens)
-    raise ParseError("bracket value must be a generator combination or 0", line=lineno)
+    by_gen = group_coefficients(value, scratch.all_vars()[:len(registry)])
+    if any(sum(e for _, e in mono) > 1 for mono in by_gen):
+        raise ParseError("bracket values must be linear in the generators", line=lineno)
+    if () in by_gen:
+        raise ParseError("bracket value has a stray scalar term", line=lineno)
+    return LambdaElement(registry, {
+        gens[scratch.name_of(index)]: Poly(registry, dict(coeff.terms()))
+        for ((index, _),), coeff in by_gen.items()})

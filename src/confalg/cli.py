@@ -90,7 +90,7 @@ def _load_algebra(ref: str, bindings: dict[str, Fraction]) -> ConformalAlgebra:
                 text = handle.read()
         except OSError as exc:
             raise _InputError(f"cannot read {ref}: {exc}")
-        alg = parse_algebra(text, source=ref)
+        alg = parse_algebra(text)
         if bindings:
             alg = alg.specialize(bindings)
         return alg

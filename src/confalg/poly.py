@@ -658,7 +658,8 @@ class _ExprParser:
     primary := integer ['/' integer] | name | '(' expr ')'
 
     ``atom`` resolves names to ring elements; integers become Fractions.
-    Every value must support +, -, * and ** with integer exponents.
+    Every value must support +, binary and unary -, * and ** with integer
+    exponents.
     """
 
     def __init__(self, tokens, atom: Callable[[str, int], object], line: int | None = None):
@@ -693,7 +694,7 @@ class _ExprParser:
             sign = -1 if text == "-" else 1
         value = self.term()
         if sign < 0:
-            value = value * -1 if not isinstance(value, Fraction) else -value
+            value = -value
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":

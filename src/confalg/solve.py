@@ -13,9 +13,9 @@ pivoting on the highest-index unknown of each row); a pivot row with only a
 constant means the system is inconsistent.  All pivots are then substituted
 into the nonlinear remainder in one pass, and the pivots' assignments are
 composed once with the remainder's solutions.  A system with no affine
-equation is branched on in a bounded way (single-monomial equations,
-univariate residuals via rational roots, monomial-content splits, and
-total-degree-2 equations that factor into two affine forms over Q).
+equation is branched on in a bounded way (univariate residuals via rational
+roots, monomial-content splits, which also cover single-monomial equations,
+and total-degree-2 equations that factor into two affine forms over Q).
 Anything else raises UnsupportedSystemError naming the offending equation.
 
 The base field is Q throughout: only rational roots of univariate residuals
@@ -349,15 +349,7 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
                 zero = Poly.zero(registry)
                 return _compose({vs[0]: zero}, _solve(substituted(vs[0], zero), memo, depth - 1))
 
-    # Tier 1: a single-monomial equation vanishes iff one of its variables does.
-    for eq in eqs:
-        if len(eq._terms) == 1:
-            out = []
-            zero = Poly.zero(registry)
-            for v in eq.variables():
-                out.extend(_compose({v: zero}, _solve(substituted(v, zero), memo, depth - 1)))
-            return out
-    # Tier 2: univariate equations branch on their rational roots.
+    # Tier 1: univariate equations branch on their rational roots.
     for eq in eqs:
         vs = eq.variables()
         if len(vs) == 1:
@@ -368,7 +360,9 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
                 value = Poly.const(registry, r)
                 out.extend(_compose({v: value}, _solve(substituted(v, value), memo, depth - 1)))
             return out
-    # Tier 3: split off a common monomial factor.
+    # Tier 2: split off a common monomial factor; a single-monomial equation
+    # is all content, so it branches on its variables and the constant
+    # cofactor branch is inconsistent.
     for eq in eqs:
         content = None
         for m in eq._terms:
@@ -391,7 +385,7 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             rest = [e2 for e2 in eqs if e2 is not eq]
             out.extend(_solve(rest + [cofactor], memo, depth - 1))
             return out
-    # Tier 4: a degree-2 equation that factors into two affine forms.
+    # Tier 3: a degree-2 equation that factors into two affine forms.
     for eq in eqs:
         if eq.total_degree() != 2:
             continue

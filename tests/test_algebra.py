@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confalg.algebra import ConformalAlgebra, Generator, LambdaElement, parse_algebra
 from confalg.errors import BindingError, DefinitionError, ParseError
@@ -172,6 +172,33 @@ class TestConstruction:
         assert alg.full_table() == explicit.full_table()
         assert alg.check_jacobi().passed == explicit.check_jacobi().passed
 
+    @staticmethod
+    def _text(alg, pairs):
+        """``alg`` as an algebra file that gives the bracket of each pair."""
+        lines = [f"algebra {alg.name} params " + " ".join(v.name for v in alg.params)]
+        lines += [f"gen {g.name} offset={g.label_offset} shift={g.filtration_shift}"
+                  for g in alg.generators]
+        lines += [f"[{a},{b}] = {alg.entry(a, b).render()}" for a, b in pairs]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _rendered(alg):
+        return {pair: e.render() for pair, e in alg.full_table().items()}
+
+    def test_lower_and_mixed_orders_complete_to_the_upper_table(self):
+        tsv = instantiate("tsv")
+        upper = tsv.upper_pairs()
+        lower = [(b, a) for a, b in upper]
+        mixed = [("L", "L"), ("Y", "L"), ("L", "M"), ("Y", "Y"), ("M", "Y"), ("M", "M")]
+        want = self._rendered(tsv)
+        for pairs in (upper, lower, mixed):
+            assert self._rendered(parse_algebra(self._text(tsv, pairs))) == want
+
+    def test_every_diagonal_pair_must_be_given(self):
+        vir_like = "algebra demo\ngen L offset=1\ngen W\n[L,L] = (d + 2*x) L\n[W,L] = 0\n"
+        with pytest.raises(ParseError, match="missing bracket entry \\(W,W\\)"):
+            parse_algebra(vir_like)
+
     def test_specialize_binds_all_parameters(self):
         alg = instantiate("w")
         with pytest.raises(BindingError):
@@ -225,3 +252,52 @@ class TestParser:
         for a, b in preset.ordered_pairs():
             got = parsed.bracket(parsed.gen(a), parsed.gen(b)).render()
             assert got == preset.bracket(preset.gen(a), preset.gen(b)).render()
+
+    def test_cancelling_generator_products_parse_as_zero(self):
+        text = "algebra demo\ngen L offset=1\n[L,L] = L*L - L^2\n"
+        assert parse_algebra(text).entry("L", "L").is_zero()
+
+
+# Bracket values are drawn from this alphabet, either as well-formed
+# expressions, which reach the bracket-value rule, or as token soup, which
+# mostly exercises the grammar.  Exponents are single digits and a space
+# separates two number tokens: long powers only cost time.
+_FUZZ_ATOMS = ["L", "W", "d", "x", "y", "a", "q", "0", "1", "2", "1/2"]
+_FUZZ_TOKENS = _FUZZ_ATOMS + ["+", "-", "*", "^", "(", ")", "/", " "]
+
+
+def _combined(inner):
+    return st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", " ", " / "]), inner),
+        st.builds("({})^{}".format, inner, st.sampled_from("012")),
+        st.builds("-{}".format, inner))
+
+
+@st.composite
+def _token_soup(draw):
+    text = ""
+    for token in draw(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14)):
+        if text[-1:].isdigit() and token[0].isdigit():
+            text += " "
+        text += token
+    return text
+
+
+_BRACKET_VALUES = st.one_of(
+    st.recursive(st.sampled_from(_FUZZ_ATOMS), _combined, max_leaves=6), _token_soup())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BRACKET_VALUES)
+@example("L*W")
+@example("L^2")
+@example("L W")
+def test_fuzzed_bracket_value_parses_or_names_its_line(value):
+    text = ("algebra fuzz params a\ngen L offset=1\ngen W\n"
+            f"[L,W] = {value}\n[L,L] = (d + 2*x) L\n[W,W] = 0\n")
+    try:
+        alg = parse_algebra(text)
+    except ParseError as exc:
+        assert exc.line == 4, str(exc)
+    else:
+        assert isinstance(alg, ConformalAlgebra)

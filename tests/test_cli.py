@@ -73,6 +73,15 @@ class TestVerify:
         assert "\\section*{Axioms for tsvc}" in out
         assert "Skew symmetry: pass" in out
 
+    def test_disagreeing_orders_fail_skew_symmetry(self, capsys, tmp_path):
+        path = tmp_path / "both.alg"
+        path.write_text("algebra both\ngen L offset=1\ngen W\n[L,L] = (d + 2*x) L\n"
+                        "[L,W] = (d + x) W\n[W,L] = (d + x) W\n[W,W] = 0\n")
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == 1
+        assert "skew symmetry: FAIL (4 pairs)\n  (L, W): residual (d) W\n" \
+               "  (W, L): residual (d) W\n" in out
+
     def test_tex_failure_includes_residual(self, capsys, tmp_path):
         path = tmp_path / "broken.alg"
         path.write_text(BROKEN)
@@ -88,6 +97,15 @@ class TestBadInput:
         code, _, err = run(capsys, ["verify", str(path)])
         assert code == 2
         assert err.startswith("error:")
+
+    def test_nonlinear_bracket_value_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "nonlinear.alg"
+        path.write_text("algebra nl\ngen L offset=1\ngen W\n[L,L] = L*W\n"
+                        "[L,W] = 0\n[W,W] = 0\n")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "line 4" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/file.alg"])

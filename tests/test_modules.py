@@ -114,7 +114,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def golden_algebra(name):
     path = GOLDEN / name
-    return parse_algebra(path.read_text(), source=str(path))
+    return parse_algebra(path.read_text())
 
 
 _DETERMINISM_SCRIPT = """

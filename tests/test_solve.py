@@ -43,6 +43,18 @@ def test_quadratic_branching(reg):
     assert all(f.is_point() for f in sol.families)
 
 
+@pytest.mark.parametrize("monomial, zeroed", [
+    ("u*v", ["u", "v"]),
+    ("u^2*v^3*w", ["u", "v", "w"]),
+    ("2*u*v*w", ["u", "v", "w"]),
+])
+def test_single_monomial_sets_one_variable_to_zero_per_family(reg, monomial, zeroed):
+    unknowns = [reg.var("u"), reg.var("v"), reg.var("w")]
+    sol = solve_system([P(reg, monomial)], unknowns)
+    assert [{v.name: str(e) for v, e in fam.solved.items()} for fam in sol.families] == \
+        [{name: "0"} for name in zeroed]
+
+
 def test_univariate_factoring(reg):
     u = reg.var("u")
     sol = solve_system([P(reg, "u^2 - u")], [u])
