@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, ParseError
-from .poly import (PARAMETER, Combination, Poly, Registry, Var, group_coefficients,
+from .poly import (PARAMETER, Combination, Poly, Registry, Var, group_coefficients, is_name,
                    parse_expression)
 
 _ALLOWED_OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -370,8 +370,9 @@ def parse_algebra(text: str) -> ConformalAlgebra:
         [L,W] = (d + a*x + b) W
         [W,W] = 0
 
-    The header declares the name and parameters; ``gen`` lines declare
-    generators in order (offset/shift default to 0).  Bracket lines must
+    The header declares the name and distinct parameters; ``gen`` lines
+    declare generators in order (offset/shift default to 0).  Parameter and
+    generator names are identifiers.  Bracket lines must
     give every diagonal pair and every other pair in at least one order; a
     missing order is completed by skew-symmetry.  A bracket value is 0 or a
     polynomial in d, x, the declared parameters, rational literals and the
@@ -403,6 +404,10 @@ def parse_algebra(text: str) -> ConformalAlgebra:
                 for pname in rest[1:]:
                     if pname in ("d", "x", "y", "z"):
                         raise ParseError(f"{pname} is a reserved formal variable", line=lineno)
+                    if not is_name(pname):
+                        raise ParseError(f"invalid variable name {pname!r}", line=lineno)
+                    if registry.has_name(pname):
+                        raise ParseError(f"duplicate parameter {pname!r}", line=lineno)
                     params.append(registry.param(pname))
             continue
         if name is None:
@@ -410,6 +415,8 @@ def parse_algebra(text: str) -> ConformalAlgebra:
         if line.startswith("gen "):
             parts = line.split()
             gname = parts[1]
+            if not is_name(gname):
+                raise ParseError(f"generator name {gname!r} is not an identifier", line=lineno)
             if registry.has_name(gname):
                 raise ParseError(f"generator name {gname!r} clashes with a variable",
                                  line=lineno)

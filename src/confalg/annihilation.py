@@ -15,7 +15,11 @@ The translation generator acts by [d, g_(t)] = -t g_(t-1); adjoining it gives
 the extended algebra.  Labels minus the filtration shift grade a filtration:
 brackets never decrease total degree, and the action of d lowers degree by
 one.  Truncating at depth N (degrees 0 to N-1) yields a finite-dimensional
-Lie algebra whose solvability is decided exactly over the rationals.
+Lie algebra whose solvability is decided exactly over the rationals.  Its
+structure constants come from one expansion per generator pair, with the
+binomial and falling-factorial rule applied in integer index arithmetic to
+rational coefficients; ``ann_bracket`` applies the same rule to polynomial
+coefficients.
 """
 
 from __future__ import annotations
@@ -113,6 +117,24 @@ def _bracket_expansion(alg: ConformalAlgebra, gname: str, hname: str):
     return out
 
 
+def _coefficient_terms(expansion, m: int, n: int) -> dict:
+    """[a_(m), b_(n)] for one generator pair's expansion (as returned by
+    ``_bracket_expansion``) and internal indices m, n, as
+    ``{(target generator, internal index): coefficient}``.  Coefficients stay
+    in the ring of the expansion's (``Poly`` or ``Fraction``); a target whose
+    terms cancel is kept with a zero sum."""
+    out = {}
+    for j, k, e, c in expansion:
+        t = m + n - j
+        if j > m or e > t:
+            continue
+        # the j-th product is j! times the x^j coefficient
+        term = c * (math.comb(m, j) * math.perm(t, e) * (-1) ** e * math.factorial(j))
+        key = (k, t - e)
+        out[key] = out[key] + term if key in out else term
+    return out
+
+
 def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
     """Lie bracket in the coefficient algebra, by the binomial expansion of
     the lambda-bracket table with falling-factorial reduction of d-powers."""
@@ -124,25 +146,14 @@ def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
     acc: dict[AnnBasis, Poly] = {}
     expansions: dict[tuple[str, str], list] = {}
     for abasis, ca in left.items():
-        m = abasis.internal
         for bbasis, cb in right.items():
-            n = bbasis.internal
             pair = (abasis.gen.name, bbasis.gen.name)
             if pair not in expansions:
                 expansions[pair] = _bracket_expansion(alg, *pair)
-            for j, k, e, c in expansions[pair]:
-                # the j-th product is j! times the x^j coefficient
-                binom = math.comb(m, j) if j <= m else 0
-                if binom == 0:
-                    continue
-                t = m + n - j
-                fall = math.perm(t, e) if e <= t else 0
-                if fall == 0:
-                    continue
-                factor = Fraction(binom * fall * (-1) ** e) * math.factorial(j)
-                target = AnnBasis(k, Fraction(t - e) - k.label_offset)
-                term = c * factor * ca * cb
-                acc[target] = acc.get(target, Poly.zero(reg)) + term
+            terms = _coefficient_terms(expansions[pair], abasis.internal, bbasis.internal)
+            for (k, t), c in terms.items():
+                target = AnnBasis(k, Fraction(t) - k.label_offset)
+                acc[target] = acc.get(target, Poly.zero(reg)) + c * ca * cb
     return AnnElement(reg, acc)
 
 
@@ -167,24 +178,36 @@ def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
     return [Fraction(t) - gen.label_offset for t in range(top + 1)]
 
 
-def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -> list[str]:
-    """Check the expanded bracket against the algebra's closed formulas for
-    every ordered basis pair with labels up to ``max_label``.  Returns the
-    list of disagreements, empty when the formulas match."""
-    if alg.closed_ann_form is None:
-        raise UnsupportedError(f"{alg.name} has no closed bracket formula attached")
-    mismatches = []
+def expanded_brackets(alg: ConformalAlgebra, max_label: Fraction | int):
+    """Yield ``(g, m, h, n, [g_m, h_n])`` for every ordered generator pair
+    (in ``alg.ordered_pairs()`` order) and all labels up to ``max_label``."""
     for g in alg.generators:
         for h in alg.generators:
             for m in labels_through(g, max_label):
                 for n in labels_through(h, max_label):
-                    got = ann_bracket(alg, AnnBasis(g, m), AnnBasis(h, n))
-                    want = alg.closed_ann_form(alg, g, m, h, n)
-                    if got != want:
-                        mismatches.append(
-                            f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
-                            f"!= closed form {want.render()}")
+                    yield g, m, h, n, ann_bracket(alg, AnnBasis(g, m), AnnBasis(h, n))
+
+
+def closed_form_mismatches(alg: ConformalAlgebra, rows) -> list[str]:
+    """Compare already expanded brackets, given as ``(g, m, h, n, value)``
+    rows, against the algebra's closed formulas.  Returns the list of
+    disagreements, empty when the formulas match."""
+    if alg.closed_ann_form is None:
+        raise UnsupportedError(f"{alg.name} has no closed bracket formula attached")
+    mismatches = []
+    for g, m, h, n, got in rows:
+        want = alg.closed_ann_form(alg, g, m, h, n)
+        if got != want:
+            mismatches.append(f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
+                              f"!= closed form {want.render()}")
     return mismatches
+
+
+def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -> list[str]:
+    """Check the expanded bracket against the algebra's closed formulas for
+    every ordered basis pair with labels up to ``max_label``.  Returns the
+    list of disagreements, empty when the formulas match."""
+    return closed_form_mismatches(alg, expanded_brackets(alg, max_label))
 
 
 def filtration_check(alg: ConformalAlgebra, max_label: Fraction | int = 6) -> list[str]:
@@ -192,19 +215,14 @@ def filtration_check(alg: ConformalAlgebra, max_label: Fraction | int = 6) -> li
     ``max_label``: bracket terms satisfy deg >= deg(a) + deg(b) and the
     action of d lowers degree by exactly one.  Returns violations."""
     violations = []
-    for g in alg.generators:
-        for h in alg.generators:
-            for m in labels_through(g, max_label):
-                a = AnnBasis(g, m)
-                for n in labels_through(h, max_label):
-                    b = AnnBasis(h, n)
-                    out = ann_bracket(alg, a, b)
-                    floor = a.degree + b.degree
-                    for basis, _ in out.items():
-                        if basis.degree < floor:
-                            violations.append(
-                                f"[{a}, {b}] has term {basis} of degree {basis.degree} "
-                                f"below {floor}")
+    for g, m, h, n, out in expanded_brackets(alg, max_label):
+        a, b = AnnBasis(g, m), AnnBasis(h, n)
+        floor = a.degree + b.degree
+        for basis, _ in out.items():
+            if basis.degree < floor:
+                violations.append(
+                    f"[{a}, {b}] has term {basis} of degree {basis.degree} "
+                    f"below {floor}")
     for g in alg.generators:
         for m in labels_through(g, max_label):
             a = AnnBasis(g, m)
@@ -393,8 +411,11 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int,
     part of filtration degree >= depth, as a FiniteLie.
 
     Each generator contributes basis labels shift, shift+1, ..., shift+depth-1.
-    Parameters must be bound (here or beforehand).  The Jacobi identity of the
-    result is re-checked after truncation.
+    Parameters must be bound (here or beforehand).  Structure constants come
+    from one expansion per generator pair, with its coefficients reduced to
+    rationals once, fed to the same rule as ``ann_bracket`` on plain internal
+    indices.  The Jacobi identity of the result is re-checked after
+    truncation.
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
@@ -403,21 +424,38 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int,
     elif alg.params:
         raise BindingError(f"{alg.name} has unbound parameters "
                            f"{sorted(v.name for v in alg.params)}")
-    symbols = [AnnBasis(g, g.filtration_shift + k)
-               for g in alg.generators for k in range(depth)]
-    index = {(s.gen.name, s.label): pos for pos, s in enumerate(symbols)}
+    gens = alg.generators
+    symbols = [AnnBasis(g, g.filtration_shift + k) for g in gens for k in range(depth)]
+    # symbols[pos * depth + s] is generator ``pos`` at degree s, with internal
+    # index base[pos] + s.
+    internal = [s.internal for s in symbols]
+    base = internal[::depth]
+    position = {g.name: pos for pos, g in enumerate(gens)}
+    expansions: dict[tuple[int, int], list] = {}
     brackets = {}
     for i, a in enumerate(symbols):
         for j in range(i + 1, len(symbols)):
-            b = symbols[j]
+            pair = (i // depth, j // depth)
+            if pair not in expansions:
+                g, h = (gens[pos].name for pos in pair)
+                expansions[pair] = [(p, position[k.name], e, c.constant_value())
+                                    for p, k, e, c in _bracket_expansion(alg, g, h)]
+            raw = _coefficient_terms(expansions[pair], internal[i], internal[j])
             terms = {}
-            for basis, coeff in ann_bracket(alg, a, b).items():
-                if basis.degree >= depth:
+            low = []
+            for (k, t), c in raw.items():
+                degree = t - base[k]
+                if not c or degree >= depth:
                     continue
-                if basis.degree < 0:
-                    raise DefinitionError(
-                        f"[{a}, {b}] has term {basis} of negative degree {basis.degree}")
-                terms[index[(basis.gen.name, basis.label)]] = coeff.constant_value()
+                if degree < 0:
+                    low.append(AnnBasis(gens[k], Fraction(t) - gens[k].label_offset))
+                else:
+                    terms[k * depth + degree] = c
+            if low:
+                # the first offending term in AnnElement order, as ann_bracket lists them
+                basis = min(low, key=AnnElement._order)
+                raise DefinitionError(
+                    f"[{a}, {symbols[j]}] has term {basis} of negative degree {basis.degree}")
             if terms:
                 brackets[(i, j)] = terms
     finite = FiniteLie([(s.gen.name, s.label) for s in symbols], brackets)

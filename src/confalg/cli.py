@@ -22,8 +22,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, format_params, parse_algebra
-from .annihilation import (AnnBasis, ann_bracket, compare_closed_form,
-                           labels_through, truncated_quotient)
+from .annihilation import closed_form_mismatches, expanded_brackets, truncated_quotient
 from .errors import DiscrepancyError, DivisibilityError, UnsupportedError, WorkbenchError
 from .modules import irreducibility_verdict, rank1_classify, submodule_scan
 from .presets import PRESET_NAMES, instantiate, named_module
@@ -171,16 +170,10 @@ def _cmd_verify(args) -> tuple[bool, str]:
 def _cmd_ann(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     bound = Fraction(args.degree)
-    rows = []
-    for gname, hname in alg.ordered_pairs():
-        g, h = alg.gen(gname), alg.gen(hname)
-        for m in labels_through(g, bound):
-            for n in labels_through(h, bound):
-                value = ann_bracket(alg, AnnBasis(g, m), AnnBasis(h, n))
-                rows.append((gname, m, hname, n, value))
+    rows = list(expanded_brackets(alg, bound))
     mismatches: list[str] | None = None
     if alg.closed_ann_form is not None:
-        mismatches = compare_closed_form(alg, bound)
+        mismatches = closed_form_mismatches(alg, rows)
     ok = not mismatches
     closed = "unavailable" if mismatches is None else "fail" if mismatches else "pass"
     if args.format == "json":
@@ -188,16 +181,16 @@ def _cmd_ann(args) -> tuple[bool, str]:
             "algebra": alg.name,
             "params": format_params(alg.param_values),
             "max_label": str(bound),
-            "brackets": [{"left": f"{a}_{m}", "right": f"{b}_{n}", "value": v.render()}
-                         for a, m, b, n, v in rows],
+            "brackets": [{"left": f"{g.name}_{m}", "right": f"{h.name}_{n}", "value": v.render()}
+                         for g, m, h, n, v in rows],
             "closed_form": closed,
             "mismatches": mismatches or [],
         })
     if args.format == "tex":
         return ok, document(align(
-            f"[{ann_symbol_to_latex(a, m)}, {ann_symbol_to_latex(b, n)}] "
-            f"&= {ann_to_latex(v)} \\\\" for a, m, b, n, v in rows))
-    lines = [f"[{a}_{m}, {b}_{n}] = {v.render()}" for a, m, b, n, v in rows]
+            f"[{ann_symbol_to_latex(g.name, m)}, {ann_symbol_to_latex(h.name, n)}] "
+            f"&= {ann_to_latex(v)} \\\\" for g, m, h, n, v in rows))
+    lines = [f"[{g.name}_{m}, {h.name}_{n}] = {v.render()}" for g, m, h, n, v in rows]
     if mismatches:
         lines.append(f"closed form: FAIL ({len(mismatches)} mismatches)")
         lines += [f"  {m}" for m in mismatches[:10]]

@@ -54,6 +54,11 @@ class Var:
         return f"Var({self.name!r}, {self.kind})"
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` is a name the expression grammar reads as one atom."""
+    return _NAME_RE.match(text) is not None
+
+
 class Registry:
     """Append-only table of variables shared by interacting polynomials.
 
@@ -79,7 +84,7 @@ class Registry:
 
     def param(self, name: str) -> Var:
         """Return the parameter named ``name``, registering it if new."""
-        if not _NAME_RE.match(name):
+        if not is_name(name):
             raise RegistryError(f"invalid variable name {name!r}")
         with self._lock:
             v = self._by_name.get(name)

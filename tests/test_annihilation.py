@@ -259,6 +259,54 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncated_quotient(instantiate("vir"), 0)
 
+    @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS + [
+        ("w", {"a": Fraction(1, 3), "b": -1}), ("wb", {"b": Fraction(-1, 2)}),
+        ("tsv", {"a": Fraction(1, 3), "b": -1}), ("tsvc", {"c": Fraction(-1, 2)}),
+        ("tsvc", {"c": Fraction(5, 2)})])
+    def test_structure_constants_match_ann_bracket(self, preset, bindings):
+        alg = instantiate(preset, bindings)
+        top = 14
+        # Every bracket of symbols below degree ``top``, from public ann_bracket.
+        symbols = [(pos, s, AnnBasis(g, g.filtration_shift + s))
+                   for pos, g in enumerate(alg.generators) for s in range(top)]
+        expanded = {}
+        for u, (gpos, adeg, a) in enumerate(symbols):
+            for hpos, bdeg, b in symbols[u + 1:]:
+                expanded[(gpos, adeg), (hpos, bdeg)] = [
+                    (alg.generators.index(basis.gen), basis.degree, coeff.constant_value())
+                    for basis, coeff in ann_bracket(alg, a, b).items()]
+        for depth in range(1, top + 1):
+            want = []
+            for (left, right), terms in expanded.items():
+                if left[1] >= depth or right[1] >= depth:
+                    continue
+                i, j = left[0] * depth + left[1], right[0] * depth + right[1]
+                row = sorted((pos * depth + int(degree), c)
+                             for pos, degree, c in terms if 0 <= degree < depth)
+                if row:
+                    want.append(((i, j), row))
+            want.sort()
+            assert truncated_quotient(alg, depth).nonzero_brackets() == want, depth
+
+    def test_one_expansion_per_generator_pair(self, monkeypatch):
+        import confalg.annihilation as annihilation
+        expansions = []
+        expand = annihilation._bracket_expansion
+
+        def counting_expansion(alg, gname, hname):
+            expansions.append((gname, hname))
+            return expand(alg, gname, hname)
+
+        def no_bracket(*args):
+            raise AssertionError("truncated_quotient called ann_bracket")
+
+        monkeypatch.setattr(annihilation, "_bracket_expansion", counting_expansion)
+        monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
+        alg = instantiate("tsv", {"a": 0, "b": 0})
+        q = annihilation.truncated_quotient(alg, 12)
+        assert q.dim == 36
+        assert len(expansions) == len(set(expansions)) <= len(alg.generators) ** 2
+
     @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)
     def test_quotients_are_solvable(self, preset, bindings):
         for depth in (1, 2, 3):

@@ -107,6 +107,28 @@ class TestBadInput:
         assert out == ""
         assert "line 4" in err
 
+    @pytest.mark.parametrize("header, message", [
+        ("algebra p params 1a", "invalid variable name '1a'"),
+        ("algebra p params a a", "duplicate parameter 'a'"),
+    ])
+    def test_bad_header_parameter_names_line_one(self, capsys, tmp_path, header, message):
+        path = tmp_path / "params.alg"
+        path.write_text(f"{header}\ngen L offset=1\n[L,L] = (d + 2*x) L\n")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "line 1" in err
+        assert message in err
+
+    def test_generator_name_must_be_an_identifier(self, capsys, tmp_path):
+        path = tmp_path / "gen.alg"
+        path.write_text("algebra g\ngen 1L offset=1\n[1L,1L] = 1L\n")
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
+        assert "'1L' is not an identifier" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/file.alg"])
         assert code == 2
@@ -168,6 +190,22 @@ class TestAnn:
         assert code == 0
         assert "[L_-1, L_1] = -2*L_0" in out
         assert "closed form: pass" in out
+
+    def test_each_bracket_expanded_once(self, capsys, monkeypatch):
+        import confalg.annihilation as annihilation
+        calls = []
+        bracket = annihilation.ann_bracket
+
+        def counting(alg, left, right):
+            calls.append((left, right))
+            return bracket(alg, left, right)
+
+        monkeypatch.setattr(annihilation, "ann_bracket", counting)
+        code, out, _ = run(capsys, ["ann", "w", "--degree", "2"])
+        assert code == 0
+        assert "closed form: pass" in out
+        rows = out.count(" = ")
+        assert len(calls) == len(set(calls)) == rows == 49
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, ["ann", "tsv", "--param", "a=0", "b=0",
@@ -248,6 +286,18 @@ class TestTruncate:
     def test_requires_depth(self, capsys):
         assert main(["truncate", "vir"]) == 2
         capsys.readouterr()
+
+    def test_negative_degree_term_names_the_pair(self, capsys, tmp_path):
+        # [W_0, V_0] = L_-1 has degree -1: the table is not graded for the
+        # filtration, so the truncation is refused with the offending term.
+        path = tmp_path / "negative.alg"
+        path.write_text("algebra neg\ngen L offset=1\ngen W\ngen V\n"
+                        "[L,L] = (d + 2*x) L\n[L,W] = (d + x) W\n[L,V] = (d + x) V\n"
+                        "[W,W] = 0\n[V,V] = 0\n[W,V] = L\n")
+        code, out, err = run(capsys, ["truncate", str(path), "--truncate", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: [W_0, V_0] has term L_-1 of negative degree -1\n"
 
 
 class TestClassify:
