@@ -15,6 +15,9 @@ where [a_x b] = sum_k p_k(d, x) k.  Everything here reduces to exact
 polynomial identities: verifying a proposed action, classifying all actions
 of bounded degree, locating rank-one submodules, and deciding
 irreducibility for the families that come out of the classification.
+Submodules need no solving: a monic nonconstant p(d) generates one iff p
+divides G(d), the gcd in Q[d] of all x-coefficients of all A_g (p(r + x) is
+nonzero at a root r of p), so C[d]v is irreducible iff G is a nonzero constant.
 
 Classification is staged.  The Virasoro generator acts by f = 0 or by
 f = d + alpha*x + beta (the completeness of this list is itself checkable
@@ -37,6 +40,8 @@ resulting equations on its own.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,9 +49,10 @@ from typing import Mapping, Sequence
 
 from .errors import (BindingError, DefinitionError, DiscrepancyError, DivisibilityError,
                      UnsupportedError)
-from .algebra import AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params
+from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
+                      parse_algebra)
 from .poly import PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem, parse_poly
-from .solve import SolutionFamily, SolutionSet, _compose, solve_system
+from .solve import SolutionFamily, SolutionSet, _compose, rational_roots, solve_system
 
 
 class Rank1Action:
@@ -230,13 +236,10 @@ def vir_completeness(max_degree: int) -> list[Poly]:
     """
     if not 1 <= max_degree <= 3:
         raise UnsupportedError("completeness search is supported for degree bounds 1 to 3")
-    reg = Registry()
-    d, x, y = reg.d, reg.x, reg.y
-    dp, xp, yp = (Poly.from_var(reg, v) for v in (d, x, y))
+    vir = parse_algebra("algebra vir\ngen L\n[L,L] = (d + 2*x) L\n")
+    reg = vir.registry
     f, unknowns = _generic_poly(reg, "c", max_degree)
-    residual = f * f.subs({d: dp + xp, x: yp}) \
-        - f.substitute(x, yp) * f.substitute(d, dp + yp) \
-        - (xp - yp) * f.substitute(x, xp + yp)
+    residual = _rank1_residual(vir, {"L": f}, "L", "L")
     families = solve_system(_extract(residual, unknowns), unknowns)
     carriers = {}
     for i in range(max_degree + 1):
@@ -452,10 +455,9 @@ class SubmoduleWitness:
 class Verdict:
     """Outcome of an irreducibility decision.
 
-    ``certificate`` records the strength of the evidence: "unconditional"
-    when a witness or the constant-action argument settles the question for
-    every degree, "bounded" when only generators up to the scan degree were
-    ruled out.
+    ``certificate`` is "unconditional" when a witness or the constant-action
+    argument settles every degree and "bounded" for an empty submodule scan,
+    which reads G(d) = 1 and so also settles every degree: it is conservative.
     """
 
     status: str
@@ -527,42 +529,47 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
     return induced
 
 
+def _submodule_generators(action: Rank1Action, max_degree: int) -> list[Poly]:
+    """The monic divisors of G(d) of degree 1..max_degree, from G's rational roots,
+    in the order ``submodules`` prints: by degree, then by rendered coefficients."""
+    reg = action.algebra.registry
+    d, dp = reg.d, Poly.from_var(reg, reg.d)
+    g = Poly.zero(reg)  # Euclid in Q[d], keeping the running gcd monic
+    for _, p in action.items():
+        for c in _extract(p, (d,)):
+            while not c.is_zero():
+                c = c / c.coeff_of(d, c.degree(d)).constant_value()
+                g, c = c, monic_div_rem(g, c, d)[1]
+    if g.is_zero():
+        raise UnsupportedError("the action is zero: every monic polynomial generates a submodule")
+    roots, rest = [], g
+    for r in rational_roots([g.coeff_of(d, k).constant_value() for k in range(g.degree(d) + 1)]):
+        while (division := monic_div_rem(rest, dp - r, d))[1].is_zero():
+            roots.append(r)
+            rest = division[0]
+    if not rest.is_constant():
+        raise UnsupportedError(f"the submodule gcd {g} has a factor with no rational root")
+    divisors = {math.prod((dp - r for r in chosen), start=Poly.one(reg))
+                for k in range(1, max_degree + 1) for chosen in itertools.combinations(roots, k)}
+    return sorted(divisors, key=lambda p: (p.degree(d), "{%s}" % "; ".join(
+        f"t{i} = {p.coeff_of(d, i)}" for i in range(p.degree(d)))))
+
+
 def submodule_scan(alg: ConformalAlgebra, action: Rank1Action,
                    max_degree: int = 3) -> list[SubmoduleWitness]:
     """All monic p(d) of degree 1..max_degree with p(d) v generating a
     submodule, each with its induced action.
 
-    A positive-dimensional family of solutions (as for the zero action,
-    where every polynomial works) is reported as unsupported rather than
-    enumerated.
+    They are the monic divisors of G(d), each re-certified by ``induced_action``;
+    G = 0 (the zero action) or a factor of G with no rational root is unsupported.
     """
     if action.algebra is not alg:
         raise DefinitionError("action belongs to a different algebra")
     _require_bound_action(action)
     if max_degree < 1:
         raise ValueError("scan degree must be at least 1")
-    reg = alg.registry
-    d, x = reg.d, reg.x
-    dp = Poly.from_var(reg, d)
-    witnesses = []
-    for degree in range(1, max_degree + 1):
-        tvars = [reg.param(f"t{k}") for k in range(degree)]
-        candidate = dp ** degree
-        for k, v in enumerate(tvars):
-            candidate = candidate + Poly.from_var(reg, v) * dp ** k
-        shifted = candidate.substitute(d, dp + Poly.from_var(reg, x))
-        eqs = []
-        for _, p in action.items():
-            _, r = monic_div_rem(p * shifted, candidate, d)
-            eqs += _extract(r, tvars)
-        for fam in solve_system(eqs, tvars):
-            if not fam.is_point():
-                raise UnsupportedError(
-                    f"submodule generators of degree {degree} form a "
-                    f"{fam.dim}-parameter family")
-            witness = fam.substitute_into(candidate)
-            witnesses.append(SubmoduleWitness(witness, induced_action(alg, action, witness)))
-    return witnesses
+    return [SubmoduleWitness(p, induced_action(alg, action, p))
+            for p in _submodule_generators(action, max_degree)]
 
 
 def irreducibility_verdict(alg: ConformalAlgebra, action: Rank1Action,
@@ -571,17 +578,13 @@ def irreducibility_verdict(alg: ConformalAlgebra, action: Rank1Action,
 
     The zero action is reducible outright.  A generator acting by a nonzero
     constant c rules out any proper submodule for every degree: p(d) would
-    have to divide c p(d + x), forcing deg p = 0.  Otherwise monic
-    submodule generators are scanned up to ``max_degree``; a hit is a
-    reducibility witness, an empty scan certifies irreducibility up to that
-    bound only.
+    have to divide c p(d + x), forcing deg p = 0.  Otherwise a hit of
+    ``submodule_scan`` is a reducibility witness; an empty scan means G = 1,
+    irreducible at every degree, under the conservative certificate "bounded".
     """
     _require_bound_action(action)
-    reg = alg.registry
-    d = reg.d
     if action.is_zero():
-        zero = Rank1Action(alg, {g.name: Poly.zero(reg) for g in alg.generators})
-        witness = SubmoduleWitness(Poly.from_var(reg, d), zero)
+        witness = SubmoduleWitness(Poly.from_var(alg.registry, alg.registry.d), action)
         return Verdict("reducible", "the action is zero, so every ideal of"
                        " the polynomial ring is a submodule", (witness,))
     for g, p in action.items():

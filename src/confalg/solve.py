@@ -55,9 +55,6 @@ class SolutionFamily:
     def dim(self) -> int:
         return len(self.free)
 
-    def is_point(self) -> bool:
-        return not self.free
-
     def substitute_into(self, p: Poly) -> Poly:
         """Apply the family's assignments to ``p`` (free unknowns stay)."""
         return p.subs(self.solved)

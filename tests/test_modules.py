@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg import (
     AxiomReport,
@@ -36,6 +40,8 @@ from confalg import (
 from confalg import modules
 from confalg import solve as solve_module
 from confalg.algebra import parse_algebra
+from confalg.errors import UnsupportedSystemError
+from confalg.poly import monic_div_rem
 from confalg.solve import SolutionFamily, SolutionSet, solve_system
 
 
@@ -461,6 +467,120 @@ class TestSubmodules:
     def test_bad_bound_rejected(self, vir):
         with pytest.raises(ValueError):
             submodule_scan(vir, named_module(vir, "M_1_2"), 0)
+
+
+def _reference_scan(alg, action, max_degree):
+    """The parametric scan, kept as the reference: for each degree k, a
+    generic monic p = d^k + t_(k-1) d^(k-1) + ... + t_0 and a solve for the
+    t's that make every A_g(d, x) p(d + x) divisible by p(d).  Returns the
+    monic generators in the solver's family order, without induced actions."""
+    reg = alg.registry
+    d, x = reg.d, reg.x
+    dp = Poly.from_var(reg, d)
+    found = []
+    for degree in range(1, max_degree + 1):
+        tvars = [reg.param(f"t{k}") for k in range(degree)]
+        candidate = dp ** degree
+        for k, v in enumerate(tvars):
+            candidate = candidate + Poly.from_var(reg, v) * dp ** k
+        shifted = candidate.substitute(d, dp + Poly.from_var(reg, x))
+        eqs = []
+        for _, p in action.items():
+            eqs += modules._extract(monic_div_rem(p * shifted, candidate, d)[1], tvars)
+        for fam in solve_system(eqs, tvars):
+            assert fam.dim == 0
+            found.append(fam.substitute_into(candidate))
+    return found
+
+
+_PRESET_GRID = [("vir", None), ("w", {"a": 1, "b": 0}), ("w", {"a": 2, "b": 1}),
+                ("wb", {"b": 0}), ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})]
+_MODULE_VALUES = (0, 1, -2, Fraction(1, 2), 3)
+
+
+def _standard_modules(alg):
+    carrier = gamma_carrier(alg) is not None
+    for a0 in _MODULE_VALUES:
+        for b0 in _MODULE_VALUES:
+            for c0 in (_MODULE_VALUES if carrier else (None,)):
+                yield rank1_module(alg, a0, b0, c0)
+
+
+_ROOTS = st.lists(st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]),
+                  max_size=4)
+_X_PART = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 2)),
+                          st.integers(-2, 2), max_size=4)
+
+
+def _drawn_action(alg, roots, unit, parts):
+    """Each generator acts by prod_r (d - r) times its x-part.  The first
+    x-part's x^2 coefficient is the nonzero constant ``unit``, so G is
+    exactly the product of the (d - r)."""
+    reg = alg.registry
+    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
+    g0 = math.prod((d - r for r in roots), start=Poly.one(reg))
+    parts = [{k: c for k, c in parts[0].items() if k[1] != 2} | {(0, 2): unit}] + parts[1:]
+    return Rank1Action(alg, {
+        gen.name: g0 * sum((c * d ** i * x ** j for (i, j), c in part.items()), Poly.zero(reg))
+        for gen, part in zip(alg.generators, parts)})
+
+
+class TestSubmoduleGcd:
+    """Submodule generators are the monic divisors of the gcd G(d) of the
+    action's x-coefficients; the parametric scan is the reference."""
+
+    def test_matches_the_parametric_scan_on_the_preset_grid(self):
+        checked = 0
+        for preset, bindings in _PRESET_GRID:
+            alg = instantiate(preset, bindings)
+            d = alg.registry.d
+            for action in _standard_modules(alg):
+                want = _reference_scan(alg, action, 3)
+                for bound in (1, 2, 3):
+                    assert modules._submodule_generators(action, bound) == \
+                        [p for p in want if p.degree(d) <= bound], action.render()
+                checked += 1
+        assert checked == 450
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ROOTS, st.sampled_from([1, -2, 3]),
+           st.lists(_X_PART, min_size=2, max_size=2), st.integers(1, 3))
+    def test_matches_the_parametric_scan_on_drawn_actions(self, roots, unit, parts, bound):
+        alg = instantiate("w", {"a": 1, "b": 0})
+        d = alg.registry.d
+        action = _drawn_action(alg, roots, unit, parts)
+        got = modules._submodule_generators(action, bound)
+        try:
+            assert got == _reference_scan(alg, action, bound)
+        except UnsupportedSystemError:
+            # The solver cannot split some scan systems when G has three or
+            # more linear factors, counted with multiplicity; the gcd still
+            # answers.  Distinct monic divisors of G, as many as G has up to
+            # the bound, are all of them.
+            g0 = math.prod((Poly.from_var(alg.registry, d) - r for r in roots),
+                           start=Poly.one(alg.registry))
+            count = sum(1 <= sum(es) <= bound for es in itertools.product(
+                *(range(m + 1) for m in Counter(roots).values())))
+            assert len(set(got)) == len(got) == count
+            assert all(monic_div_rem(g0, p, d)[1].is_zero() for p in got)
+
+    def test_no_solver_call_and_no_new_unknowns(self, vir, monkeypatch):
+        calls = []
+        real = modules.solve_system
+        monkeypatch.setattr(modules, "solve_system",
+                            lambda *args: calls.append(args) or real(*args))
+        before = len(vir.registry)
+        for spec in ("M_0_2", "M_1_2", "M_0_0"):
+            submodule_scan(vir, named_module(vir, spec), 3)
+            irreducibility_verdict(vir, named_module(vir, spec), 3)
+        assert calls == []
+        assert len(vir.registry) == before
+
+    def test_irrational_factor_is_unsupported_and_named(self, vir):
+        reg = vir.registry
+        action = Rank1Action(vir, {"L": parse_poly(reg, "(d^2 + 1)*(d - 1)*(x + 1)")})
+        with pytest.raises(UnsupportedError, match=r"d\^3 - d\^2 \+ d - 1"):
+            submodule_scan(vir, action, 3)
 
 
 class TestInducedAction:

@@ -297,3 +297,18 @@ class TestRingLaws:
         q, r = monic_div_rem(p, divisor, reg.d)
         assert q * divisor + r == p
         assert r.degree(reg.d) < divisor.degree(reg.d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys(max_vars=1, max_exp=5),
+           st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3))
+    def test_univariate_division_matches_sympy_div(self, p, lower):
+        sympy = pytest.importorskip("sympy")
+        reg = p.registry
+        d = Poly.from_var(reg, reg.d)
+        divisor = d ** len(lower) + sum((c * d ** k for k, c in enumerate(lower)),
+                                        Poly.zero(reg))
+        q, r = monic_div_rem(p, divisor, reg.d)
+        want_q, want_r = sympy.div(_to_sympy(p, sympy), _to_sympy(divisor, sympy),
+                                   sympy.Symbol("d"))
+        assert sympy.expand(_to_sympy(q, sympy) - want_q) == 0
+        assert sympy.expand(_to_sympy(r, sympy) - want_r) == 0

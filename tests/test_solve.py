@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from confalg.errors import UnsupportedSystemError
 from confalg.poly import Poly, Registry, parse_poly
-from confalg.solve import SolutionSet, rref, solve_system
+from confalg.solve import SolutionSet, rational_roots, rref, solve_system
 
 
 @pytest.fixture()
@@ -40,7 +40,7 @@ def test_quadratic_branching(reg):
     u, v = reg.var("u"), reg.var("v")
     sol = solve_system([P(reg, "u*v"), P(reg, "u + v - 1")], [u, v])
     assert renders(sol) == ["{u = 0; v = 1}", "{u = 1; v = 0}"]
-    assert all(f.is_point() for f in sol.families)
+    assert all(f.dim == 0 for f in sol.families)
 
 
 @pytest.mark.parametrize("monomial, zeroed", [
@@ -169,6 +169,22 @@ def test_rref_matches_sympy(rows):
     assert all(list(row) == sorted(row) and all(row.values()) for row in got)
     assert _dense(got, len(rows[0])) == [[Fraction(int(c.p), int(c.q)) for c in want.row(i)]
                                          for i in range(len(pivots))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRIES, max_size=4),
+       st.lists(_ENTRIES, min_size=1, max_size=4).filter(any))
+def test_rational_roots_match_sympy(roots, cofactor):
+    """A polynomial with the drawn rational roots times a random cofactor:
+    rational_roots agrees with sympy's roots restricted to Q."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = list(cofactor)
+    for r in roots:  # times (u - r), coefficients from u^0 up
+        coeffs = [lo - r * hi for lo, hi in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    u = sympy.Symbol("u")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * u ** k for k, c in enumerate(coeffs))
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, u, filter="Q"))
+    assert rational_roots(coeffs) == want
 
 
 def test_rref_accepts_integer_rows():
@@ -337,5 +353,5 @@ def test_affine_block_takes_one_depth_unit():
     u = [Poly.from_var(reg, v) for v in unknowns]
     eqs = [u[i] - u[i + 1] - 1 for i in range(449)] + [u[449]]
     sol = solve_system(eqs, unknowns)
-    assert len(sol) == 1 and sol.families[0].is_point()
+    assert len(sol) == 1 and sol.families[0].dim == 0
     assert sol.families[0].point() == {v: Fraction(449 - i) for i, v in enumerate(unknowns)}
