@@ -18,8 +18,15 @@ one.  Truncating at depth N (degrees 0 to N-1) yields a finite-dimensional
 Lie algebra whose solvability is decided exactly over the rationals.  Its
 structure constants come from one expansion per generator pair, with the
 binomial and falling-factorial rule applied in integer index arithmetic to
-rational coefficients; ``ann_bracket`` applies the same rule to polynomial
-coefficients.
+rational coefficients; ``ann_bracket`` and ``expanded_brackets`` apply the
+same rule to polynomial coefficients.
+
+A closed bracket formula is checked for every label at once: with M and N
+the internal indices of g_m and h_n, an expansion term of [g_x h] with
+coefficient c on x^j d^e k contributes c (M)_j (M + N - j)_e (-1)^e to
+k_(M + N - j - e), where (.)_j is the falling factorial.  This is a
+polynomial in the labels that vanishes exactly where the rule skips a term,
+so one identity in formal labels per generator pair proves the formula.
 """
 
 from __future__ import annotations
@@ -178,36 +185,104 @@ def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
     return [Fraction(t) - gen.label_offset for t in range(top + 1)]
 
 
+def _pair_brackets(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
+                   max_label: Fraction | int):
+    """Yield ``(m, n, [g_m, h_n])`` for all labels up to ``max_label`` from
+    one expansion of the pair ``(g, h)``."""
+    reg = alg.registry
+    for m in labels_through(g, max_label):
+        for n in labels_through(h, max_label):
+            terms = _coefficient_terms(expansion, int(m + g.label_offset),
+                                       int(n + h.label_offset))
+            yield m, n, AnnElement(reg, {AnnBasis(k, t - k.label_offset): c
+                                         for (k, t), c in terms.items()})
+
+
 def expanded_brackets(alg: ConformalAlgebra, max_label: Fraction | int):
     """Yield ``(g, m, h, n, [g_m, h_n])`` for every ordered generator pair
-    (in ``alg.ordered_pairs()`` order) and all labels up to ``max_label``."""
+    (in ``alg.ordered_pairs()`` order) and all labels up to ``max_label``.
+    Each pair's table entry is expanded once; every label pair then applies
+    the coefficient rule of ``ann_bracket`` to that expansion."""
     for g in alg.generators:
         for h in alg.generators:
-            for m in labels_through(g, max_label):
-                for n in labels_through(h, max_label):
-                    yield g, m, h, n, ann_bracket(alg, AnnBasis(g, m), AnnBasis(h, n))
+            expansion = _bracket_expansion(alg, g.name, h.name)
+            for m, n, value in _pair_brackets(alg, g, h, expansion, max_label):
+                yield g, m, h, n, value
 
 
-def closed_form_mismatches(alg: ConformalAlgebra, rows) -> list[str]:
-    """Compare already expanded brackets, given as ``(g, m, h, n, value)``
-    rows, against the algebra's closed formulas.  Returns the list of
-    disagreements, empty when the formulas match."""
+def _closed_rules(alg: ConformalAlgebra) -> dict:
+    """The algebra's closed-form rules per ordered generator-name pair, with
+    bound parameters at their values and unbound ones formal."""
     if alg.closed_ann_form is None:
         raise UnsupportedError(f"{alg.name} has no closed bracket formula attached")
-    mismatches = []
-    for g, m, h, n, got in rows:
-        want = alg.closed_ann_form(alg, g, m, h, n)
-        if got != want:
-            mismatches.append(f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
-                              f"!= closed form {want.render()}")
-    return mismatches
+    values: dict = {v.name: Poly.from_var(alg.registry, v) for v in alg.params}
+    values.update(alg.param_values)
+    return alg.closed_ann_form(**values)
+
+
+def closed_form_bracket(alg: ConformalAlgebra, g: Generator, m: Fraction,
+                        h: Generator, n: Fraction) -> AnnElement:
+    """[g_m, h_n] from the algebra's closed formulas at rational labels."""
+    reg = alg.registry
+    terms = {}
+    for (kname, shift), coeff in _closed_rules(alg)[(g.name, h.name)](m, n).items():
+        p = coeff if isinstance(coeff, Poly) else Poly.const(reg, coeff)
+        if not p.is_zero():
+            terms[AnnBasis(alg.gen(kname), m + n + shift)] = p
+    return AnnElement(reg, terms)
+
+
+def _falling(value, k: int):
+    """The falling factorial value (value - 1) ... (value - k + 1) of k factors."""
+    return math.prod((value - i for i in range(k)), start=1)
+
+
+def _identity_holds(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
+                    rule) -> bool:
+    """Whether one pair's expansion equals its closed rule as polynomials in
+    formal labels m and n, keyed by (target, shift) with target label
+    m + n + shift.  The labels are written in the formal variables y and z,
+    which no coefficient-algebra coefficient uses, so the registry does not
+    grow."""
+    reg = alg.registry
+    m, n = Poly.from_var(reg, reg.y), Poly.from_var(reg, reg.z)
+    left = m + g.label_offset
+    total = left + n + h.label_offset
+    diff = {key: -c for key, c in rule(m, n).items()}
+    for j, k, e, c in expansion:
+        key = (k.name, g.label_offset + h.label_offset - j - e - k.label_offset)
+        term = c * _falling(left, j) * _falling(total - j, e) * (-1) ** e
+        diff[key] = diff[key] + term if key in diff else term
+    return not any(diff.values())
 
 
 def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -> list[str]:
-    """Check the expanded bracket against the algebra's closed formulas for
-    every ordered basis pair with labels up to ``max_label``.  Returns the
-    list of disagreements, empty when the formulas match."""
-    return closed_form_mismatches(alg, expanded_brackets(alg, max_label))
+    """Check the expanded bracket against the algebra's closed formulas.
+
+    Each ordered generator pair is expanded once and compared with its closed
+    rule as one polynomial identity in formal labels m and n: an expansion
+    term c x^j d^e k of [g_x h] gives c (M)_j (M + N - j)_e (-1)^e at target
+    k and shift off_g + off_h - j - e - off_k, with M = m + off_g,
+    N = n + off_h and (.)_j the falling factorial.  At nonnegative internal
+    indices the falling factorials vanish exactly where the expansion skips a
+    term, so a pair whose identity holds matches at every label.  Only a pair
+    whose identity fails is compared label by label, up to ``max_label`` in
+    ``expanded_brackets`` order.  Returns those disagreements, empty when the
+    formulas match; ``max_label`` bounds only which mismatches are listed.
+    """
+    rules = _closed_rules(alg)
+    mismatches = []
+    for g in alg.generators:
+        for h in alg.generators:
+            expansion = _bracket_expansion(alg, g.name, h.name)
+            if _identity_holds(alg, g, h, expansion, rules[(g.name, h.name)]):
+                continue
+            for m, n, got in _pair_brackets(alg, g, h, expansion, max_label):
+                want = closed_form_bracket(alg, g, m, h, n)
+                if got != want:
+                    mismatches.append(f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
+                                      f"!= closed form {want.render()}")
+    return mismatches
 
 
 def filtration_check(alg: ConformalAlgebra, max_label: Fraction | int = 6) -> list[str]:

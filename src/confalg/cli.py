@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, format_params, parse_algebra
-from .annihilation import closed_form_mismatches, expanded_brackets, truncated_quotient
+from .annihilation import compare_closed_form, expanded_brackets, truncated_quotient
 from .errors import DiscrepancyError, DivisibilityError, UnsupportedError, WorkbenchError
 from .modules import irreducibility_verdict, rank1_classify, submodule_scan
 from .presets import PRESET_NAMES, instantiate, named_module
@@ -173,7 +173,7 @@ def _cmd_ann(args) -> tuple[bool, str]:
     rows = list(expanded_brackets(alg, bound))
     mismatches: list[str] | None = None
     if alg.closed_ann_form is not None:
-        mismatches = closed_form_mismatches(alg, rows)
+        mismatches = compare_closed_form(alg, bound)
     ok = not mismatches
     closed = "unavailable" if mismatches is None else "fail" if mismatches else "pass"
     if args.format == "json":

@@ -13,10 +13,17 @@ Available presets:
 
 Each preset carries a closed formula for its coefficient-algebra bracket,
 used to cross-check the general binomial expansion, and enough metadata
-(label offsets, filtration shifts) for truncations.  ``rank1_module`` builds
-the standard modules: the Virasoro generator acts by d + alpha*x + beta and
-at most one other generator can act by a constant gamma, precisely when the
-module identity allows it.
+(label offsets, filtration shifts) for truncations.  The closed formula is a
+function of the structure parameters (keyword arguments by name) returning
+one rule per ordered generator pair; a rule maps the labels (m, n) to
+``{(target generator, shift): coefficient}`` for the target label
+m + n + shift.  The rules use plain arithmetic, so they accept rational
+labels and parameter values as well as formal ``Poly``s.  Each coefficient
+is a polynomial of degree <= 2 in the labels, so ``compare_closed_form``
+checks a rule as one identity in formal m and n, which holds at every label.
+``rank1_module`` builds the standard modules: the Virasoro generator acts by
+d + alpha*x + beta and at most one other generator can act by a constant
+gamma, precisely when the module identity allows it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from typing import Mapping
 from .errors import BindingError, DefinitionError, ParseError, UnsupportedError
 from .poly import Poly, Registry
 from .algebra import ConformalAlgebra, Generator, LambdaElement
-from .annihilation import AnnBasis, AnnElement
 from .modules import Rank1Action, check_module
 
 PRESET_NAMES = ("vir", "w", "wb", "tsv", "tsvc")
@@ -42,39 +48,21 @@ PRESET_PARAMS: dict[str, tuple[str, ...]] = {
 
 
 def _closed_form(rules):
-    """Wrap per-pair label formulas into a checker-facing callable.
-
-    ``rules`` maps generator-name pairs to functions (alg, m, n) returning
-    {(target name, target label): coefficient}; missing pairs fall back to
-    the mirrored rule with a sign flip.  Structure parameter bindings of the
-    algebra are substituted into the coefficients.
-    """
-    def closed(alg: ConformalAlgebra, g: Generator, m: Fraction,
-               h: Generator, n: Fraction) -> AnnElement:
-        reg = alg.registry
-        key = (g.name, h.name)
-        if key in rules:
-            raw = rules[key](alg, m, n)
-        else:
-            raw = {t: -c for t, c in rules[(h.name, g.name)](alg, n, m).items()}
-        binding = {reg.var(nm): val for nm, val in alg.param_values.items()}
-        terms = {}
-        for (kname, label), coeff in raw.items():
-            p = coeff if isinstance(coeff, Poly) else Poly.const(reg, coeff)
-            p = p.subs(binding)
-            if p.is_zero():
-                continue
-            terms[AnnBasis(alg.gen(kname), label)] = p
-        return AnnElement(reg, terms)
-    return closed
+    """Complete per-pair label rules: a missing pair is the mirrored rule
+    with its labels swapped and its sign flipped."""
+    out = dict(rules)
+    for (g, h), rule in rules.items():
+        if (h, g) not in out:
+            out[(h, g)] = lambda m, n, rule=rule: {t: -c for t, c in rule(n, m).items()}
+    return out
 
 
-def _pvar(alg: ConformalAlgebra, name: str) -> Poly:
-    return Poly.from_var(alg.registry, alg.registry.var(name))
+def _witt(m, n):
+    return {("L", 0): m - n}
 
 
-def _witt(alg, m, n):
-    return {("L", m + n): Fraction(m - n)}
+def _abelian(m, n):
+    return {}
 
 
 def _build_vir() -> ConformalAlgebra:
@@ -82,7 +70,10 @@ def _build_vir() -> ConformalAlgebra:
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
     L = Generator("L", Fraction(1), Fraction(0))
     table = {("L", "L"): LambdaElement(reg, {L: d + 2 * x})}
-    closed = _closed_form({("L", "L"): _witt})
+
+    def closed():
+        return _closed_form({("L", "L"): _witt})
+
     return ConformalAlgebra("vir", reg, [L], table, (), closed_ann_form=closed)
 
 
@@ -99,15 +90,13 @@ def _build_w() -> ConformalAlgebra:
         ("W", "W"): LambdaElement(reg),
     }
 
-    def lw(alg, m, n):
-        return {("W", m + n): (_pvar(alg, "a") - 1) * (m + 1) - n,
-                ("W", m + n + 1): _pvar(alg, "b")}
+    def closed(a, b):
+        return _closed_form({
+            ("L", "L"): _witt,
+            ("L", "W"): lambda m, n: {("W", 0): (a - 1) * (m + 1) - n, ("W", 1): b},
+            ("W", "W"): _abelian,
+        })
 
-    closed = _closed_form({
-        ("L", "L"): _witt,
-        ("L", "W"): lw,
-        ("W", "W"): lambda alg, m, n: {},
-    })
     return ConformalAlgebra("w", reg, [L, W], table, (a, b), closed_ann_form=closed)
 
 
@@ -124,14 +113,13 @@ def _build_wb() -> ConformalAlgebra:
         ("W", "W"): LambdaElement(reg),
     }
 
-    def lw(alg, m, n):
-        return {("W", m + n): -_pvar(alg, "b") * (m + 1) - n}
+    def closed(b):
+        return _closed_form({
+            ("L", "L"): _witt,
+            ("L", "W"): lambda m, n: {("W", 0): -b * (m + 1) - n},
+            ("W", "W"): _abelian,
+        })
 
-    closed = _closed_form({
-        ("L", "L"): _witt,
-        ("L", "W"): lw,
-        ("W", "W"): lambda alg, m, n: {},
-    })
     return ConformalAlgebra("wb", reg, [L, W], table, (b,), closed_ann_form=closed)
 
 
@@ -156,25 +144,17 @@ def _build_tsv() -> ConformalAlgebra:
         ("M", "M"): LambdaElement(reg),
     }
 
-    def ly(alg, m, p):
-        return {("Y", m + p): (_pvar(alg, "a") - 1) * (m + 1) - (p + Fraction(1, 2)),
-                ("Y", m + p + 1): _pvar(alg, "b")}
+    def closed(a, b):
+        return _closed_form({
+            ("L", "L"): _witt,
+            ("L", "Y"): lambda m, p: {("Y", 0): (a - 1) * (m + 1) - (p + Fraction(1, 2)),
+                                      ("Y", 1): b},
+            ("L", "M"): lambda m, n: {("M", 0): (2 * a - 3) * (m + 1) - n, ("M", 1): 2 * b},
+            ("Y", "Y"): lambda p, q: {("M", 0): p - q},
+            ("Y", "M"): _abelian,
+            ("M", "M"): _abelian,
+        })
 
-    def lm(alg, m, n):
-        return {("M", m + n): (2 * _pvar(alg, "a") - 3) * (m + 1) - n,
-                ("M", m + n + 1): 2 * _pvar(alg, "b")}
-
-    def yy(alg, p, q):
-        return {("M", p + q): Fraction(p - q)}
-
-    closed = _closed_form({
-        ("L", "L"): _witt,
-        ("L", "Y"): ly,
-        ("L", "M"): lm,
-        ("Y", "Y"): yy,
-        ("Y", "M"): lambda alg, p, n: {},
-        ("M", "M"): lambda alg, m, n: {},
-    })
     return ConformalAlgebra("tsv", reg, [L, Y, M], table, (a, b), closed_ann_form=closed)
 
 
@@ -193,26 +173,16 @@ def _build_tsvc() -> ConformalAlgebra:
         ("M", "M"): LambdaElement(reg),
     }
 
-    def ly(alg, m, p):
-        return {("Y", m + p): Fraction(m, 2) - p,
-                ("Y", m + p + 1): _pvar(alg, "c")}
+    def closed(c):
+        return _closed_form({
+            ("L", "L"): _witt,
+            ("L", "Y"): lambda m, p: {("Y", 0): m / 2 - p, ("Y", 1): c},
+            ("L", "M"): lambda m, n: {("M", 0): -(m + 1) - n, ("M", 1): 2 * c},
+            ("Y", "Y"): lambda p, q: {("M", -1): (p - q) * (p + q), ("M", 0): 2 * c * (q - p)},
+            ("Y", "M"): _abelian,
+            ("M", "M"): _abelian,
+        })
 
-    def lm(alg, m, n):
-        return {("M", m + n): Fraction(-(m + 1) - n),
-                ("M", m + n + 1): 2 * _pvar(alg, "c")}
-
-    def yy(alg, p, q):
-        return {("M", p + q - 1): Fraction((p - q) * (p + q)),
-                ("M", p + q): 2 * _pvar(alg, "c") * (q - p)}
-
-    closed = _closed_form({
-        ("L", "L"): _witt,
-        ("L", "Y"): ly,
-        ("L", "M"): lm,
-        ("Y", "Y"): yy,
-        ("Y", "M"): lambda alg, p, n: {},
-        ("M", "M"): lambda alg, m, n: {},
-    })
     return ConformalAlgebra("tsvc", reg, [L, Y, M], table, (c,), closed_ann_form=closed)
 
 

@@ -18,8 +18,11 @@ from confalg import (
     FiniteLie,
     LabelError,
     LambdaElement,
+    Poly,
     UnsupportedError,
+    WorkbenchError,
     ann_bracket,
+    build_report,
     compare_closed_form,
     filtration_check,
     instantiate,
@@ -27,6 +30,7 @@ from confalg import (
     partial_action,
     truncated_quotient,
 )
+from confalg.annihilation import closed_form_bracket, expanded_brackets
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
 PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
@@ -199,10 +203,198 @@ class TestBracket:
                     assert image.coeff(AnnBasis(g, m - 1)) == Fraction(-a.internal)
 
 
+# Parameter points of the benchmark workloads: the acceptance grids first,
+# then off-grid rationals.
+_A_VALUES = ("0", "1/2", "1", "3/2", "2", "-1", "1/3", "5/2")
+_B_VALUES = ("0", "1", "-1")
+_LINE_VALUES = ("0", "1/2", "1", "3/2", "2", "-1", "1/3", "-1/2", "3", "5/2",
+                "3/4", "-2", "2/3", "4", "-3/2", "1/4", "5", "-3", "7/2", "-1/3")
+GRID_POINTS = ([("vir", None)]
+               + [(preset, {"a": Fraction(a), "b": Fraction(b)})
+                  for preset in ("w", "tsv") for b in _B_VALUES for a in _A_VALUES]
+               + [("wb", {"b": Fraction(v)}) for v in _LINE_VALUES]
+               + [("tsvc", {"c": Fraction(v)}) for v in _LINE_VALUES])
+
+
+def _outcome(fn):
+    """``fn()``, or the type and message of the WorkbenchError it raises."""
+    try:
+        return fn()
+    except WorkbenchError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _bracket_rows(alg, max_label):
+    """``(g, m, h, n, [g_m, h_n])`` for every ordered basis pair with labels
+    up to ``max_label``, one ``ann_bracket`` call each."""
+    for g in alg.generators:
+        for h in alg.generators:
+            for m in labels_through(g, max_label):
+                for n in labels_through(h, max_label):
+                    yield g, m, h, n, ann_bracket(alg, AnnBasis(g, m), AnnBasis(h, n))
+
+
+def _reference_rows(alg, rows):
+    """The per-label comparison of expanded ``rows`` with the closed
+    formulas, as ``(m, n, outcome)``.  The outcome is None on agreement, the
+    mismatch string, or the error of the closed form."""
+    for g, m, h, n, got in rows:
+        want = _outcome(lambda: closed_form_bracket(alg, g, m, h, n))
+        if isinstance(want, tuple):
+            yield m, n, want
+        elif got != want:
+            yield m, n, (f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
+                         f"!= closed form {want.render()}")
+        else:
+            yield m, n, None
+
+
+def _reference_by_bound(alg, top, expand=_bracket_rows):
+    """The per-label comparison's result at every label bound 0..top: the
+    mismatch list, or the first error met in row order."""
+    rows = list(_reference_rows(alg, expand(alg, top)))
+    out = {}
+    for bound in range(top + 1):
+        result = []
+        for m, n, row in rows:
+            if m > bound or n > bound or row is None:
+                continue
+            if isinstance(row, tuple):
+                result = row
+                break
+            result.append(row)
+        out[bound] = result
+    return out
+
+
+def _bumped_tables(alg):
+    """Copies of ``alg`` with one table entry bumped by a monomial times a
+    generator, as acceptance criterion 1 mutates them."""
+    reg = alg.registry
+    for a, b in alg.ordered_pairs():
+        entry = alg.entry(a, b)
+        for g in alg.generators:
+            monos = sorted({()} | {m for m, _ in entry.coeff(g).terms()})
+            for mono in monos:
+                bump = Poly.one(reg)
+                for index, exponent in mono:
+                    bump = bump * Poly.from_var(reg, reg.all_vars()[index]) ** exponent
+                yield alg.with_entry(a, b, entry + LambdaElement(reg, {g: bump}))
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_expansion_matches_closed_form(self, preset):
         assert compare_closed_form(instantiate(preset), 4) == []
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_identity_matches_per_label_on_formal_presets(self, preset):
+        alg = instantiate(preset)
+        reference = _reference_by_bound(alg, 10)
+        for bound in range(11):
+            assert compare_closed_form(alg, bound) == reference[bound] == []
+
+    @pytest.mark.parametrize("preset,bindings", GRID_POINTS)
+    def test_identity_matches_per_label_at_grid_points(self, preset, bindings):
+        # expanded_brackets is pinned to ann_bracket below; it keeps the 88
+        # points cheap.
+        alg = instantiate(preset, bindings)
+        reference = _reference_by_bound(alg, 10, expanded_brackets)
+        for bound in range(11):
+            assert compare_closed_form(alg, bound) == reference[bound] == []
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_identity_matches_per_label_on_mutated_tables(self, preset):
+        failing = 0
+        for alg in _bumped_tables(instantiate(preset)):
+            reference = _reference_by_bound(alg, 2)
+            for bound in range(3):
+                assert _outcome(lambda: compare_closed_form(alg, bound)) == reference[bound]
+            failing += reference[2] != []
+        assert failing > 0
+
+    def test_mismatches_of_several_pairs_keep_row_order(self):
+        # Two failing pairs, (Y, M) before (M, L), and labels up to 10, where
+        # row order differs from string order.
+        alg = instantiate("tsv")
+        reg = alg.registry
+        for a, b, g in (("Y", "M", "M"), ("M", "L", "L")):
+            bump = LambdaElement(reg, {alg.gen(g): Poly.one(reg)})
+            alg = alg.with_entry(a, b, alg.entry(a, b) + bump)
+        reference = _reference_by_bound(alg, 10)
+        assert reference[10] != sorted(reference[10])
+        for bound in range(11):
+            assert compare_closed_form(alg, bound) == reference[bound]
+
+    def test_closed_form_on_an_invalid_label_raises_as_per_label(self):
+        # A closed-form term one label below [L_m, W_n] lands on W_-1 at
+        # m = -1, n = 0, where the expansion has no term.
+        alg = instantiate("w", {"a": 2, "b": 1})
+        rules = alg.closed_ann_form
+
+        def bumped(**values):
+            out = dict(rules(**values))
+            lw = out[("L", "W")]
+            out[("L", "W")] = lambda m, n: {**lw(m, n), ("W", -1): 1}
+            return out
+
+        alg.closed_ann_form = bumped
+        reference = _reference_by_bound(alg, 4)
+        assert reference[0][0] == "LabelError"
+        for bound in range(5):
+            assert _outcome(lambda: compare_closed_form(alg, bound)) == reference[bound]
+
+    def test_report_lists_the_first_mismatches(self):
+        alg = instantiate("w")
+        reg = alg.registry
+        bump = LambdaElement(reg, {alg.gen("W"): Poly.from_var(reg, reg.x)})
+        mutated = alg.with_entry("L", "W", alg.entry("L", "W") + bump)
+        reference = _reference_by_bound(mutated, 6)[6]
+        assert len(reference) > 5
+        ann = build_report(mutated)["annihilation"]
+        assert ann["closed_form"] == "fail"
+        assert ann["mismatches"] == reference[:5]
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_expanded_brackets_match_ann_bracket(self, preset):
+        alg = instantiate(preset)
+        assert list(expanded_brackets(alg, 4)) == list(_bracket_rows(alg, 4))
+
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS]
+                             + PRESET_BINDINGS)
+    def test_one_expansion_per_pair_and_no_bracket_calls(self, preset, bindings, monkeypatch):
+        import confalg.annihilation as annihilation
+        expansions = []
+        expand = annihilation._bracket_expansion
+
+        def counting_expansion(alg, gname, hname):
+            expansions.append((gname, hname))
+            return expand(alg, gname, hname)
+
+        def no_bracket(*args):
+            raise AssertionError("ann_bracket or a per-label comparison called")
+
+        monkeypatch.setattr(annihilation, "_bracket_expansion", counting_expansion)
+        monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
+        monkeypatch.setattr(annihilation, "closed_form_bracket", no_bracket)
+        alg = instantiate(preset, bindings)
+        assert compare_closed_form(alg, 6) == []
+        assert expansions == alg.ordered_pairs()
+        expansions.clear()
+        rows = list(expanded_brackets(alg, 6))
+        assert expansions == alg.ordered_pairs()
+        assert len(rows) == sum(len(labels_through(g, 6)) * len(labels_through(h, 6))
+                                for g in alg.generators for h in alg.generators)
+
+    def test_check_registers_no_variable(self):
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        size = len(alg.registry)
+        assert compare_closed_form(alg, 6) == []
+        assert len(alg.registry) == size
+        assert compare_closed_form(alg, 6) == []
+        assert len(alg.registry) == size
+        fresh = instantiate("tsv", {"a": 1, "b": 0})
+        assert json.dumps(build_report(alg)) == json.dumps(build_report(fresh))
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_degree_filtration(self, preset):

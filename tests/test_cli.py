@@ -192,20 +192,27 @@ class TestAnn:
         assert "closed form: pass" in out
 
     def test_each_bracket_expanded_once(self, capsys, monkeypatch):
+        # The rows expand each generator pair once, the closed-form identity
+        # once more, and neither calls ann_bracket.
         import confalg.annihilation as annihilation
         calls = []
-        bracket = annihilation.ann_bracket
+        expand = annihilation._bracket_expansion
 
-        def counting(alg, left, right):
-            calls.append((left, right))
-            return bracket(alg, left, right)
+        def counting(alg, gname, hname):
+            calls.append((gname, hname))
+            return expand(alg, gname, hname)
 
-        monkeypatch.setattr(annihilation, "ann_bracket", counting)
+        def no_bracket(*args):
+            raise AssertionError("ann called ann_bracket")
+
+        monkeypatch.setattr(annihilation, "_bracket_expansion", counting)
+        monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
         code, out, _ = run(capsys, ["ann", "w", "--degree", "2"])
         assert code == 0
         assert "closed form: pass" in out
-        rows = out.count(" = ")
-        assert len(calls) == len(set(calls)) == rows == 49
+        assert out.count(" = ") == 49
+        pairs = [("L", "L"), ("L", "W"), ("W", "L"), ("W", "W")]
+        assert calls == pairs + pairs
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, ["ann", "tsv", "--param", "a=0", "b=0",

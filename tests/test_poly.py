@@ -282,6 +282,20 @@ class TestRingLaws:
         assert sympy.expand(_to_sympy(p.subs(mapping), sympy) - want) == 0
 
     @settings(max_examples=100, deadline=None)
+    @given(_poly_triples(), st.integers(0, 3),
+           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    def test_ring_ops_match_sympy(self, triple, k, value):
+        sympy = pytest.importorskip("sympy")
+        p, q, _ = triple
+        sp, sq = _to_sympy(p, sympy), _to_sympy(q, sympy)
+        a = p.registry.var("a")
+        pairs = [(p + q, sp + sq), (p - q, sp - sq), (p * q, sp * sq), (p ** k, sp ** k),
+                 (p.subs({a: value}),
+                  sp.subs(sympy.Symbol("a"), sympy.Rational(value.numerator, value.denominator)))]
+        for got, want in pairs:
+            assert sympy.expand(_to_sympy(got, sympy) - want) == 0
+
+    @settings(max_examples=100, deadline=None)
     @given(_polys())
     def test_render_parse_round_trip(self, p):
         # _polys draws negative and fractional coefficients, so this covers

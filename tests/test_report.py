@@ -150,6 +150,23 @@ class TestBuildReport:
         assert data["truncation"]["depth"] == 2
         assert data["truncation"]["dim"] == 2
 
+    def test_only_the_sample_brackets_call_ann_bracket(self, monkeypatch):
+        import confalg.annihilation as annihilation
+        import confalg.report as report
+        calls = []
+        bracket = annihilation.ann_bracket
+
+        def counting(alg, left, right):
+            calls.append((str(left), str(right)))
+            return bracket(alg, left, right)
+
+        monkeypatch.setattr(report, "ann_bracket", counting)
+        monkeypatch.setattr(annihilation, "ann_bracket", counting)
+        data = build_report(instantiate("tsv", {"a": 0, "b": 0}))
+        assert data["annihilation"]["closed_form"] == "pass"
+        assert calls == [(s["left"], s["right"]) for s in data["annihilation"]["samples"]]
+        assert len(calls) == 9
+
 
 class TestRenderers:
     def test_text_round_trips_through_json(self, vir):
