@@ -32,10 +32,9 @@ so families are compared as canonical solution families over them and
 become actions only for output.  Because the formal treatment only finds
 actions valid for every (alpha, beta), a rational grid of (alpha, beta)
 values is re-solved independently and any family on one side only raises
-DiscrepancyError.  Each stage-one residual is built once per
-classification: a grid point specialises the symbolic residuals by
-substituting its (alpha, beta) values, but extracts and solves the
-resulting equations on its own.
+DiscrepancyError.  Each stage-one residual is built and split into
+equations once per classification: a grid point folds the symbolic
+equations with its (alpha, beta) values, then solves them on its own.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
                      UnsupportedError)
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
                       parse_algebra)
-from .poly import PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem, parse_poly
+from .poly import (PARAMETER, Mono, Poly, Registry, Var, group_coefficients, monic_div_rem,
+                   parse_poly, weighted_sum)
 from .solve import SolutionFamily, SolutionSet, _compose, rational_roots, solve_system
 
 
@@ -176,11 +176,13 @@ def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
     d, x, y = reg.d, reg.x, reg.y
     dp, xp, yp = (Poly.from_var(reg, v) for v in (d, x, y))
     A, B = actions[aname], actions[bname]
-    t1 = A * B.subs({d: dp + xp, x: yp})
-    t2 = B.substitute(x, yp) * A.substitute(d, dp + yp)
     t3 = Poly.zero(reg)
     for k, coeff in alg.entry(aname, bname).items():
         t3 = t3 + coeff.subs({d: -(xp + yp)}) * actions[k.name].substitute(x, xp + yp)
+    if A.is_zero() or B.is_zero():  # both products vanish
+        return -t3
+    t1 = A * B.subs({d: dp + xp, x: yp})
+    t2 = B.substitute(x, yp) * A.substitute(d, dp + yp)
     return t1 - t2 - t3
 
 
@@ -261,16 +263,32 @@ def vir_completeness(max_degree: int) -> list[Poly]:
 
 
 class _Branch:
-    """Stage-one residuals of the staged search for one Virasoro action f:
-    the Virasoro generator paired with each other generator."""
+    """Stage-one equations of the staged search for one Virasoro action f:
+    the coefficients, in the generic coefficients, of the Virasoro
+    generator's pair residual with each other generator.
 
-    __slots__ = ("f", "stage1")
+    ``groups`` holds, per generator and monomial in d, x and y, the equations
+    under each monomial in f's parameters (alpha and beta when f is
+    symbolic).  Substituting the parameters commutes with grouping by the
+    d, x, y monomials, so a point's equations are the groups folded with
+    their parameter monomials' values."""
 
-    def __init__(self, f: Poly, stage1: tuple[Poly, ...]):
-        self.f, self.stage1 = f, stage1
+    __slots__ = ("f", "stage1", "groups")
+
+    def __init__(self, f: Poly, stage1: tuple[Poly, ...],
+                 groups: tuple[tuple[tuple[Mono, Poly], ...], ...] = ()):
+        self.f, self.stage1, self.groups = f, stage1, groups
 
     def specialise(self, point: Mapping[Var, Fraction]) -> "_Branch":
-        return _Branch(self.f.subs(point), tuple(r.subs(point) for r in self.stage1))
+        """The branch at a point of f's parameters; zero sums are dropped."""
+        values = {v.index: value for v, value in point.items()}
+        monos = {mono for group in self.groups for mono, _ in group}
+        weights = {mono: math.prod((values[i] ** e for i, e in mono), start=Fraction(1))
+                   for mono in monos}
+        reg = self.f.registry
+        folded = (weighted_sum(reg, ((weights[mono], eq) for mono, eq in group))
+                  for group in self.groups)
+        return _Branch(self.f.subs(point), tuple(eq for eq in folded if not eq.is_zero()))
 
 
 class _Ansatz:
@@ -291,13 +309,22 @@ class _Ansatz:
             self.owner.update((v, g.name) for v in uvars)
 
     def residuals(self, f: Poly) -> _Branch:
-        """The stage-one residuals for the Virasoro action f."""
-        alg, vname = self.alg, self.virasoro.name
+        """The stage-one equations for the Virasoro action f, each residual
+        split once and grouped for specialising f's parameters."""
+        alg, vname, reg = self.alg, self.virasoro.name, self.alg.registry
         actions = {vname: f, **self.actions}
         if not _rank1_residual(alg, actions, vname, vname).is_zero():
             raise UnsupportedError("the proposed Virasoro action fails its own pair identity")
-        return _Branch(f, tuple(_rank1_residual(alg, actions, vname, g.name)
-                                for g in self.others))
+        params = {v.index for v in f.variables() if v is not reg.d and v is not reg.x}
+        stage1, groups = [], {}
+        for g in self.others:
+            residual = _rank1_residual(alg, actions, vname, g.name)
+            for mono, eq in group_coefficients(residual, self.unknowns).items():
+                stage1.append(eq)
+                outer = tuple(t for t in mono if t[0] not in params)
+                inner = tuple(t for t in mono if t[0] in params)
+                groups.setdefault((g.name, outer), []).append((inner, eq))
+        return _Branch(f, tuple(stage1), tuple(tuple(group) for group in groups.values()))
 
     def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
         """The actions of a solution family under the Virasoro action f."""
@@ -329,11 +356,8 @@ class _Ansatz:
         the relations among the family's free coefficients; each stage-two
         solution is composed with its stage-one family.
         """
-        stage1 = []
-        for residual in branch.stage1:
-            stage1 += _extract(residual, self.unknowns)
         raw = []
-        for fam in solve_system(stage1, self.unknowns):
+        for fam in solve_system(branch.stage1, self.unknowns):
             subs = solve_system(self.stage_two(branch.f, fam), fam.free)
             raw += _compose(fam.solved, [sub.solved for sub in subs])
         return SolutionSet.from_assignments(self.unknowns, raw, self.alg.registry)
@@ -414,9 +438,9 @@ _GRID_BETAS = (Fraction(0), Fraction(1))
 def _grid_cross_check(ansatz: _Ansatz, symbolic: _Branch, expected: SolutionSet):
     """Re-solve the classification at rational (alpha, beta) points and
     demand the symbolic branch's families; sporadic extras would invalidate
-    the formal stage.  Each point specialises the symbolic residuals and
-    solves them from scratch.  A disagreement names every family found on
-    one side only, rendered as actions at the grid point."""
+    the formal stage.  Each point specialises the symbolic stage-one
+    equations and solves them from scratch.  A disagreement names every
+    family found on one side only, rendered as actions at the grid point."""
     alg = ansatz.alg
     alpha, beta = alg.registry.param("alpha"), alg.registry.param("beta")
     for a0 in _GRID_ALPHAS:

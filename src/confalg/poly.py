@@ -634,6 +634,20 @@ def group_coefficients(p: Poly, unknowns: Iterable[Var]) -> dict[Mono, Poly]:
     }
 
 
+def weighted_sum(registry: Registry, pairs: Iterable[tuple[Fraction, Poly]]) -> Poly:
+    """The sum of ``weight * p`` over ``pairs``, in one accumulator: zero
+    weights are skipped and unit weights add ``p``'s coefficients as they are."""
+    out: dict[Mono, Fraction] = {}
+    for weight, p in pairs:
+        if not weight:
+            continue
+        for m, c in p._terms.items():
+            if weight != 1:
+                c = c * weight
+            out[m] = out[m] + c if m in out else c
+    return Poly(registry, out)
+
+
 # ---- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

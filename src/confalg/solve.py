@@ -265,12 +265,22 @@ def _affine_sqrt(p: Poly) -> Poly | None:
     return None
 
 
+def _equation_key(eq: Poly):
+    return eq.total_degree(), len(eq._terms), eq.signature()
+
+
 def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:
+    """The nonzero equations, deduplicated.  A system with an affine equation
+    keeps its order: the solver's next step reduces the affine block in one
+    ``rref``, which ignores row order, and normalises the substituted rest
+    again.  Only a system without one is sorted, for the branching tiers."""
     uniq = {}
+    affine = False
     for eq in eqs:
         if not eq.is_zero():
             uniq[eq] = None
-    return tuple(sorted(uniq, key=lambda e: (e.total_degree(), len(e._terms), e.signature())))
+            affine = affine or eq.total_degree() <= 1
+    return tuple(uniq) if affine else tuple(sorted(uniq, key=_equation_key))
 
 
 # ---- core search ------------------------------------------------------------
@@ -303,7 +313,8 @@ def _solve(eqs: Iterable[Poly], memo: dict, depth: int) -> list[dict[Var, Poly]]
     if hit is not None:
         return hit
     if depth <= 0:
-        raise UnsupportedSystemError("branch depth exhausted while triangularizing", eqs[0])
+        raise UnsupportedSystemError("branch depth exhausted while triangularizing",
+                                     min(eqs, key=_equation_key))
     result = _solve_step(eqs, memo, depth)
     memo[key] = result
     return result

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from confalg.cli import main
 
@@ -442,3 +445,48 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+# Module names over the characters a name can hold, with rational components
+# mixed in so that some names scan.  Components stay small:
+# ``M_0_<c>`` makes the scan find the rational roots of d + c by trial
+# division, which is hopeless for a huge c.  A leading '-'
+# is left out, since argparse reads it as an option before any name is read.
+_NAME_CHARS = st.one_of(st.sampled_from("M_/-. "), st.characters(categories=("Nd", "L")))
+_COMPONENTS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+    st.decimals(min_value=-9, max_value=9, places=1).map(str),
+    st.text(_NAME_CHARS, max_size=3))
+_MODULE_NAMES = st.one_of(
+    st.lists(_COMPONENTS, min_size=2, max_size=4)
+    .map(lambda parts: "M" + "".join("_" + part for part in parts)),
+    st.text(_NAME_CHARS, max_size=7),
+).filter(lambda name: not name.startswith("-"))
+_SCANNED = [["vir"], ["w", "--param", "a=1", "b=0"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MODULE_NAMES)
+@example("M_1.5_0")
+@example("M_1e3_0")
+@example("M_1_ 2")
+@example("M_\u0661_\u0662")
+@example("M_0_1/0")
+@example("M_0_0_1")
+@example("zero")
+@example("M_alpha_beta")
+def test_fuzzed_module_name_scans_or_is_rejected(name):
+    """Every module name either scans or exits 2 with an ``error:`` line.  The
+    zero module and formal components are the only names that exit 3."""
+    for algebra, *params in _SCANNED:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["submodules", algebra, name, "--degree", "1", *params])
+        if code == 3:
+            assert err.getvalue().startswith("unsupported: "), err.getvalue()
+            assert name.strip() in ("zero", "trivial") or "alpha" in name or "beta" in name \
+                or "gamma" in name
+        else:
+            assert code in (0, 2), (code, err.getvalue())
+            assert err.getvalue().startswith("error: ") if code else not err.getvalue()
+            assert bool(out.getvalue()) == (code == 0)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg import (
+    PRESET_NAMES,
     AxiomReport,
     BindingError,
     DefinitionError,
@@ -55,6 +56,22 @@ def formal(alg, name):
     return Poly.from_var(reg, reg.param(name))
 
 
+STAGED_PRESETS = [("w", {"a": 1, "b": 0}), ("wb", {"b": 0}),
+                  ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})]
+
+
+def _unshortened_residual(alg, actions, aname, bname):
+    """The module identity's residual with both products always formed."""
+    reg = alg.registry
+    d, x, y = reg.d, reg.x, reg.y
+    dp, xp, yp = (Poly.from_var(reg, v) for v in (d, x, y))
+    A, B = actions[aname], actions[bname]
+    t3 = Poly.zero(reg)
+    for k, coeff in alg.entry(aname, bname).items():
+        t3 = t3 + coeff.subs({d: -(xp + yp)}) * actions[k.name].substitute(x, xp + yp)
+    return A * B.subs({d: dp + xp, x: yp}) - B.substitute(x, yp) * A.substitute(d, dp + yp) - t3
+
+
 class TestCheckModule:
     def test_standard_family_passes_symbolically(self, vir):
         action = rank1_module(vir, "alpha", "beta")
@@ -62,11 +79,39 @@ class TestCheckModule:
         assert check_module(vir, action).passed
 
     def test_zero_action_passes_everywhere(self):
-        for preset, bindings in [("vir", None), ("w", {"a": 2, "b": 1}),
-                                 ("wb", {"b": 0}), ("tsv", {"a": 1, "b": 0}),
-                                 ("tsvc", {"c": 1})]:
+        for preset, bindings in [("w", {"a": 2, "b": 1}), ("wb", {"b": 0}),
+                                 ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})] + \
+                [(name, None) for name in PRESET_NAMES]:
             alg = instantiate(preset, bindings)
             assert check_module(alg, zero_module(alg)).passed
+
+    @pytest.mark.parametrize("preset, bindings", [("vir", None)] + STAGED_PRESETS)
+    def test_zero_actions_leave_the_residual_unchanged(self, preset, bindings):
+        """Skipping the two products when an action is zero changes no
+        residual: the standard module with each generator in turn set to
+        zero, and the zero module."""
+        alg = instantiate(preset, bindings)
+        standard = dict(rank1_module(alg, "alpha", "beta",
+                                     "gamma" if gamma_carrier(alg) else None).items())
+        variants = [dict(standard, **{g.name: Poly.zero(alg.registry)}) for g in alg.generators]
+        for actions in variants + [dict(zero_module(alg).items())]:
+            for a, b in alg.ordered_pairs():
+                assert modules._rank1_residual(alg, actions, a, b) == \
+                    _unshortened_residual(alg, actions, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(STAGED_PRESETS), st.data())
+    def test_zero_actions_leave_drawn_residuals_unchanged(self, preset, data):
+        alg = instantiate(*preset)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)),
+                         max_size=4)
+        actions = {g.name: sum((c * d ** i * x ** j for c, i, j in data.draw(terms)),
+                               Poly.zero(reg)) for g in alg.generators}
+        for a, b in alg.ordered_pairs():
+            assert modules._rank1_residual(alg, actions, a, b) == \
+                _unshortened_residual(alg, actions, a, b)
 
     def test_constant_fails_off_the_carrier_locus(self):
         alg = instantiate("w", {"a": 2, "b": 0})
@@ -242,10 +287,6 @@ class TestClassification:
             rank1_classify(instantiate("w"), 2)
 
 
-STAGED_PRESETS = [("w", {"a": 1, "b": 0}), ("wb", {"b": 0}),
-                  ("tsv", {"a": 1, "b": 0}), ("tsvc", {"c": 1})]
-
-
 def _degree_two_ansatz(alg):
     virasoro = alg.virasoro_generator
     return modules._Ansatz(alg, virasoro, [g for g in alg.generators if g is not virasoro], 2)
@@ -292,12 +333,36 @@ class TestClassificationResiduals:
         a0, b0 = Fraction(-1), Fraction(1, 2)
         specialised = symbolic.specialise({alpha: a0, beta: b0})
         rebuilt = ansatz.residuals(d + a0 * x + b0)
-
-        def stage1(branch):
-            return {eq for r in branch.stage1 for eq in modules._extract(r, ansatz.unknowns)}
-
-        assert stage1(specialised) == stage1(rebuilt)
+        assert set(specialised.stage1) == set(rebuilt.stage1)
         assert specialised.f == rebuilt.f
+
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_specialised_equations_match_the_substituted_residuals(self, preset, bindings,
+                                                                   degree):
+        """Folding the grouped symbolic equations at a point gives the
+        equations of substituting the point into each whole stage-one
+        residual and splitting it again, on the grid and off it."""
+        alg = instantiate(preset, bindings)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha, beta = reg.param("alpha"), reg.param("beta")
+        f = d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta)
+        virasoro = alg.virasoro_generator
+        ansatz = modules._Ansatz(alg, virasoro,
+                                 [g for g in alg.generators if g is not virasoro], degree)
+        symbolic = ansatz.residuals(f)
+        actions = {virasoro.name: f, **ansatz.actions}
+        residuals = [modules._rank1_residual(alg, actions, virasoro.name, g.name)
+                     for g in ansatz.others]
+        points = list(itertools.product(modules._GRID_ALPHAS, modules._GRID_BETAS))
+        for a0, b0 in points + [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(3), Fraction(-2))]:
+            point = {alpha: a0, beta: b0}
+            reference = [eq for r in residuals
+                         for eq in modules._extract(r.subs(point), ansatz.unknowns)]
+            specialised = symbolic.specialise(point)
+            assert Counter(specialised.stage1) == Counter(reference)
+            assert specialised.f == f.subs(point)
 
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_stage_two_matches_the_substituted_generic_cross_residuals(self, preset, bindings):
@@ -316,8 +381,7 @@ class TestClassificationResiduals:
             cross = [modules._rank1_residual(alg, generic, g, h)
                      for i, g in enumerate(others) for h in others[i:]]
             branch = ansatz.residuals(f)
-            stage1 = [eq for r in branch.stage1 for eq in modules._extract(r, ansatz.unknowns)]
-            families = list(solve_system(stage1, ansatz.unknowns))
+            families = list(solve_system(branch.stage1, ansatz.unknowns))
             assert families
             for fam in families + [_probe_family(ansatz)]:
                 eqs = ansatz.stage_two(f, fam)
@@ -351,6 +415,42 @@ class TestClassificationResiduals:
         assert unchecked == (2 * 3, 2 * 3 + 2 * 3 + 2 * 9) == (6, 30)
         # Each of the 8 grid points adds the three cross pairs of its family.
         assert (len(generic), len(total)) == (6, 30 + 3 * 8) == (6, 54)
+
+    def test_grid_points_substitute_only_the_virasoro_action(self, monkeypatch):
+        """A work count, not a timing: in the grid cross-check the only
+        polynomial that mentions alpha or beta and gets substituted is the
+        Virasoro action, once per point, and no such polynomial is split
+        into coefficients."""
+        real_check, real_subs, real_group = (modules._grid_cross_check, Poly.subs,
+                                             modules.group_coefficients)
+        in_grid, substituted, grouped = [], [], []
+
+        def parametric(p):
+            return any(v.name in ("alpha", "beta") for v in p.variables())
+
+        def checking(*args):
+            in_grid.append(True)
+            try:
+                return real_check(*args)
+            finally:
+                in_grid.pop()
+
+        def subs(p, mapping):
+            if in_grid and parametric(p):
+                substituted.append(str(p))
+            return real_subs(p, mapping)
+
+        def grouping(p, unknowns):
+            if in_grid and parametric(p):
+                grouped.append(str(p))
+            return real_group(p, unknowns)
+
+        monkeypatch.setattr(modules, "_grid_cross_check", checking)
+        monkeypatch.setattr(Poly, "subs", subs)
+        monkeypatch.setattr(modules, "group_coefficients", grouping)
+        rank1_classify(instantiate("tsv", {"a": 1, "b": 0}), 3)
+        assert substituted == ["x*alpha + d + beta"] * 8
+        assert grouped == []
 
     def test_stage_one_is_one_elimination_step(self, monkeypatch):
         """Stage one is affine, so the solver reduces it in a single step."""

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confalg import solve as solve_module
 from confalg.errors import UnsupportedSystemError
 from confalg.poly import Poly, Registry, parse_poly
 from confalg.solve import SolutionSet, rational_roots, rref, solve_system
@@ -355,3 +356,55 @@ def test_affine_block_takes_one_depth_unit():
     sol = solve_system(eqs, unknowns)
     assert len(sol) == 1 and sol.families[0].dim == 0
     assert sol.families[0].point() == {v: Fraction(449 - i) for i, v in enumerate(unknowns)}
+
+
+# ---- equation order ----------------------------------------------------------
+
+
+def _outcome(eqs, unknowns):
+    """The rendered solution set, or the message of the error raised."""
+    try:
+        return solve_system(eqs, unknowns).render()
+    except UnsupportedSystemError as exc:
+        return f"error: {exc}"
+
+
+@st.composite
+def _mixed_systems(draw):
+    """Affine equations next to products of two affine forms, in 3-5 unknowns,
+    with up to two sums of two squares that need not factor and now and then
+    a repeated equation, so both solution sets and solver errors occur, and
+    an error may have more than one equation to name."""
+    n = draw(st.integers(3, 5))
+    form = st.tuples(st.lists(_SMALL, min_size=n, max_size=n), _SMALL)
+    reg, unknowns = _unknowns(n)
+    eqs = [_affine(reg, unknowns, *f) for f in draw(st.lists(form, min_size=1, max_size=3))]
+    eqs += [_affine(reg, unknowns, *f) * _affine(reg, unknowns, *g)
+            for f, g in draw(st.lists(st.tuples(form, form), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        eqs.append(Poly.from_var(reg, unknowns[i]) ** 2 + Poly.from_var(reg, unknowns[j]) ** 2
+                   + draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        eqs.append(draw(st.sampled_from(eqs)))
+    return unknowns, eqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_systems(), st.data())
+def test_equation_order_does_not_change_the_result(system, data):
+    unknowns, eqs = system
+    shuffled = data.draw(st.permutations(eqs))
+    assert _outcome(shuffled, unknowns) == _outcome(eqs, unknowns)
+
+
+def test_exhausted_depth_names_the_least_equation(reg, monkeypatch):
+    """With affine and nonlinear equations mixed, the depth error names the
+    least equation by (total degree, length, terms), wherever it stands."""
+    monkeypatch.setattr(solve_module, "_MAX_BRANCH_DEPTH", 0)
+    u, v, w = (reg.var(name) for name in "uvw")
+    texts = ["u*v - 1", "u + v + w - 3", "w^2 - u", "2*u - v", "v - 1"]
+    for order in (texts, texts[::-1], texts[2:] + texts[:2]):
+        with pytest.raises(UnsupportedSystemError) as caught:
+            solve_system([P(reg, t) for t in order], [u, v, w])
+        assert str(caught.value) == "branch depth exhausted while triangularizing: 2*u - v"
