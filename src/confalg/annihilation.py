@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
 from .poly import PARAMETER, Combination, Poly, signed_sum
 from .algebra import ConformalAlgebra, Generator
-from .solve import rref
+from .solve import integer_echelon
 
 
 @dataclass(frozen=True)
@@ -325,13 +325,21 @@ class FiniteLie:
     """A finite-dimensional Lie algebra over Q given by structure constants.
 
     The basis is a sequence of (generator name, label) pairs.  Brackets are
-    given for index pairs i < j and kept once, as a sparse adjacency
-    ``ad[i][j] = {k: coeff}`` holding both orders of every nonzero pair (the
-    reversed one negated), so [e_i, e_j] is one lookup; serialization and
-    equality read its upper triangle.  Vectors are handled as (index, coeff)
-    pairs over their nonzero entries; the Jacobi re-check and the derived
-    and lower central series run on these sparse rows, down to the exact
-    sparse elimination that decides the span dimensions.
+    given for index pairs i < j.  The table is kept once, in integers: with
+    D the lcm of the denominators of all structure constants, ``_ad[i][j]``
+    is ``{k: D * coeff}`` for both orders of every nonzero pair (the
+    reversed one negated), so D [e_i, e_j] is one lookup.  Serialization,
+    equality and ``bracket_vectors`` divide by D on the way out.
+
+    Scaling the bracket by D changes no span, and it multiplies every
+    Jacobiator by D^2, so the Jacobi re-check and the derived and lower
+    central series run on the integer table alone: vectors are sparse
+    (index, coeff) pairs with integer entries, and each span is reduced by
+    ``integer_echelon``.  In any bilinear algebra each term of the derived
+    and of the lower central series lies in the one before it (by induction,
+    without the Jacobi identity), so a series step stops reading brackets
+    once its rank reaches the dimension of the space it started from: that
+    space is then reached again and the series is stable.
     """
 
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
@@ -340,7 +348,7 @@ class FiniteLie:
         if len(set(self.basis)) != len(self.basis):
             raise DefinitionError("duplicate basis symbols")
         dim = len(self.basis)
-        ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(dim)]
+        table = {}
         for (i, j), terms in brackets.items():
             if not (_is_index(i) and _is_index(j) and 0 <= i < j < dim):
                 raise DefinitionError(
@@ -350,8 +358,14 @@ class FiniteLie:
                 if not (_is_index(k) and 0 <= k < dim):
                     raise DefinitionError(f"bracket ({i},{j}) targets invalid index {k!r}")
             if cleaned:
-                ad[i][j] = cleaned
-                ad[j][i] = {k: -c for k, c in cleaned.items()}
+                table[(i, j)] = cleaned
+        scale = math.lcm(*(c.denominator for terms in table.values() for c in terms.values()))
+        ad: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+        for (i, j), terms in table.items():
+            ints = {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+            ad[i][j] = ints
+            ad[j][i] = {k: -c for k, c in ints.items()}
+        self._scale = scale
         self._ad = ad
 
     @property
@@ -371,13 +385,14 @@ class FiniteLie:
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], list[tuple[int, Fraction]]]]:
         """Stored bracket table as ((i, j), [(k, coeff), ...]) rows, sorted."""
-        return [((i, j), sorted(row[j].items()))
+        scale = self._scale
+        return [((i, j), [(k, Fraction(c, scale)) for k, c in sorted(row[j].items())])
                 for i, row in enumerate(self._ad) for j in sorted(row) if i < j]
 
-    def _bracket(self, u, v) -> dict[int, Fraction]:
-        """[u, v] for vectors given as (index, coeff) pairs; zero entries
+    def _bracket(self, u, v) -> dict:
+        """D [u, v] for vectors given as (index, coeff) pairs; zero entries
         are dropped from the result."""
-        out: dict[int, Fraction] = {}
+        out = {}
         for i, ci in u:
             row = self._ad[i]
             if not row:
@@ -393,20 +408,25 @@ class FiniteLie:
     def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * self.dim
         for k, c in self._bracket(_nonzeros(u), _nonzeros(v)).items():
-            out[k] = c
+            out[k] = Fraction(c, self._scale)
         return out
 
     def check_jacobi(self) -> list[str]:
-        """Residual [x,[y,z]] + [y,[z,x]] + [z,[x,y]] per basis triple;
-        returns the failing triples."""
+        """Residual [x,[y,z]] + [y,[z,x]] + [z,[x,y]] per basis triple, read
+        off the integer table as D^2 times the Jacobiator; returns the
+        failing triples."""
         failures = []
         ad = self._ad
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
+                ij = ad[i].get(j)
                 for k in range(j + 1, self.dim):
-                    total: dict[int, Fraction] = {}
-                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, c in ad[y].get(z, {}).items():
+                    jk, ki = ad[j].get(k), ad[k].get(i)
+                    if not (ij or jk or ki):
+                        continue  # all three inner brackets vanish
+                    total: dict[int, int] = {}
+                    for x, inner in ((i, jk), (j, ki), (k, ij)):
+                        for m, c in (inner or {}).items():
                             for n, e in ad[x].get(m, {}).items():
                                 total[n] = total.get(n, 0) + c * e
                     if any(total.values()):
@@ -417,11 +437,13 @@ class FiniteLie:
 
     def _series_dims(self, step) -> list[int]:
         """Dimensions of the spaces reached by repeating ``step``, which maps
-        a basis of sparse rows to brackets spanning the next space."""
-        current = [[(i, Fraction(1))] for i in range(self.dim)]
+        a basis of sparse integer rows to brackets spanning the next space,
+        a subspace of the current one."""
+        current = [[(i, 1)] for i in range(self.dim)]
         dims = [self.dim]
         while True:
-            nxt = [list(row.items()) for row in rref(step(current))]
+            rows = filter(None, step(current))
+            nxt = [list(row.items()) for row in integer_echelon(rows, rank_bound=len(current))]
             dims.append(len(nxt))
             if len(nxt) == 0 or len(nxt) == len(current):
                 return dims
@@ -474,7 +496,8 @@ class FiniteLie:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteLie):
             return NotImplemented
-        return self.basis == other.basis and self._ad == other._ad
+        return (self.basis == other.basis and self._scale == other._scale
+                and self._ad == other._ad)
 
     def __repr__(self) -> str:
         return f"FiniteLie(dim={self.dim})"

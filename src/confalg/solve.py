@@ -181,8 +181,11 @@ def _divisors(n: int) -> list[int]:
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of sum(coeffs[k] * u**k), exact, sorted.
 
-    Complete for rational roots at any degree by the rational root theorem;
-    irrational and complex roots are deliberately not produced.
+    After the zero roots are split off, a linear remainder is solved exactly
+    and a quadratic one by the square root of its discriminant; higher
+    degrees search the candidates of the rational root theorem.  Complete
+    for rational roots at any degree; irrational and complex roots are
+    deliberately not produced.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -202,6 +205,23 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         return sorted(set(roots))
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
+    if len(ints) == 2:
+        roots.append(Fraction(-ints[0], ints[1]))
+    elif len(ints) == 3:
+        c0, c1, c2 = ints
+        root = _fraction_sqrt(Fraction(c1 * c1 - 4 * c2 * c0))
+        if root is not None:
+            roots += [(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]
+    else:
+        roots += _trial_roots(ints)
+    return sorted(set(roots))
+
+
+def _trial_roots(ints: list[int]) -> list[Fraction]:
+    """The rational roots of an integer polynomial (constant term first, both
+    end coefficients nonzero) by the rational root theorem: every root is
+    +-p/q with p dividing the constant and q the leading coefficient."""
+    roots = []
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -210,7 +230,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
                     acc = acc * cand + c
                 if acc == 0:
                     roots.append(cand)
-    return sorted(set(roots))
+    return roots
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction | None:
@@ -435,6 +455,12 @@ def _divide_by_power(p: Poly, v: Var, e: int) -> Poly:
 # ---- canonicalization --------------------------------------------------------
 
 
+def _content_free(ints: dict) -> dict:
+    """A nonempty integer row divided by the gcd of its entries."""
+    g = math.gcd(*ints.values())
+    return ints if g == 1 else {k: c // g for k, c in ints.items()}
+
+
 def _primitive(row: Mapping[Hashable, Fraction | int]) -> dict | None:
     """The primitive integer multiple of a sparse rational row, zero entries
     dropped, or None for the zero row."""
@@ -442,9 +468,7 @@ def _primitive(row: Mapping[Hashable, Fraction | int]) -> dict | None:
     if not row:
         return None
     scale = math.lcm(*(c.denominator for c in row.values()))
-    ints = {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-    g = math.gcd(*ints.values())
-    return {k: c // g for k, c in ints.items()}
+    return _content_free({k: c.numerator * (scale // c.denominator) for k, c in row.items()})
 
 
 def _cancel(row: dict, pivot: dict, col) -> dict:
@@ -460,17 +484,20 @@ def _cancel(row: dict, pivot: dict, col) -> dict:
     return out
 
 
-def rref(rows: Iterable[Mapping[Hashable, Fraction | int]]) -> list[dict[Hashable, Fraction]]:
-    """Reduced row-echelon basis of the rational span of sparse ``rows``.
+def integer_echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
+                    rank_bound: int | None = None) -> list[dict[Hashable, int]]:
+    """Reduced echelon basis of the rational span of sparse ``rows``, as
+    primitive integer rows ordered by pivot column.
 
     A row maps column keys (any mutually sortable values; the smallest key of
     a row is its leading column) to coefficients, and absent keys are zero.
     Each row is scaled to a primitive integer vector and reduced fraction-free
     against the pivot rows found so far (cross-multiplying, then dividing out
     the integer content); a surviving row becomes a new pivot and is cleared
-    from the earlier ones.  Fractions appear only in the final normalisation
-    to leading entry 1.  The basis is ordered by pivot column, each row with
-    its keys in order and no zero entries; like the span, it is unique.
+    from the earlier ones.  Every pivot column is zero in the other rows, and
+    no row holds a zero entry.  When the rank reaches ``rank_bound`` no
+    further row is read, so a caller that knows the span lies in a space of
+    that dimension gets a basis of that space without reducing the rest.
     """
     pivots: dict = {}
     for row in rows:
@@ -479,16 +506,32 @@ def rref(rows: Iterable[Mapping[Hashable, Fraction | int]]) -> list[dict[Hashabl
             continue
         for col in [k for k in vec if k in pivots]:
             vec = _cancel(vec, pivots[col], col)
-        vec = _primitive(vec)
-        if vec is None:
+        if not vec:
             continue
+        vec = _content_free(vec)
         lead = min(vec)
         for col, prow in pivots.items():
             if lead in prow:
-                pivots[col] = _primitive(_cancel(prow, vec, lead))
+                pivots[col] = _content_free(_cancel(prow, vec, lead))
         pivots[lead] = vec
-    return [{k: Fraction(c, pivots[col][col]) for k, c in sorted(pivots[col].items())}
-            for col in sorted(pivots)]
+        if len(pivots) == rank_bound:
+            break
+    return [pivots[col] for col in sorted(pivots)]
+
+
+def rref(rows: Iterable[Mapping[Hashable, Fraction | int]]) -> list[dict[Hashable, Fraction]]:
+    """Reduced row-echelon basis of the rational span of sparse ``rows``.
+
+    The rows are reduced by ``integer_echelon``; fractions appear only in
+    the final normalisation of each pivot row to leading entry 1.  The basis
+    is ordered by pivot column, each row with its keys in order and no zero
+    entries; like the span, it is unique.
+    """
+    out = []
+    for vec in integer_echelon(rows):
+        lead = min(vec)
+        out.append({k: Fraction(c, vec[lead]) for k, c in sorted(vec.items())})
+    return out
 
 
 def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],

@@ -601,6 +601,45 @@ class TestFiniteLie:
         assert sl2.bracket_vectors(e, f) == [Fraction(0), Fraction(0), Fraction(1)]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("preset,bindings", [("tsv", {"a": 0, "b": 0}),
+                                                 ("wb", {"b": Fraction(1, 2)})])
+    def test_series_and_jacobi_make_no_fraction_operations(self, preset, bindings,
+                                                           monkeypatch):
+        q = truncated_quotient(instantiate(preset, bindings), 12)
+        count = [0]
+
+        def counting(name):
+            original = getattr(Fraction, name)
+
+            def wrapper(self, other):
+                count[0] += 1
+                return original(self, other)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Fraction, name, counting(name))
+        q.derived_series()
+        q.lower_central_series()
+        q.check_jacobi()
+        assert count[0] == 0
+        assert Fraction(1, 2) * 3 + 1 == Fraction(5, 2)
+        assert count[0] == 2
+
+    def test_series_step_stops_at_rank_bound(self, monkeypatch):
+        q = truncated_quotient(instantiate("w", {"a": 2, "b": 1}), 8)
+        calls = [0]
+        bracket = FiniteLie._bracket
+
+        def counting(self, u, v):
+            calls[0] += 1
+            return bracket(self, u, v)
+
+        monkeypatch.setattr(FiniteLie, "_bracket", counting)
+        assert q.lower_central_series() == [16, 15, 15]
+        # the first step reads all 16 x 16 brackets and reaches rank 15; the
+        # second stops once it has 15 independent rows again
+        assert 16 * 16 <= calls[0] < 16 * 16 + 16 * 15
+
 
 # ---- FiniteLie against independent dense references ------------------------
 #
@@ -696,6 +735,82 @@ def _perturbed_truncations(draw):
     k = draw(st.integers(0, q.dim - 1))
     brackets.setdefault((i, j), {})[k] = draw(_COEFFS)
     return FiniteLie(q.basis, brackets)
+
+
+_WIDE_COEFFS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 12))
+
+
+@st.composite
+def _wide_inputs(draw):
+    """Raw (dim, brackets) inputs on up to 6 basis symbols with coefficients
+    of mixed denominators up to 12, zeros included, as ints or Fractions."""
+    dim = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coeff = st.one_of(_WIDE_COEFFS, _WIDE_COEFFS.map(lambda c: c.numerator))
+    brackets = {pair: draw(st.dictionaries(st.integers(0, dim - 1), coeff, max_size=3))
+                for pair in chosen}
+    return dim, brackets
+
+
+def _fraction_rows(brackets):
+    """The nonzero brackets of raw inputs, as ``nonzero_brackets`` lists them."""
+    rows = [((i, j), sorted((k, Fraction(c)) for k, c in terms.items() if c))
+            for (i, j), terms in sorted(brackets.items())]
+    return [(pair, terms) for pair, terms in rows if terms]
+
+
+def _fraction_bracket(dim, brackets, u, v):
+    """[u, v] summed over every stored pair of the raw inputs."""
+    out = [Fraction(0)] * dim
+    for (i, j), terms in brackets.items():
+        for k, c in terms.items():
+            out[k] += (u[i] * v[j] - u[j] * v[i]) * c
+    return out
+
+
+class TestIntegerTable:
+    """The integer table against Fraction references built from the inputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_wide_inputs(), st.data())
+    def test_outputs_match_fraction_reference(self, inputs, data):
+        dim, brackets = inputs
+        lie = FiniteLie([("e", i) for i in range(dim)], brackets)
+        want = _fraction_rows(brackets)
+        got_rows = lie.nonzero_brackets()
+        assert got_rows == want
+        assert all(isinstance(c, Fraction) for _, terms in got_rows for _, c in terms)
+
+        back = FiniteLie.from_json(json.loads(json.dumps(lie.to_json())))
+        assert back == lie
+        assert back.nonzero_brackets() == want
+        assert [term["coeff"] for rec in lie.to_json()["brackets"] for term in rec["terms"]] \
+            == [str(c) for _, terms in want for _, c in terms]
+
+        same = FiniteLie(lie.basis, {pair: dict(terms) for pair, terms in reversed(want)})
+        assert same == lie
+        if want:
+            factor = data.draw(_WIDE_COEFFS.filter(lambda c: c not in (0, 1)))
+            scaled = FiniteLie(lie.basis, {pair: {k: c * factor for k, c in terms}
+                                           for pair, terms in want})
+            assert scaled != lie
+
+        vector = st.lists(_WIDE_COEFFS, min_size=dim, max_size=dim)
+        u, v = data.draw(vector), data.draw(vector)
+        got = lie.bracket_vectors(u, v)
+        assert got == _fraction_bracket(dim, brackets, u, v)
+        assert all(isinstance(c, Fraction) for c in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_wide_inputs())
+    def test_series_and_jacobi_match_dense_oracles(self, inputs):
+        sympy = pytest.importorskip("sympy")
+        dim, brackets = inputs
+        lie = FiniteLie([("e", i) for i in range(dim)], brackets)
+        assert lie.derived_series() == _sympy_series(sympy, lie, lower=False)
+        assert lie.lower_central_series() == _sympy_series(sympy, lie, lower=True)
+        assert lie.check_jacobi() == _naive_jacobi(lie)
 
 
 class TestFiniteLieOracle:

@@ -9,6 +9,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from confalg import solve
 from confalg.cli import main
 
 BROKEN = "algebra broken\ngen L offset=1\n[L,L] = (d + 3*x) L\n"
@@ -366,6 +367,15 @@ class TestClassify:
             ["0", "x*alpha + d + beta"]
 
 
+    def test_solver_limit_is_unsupported(self, capsys, monkeypatch):
+        monkeypatch.setattr(solve, "_MAX_BRANCH_DEPTH", 0)
+        code, out, err = run(capsys, ["classify", "w", "--param", "a=1", "b=0",
+                                      "--degree", "2"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("unsupported: branch depth exhausted")
+
+
 class TestSubmodules:
     def test_reducible_module(self, capsys):
         code, out, _ = run(capsys, ["submodules", "vir", "M_0_2"])
@@ -394,6 +404,14 @@ class TestSubmodules:
         assert out == ""
         assert "usage: confalg submodules" in err
         assert "required: module" in err
+
+    def test_huge_rational_root(self, capsys):
+        # G = d + 10^20: the linear factor is solved exactly, with no search
+        # over the divisors of 10^20
+        code, out, _ = run(capsys, ["submodules", "vir", "M_0_100000000000000000000",
+                                    "--degree", "1"])
+        assert code == 0
+        assert "submodule generator: d + 100000000000000000000\n" in out
 
     def test_json_verdict(self, capsys):
         code, out, _ = run(capsys, ["submodules", "w", "M_0_0_1",

@@ -188,6 +188,44 @@ def test_rational_roots_match_sympy(roots, cofactor):
     assert rational_roots(coeffs) == want
 
 
+_HUGE = st.integers(-10 ** 20, 10 ** 20)
+_HUGE_ROOT = st.builds(Fraction, st.integers(-10 ** 10, 10 ** 10),
+                       st.integers(1, 10 ** 10))
+
+
+@st.composite
+def _low_degree_huge(draw):
+    """Coefficients (constant first) of a degree-1 or degree-2 polynomial
+    with coefficients up to 10^20 in size, times u^z for z up to 2: either
+    drawn outright or built from rational roots with 10-digit numerators
+    and denominators, so that huge rational roots occur."""
+    degree = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        coeffs = [Fraction(c) for c in draw(st.lists(_HUGE, min_size=degree,
+                                                     max_size=degree))]
+        coeffs.append(Fraction(draw(_HUGE.filter(bool))))
+    else:
+        coeffs = [Fraction(1)]
+        for r in draw(st.lists(_HUGE_ROOT, min_size=degree, max_size=degree)):
+            # times (q u - p) for the root p/q
+            p, q = r.numerator, r.denominator
+            coeffs = [q * lo - p * hi
+                      for lo, hi in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    return [Fraction(0)] * draw(st.integers(0, 2)) + coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_low_degree_huge())
+def test_rational_roots_of_huge_low_degree_match_sympy(coeffs):
+    """Linear and quadratic remainders are solved in closed form, so huge
+    coefficients and roots cost no divisor search."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * u ** k for k, c in enumerate(coeffs))
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, u, filter="Q"))
+    assert rational_roots(coeffs) == want
+
+
 def test_rref_accepts_integer_rows():
     assert rref(_sparse([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 3, 3]])) == \
         [{0: 1, 2: 1}, {1: 1, 2: 1}]
