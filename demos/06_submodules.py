@@ -3,9 +3,12 @@ Submodules and irreducibility
 =============================
 
 A proper submodule of a rank-one module is generated by a monic
-polynomial p(d).  The scanner finds all such generators up to a degree
-bound, computes the action induced on each submodule, and turns the
-result into an irreducibility verdict with an explicit certificate.
+polynomial p(d), and p(d) generates one exactly when it divides G(d), the
+gcd of every x-coefficient of every action polynomial.  The scanner lists
+the monic divisors of G up to the requested degree, computes the action
+induced on each submodule, and turns the result into an irreducibility
+verdict with an explicit certificate.  G(d) = 1 rules out submodules of
+every degree.
 """
 
 from confalg import (
@@ -32,8 +35,9 @@ induced = induced_action(vir, m02, parse_poly(vir.registry, "d + 2"))
 print("induced action:", induced.render())
 print("equals M_1_2:", induced == named_module(vir, "M_1_2"))
 
-# At alpha != 0 the scan comes up empty, so irreducibility is certified up
-# to the scanned degree.
+# At alpha != 0 the scan comes up empty: G(d) = 1, so no submodule of any
+# degree exists.  The certificate keeps its "bounded" label, which is
+# conservative, so the output stays stable.
 verdict = irreducibility_verdict(vir, named_module(vir, "M_1_2"), 3)
 print("M_1_2 verdict:", verdict.render())
 print("certificate:", verdict.certificate)

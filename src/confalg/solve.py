@@ -7,15 +7,24 @@ finite union of affine-parametrized families, each written as assignments of
 affine expressions in the remaining free unknowns, or the empty union when
 the system is inconsistent.
 
-Strategy: each step first takes every equation of total degree at most 1 at
-once and reduces them together in one sparse exact elimination (``rref``,
-pivoting on the highest-index unknown of each row); a pivot row with only a
-constant means the system is inconsistent.  All pivots are then substituted
-into the nonlinear remainder in one pass, and the pivots' assignments are
-composed once with the remainder's solutions.  A system with no affine
-equation is branched on in a bounded way (univariate residuals via rational
-roots, monomial-content splits, which also cover single-monomial equations,
-and total-degree-2 equations that factor into two affine forms over Q).
+There is one exact elimination, ``integer_echelon``, and one
+back-substitution that reads each of its pivot rows as an assignment; both
+the solver and the canonical form of a family go through them.  Each step
+makes exactly one move, chosen by the shape of the equations:
+
+- Affine: every equation of total degree at most 1 is reduced in one
+  elimination (pivoting on the highest-index unknown of each row); a row
+  with only a constant means the system is inconsistent.  All pivots are
+  substituted into the nonlinear remainder in one pass and composed once
+  with its solutions.
+- Tier 1: a univariate equation branches on its rational roots (a
+  single-term one on its only root, 0).
+- Tier 2: an equation with monomial content branches on each variable of
+  the content being 0 and on the cofactor (a single-term equation is all
+  content, so its cofactor branch is inconsistent).
+- Tier 3: a total-degree-2 equation that factors into two affine forms over
+  Q branches on the two factors.
+
 Anything else raises UnsupportedSystemError naming the offending equation.
 
 The base field is Q throughout: only rational roots of univariate residuals
@@ -27,10 +36,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import UnsupportedSystemError
-from .poly import Poly, Var
+from .poly import Poly, Var, monic_div_rem
 
 _MAX_BRANCH_DEPTH = 400
 
@@ -117,10 +126,11 @@ class SolutionSet:
         for fam in families:
             if fam not in uniq:
                 uniq.append(fam)
+        # Distinct canonical families are distinct affine spaces, so no two
+        # contain each other.
         kept = [
             fam for fam in uniq
             if not any(other is not fam and _family_contains(other, fam, registry)
-                       and not _family_contains(fam, other, registry)
                        for other in uniq)
         ]
         kept.sort(key=lambda f: (f.dim, f.render()))
@@ -244,45 +254,25 @@ def _fraction_sqrt(c: Fraction) -> Fraction | None:
 
 
 def _affine_sqrt(p: Poly) -> Poly | None:
-    """An affine E with E**2 == p, or None.  Works for total degree <= 2."""
-    if p.is_zero():
-        return Poly.zero(p.registry)
-    if p.total_degree() > 2:
+    """An affine E with E**2 == p, or None.
+
+    E is unique up to sign.  Its first variable v, the first one squared in
+    p, gets the positive coefficient sqrt(c), c the coefficient of v**2 in p.
+    Then E = sqrt(c)*v + L with L free of v, and 2*sqrt(c)*L is p's
+    coefficient of v, which reads L off.
+    """
+    for v in p.variables():
+        c = p.coeff_of(v, 2)
+        if not c.is_zero():
+            break
+    else:
+        r = _fraction_sqrt(p.constant_value()) if p.is_constant() else None
+        return None if r is None else Poly.const(p.registry, r)
+    r = _fraction_sqrt(c.constant_value()) if c.is_constant() else None
+    if r is None:
         return None
-    vs = p.variables()
-    comps = {}
-    for v in vs:
-        c2 = p.coeff_of(v, 2)
-        if not c2.is_constant():
-            return None
-        r = _fraction_sqrt(c2.constant_value())
-        if r is None:
-            return None
-        comps[v] = r
-    carriers = [v for v in vs if comps[v] != 0]
-    if not carriers:
-        if not p.is_constant():
-            return None
-        r = _fraction_sqrt(p.constant_value())
-        return Poly.const(p.registry, r) if r is not None else None
-    # Anchor's sign is fixed positive; search the other carriers' signs and
-    # read the constant term off the anchor's linear coefficient.
-    anchor = carriers[0]
-    for mask in range(1 << (len(carriers) - 1)):
-        e = Poly.from_var(p.registry, anchor) * comps[anchor]
-        for i, v in enumerate(carriers[1:]):
-            sign = 1 if (mask >> i) & 1 == 0 else -1
-            e = e + Poly.from_var(p.registry, v) * (comps[v] * sign)
-        lin_const = p.coeff_of(anchor, 1)
-        for v in carriers[1:]:
-            lin_const = lin_const.coeff_of(v, 0)
-        if not lin_const.is_constant():
-            return None
-        e0 = lin_const.constant_value() / (2 * comps[anchor])
-        cand = e + Poly.const(p.registry, e0)
-        if cand * cand == p:
-            return cand
-    return None
+    e = Poly.from_var(p.registry, v) * r + p.coeff_of(v, 1) * (1 / (2 * r))
+    return e if e * e == p else None
 
 
 def _equation_key(eq: Poly):
@@ -292,8 +282,9 @@ def _equation_key(eq: Poly):
 def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:
     """The nonzero equations, deduplicated.  A system with an affine equation
     keeps its order: the solver's next step reduces the affine block in one
-    ``rref``, which ignores row order, and normalises the substituted rest
-    again.  Only a system without one is sorted, for the branching tiers."""
+    elimination, whose result ignores row order, and normalises the
+    substituted rest again.  Only a system without one is sorted, for the
+    branching tiers."""
     uniq = {}
     affine = False
     for eq in eqs:
@@ -348,34 +339,22 @@ _CONSTANT = 1
 
 def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var, Poly]]:
     registry = eqs[0].registry
+    variables = registry.all_vars()
 
-    # Forced move: eliminate every affine equation at once, substitute all
-    # pivots into the nonlinear rest and solve that.
+    # Affine: eliminate every affine equation at once, substitute all pivots
+    # into the nonlinear rest and solve that.
     rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()}
             for eq in eqs if eq.total_degree() <= 1]
     if rows:
-        variables = registry.all_vars()
-        assign = {}
-        for row in rref(rows):
-            lead = next(iter(row))
-            if lead == _CONSTANT:
-                return []
-            assign[variables[-lead]] = Poly(registry, {
-                () if k == _CONSTANT else ((-k, 1),): -c for k, c in row.items() if k != lead
-            }, _normalized=True)
+        assign = _pivot_assignments(rows, lambda k: None if k == _CONSTANT else variables[-k],
+                                    registry)
+        if assign is None:
+            return []
         rest = [eq.subs(assign) for eq in eqs if eq.total_degree() > 1]
         return _compose(assign, _solve(rest, memo, depth - 1))
 
     def substituted(v: Var, value: Poly):
         return [e.substitute(v, value) for e in eqs]
-
-    # Forced move: a single-term equation in one variable pins it to 0.
-    for eq in eqs:
-        if len(eq._terms) == 1:
-            vs = eq.variables()
-            if len(vs) == 1:
-                zero = Poly.zero(registry)
-                return _compose({vs[0]: zero}, _solve(substituted(vs[0], zero), memo, depth - 1))
 
     # Tier 1: univariate equations branch on their rational roots.
     for eq in eqs:
@@ -403,12 +382,11 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
                 break
         if content:
             cofactor = eq
-            for idx, e in content.items():
-                cofactor = _divide_by_power(cofactor, registry.all_vars()[idx], e)
             out = []
             zero = Poly.zero(registry)
             for idx in sorted(content):
-                v = registry.all_vars()[idx]
+                v = variables[idx]
+                cofactor, _ = monic_div_rem(cofactor, Poly.from_var(registry, v) ** content[idx], v)
                 out.extend(_compose({v: zero}, _solve(substituted(v, zero), memo, depth - 1)))
             rest = [e2 for e2 in eqs if e2 is not eq]
             out.extend(_solve(rest + [cofactor], memo, depth - 1))
@@ -439,17 +417,29 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
     )
 
 
-def _divide_by_power(p: Poly, v: Var, e: int) -> Poly:
-    out = {}
-    for m, c in p._terms.items():
-        exps = dict(m)
-        exps[v.index] = exps.get(v.index, 0) - e
-        if exps[v.index] < 0:
-            raise ValueError("monomial content division failed")
-        if exps[v.index] == 0:
-            del exps[v.index]
-        out[tuple(sorted(exps.items()))] = c
-    return Poly(p.registry, out, _normalized=True)
+def _pivot_assignments(rows: Iterable[Mapping[Hashable, Fraction | int]],
+                       column_var: Callable[[Hashable], Var | None],
+                       registry) -> dict[Var, Poly] | None:
+    """Eliminate ``rows`` by ``integer_echelon`` and solve each pivot row for
+    its pivot: ``{pivot variable: -(rest of row) / pivot}``.
+
+    ``column_var`` maps a column key to its variable, or to None for the
+    constant column.  Returns None when a row keeps only the constant, that
+    is when the rows are inconsistent.
+    """
+    assign = {}
+    for row in integer_echelon(rows):
+        lead = min(row)
+        pivot = column_var(lead)
+        if pivot is None:
+            return None
+        terms = {}
+        for k, c in row.items():
+            if k != lead:
+                v = column_var(k)
+                terms[() if v is None else ((v.index, 1),)] = Fraction(-c, row[lead])
+        assign[pivot] = Poly(registry, terms, _normalized=True)
+    return assign
 
 
 # ---- canonicalization --------------------------------------------------------
@@ -519,21 +509,6 @@ def integer_echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
     return [pivots[col] for col in sorted(pivots)]
 
 
-def rref(rows: Iterable[Mapping[Hashable, Fraction | int]]) -> list[dict[Hashable, Fraction]]:
-    """Reduced row-echelon basis of the rational span of sparse ``rows``.
-
-    The rows are reduced by ``integer_echelon``; fractions appear only in
-    the final normalisation of each pivot row to leading entry 1.  The basis
-    is ordered by pivot column, each row with its keys in order and no zero
-    entries; like the span, it is unique.
-    """
-    out = []
-    for vec in integer_echelon(rows):
-        lead = min(vec)
-        out.append({k: Fraction(c, vec[lead]) for k, c in sorted(vec.items())})
-    return out
-
-
 def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
                       registry) -> SolutionFamily:
     """Rewrite an assignment map in reduced row echelon form over the unknown
@@ -551,12 +526,10 @@ def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
             col = position[m[0][0]] if m else n
             row[col] = row.get(col, 0) - c
         rows.append(row)
-    solved = {}
-    for row in rref(rows):
-        col = next(iter(row))
-        solved[unknowns[col]] = Poly(registry, {
-            () if j == n else ((unknowns[j].index, 1),): -c for j, c in row.items() if j != col
-        }, _normalized=True)
+    solved = _pivot_assignments(rows, lambda j: None if j == n else unknowns[j], registry)
+    if solved is None:
+        raise UnsupportedSystemError("assignment map is inconsistent",
+                                     SolutionFamily(unknowns, assign, ()).render())
     free = [v for v in unknowns if v not in solved]
     return SolutionFamily(unknowns, solved, free)
 
@@ -596,9 +569,6 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
     if all(e.is_zero() for e in eqs):
         fam = SolutionFamily(unknowns, {}, tuple(unknowns))
         return SolutionSet(unknowns, (fam,))
-    if not unknowns:
-        # Remaining equations are nonzero constants: inconsistent.
-        return SolutionSet(unknowns, ())
     raw = _solve(list(eqs), {}, _MAX_BRANCH_DEPTH)
     if raw and len(raw) > 512:
         raise UnsupportedSystemError(

@@ -645,7 +645,7 @@ class TestFiniteLie:
 #
 # The references below build every bracket from a dense structure-constant
 # tensor and leave the span dimensions to sympy, so they share neither the
-# sparse adjacency nor ``rref`` with the code under test.
+# sparse adjacency nor ``integer_echelon`` with the code under test.
 
 def _dense_constants(lie):
     """C[i][j] is the dense vector [e_i, e_j], filled in by antisymmetry."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from confalg import solve as solve_module
 from confalg.errors import UnsupportedSystemError
 from confalg.poly import Poly, Registry, parse_poly
-from confalg.solve import SolutionSet, rational_roots, rref, solve_system
+from confalg.solve import SolutionSet, integer_echelon, rational_roots, solve_system
 
 
 @pytest.fixture()
@@ -54,6 +54,12 @@ def test_single_monomial_sets_one_variable_to_zero_per_family(reg, monomial, zer
     sol = solve_system([P(reg, monomial)], unknowns)
     assert [{v.name: str(e) for v, e in fam.solved.items()} for fam in sol.families] == \
         [{name: "0"} for name in zeroed]
+
+
+def test_monomial_content_splits_off(reg):
+    unknowns = [reg.var("u"), reg.var("v"), reg.var("w")]
+    sol = solve_system([P(reg, "u^2*v + u^2*w")], unknowns)
+    assert renders(sol) == ["{u = 0; free: v, w}", "{v = -w; free: u, w}"]
 
 
 def test_univariate_factoring(reg):
@@ -150,9 +156,20 @@ def _rational_rows(draw):
 
 
 def _sparse(rows):
-    """Dense rows as the sparse ``{column: coefficient}`` rows ``rref`` takes,
-    zero entries included."""
+    """Dense rows as the sparse ``{column: coefficient}`` rows
+    ``integer_echelon`` takes, zero entries included."""
     return [dict(enumerate(row)) for row in rows]
+
+
+def _rref(rows):
+    """The ``integer_echelon`` basis of sparse ``rows`` with every pivot
+    normalised to 1: the reduced row-echelon form, keys in order."""
+    out = []
+    for row in integer_echelon(rows):
+        assert all(isinstance(c, int) and c for c in row.values())
+        lead = min(row)
+        out.append({k: Fraction(c, row[lead]) for k, c in sorted(row.items())})
+    return out
 
 
 def _dense(rows, ncols):
@@ -165,7 +182,7 @@ def test_rref_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
     want, pivots = sympy.Matrix(
         [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]).rref()
-    got = rref(_sparse(rows))
+    got = _rref(_sparse(rows))
     assert [next(iter(row)) for row in got] == list(pivots)
     assert all(list(row) == sorted(row) and all(row.values()) for row in got)
     assert _dense(got, len(rows[0])) == [[Fraction(int(c.p), int(c.q)) for c in want.row(i)]
@@ -227,9 +244,9 @@ def test_rational_roots_of_huge_low_degree_match_sympy(coeffs):
 
 
 def test_rref_accepts_integer_rows():
-    assert rref(_sparse([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 3, 3]])) == \
+    assert _rref(_sparse([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 3, 3]])) == \
         [{0: 1, 2: 1}, {1: 1, 2: 1}]
-    assert rref([]) == []
+    assert integer_echelon([]) == []
 
 
 def test_from_assignments_canonicalises_dedupes_absorbs_and_sorts(reg):
@@ -245,6 +262,96 @@ def test_from_assignments_canonicalises_dedupes_absorbs_and_sorts(reg):
     # inside it; the point and the other line lie off the plane.
     assert [fam.render() for fam in got] == ["{u = 0; v = 0; w = 7}", "{u = w; v = 1; free: w}",
                                              "{u = v + w + 1; free: v, w}"]
+
+
+def test_from_assignments_rejects_an_inconsistent_map(reg):
+    u, v = reg.var("u"), reg.var("v")
+    with pytest.raises(UnsupportedSystemError,
+                       match=r"assignment map is inconsistent: \{u = v; v = u \+ 1\}"):
+        SolutionSet.from_assignments([u, v], [{u: P(reg, "v"), v: P(reg, "u + 1")}], reg)
+
+
+# ---- affine square roots -------------------------------------------------------
+
+
+def _sign_mask_sqrt(p):
+    """Reference for ``_affine_sqrt``: fix the first squared variable's sign
+    positive and search the signs of the others, 2^(k-1) candidates for k
+    squared variables."""
+    if p.is_zero():
+        return Poly.zero(p.registry)
+    if p.total_degree() > 2:
+        return None
+    vs = p.variables()
+    comps = {}
+    for v in vs:
+        c2 = p.coeff_of(v, 2)
+        if not c2.is_constant():
+            return None
+        r = solve_module._fraction_sqrt(c2.constant_value())
+        if r is None:
+            return None
+        comps[v] = r
+    carriers = [v for v in vs if comps[v] != 0]
+    if not carriers:
+        if not p.is_constant():
+            return None
+        r = solve_module._fraction_sqrt(p.constant_value())
+        return Poly.const(p.registry, r) if r is not None else None
+    anchor = carriers[0]
+    for mask in range(1 << (len(carriers) - 1)):
+        e = Poly.from_var(p.registry, anchor) * comps[anchor]
+        for i, v in enumerate(carriers[1:]):
+            sign = 1 if (mask >> i) & 1 == 0 else -1
+            e = e + Poly.from_var(p.registry, v) * (comps[v] * sign)
+        lin_const = p.coeff_of(anchor, 1)
+        for v in carriers[1:]:
+            lin_const = lin_const.coeff_of(v, 0)
+        if not lin_const.is_constant():
+            return None
+        e0 = lin_const.constant_value() / (2 * comps[anchor])
+        cand = e + Poly.const(p.registry, e0)
+        if cand * cand == p:
+            return cand
+    return None
+
+
+_HALVES = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def _square_candidates(draw):
+    """Polynomials of degree at most 2 in up to 4 unknowns: squares of affine
+    forms, such squares with one coefficient perturbed, and random
+    quadratics."""
+    n = draw(st.integers(1, 4))
+    reg, unknowns = _unknowns(n)
+    x = [Poly.from_var(reg, v) for v in unknowns]
+    kind = draw(st.sampled_from(["square", "perturbed", "random"]))
+    if kind == "random":
+        p = Poly.const(reg, draw(_HALVES))
+        for i in range(n):
+            p = p + x[i] * draw(_HALVES)
+            for j in range(i, n):
+                p = p + x[i] * x[j] * draw(_HALVES)
+        return p
+    form = _affine(reg, unknowns, draw(st.lists(_HALVES, min_size=n, max_size=n)),
+                   draw(_HALVES))
+    p = form * form
+    if kind == "perturbed":
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, n - 1))
+        term = Poly.one(reg) if i == n else x[i] * x[j]
+        p = p + term * draw(_HALVES.filter(bool))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_candidates())
+def test_affine_sqrt_matches_the_sign_mask_search(p):
+    got = solve_module._affine_sqrt(p)
+    assert got == _sign_mask_sqrt(p)
+    if got is not None:
+        assert got * got == p
 
 
 # ---- solve_system against sympy -------------------------------------------
@@ -410,9 +517,10 @@ def _outcome(eqs, unknowns):
 @st.composite
 def _mixed_systems(draw):
     """Affine equations next to products of two affine forms, in 3-5 unknowns,
-    with up to two sums of two squares that need not factor and now and then
-    a repeated equation, so both solution sets and solver errors occur, and
-    an error may have more than one equation to name."""
+    with up to two sums of two squares that need not factor, now and then a
+    single-term power (u^2, v^3, u*w^2) and now and then a repeated equation,
+    so both solution sets and solver errors occur, and an error may have more
+    than one equation to name."""
     n = draw(st.integers(3, 5))
     form = st.tuples(st.lists(_SMALL, min_size=n, max_size=n), _SMALL)
     reg, unknowns = _unknowns(n)
@@ -423,6 +531,10 @@ def _mixed_systems(draw):
         i, j = draw(st.permutations(range(n)))[:2]
         eqs.append(Poly.from_var(reg, unknowns[i]) ** 2 + Poly.from_var(reg, unknowns[j]) ** 2
                    + draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        x, y = Poly.from_var(reg, unknowns[i]), Poly.from_var(reg, unknowns[j])
+        eqs.append(draw(st.sampled_from([x ** 2, x ** 3, x * y ** 2])) * draw(_SMALL.filter(bool)))
     if draw(st.booleans()):
         eqs.append(draw(st.sampled_from(eqs)))
     return unknowns, eqs
