@@ -32,9 +32,13 @@ so families are compared as canonical solution families over them and
 become actions only for output.  Because the formal treatment only finds
 actions valid for every (alpha, beta), a rational grid of (alpha, beta)
 values is re-solved independently and any family on one side only raises
-DiscrepancyError.  Each stage-one residual is built and split into
-equations once per classification: a grid point folds the symbolic
-equations with its (alpha, beta) values, then solves them on its own.
+DiscrepancyError.  Stage one is never built by multiplying polynomials: the
+residual of the Virasoro generator with each other generator is linear in
+the generic coefficients, so ``_Ansatz.residuals`` writes it in closed form
+as sparse rows, one per generator and monomial in d, x and y, each holding
+the parts of its equation that multiply 1, alpha and beta.  The rows are
+built once per branch; a grid point folds them with its (alpha, beta)
+values, then solves the folded equations on its own.
 """
 
 from __future__ import annotations
@@ -212,16 +216,14 @@ def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
 
 def _generic_poly(reg: Registry, prefix: str, max_degree: int) -> tuple[Poly, list[Var]]:
     """Sum of u * d^i * x^j over 0 <= i, j <= max_degree with fresh unknowns."""
-    d, x = reg.d, reg.x
-    total = Poly.zero(reg)
-    unknowns = []
+    d, x = reg.d.index, reg.x.index
+    terms, unknowns = {}, []
     for i in range(max_degree + 1):
         for j in range(max_degree + 1):
             v = reg.param(f"{prefix}_{i}_{j}")
             unknowns.append(v)
-            total = total + Poly.from_var(reg, v) * Poly.from_var(reg, d) ** i \
-                * Poly.from_var(reg, x) ** j
-    return total, unknowns
+            terms[tuple(t for t in ((d, i), (x, j), (v.index, 1)) if t[1])] = Fraction(1)
+    return Poly(reg, terms, _normalized=True), unknowns
 
 
 def _extract(poly: Poly, unknowns: Sequence[Var]) -> list[Poly]:
@@ -262,39 +264,61 @@ def vir_completeness(max_degree: int) -> list[Poly]:
     return results
 
 
+def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """How a stage-one row's three slot equations fold into equations for
+    the Virasoro action f = d + A*x + B, A and B free of d and x: per
+    monomial m in f's parameters, the weights (1 if m = 1 else 0, the
+    coefficient of m in A, the coefficient of m in B).  f = 0 keeps only
+    the constant slot; any other f is unsupported."""
+    if f.is_zero():
+        return [(Fraction(1), Fraction(0), Fraction(0))]
+    reg = f.registry
+    a, b = f.coeff_of(reg.x, 1), f.coeff_of(reg.x, 0) - Poly.from_var(reg, reg.d)
+    if f.degree(reg.x) > 1 or any(v.kind != PARAMETER for v in a.variables() + b.variables()):
+        raise UnsupportedError(f"the Virasoro action {f} is neither 0 nor d + A*x + B "
+                               f"with A and B free of d and x")
+    a, b = dict(a.terms()), dict(b.terms())
+    return [(Fraction(1 if m == () else 0), a.get(m, Fraction(0)), b.get(m, Fraction(0)))
+            for m in dict.fromkeys([(), *a, *b])]
+
+
 class _Branch:
     """Stage-one equations of the staged search for one Virasoro action f:
     the coefficients, in the generic coefficients, of the Virasoro
     generator's pair residual with each other generator.
 
-    ``groups`` holds, per generator and monomial in d, x and y, the equations
-    under each monomial in f's parameters (alpha and beta when f is
-    symbolic).  Substituting the parameters commutes with grouping by the
-    d, x, y monomials, so a point's equations are the groups folded with
-    their parameter monomials' values."""
+    ``rows`` maps (generator, (p, q, r)) to the coefficient of d^p x^q y^r in
+    that residual for f = d + A*x + B, written as three affine slot
+    equations (the constant part, the A-part and the B-part) that do not
+    depend on A and B.  ``stage1`` is the rows folded by ``_slot_weights(f)``,
+    zero sums dropped; a point of f's parameters folds the same rows with
+    that point's A and B."""
 
-    __slots__ = ("f", "stage1", "groups")
+    __slots__ = ("f", "rows", "stage1")
 
-    def __init__(self, f: Poly, stage1: tuple[Poly, ...],
-                 groups: tuple[tuple[tuple[Mono, Poly], ...], ...] = ()):
-        self.f, self.stage1, self.groups = f, stage1, groups
+    def __init__(self, f: Poly, rows: Mapping[tuple[str, tuple[int, int, int]],
+                                              tuple[Poly, Poly, Poly]]):
+        self.f, self.rows = f, rows
+        reg = f.registry
+        weights = _slot_weights(f)
+        folded = (weighted_sum(reg, zip(w, row)) for row in rows.values() for w in weights)
+        self.stage1 = tuple(eq for eq in folded if not eq.is_zero())
 
     def specialise(self, point: Mapping[Var, Fraction]) -> "_Branch":
-        """The branch at a point of f's parameters; zero sums are dropped."""
-        values = {v.index: value for v, value in point.items()}
-        monos = {mono for group in self.groups for mono, _ in group}
-        weights = {mono: math.prod((values[i] ** e for i, e in mono), start=Fraction(1))
-                   for mono in monos}
-        reg = self.f.registry
-        folded = (weighted_sum(reg, ((weights[mono], eq) for mono, eq in group))
-                  for group in self.groups)
-        return _Branch(self.f.subs(point), tuple(eq for eq in folded if not eq.is_zero()))
+        """The branch at a point of f's parameters."""
+        return _Branch(self.f.subs(point), self.rows)
 
 
 class _Ansatz:
     """Generic bounded-degree actions of the non-Virasoro generators, built
     once per classification and shared by every branch.  ``owner`` maps each
-    generic coefficient to the generator whose action carries it."""
+    generic coefficient to the generator whose action carries it, and
+    ``coefficients`` lists each generator's (i, j, u) for its terms
+    u * d^i * x^j.
+
+    Stage one is never built from the generic actions: the residual of the
+    pair (L, g) is linear in the generic coefficients, and ``residuals``
+    writes each coefficient's image in closed form."""
 
     def __init__(self, alg: ConformalAlgebra, virasoro: Generator,
                  others: Sequence[Generator], max_degree: int):
@@ -302,29 +326,70 @@ class _Ansatz:
         self.actions: dict[str, Poly] = {}
         self.unknowns: list[Var] = []
         self.owner: dict[Var, str] = {}
+        self.coefficients: dict[str, list[tuple[int, int, Var]]] = {}
+        exponents = list(itertools.product(range(max_degree + 1), repeat=2))
         for g in others:
             poly, uvars = _generic_poly(alg.registry, f"u_{g.name}", max_degree)
             self.actions[g.name] = poly
             self.unknowns += uvars
             self.owner.update((v, g.name) for v in uvars)
+            self.coefficients[g.name] = [(i, j, v) for (i, j), v in zip(exponents, uvars)]
 
     def residuals(self, f: Poly) -> _Branch:
-        """The stage-one equations for the Virasoro action f, each residual
-        split once and grouped for specialising f's parameters."""
+        """The stage-one rows for the Virasoro action f = 0 or d + A*x + B.
+
+        With P_k = p_k(-(x+y), x) for each term p_k(d, x) k of [L_x g], the
+        coefficient u of d^i x^j in A_g contributes to the residual of (L, g):
+          - from f A_g(d+x, y) - A_g(d, y) f(d+y, x), when f is nonzero,
+            C(i,s) (d^(s+1) x^(i-s) + A d^s x^(i-s+1) + B d^s x^(i-s)) y^j
+            for s < i, and -d^i y^(j+1);
+          - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t).
+        The term k = L adds the constant -P_L f(d, x+y)."""
         alg, vname, reg = self.alg, self.virasoro.name, self.alg.registry
-        actions = {vname: f, **self.actions}
-        if not _rank1_residual(alg, actions, vname, vname).is_zero():
+        if not _rank1_residual(alg, {vname: f}, vname, vname).is_zero():
             raise UnsupportedError("the proposed Virasoro action fails its own pair identity")
-        params = {v.index for v in f.variables() if v is not reg.d and v is not reg.x}
-        stage1, groups = [], {}
+        cells: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict]] = {}
+
+        def add(g: str, pqr: tuple[int, int, int], slot: int, u: Mono, c) -> None:
+            cell = cells.setdefault((g, pqr), ({}, {}, {}))[slot]
+            cell[u] = cell.get(u, 0) + c
+
+        shift = {reg.d: -(Poly.from_var(reg, reg.x) + Poly.from_var(reg, reg.y))}
+        xi, yi = reg.x.index, reg.y.index
         for g in self.others:
-            residual = _rank1_residual(alg, actions, vname, g.name)
-            for mono, eq in group_coefficients(residual, self.unknowns).items():
-                stage1.append(eq)
-                outer = tuple(t for t in mono if t[0] not in params)
-                inner = tuple(t for t in mono if t[0] in params)
-                groups.setdefault((g.name, outer), []).append((inner, eq))
-        return _Branch(f, tuple(stage1), tuple(tuple(group) for group in groups.values()))
+            if f:
+                for i, j, v in self.coefficients[g.name]:
+                    u = ((v.index, 1),)
+                    for s in range(i):
+                        c = math.comb(i, s)
+                        add(g.name, (s + 1, i - s, j), 0, u, c)
+                        add(g.name, (s, i - s + 1, j), 1, u, c)
+                        add(g.name, (s, i - s, j), 2, u, c)
+                    add(g.name, (i, 0, j + 1), 0, u, -1)
+            for k, p in alg.entry(vname, g.name).items():
+                shifted = [(dict(m).get(xi, 0), dict(m).get(yi, 0),
+                            c.numerator if c.denominator == 1 else c)
+                           for m, c in p.subs(shift).terms()]
+                if k.name == vname:
+                    if f:
+                        for q, r, c in shifted:
+                            add(g.name, (1, q, r), 0, (), -c)
+                            add(g.name, (0, q + 1, r), 1, (), -c)
+                            add(g.name, (0, q, r + 1), 1, (), -c)
+                            add(g.name, (0, q, r), 2, (), -c)
+                    continue
+                for i, j, v in self.coefficients[k.name]:
+                    u = ((v.index, 1),)
+                    for t in range(j + 1):
+                        c = math.comb(j, t)
+                        for q, r, pc in shifted:
+                            add(g.name, (i, q + t, r + j - t), 0, u, -pc * c)
+        # Coefficients add as ints while they are integral.
+        rows = {key: tuple(Poly(reg, {u: c if type(c) is Fraction else Fraction(c)
+                                      for u, c in cell.items() if c}, _normalized=True)
+                           for cell in slots)
+                for key, slots in cells.items()}
+        return _Branch(f, rows)
 
     def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
         """The actions of a solution family under the Virasoro action f."""

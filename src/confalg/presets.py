@@ -279,7 +279,11 @@ def rank1_module(alg: ConformalAlgebra, alpha, beta, gamma=None) -> Rank1Action:
 def named_module(alg: ConformalAlgebra, spec: str) -> Rank1Action:
     """Parse a module name: ``zero``/``trivial``, ``M_<alpha>_<beta>`` or
     ``M_<alpha>_<beta>_<gamma>`` with rational or formal components, for
-    example ``M_0_2``, ``M_1/2_-1_3`` or ``M_alpha_beta_gamma``."""
+    example ``M_0_2``, ``M_1/2_-1_3`` or ``M_alpha_beta_gamma``.
+
+    A component other than its own name is read by ``Fraction``, as
+    ``--param`` values are, so every spelling ``Fraction`` accepts names a
+    rational: ``M_1.5_0`` is ``M_3/2_0`` and ``M_1e3_0`` is ``M_1000_0``."""
     text = spec.strip()
     if text in ("zero", "trivial"):
         return zero_module(alg)

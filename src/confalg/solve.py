@@ -174,28 +174,14 @@ class SolutionSet:
 # ---- helpers ---------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of sum(coeffs[k] * u**k), exact, sorted.
 
     After the zero roots are split off, a linear remainder is solved exactly
     and a quadratic one by the square root of its discriminant; higher
-    degrees search the candidates of the rational root theorem.  Complete
-    for rational roots at any degree; irrational and complex roots are
-    deliberately not produced.
+    degrees go through ``_integer_roots`` in time polynomial in the size of
+    the coefficients.  Complete for rational roots at any degree; irrational
+    and complex roots are deliberately not produced.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -223,24 +209,92 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         if root is not None:
             roots += [(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]
     else:
-        roots += _trial_roots(ints)
+        roots += _integer_roots(ints)
     return sorted(set(roots))
 
 
-def _trial_roots(ints: list[int]) -> list[Fraction]:
-    """The rational roots of an integer polynomial (constant term first, both
-    end coefficients nonzero) by the rational root theorem: every root is
-    +-p/q with p dividing the constant and q the leading coefficient."""
-    roots = []
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return roots
+def _poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of dense coefficient lists (constant first, no
+    trailing zeros, q nonzero); the zero polynomial is the empty list."""
+    rem, quot = list(p), [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        c, shift = rem[-1] / q[-1], len(rem) - len(q)
+        quot[shift] = c
+        for k, qc in enumerate(q):
+            rem[shift + k] -= c * qc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _derivative(p: list) -> list:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _value(p: list, t):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * t + c
+    return acc
+
+
+def _integer_roots(ints: list[int]) -> list[Fraction]:
+    """The rational roots of an integer polynomial (constant term first).
+
+    Its squarefree part s, with leading coefficient a and degree n, becomes
+    the monic integer polynomial a^(n-1) s(y / a), whose rational roots are
+    integers inside its Cauchy bound 1 + max |coefficient|.  A Sturm sequence
+    counts the distinct real roots between two half-integers, which are never
+    roots, so bisecting the bound down to unit intervals that still hold a
+    root costs O(n log bound) counts; each unit interval's one integer is
+    then tested.
+    """
+    p = [Fraction(c) for c in ints]
+    gcd, rest = p, _derivative(p)
+    while rest:
+        gcd, rest = rest, _poly_divmod(gcd, rest)[1]
+    s = _poly_divmod(p, gcd)[0]
+    scale = math.lcm(*(c.denominator for c in s))
+    s = [int(c * scale) for c in s]
+    content = math.gcd(*s)
+    s = [c // content for c in s]
+    lead, n = s[-1], len(s) - 1
+    monic = [c * lead ** (n - 1 - k) for k, c in enumerate(s[:-1])] + [1]
+    sturm = [[Fraction(c) for c in monic], [Fraction(c) for c in _derivative(monic)]]
+    while True:
+        rem = _poly_divmod(sturm[-2], sturm[-1])[1]
+        if not rem:
+            break
+        sturm.append([-c for c in rem])
+
+    # Each q as the integer polynomial 2^deg(q) * m * q(t / 2), m > 0, which
+    # has q's sign at t / 2.
+    halves = []
+    for q in sturm:
+        m = math.lcm(*(c.denominator for c in q))
+        halves.append([int(c * m) << (len(q) - 1 - i) for i, c in enumerate(q)])
+    variations: dict[int, int] = {}
+
+    def below(k: int) -> int:
+        """Sign changes of the Sturm sequence at k + 1/2."""
+        if k not in variations:
+            signs = [v > 0 for v in (_value(h, 2 * k + 1) for h in halves) if v]
+            variations[k] = sum(a != b for a, b in zip(signs, signs[1:]))
+        return variations[k]
+
+    bound = 1 + max(abs(c) for c in monic[:-1])
+    found, todo = [], [(-bound - 1, bound)]  # (lo, hi): the integers lo+1..hi
+    while todo:
+        lo, hi = todo.pop()
+        if below(lo) == below(hi):
+            continue
+        if hi - lo == 1:
+            if _value(monic, hi) == 0:
+                found.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        todo += [(lo, mid), (mid, hi)]
+    return found
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction | None:

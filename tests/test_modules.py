@@ -40,7 +40,7 @@ from confalg import (
 )
 from confalg import modules
 from confalg import solve as solve_module
-from confalg.algebra import parse_algebra
+from confalg.algebra import LambdaElement, parse_algebra
 from confalg.errors import UnsupportedSystemError
 from confalg.poly import monic_div_rem
 from confalg.solve import SolutionFamily, SolutionSet, solve_system
@@ -222,6 +222,13 @@ class TestNamedModules:
         with pytest.raises(BindingError):
             named_module(w20, "M_0_0_1")
 
+    def test_components_are_read_as_fractions(self, vir):
+        """Components are read by ``Fraction``, as ``--param`` values are, so
+        decimal and exponent spellings name the same module."""
+        assert named_module(vir, "M_1.5_0").render() == \
+            named_module(vir, "M_3/2_0").render() == "L -> d + 3/2*x"
+        assert named_module(vir, "M_1e3_0") == named_module(vir, "M_1000_0")
+
     def test_malformed_names_rejected(self, vir):
         from confalg import ParseError
         for bad in ("M_1", "N_1_2", "M_one_two", "M_1_2_3_4"):
@@ -321,7 +328,106 @@ def _record_ansatzes(monkeypatch) -> list:
     return ansatzes
 
 
+def _virasoro_actions(alg):
+    """f = 0, the symbolic d + alpha*x + beta, and d + a*x + b at every grid
+    point and at two off-grid rationals."""
+    reg = alg.registry
+    d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+    points = list(itertools.product(modules._GRID_ALPHAS, modules._GRID_BETAS))
+    points += [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(3), Fraction(-2))]
+    return [Poly.zero(reg), d + formal(alg, "alpha") * x + formal(alg, "beta")] + \
+        [d + a0 * x + b0 for a0, b0 in points]
+
+
+def _assert_stage_one_matches_the_residuals(alg, degree, fs):
+    """The closed-form stage-one equations of each Virasoro action in ``fs``
+    are, as a multiset, the coefficients of the (L, g) residuals built from
+    the generic actions and split by ``_extract``."""
+    virasoro = alg.virasoro_generator
+    ansatz = modules._Ansatz(alg, virasoro,
+                             [g for g in alg.generators if g is not virasoro], degree)
+    for f in fs:
+        actions = {virasoro.name: f, **ansatz.actions}
+        reference = [eq for g in ansatz.others
+                     for eq in modules._extract(
+                         modules._rank1_residual(alg, actions, virasoro.name, g.name),
+                         ansatz.unknowns)]
+        assert Counter(ansatz.residuals(f).stage1) == Counter(reference), str(f)
+
+
+_ENTRY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                                          st.integers(1, 2)),
+                                min_size=1, max_size=3)
+
+
 class TestClassificationResiduals:
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_closed_form_stage_one_matches_the_split_residuals(self, preset, bindings, degree):
+        alg = instantiate(preset, bindings)
+        _assert_stage_one_matches_the_residuals(alg, degree, _virasoro_actions(alg))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_closed_form_stage_one_matches_drawn_brackets(self, degree, data):
+        """Drawn [L, g] entries of tsv's three generators, each naming g,
+        the other non-Virasoro generator and L itself with rational
+        coefficients; the (L, L) entry stays Virasoro."""
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        for g in ("Y", "M"):
+            entry = {alg.gen(k): sum((c * d ** i * x ** j
+                                      for (i, j), c in data.draw(_ENTRY_COEFFS).items()),
+                                     Poly.zero(reg)) for k in ("L", "Y", "M")}
+            alg = alg.with_entry("L", g, LambdaElement(reg, entry))
+        fs = _virasoro_actions(alg)
+        _assert_stage_one_matches_the_residuals(
+            alg, degree, fs[:2] + [data.draw(st.sampled_from(fs[2:]))])
+
+    def test_stage_one_multiplies_no_generic_action(self, monkeypatch):
+        """A work count: building the zero and the symbolic branch splits no
+        polynomial into coefficients and multiplies no polynomial in the
+        generic coefficients."""
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        fs = (Poly.zero(reg), d + formal(alg, "alpha") * x + formal(alg, "beta"))
+        ansatz = _degree_two_ansatz(alg)
+        real_mul, real_group = Poly.__mul__, modules.group_coefficients
+        products, grouped = [], []
+
+        def mul(p, q):
+            if any(v in ansatz.owner for operand in (p, q) if isinstance(operand, Poly)
+                   for v in operand.variables()):
+                products.append((str(p), str(q)))
+            return real_mul(p, q)
+
+        def grouping(p, unknowns):
+            grouped.append(str(p))
+            return real_group(p, unknowns)
+
+        monkeypatch.setattr(Poly, "__mul__", mul)
+        monkeypatch.setattr(Poly, "__rmul__", mul)
+        monkeypatch.setattr(modules, "group_coefficients", grouping)
+        branches = [ansatz.residuals(f) for f in fs]
+        assert products == [] and grouped == []
+        assert all(branch.stage1 for branch in branches)
+
+    def test_virasoro_actions_outside_the_staged_shape_are_unsupported(self):
+        alg = instantiate("w", {"a": 1, "b": 0})
+        reg = alg.registry
+        d, x, y = (Poly.from_var(reg, v) for v in (reg.d, reg.x, reg.y))
+        alpha = formal(alg, "alpha")
+        for f in (d * 2, d * d, d + x * x, d + d * x, d + y, alpha):
+            with pytest.raises(UnsupportedError, match="neither 0 nor d \\+ A\\*x \\+ B"):
+                modules._slot_weights(f)
+        for f in (d + alpha * alpha * x + alpha, d + Fraction(1, 2) * x):
+            modules._slot_weights(f)
+        with pytest.raises(UnsupportedError, match="fails its own pair identity"):
+            _degree_two_ansatz(alg).residuals(d * 2)
+
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_specialised_residuals_match_rebuilt_ones(self, preset, bindings):
         alg = instantiate(preset, bindings)
@@ -390,8 +496,9 @@ class TestClassificationResiduals:
             assert eqs
 
     def test_grid_cross_check_builds_no_generic_residuals(self, monkeypatch):
-        """The grid points build no residual over the generic ansatz; they
-        only build each stage-one family's small cross residuals."""
+        """No residual is built over the generic ansatz: stage one is
+        written in closed form, and the grid points only build each
+        stage-one family's small cross residuals."""
         ansatzes = _record_ansatzes(monkeypatch)
         real = modules._rank1_residual
         generic, total = [], []
@@ -409,12 +516,13 @@ class TestClassificationResiduals:
         generic.clear()
         total.clear()
         rank1_classify(alg, 2)
-        # Per branch the Virasoro self pair and its two pairs with Y and M
-        # over the generic ansatz, the three cross pairs for the branch's one
-        # stage-one family, then 9 pairs per certified family.
-        assert unchecked == (2 * 3, 2 * 3 + 2 * 3 + 2 * 9) == (6, 30)
+        # Per branch the Virasoro self pair with the Virasoro action alone
+        # (stage one's pairs with Y and M are written in closed form), the
+        # three cross pairs for the branch's one stage-one family, then 9
+        # pairs per certified family.
+        assert unchecked == (0, 2 * 1 + 2 * 3 + 2 * 9) == (0, 26)
         # Each of the 8 grid points adds the three cross pairs of its family.
-        assert (len(generic), len(total)) == (6, 30 + 3 * 8) == (6, 54)
+        assert (len(generic), len(total)) == (0, 26 + 3 * 8) == (0, 50)
 
     def test_grid_points_substitute_only_the_virasoro_action(self, monkeypatch):
         """A work count, not a timing: in the grid cross-check the only

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from confalg import solve as solve_module
 from confalg.errors import UnsupportedSystemError
@@ -240,6 +240,36 @@ def test_rational_roots_of_huge_low_degree_match_sympy(coeffs):
     u = sympy.Symbol("u")
     poly = sum(sympy.Rational(c.numerator, c.denominator) * u ** k for k, c in enumerate(coeffs))
     want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, u, filter="Q"))
+    assert rational_roots(coeffs) == want
+
+
+def test_rational_roots_of_huge_cubics():
+    """Degree >= 3 remainders bisect a Sturm sequence inside the Cauchy bound
+    instead of trying divisors, so 20-digit end coefficients cost nothing."""
+    big = 10 ** 20
+    assert rational_roots([-big, 0, 0, 1]) == []
+    assert rational_roots([-big, 1, -big, 1]) == [big]  # (u - big)(u^2 + 1)
+    # (3u - big)(u^2 + u + 1)
+    assert rational_roots([-big, 3 - big, 3 - big, 3]) == [Fraction(big, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_HUGE_ROOT, max_size=3), st.lists(_HUGE, min_size=1, max_size=3),
+       st.integers(1, 10 ** 6))
+def test_rational_roots_of_huge_higher_degree_match_sympy(roots, cofactor, lead):
+    """Huge rational roots times a cofactor of degree <= 2 with huge
+    coefficients, of degree 3 to 5 in all: the Sturm bisection agrees with
+    the linear factors of sympy's factorisation over Q."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = [Fraction(c) for c in cofactor] + [Fraction(lead)]
+    for r in roots:  # times (q u - p) for the root p/q
+        p, q = r.numerator, r.denominator
+        coeffs = [q * lo - p * hi for lo, hi in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    assume(len(coeffs) >= 4)
+    u = sympy.Symbol("u")
+    poly = sympy.Poly(sum(sympy.Integer(int(c)) * u ** k for k, c in enumerate(coeffs)), u)
+    want = sorted({Fraction(int(-f.nth(0)), int(f.nth(1)))
+                   for f, _ in poly.factor_list()[1] if f.degree() == 1})
     assert rational_roots(coeffs) == want
 
 
