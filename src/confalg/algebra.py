@@ -108,17 +108,19 @@ class AxiomReport:
 
 
 class ConformalAlgebra:
-    """A finite Lie conformal algebra given by its lambda-bracket table."""
+    """A finite Lie conformal algebra given by its lambda-bracket table.
+
+    ``virasoro_name`` is detected from the table, never declared: it names
+    the first generator g with [g_x g] = (d + 2x) g, or is None.
+    """
 
     def __init__(self, name: str, registry: Registry, generators: Sequence[Generator],
                  table: Mapping[tuple[str, str], LambdaElement], params: Sequence[Var] = (),
-                 *, virasoro: str | None = None,
-                 closed_ann_form=None, param_values: Mapping[str, Fraction] | None = None):
+                 *, closed_ann_form=None, param_values: Mapping[str, Fraction] | None = None):
         self.name = name
         self.registry = registry
         self.generators = tuple(generators)
         self.params = tuple(params)
-        self.virasoro_name = virasoro
         self.closed_ann_form = closed_ann_form
         #: Rational values substituted for the declared parameters, when bound.
         self.param_values = dict(param_values or {})
@@ -129,8 +131,7 @@ class ConformalAlgebra:
                 raise DefinitionError(f"{v.name} is not a parameter variable")
         self._by_name = {g.name: g for g in self.generators}
         self._table = self._build_table(dict(table))
-        if self.virasoro_name is None:
-            self.virasoro_name = self._detect_virasoro()
+        self.virasoro_name = self._detect_virasoro()
 
     # ---- construction helpers -----------------------------------------
 
@@ -216,8 +217,7 @@ class ConformalAlgebra:
         table = self.full_table()
         table[(a, b)] = elem
         return ConformalAlgebra(self.name, self.registry, self.generators, table,
-                                self.params, virasoro=self.virasoro_name,
-                                closed_ann_form=self.closed_ann_form,
+                                self.params, closed_ann_form=self.closed_ann_form,
                                 param_values=self.param_values)
 
     # ---- parameter binding -------------------------------------------------
@@ -244,7 +244,6 @@ class ConformalAlgebra:
         values = dict(self.param_values)
         values.update({v.name: Fraction(bindings[v.name]) for v in self.params})
         return ConformalAlgebra(self.name, self.registry, self.generators, table, (),
-                                virasoro=self.virasoro_name,
                                 closed_ann_form=self.closed_ann_form, param_values=values)
 
     # ---- bracket machinery ---------------------------------------------------

@@ -503,23 +503,20 @@ class FiniteLie:
         return f"FiniteLie(dim={self.dim})"
 
 
-def truncated_quotient(alg: ConformalAlgebra, depth: int,
-                       bindings: Mapping[str, Fraction | int] | None = None) -> FiniteLie:
+def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
     """Quotient of the nonnegative part of the coefficient algebra by the
     part of filtration degree >= depth, as a FiniteLie.
 
     Each generator contributes basis labels shift, shift+1, ..., shift+depth-1.
-    Parameters must be bound (here or beforehand).  Structure constants come
-    from one expansion per generator pair, with its coefficients reduced to
-    rationals once, fed to the same rule as ``ann_bracket`` on plain internal
-    indices.  The Jacobi identity of the result is re-checked after
-    truncation.
+    Parameters must be bound beforehand, by ``specialize``.  Structure
+    constants come from one expansion per generator pair, with its
+    coefficients reduced to rationals once, fed to the same rule as
+    ``ann_bracket`` on plain internal indices.  The Jacobi identity of the
+    result is re-checked after truncation.
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
-    if bindings is not None:
-        alg = alg.specialize(bindings)
-    elif alg.params:
+    if alg.params:
         raise BindingError(f"{alg.name} has unbound parameters "
                            f"{sorted(v.name for v in alg.params)}")
     gens = alg.generators

@@ -34,11 +34,14 @@ actions valid for every (alpha, beta), a rational grid of (alpha, beta)
 values is re-solved independently and any family on one side only raises
 DiscrepancyError.  Stage one is never built by multiplying polynomials: the
 residual of the Virasoro generator with each other generator is linear in
-the generic coefficients, so ``_Ansatz.residuals`` writes it in closed form
-as sparse rows, one per generator and monomial in d, x and y, each holding
-the parts of its equation that multiply 1, alpha and beta.  The rows are
-built once per branch; a grid point folds them with its (alpha, beta)
-values, then solves the folded equations on its own.
+the generic coefficients, so ``_Ansatz`` writes it once in closed form as
+sparse rows, one per generator and monomial in d, x and y, each holding
+the parts of its equation that multiply 1, alpha and beta.  Every Virasoro
+action, the symbolic one and each grid point's, folds those rows with its
+own weights and solves the folded equations on its own.  The Virasoro
+generator's own pair needs no check: it is detected by its (d + 2x) bracket,
+and f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for every
+f = d + A*x + B with A and B free of d and x.
 """
 
 from __future__ import annotations
@@ -282,43 +285,32 @@ def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction]]:
             for m in dict.fromkeys([(), *a, *b])]
 
 
-class _Branch:
-    """Stage-one equations of the staged search for one Virasoro action f:
-    the coefficients, in the generic coefficients, of the Virasoro
-    generator's pair residual with each other generator.
-
-    ``rows`` maps (generator, (p, q, r)) to the coefficient of d^p x^q y^r in
-    that residual for f = d + A*x + B, written as three affine slot
-    equations (the constant part, the A-part and the B-part) that do not
-    depend on A and B.  ``stage1`` is the rows folded by ``_slot_weights(f)``,
-    zero sums dropped; a point of f's parameters folds the same rows with
-    that point's A and B."""
-
-    __slots__ = ("f", "rows", "stage1")
-
-    def __init__(self, f: Poly, rows: Mapping[tuple[str, tuple[int, int, int]],
-                                              tuple[Poly, Poly, Poly]]):
-        self.f, self.rows = f, rows
-        reg = f.registry
-        weights = _slot_weights(f)
-        folded = (weighted_sum(reg, zip(w, row)) for row in rows.values() for w in weights)
-        self.stage1 = tuple(eq for eq in folded if not eq.is_zero())
-
-    def specialise(self, point: Mapping[Var, Fraction]) -> "_Branch":
-        """The branch at a point of f's parameters."""
-        return _Branch(self.f.subs(point), self.rows)
-
-
 class _Ansatz:
     """Generic bounded-degree actions of the non-Virasoro generators, built
-    once per classification and shared by every branch.  ``owner`` maps each
-    generic coefficient to the generator whose action carries it, and
-    ``coefficients`` lists each generator's (i, j, u) for its terms
+    once per classification and shared by every Virasoro action.  ``owner``
+    maps each generic coefficient to the generator whose action carries it,
+    and ``coefficients`` lists each generator's (i, j, u) for its terms
     u * d^i * x^j.
 
     Stage one is never built from the generic actions: the residual of the
-    pair (L, g) is linear in the generic coefficients, and ``residuals``
-    writes each coefficient's image in closed form."""
+    pair (L, g) is linear in the generic coefficients, so ``__init__`` writes
+    it once in closed form as sparse rows, one per generator and monomial
+    d^p x^q y^r.  ``zero_rows`` serve f = 0; each of the ``affine_rows`` holds
+    the three slot equations of f = d + A*x + B (the constant part, the A-part
+    and the B-part), which do not depend on A and B.  ``stage_one(f)`` folds
+    the matching rows by ``_slot_weights(f)``.  With P_k = p_k(-(x+y), x)
+    for each term p_k(d, x) k of [L_x g], the coefficient u of d^i x^j in
+    A_g contributes to the residual of (L, g):
+      - from f A_g(d+x, y) - A_g(d, y) f(d+y, x), when f is nonzero,
+        C(i,s) (d^(s+1) x^(i-s) + A d^s x^(i-s+1) + B d^s x^(i-s)) y^j
+        for s < i, and -d^i y^(j+1);
+      - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t).
+    The term k = L adds the constant -P_L f(d, x+y).
+
+    The pair (L, L) needs no equation: the Virasoro generator is detected
+    by [L_x L] = (d + 2x) L, and for A and B free of d and x,
+    f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y), so every action
+    ``_slot_weights`` accepts satisfies it."""
 
     def __init__(self, alg: ConformalAlgebra, virasoro: Generator,
                  others: Sequence[Generator], max_degree: int):
@@ -335,61 +327,60 @@ class _Ansatz:
             self.owner.update((v, g.name) for v in uvars)
             self.coefficients[g.name] = [(i, j, v) for (i, j), v in zip(exponents, uvars)]
 
-    def residuals(self, f: Poly) -> _Branch:
-        """The stage-one rows for the Virasoro action f = 0 or d + A*x + B.
+        vname, reg = virasoro.name, alg.registry
+        # Slot cells keyed by (generator, (p, q, r)), for f = 0 and for f = d + A*x + B.
+        zero: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict]] = {}
+        affine: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict]] = {}
 
-        With P_k = p_k(-(x+y), x) for each term p_k(d, x) k of [L_x g], the
-        coefficient u of d^i x^j in A_g contributes to the residual of (L, g):
-          - from f A_g(d+x, y) - A_g(d, y) f(d+y, x), when f is nonzero,
-            C(i,s) (d^(s+1) x^(i-s) + A d^s x^(i-s+1) + B d^s x^(i-s)) y^j
-            for s < i, and -d^i y^(j+1);
-          - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t).
-        The term k = L adds the constant -P_L f(d, x+y)."""
-        alg, vname, reg = self.alg, self.virasoro.name, self.alg.registry
-        if not _rank1_residual(alg, {vname: f}, vname, vname).is_zero():
-            raise UnsupportedError("the proposed Virasoro action fails its own pair identity")
-        cells: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict]] = {}
-
-        def add(g: str, pqr: tuple[int, int, int], slot: int, u: Mono, c) -> None:
+        def add(cells: dict, g: str, pqr: tuple[int, int, int], slot: int, u: Mono, c) -> None:
             cell = cells.setdefault((g, pqr), ({}, {}, {}))[slot]
             cell[u] = cell.get(u, 0) + c
 
         shift = {reg.d: -(Poly.from_var(reg, reg.x) + Poly.from_var(reg, reg.y))}
         xi, yi = reg.x.index, reg.y.index
-        for g in self.others:
-            if f:
-                for i, j, v in self.coefficients[g.name]:
-                    u = ((v.index, 1),)
-                    for s in range(i):
-                        c = math.comb(i, s)
-                        add(g.name, (s + 1, i - s, j), 0, u, c)
-                        add(g.name, (s, i - s + 1, j), 1, u, c)
-                        add(g.name, (s, i - s, j), 2, u, c)
-                    add(g.name, (i, 0, j + 1), 0, u, -1)
+        for g in others:
+            for i, j, v in self.coefficients[g.name]:
+                u = ((v.index, 1),)
+                for s in range(i):
+                    c = math.comb(i, s)
+                    add(affine, g.name, (s + 1, i - s, j), 0, u, c)
+                    add(affine, g.name, (s, i - s + 1, j), 1, u, c)
+                    add(affine, g.name, (s, i - s, j), 2, u, c)
+                add(affine, g.name, (i, 0, j + 1), 0, u, -1)
             for k, p in alg.entry(vname, g.name).items():
                 shifted = [(dict(m).get(xi, 0), dict(m).get(yi, 0),
                             c.numerator if c.denominator == 1 else c)
                            for m, c in p.subs(shift).terms()]
                 if k.name == vname:
-                    if f:
-                        for q, r, c in shifted:
-                            add(g.name, (1, q, r), 0, (), -c)
-                            add(g.name, (0, q + 1, r), 1, (), -c)
-                            add(g.name, (0, q, r + 1), 1, (), -c)
-                            add(g.name, (0, q, r), 2, (), -c)
+                    for q, r, c in shifted:
+                        add(affine, g.name, (1, q, r), 0, (), -c)
+                        add(affine, g.name, (0, q + 1, r), 1, (), -c)
+                        add(affine, g.name, (0, q, r + 1), 1, (), -c)
+                        add(affine, g.name, (0, q, r), 2, (), -c)
                     continue
                 for i, j, v in self.coefficients[k.name]:
                     u = ((v.index, 1),)
                     for t in range(j + 1):
                         c = math.comb(j, t)
                         for q, r, pc in shifted:
-                            add(g.name, (i, q + t, r + j - t), 0, u, -pc * c)
+                            for cells in (zero, affine):
+                                add(cells, g.name, (i, q + t, r + j - t), 0, u, -pc * c)
         # Coefficients add as ints while they are integral.
-        rows = {key: tuple(Poly(reg, {u: c if type(c) is Fraction else Fraction(c)
-                                      for u, c in cell.items() if c}, _normalized=True)
-                           for cell in slots)
-                for key, slots in cells.items()}
-        return _Branch(f, rows)
+        self.zero_rows, self.affine_rows = (
+            [tuple(Poly(reg, {u: c if type(c) is Fraction else Fraction(c)
+                              for u, c in cell.items() if c}, _normalized=True)
+                   for cell in slots)
+             for slots in cells.values()]
+            for cells in (zero, affine))
+
+    def stage_one(self, f: Poly) -> tuple[Poly, ...]:
+        """The stage-one equations of the Virasoro action f: the rows of f's
+        shape folded by ``_slot_weights(f)``, zero sums dropped."""
+        reg = self.alg.registry
+        weights = _slot_weights(f)
+        folded = (weighted_sum(reg, zip(w, row))
+                  for row in (self.affine_rows if f else self.zero_rows) for w in weights)
+        return tuple(eq for eq in folded if not eq.is_zero())
 
     def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
         """The actions of a solution family under the Virasoro action f."""
@@ -411,9 +402,9 @@ class _Ansatz:
                 eqs += _extract(_rank1_residual(self.alg, actions, g.name, h.name), fam.free)
         return eqs
 
-    def solve(self, branch: _Branch) -> SolutionSet:
-        """All bounded-degree actions extending the branch's Virasoro action,
-        as canonical solution families over the generic coefficients.
+    def solve(self, f: Poly) -> SolutionSet:
+        """All bounded-degree actions extending the Virasoro action f, as
+        canonical solution families over the generic coefficients.
 
         Stage one solves the Virasoro pair residuals, which are linear in the
         generic coefficients.  Stage two substitutes each solution family into
@@ -422,8 +413,8 @@ class _Ansatz:
         solution is composed with its stage-one family.
         """
         raw = []
-        for fam in solve_system(branch.stage1, self.unknowns):
-            subs = solve_system(self.stage_two(branch.f, fam), fam.free)
+        for fam in solve_system(self.stage_one(f), self.unknowns):
+            subs = solve_system(self.stage_two(f, fam), fam.free)
             raw += _compose(fam.solved, [sub.solved for sub in subs])
         return SolutionSet.from_assignments(self.unknowns, raw, self.alg.registry)
 
@@ -477,10 +468,9 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
     affine = d + alpha * x + beta
 
     ansatz = _Ansatz(alg, virasoro, others, max_degree)
-    zero = ansatz.residuals(Poly.zero(reg))
-    symbolic = ansatz.residuals(affine)
-    at_zero, at_affine = ansatz.solve(zero), ansatz.solve(symbolic)
-    families = [ansatz.named_actions(zero.f, fam) for fam in at_zero] + \
+    zero = Poly.zero(reg)
+    at_zero, at_affine = ansatz.solve(zero), ansatz.solve(affine)
+    families = [ansatz.named_actions(zero, fam) for fam in at_zero] + \
         [ansatz.named_actions(affine, fam) for fam in at_affine]
     families.sort(key=lambda fam: (0 if all(p.is_zero() for p in fam.values()) else 1,
                                    "; ".join(str(fam[g.name]) for g in alg.generators)))
@@ -492,7 +482,7 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
             raise DiscrepancyError(
                 f"classified family {action.render()} fails the module identity")
     if cross_check:
-        _grid_cross_check(ansatz, symbolic, at_affine)
+        _grid_cross_check(ansatz, affine, at_affine)
     return result
 
 
@@ -500,23 +490,24 @@ _GRID_ALPHAS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
 _GRID_BETAS = (Fraction(0), Fraction(1))
 
 
-def _grid_cross_check(ansatz: _Ansatz, symbolic: _Branch, expected: SolutionSet):
+def _grid_cross_check(ansatz: _Ansatz, affine: Poly, expected: SolutionSet):
     """Re-solve the classification at rational (alpha, beta) points and
-    demand the symbolic branch's families; sporadic extras would invalidate
-    the formal stage.  Each point specialises the symbolic stage-one
-    equations and solves them from scratch.  A disagreement names every
-    family found on one side only, rendered as actions at the grid point."""
+    demand the families of the symbolic Virasoro action ``affine``; sporadic
+    extras would invalidate the formal stage.  Each point folds the stage-one
+    rows with its own action and solves them from scratch.  A disagreement
+    names every family found on one side only, rendered as actions at the
+    grid point."""
     alg = ansatz.alg
     alpha, beta = alg.registry.param("alpha"), alg.registry.param("beta")
     for a0 in _GRID_ALPHAS:
         for b0 in _GRID_BETAS:
-            branch = symbolic.specialise({alpha: a0, beta: b0})
-            found = ansatz.solve(branch)
+            f = affine.subs({alpha: a0, beta: b0})
+            found = ansatz.solve(f)
             if found == expected:
                 continue
             lines = sorted(
                 f"\n  missing from {where}: "
-                f"{Rank1Action(alg, ansatz.named_actions(branch.f, fam)).render()}"
+                f"{Rank1Action(alg, ansatz.named_actions(f, fam)).render()}"
                 for where, fams in (("the symbolic families", set(found) - set(expected)),
                                     ("the grid point", set(expected) - set(found)))
                 for fam in fams)

@@ -439,10 +439,6 @@ class TestTruncation:
         assert q.is_solvable() == (True, 2)
         assert not q.is_nilpotent()
 
-    def test_bindings_argument(self):
-        q = truncated_quotient(instantiate("w"), 2, {"a": 1, "b": 0})
-        assert q.dim == 4
-
     def test_unbound_parameters_rejected(self):
         with pytest.raises(BindingError):
             truncated_quotient(instantiate("w"), 2)

@@ -352,7 +352,7 @@ def _assert_stage_one_matches_the_residuals(alg, degree, fs):
                      for eq in modules._extract(
                          modules._rank1_residual(alg, actions, virasoro.name, g.name),
                          ansatz.unknowns)]
-        assert Counter(ansatz.residuals(f).stage1) == Counter(reference), str(f)
+        assert Counter(ansatz.stage_one(f)) == Counter(reference), str(f)
 
 
 _ENTRY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -387,19 +387,19 @@ class TestClassificationResiduals:
             alg, degree, fs[:2] + [data.draw(st.sampled_from(fs[2:]))])
 
     def test_stage_one_multiplies_no_generic_action(self, monkeypatch):
-        """A work count: building the zero and the symbolic branch splits no
-        polynomial into coefficients and multiplies no polynomial in the
-        generic coefficients."""
+        """A work count: building the ansatz's rows and folding them for f = 0
+        and the symbolic f splits no polynomial into coefficients and
+        multiplies no polynomial in the generic coefficients."""
         alg = instantiate("tsv", {"a": 1, "b": 0})
         reg = alg.registry
         d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
         fs = (Poly.zero(reg), d + formal(alg, "alpha") * x + formal(alg, "beta"))
-        ansatz = _degree_two_ansatz(alg)
+        generic = _degree_two_ansatz(alg).owner
         real_mul, real_group = Poly.__mul__, modules.group_coefficients
         products, grouped = [], []
 
         def mul(p, q):
-            if any(v in ansatz.owner for operand in (p, q) if isinstance(operand, Poly)
+            if any(v in generic for operand in (p, q) if isinstance(operand, Poly)
                    for v in operand.variables()):
                 products.append((str(p), str(q)))
             return real_mul(p, q)
@@ -411,9 +411,37 @@ class TestClassificationResiduals:
         monkeypatch.setattr(Poly, "__mul__", mul)
         monkeypatch.setattr(Poly, "__rmul__", mul)
         monkeypatch.setattr(modules, "group_coefficients", grouping)
-        branches = [ansatz.residuals(f) for f in fs]
+        ansatz = _degree_two_ansatz(alg)
+        stage_one = [ansatz.stage_one(f) for f in fs]
         assert products == [] and grouped == []
-        assert all(branch.stage1 for branch in branches)
+        assert all(stage_one)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([("vir", None), ("w", {"a": 1, "b": 0}), ("tsv", {"a": 1, "b": 0})]),
+           _ENTRY_COEFFS, _ENTRY_COEFFS)
+    def test_every_staged_virasoro_action_satisfies_its_own_pair(self, preset, a_coeffs,
+                                                                 b_coeffs):
+        """Stage one checks no (L, L) pair: for A and B free of d and x,
+        f = d + A*x + B gives f(d,x) f(d+x,y) - f(d,y) f(d+y,x) =
+        (x - y) f(d, x+y), which the (d + 2x) L bracket's term cancels."""
+        alg = instantiate(*preset)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha, beta = formal(alg, "alpha"), formal(alg, "beta")
+        A, B = (sum((c * alpha ** i * beta ** j for (i, j), c in coeffs.items()), Poly.zero(reg))
+                for coeffs in (a_coeffs, b_coeffs))
+        assert modules._rank1_residual(alg, {"L": d + A * x + B}, "L", "L").is_zero()
+
+    def test_the_virasoro_generator_is_detected_not_inherited(self):
+        """Replacing [L_x L] drops the Virasoro name, so classification
+        refuses the algebra instead of trusting a stale L."""
+        alg = instantiate("w", {"a": 2, "b": 0})
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        bent = alg.with_entry("L", "L", LambdaElement(reg, {alg.gen("L"): d + 3 * x}))
+        assert alg.virasoro_name == "L" and bent.virasoro_name is None
+        with pytest.raises(UnsupportedError, match="no generator with a Virasoro bracket"):
+            rank1_classify(bent, 2)
 
     def test_virasoro_actions_outside_the_staged_shape_are_unsupported(self):
         alg = instantiate("w", {"a": 1, "b": 0})
@@ -425,50 +453,6 @@ class TestClassificationResiduals:
                 modules._slot_weights(f)
         for f in (d + alpha * alpha * x + alpha, d + Fraction(1, 2) * x):
             modules._slot_weights(f)
-        with pytest.raises(UnsupportedError, match="fails its own pair identity"):
-            _degree_two_ansatz(alg).residuals(d * 2)
-
-    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
-    def test_specialised_residuals_match_rebuilt_ones(self, preset, bindings):
-        alg = instantiate(preset, bindings)
-        reg = alg.registry
-        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
-        alpha, beta = reg.param("alpha"), reg.param("beta")
-        ansatz = _degree_two_ansatz(alg)
-        symbolic = ansatz.residuals(d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta))
-        a0, b0 = Fraction(-1), Fraction(1, 2)
-        specialised = symbolic.specialise({alpha: a0, beta: b0})
-        rebuilt = ansatz.residuals(d + a0 * x + b0)
-        assert set(specialised.stage1) == set(rebuilt.stage1)
-        assert specialised.f == rebuilt.f
-
-    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
-    @pytest.mark.parametrize("degree", [2, 3, 4])
-    def test_specialised_equations_match_the_substituted_residuals(self, preset, bindings,
-                                                                   degree):
-        """Folding the grouped symbolic equations at a point gives the
-        equations of substituting the point into each whole stage-one
-        residual and splitting it again, on the grid and off it."""
-        alg = instantiate(preset, bindings)
-        reg = alg.registry
-        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
-        alpha, beta = reg.param("alpha"), reg.param("beta")
-        f = d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta)
-        virasoro = alg.virasoro_generator
-        ansatz = modules._Ansatz(alg, virasoro,
-                                 [g for g in alg.generators if g is not virasoro], degree)
-        symbolic = ansatz.residuals(f)
-        actions = {virasoro.name: f, **ansatz.actions}
-        residuals = [modules._rank1_residual(alg, actions, virasoro.name, g.name)
-                     for g in ansatz.others]
-        points = list(itertools.product(modules._GRID_ALPHAS, modules._GRID_BETAS))
-        for a0, b0 in points + [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(3), Fraction(-2))]:
-            point = {alpha: a0, beta: b0}
-            reference = [eq for r in residuals
-                         for eq in modules._extract(r.subs(point), ansatz.unknowns)]
-            specialised = symbolic.specialise(point)
-            assert Counter(specialised.stage1) == Counter(reference)
-            assert specialised.f == f.subs(point)
 
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_stage_two_matches_the_substituted_generic_cross_residuals(self, preset, bindings):
@@ -486,8 +470,7 @@ class TestClassificationResiduals:
             generic = {alg.virasoro_generator.name: f, **ansatz.actions}
             cross = [modules._rank1_residual(alg, generic, g, h)
                      for i, g in enumerate(others) for h in others[i:]]
-            branch = ansatz.residuals(f)
-            families = list(solve_system(branch.stage1, ansatz.unknowns))
+            families = list(solve_system(ansatz.stage_one(f), ansatz.unknowns))
             assert families
             for fam in families + [_probe_family(ansatz)]:
                 eqs = ansatz.stage_two(f, fam)
@@ -516,13 +499,12 @@ class TestClassificationResiduals:
         generic.clear()
         total.clear()
         rank1_classify(alg, 2)
-        # Per branch the Virasoro self pair with the Virasoro action alone
-        # (stage one's pairs with Y and M are written in closed form), the
-        # three cross pairs for the branch's one stage-one family, then 9
-        # pairs per certified family.
-        assert unchecked == (0, 2 * 1 + 2 * 3 + 2 * 9) == (0, 26)
+        # Per Virasoro action (0 and the symbolic one) the three cross pairs
+        # for its one stage-one family, then 9 pairs per certified family;
+        # stage one's pairs with Y and M are written in closed form.
+        assert unchecked == (0, 2 * 3 + 2 * 9) == (0, 24)
         # Each of the 8 grid points adds the three cross pairs of its family.
-        assert (len(generic), len(total)) == (0, 26 + 3 * 8) == (0, 50)
+        assert (len(generic), len(total)) == (0, 24 + 3 * 8) == (0, 48)
 
     def test_grid_points_substitute_only_the_virasoro_action(self, monkeypatch):
         """A work count, not a timing: in the grid cross-check the only

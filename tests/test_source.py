@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import confalg
@@ -41,3 +42,34 @@ def test_traced_names_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a plain name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, ast.Attribute))
+
+
+def test_private_names_are_referenced():
+    """Every private module-level function, class or constant is read
+    somewhere in the package outside its own definition, so a deletion
+    leaves no orphan helper behind."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(confalg.__file__).parent.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, own = [node.name], _references(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names, own = [t.id for t in targets if isinstance(t, ast.Name)], Counter()
+            else:
+                continue
+            orphans += [f"{filename}:{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")
+                        and used[name] <= own[name]]
+    assert orphans == []
