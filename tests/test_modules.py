@@ -455,6 +455,59 @@ class TestClassificationResiduals:
             modules._slot_weights(f)
 
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
+    def test_specialised_residuals_match_rebuilt_ones(self, preset, bindings):
+        """Substituting a point into the (L, g) residuals of the symbolic
+        action gives the residuals rebuilt from the action at that point,
+        and the stage-one equations of that action split them."""
+        alg = instantiate(preset, bindings)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha, beta = reg.param("alpha"), reg.param("beta")
+        ansatz = _degree_two_ansatz(alg)
+        vname = alg.virasoro_generator.name
+        symbolic = d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta)
+        a0, b0 = Fraction(-1), Fraction(1, 2)
+        rebuilt_f = d + a0 * x + b0
+        assert symbolic.subs({alpha: a0, beta: b0}) == rebuilt_f
+        specialised = [modules._rank1_residual(alg, {vname: symbolic, **ansatz.actions},
+                                               vname, g.name).subs({alpha: a0, beta: b0})
+                       for g in ansatz.others]
+        rebuilt = [modules._rank1_residual(alg, {vname: rebuilt_f, **ansatz.actions},
+                                           vname, g.name)
+                   for g in ansatz.others]
+        assert specialised == rebuilt
+        assert set(ansatz.stage_one(rebuilt_f)) == {
+            eq for r in rebuilt for eq in modules._extract(r, ansatz.unknowns)}
+
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_specialised_equations_match_the_substituted_residuals(self, preset, bindings,
+                                                                   degree):
+        """The stage-one equations of the symbolic action's specialisation at
+        a point, which a grid point solves, are the equations of
+        substituting the point into each whole symbolic (L, g) residual and
+        splitting it again, on the grid and off it."""
+        alg = instantiate(preset, bindings)
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha, beta = reg.param("alpha"), reg.param("beta")
+        f = d + Poly.from_var(reg, alpha) * x + Poly.from_var(reg, beta)
+        virasoro = alg.virasoro_generator
+        ansatz = modules._Ansatz(alg, virasoro,
+                                 [g for g in alg.generators if g is not virasoro], degree)
+        actions = {virasoro.name: f, **ansatz.actions}
+        residuals = [modules._rank1_residual(alg, actions, virasoro.name, g.name)
+                     for g in ansatz.others]
+        points = list(itertools.product(modules._GRID_ALPHAS, modules._GRID_BETAS))
+        for a0, b0 in points + [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(3), Fraction(-2))]:
+            point = {alpha: a0, beta: b0}
+            reference = [eq for r in residuals
+                         for eq in modules._extract(r.subs(point), ansatz.unknowns)]
+            specialised = f.subs(point)
+            assert specialised == d + a0 * x + b0
+            assert Counter(ansatz.stage_one(specialised)) == Counter(reference)
+
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_stage_two_matches_the_substituted_generic_cross_residuals(self, preset, bindings):
         """Building the cross residuals from a family's substituted actions
         gives the equations of substituting it into the generic ones.  The
