@@ -36,12 +36,13 @@ DiscrepancyError.  Stage one is never built by multiplying polynomials: the
 residual of the Virasoro generator with each other generator is linear in
 the generic coefficients, so ``_Ansatz`` writes it once in closed form as
 sparse rows, one per generator and monomial in d, x and y, each holding
-the parts of its equation that multiply 1, alpha and beta.  Every Virasoro
-action, the symbolic one and each grid point's, folds those rows with its
-own weights and solves the folded equations on its own.  The Virasoro
-generator's own pair needs no check: it is detected by its (d + 2x) bracket,
-and f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for every
-f = d + A*x + B with A and B free of d and x.
+the parts of its equation that multiply 1, alpha and beta as coefficient
+dicts, in ints while the coefficients are integral.  Every Virasoro action,
+the symbolic one and each grid point's, folds those rows with its own
+weights in plain arithmetic and solves the folded equations on its own.
+The Virasoro generator's own pair needs no check: it is detected by its
+(d + 2x) bracket, and f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y)
+for every f = d + A*x + B with A and B free of d and x.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
                       parse_algebra)
 from .poly import (PARAMETER, Mono, Poly, Registry, Var, group_coefficients, monic_div_rem,
-                   parse_poly, weighted_sum)
+                   parse_poly)
 from .solve import SolutionFamily, SolutionSet, _compose, rational_roots, solve_system
 
 
@@ -297,8 +298,11 @@ class _Ansatz:
     it once in closed form as sparse rows, one per generator and monomial
     d^p x^q y^r.  ``zero_rows`` serve f = 0; each of the ``affine_rows`` holds
     the three slot equations of f = d + A*x + B (the constant part, the A-part
-    and the B-part), which do not depend on A and B.  ``stage_one(f)`` folds
-    the matching rows by ``_slot_weights(f)``.  With P_k = p_k(-(x+y), x)
+    and the B-part), which do not depend on A and B.  A slot equation is a
+    plain coefficient dict keyed by the generic coefficient's ``Mono``, with
+    ints while its coefficients are integral.  ``stage_one(f)`` folds the
+    matching rows by ``_slot_weights(f)`` in that arithmetic and makes a
+    ``Poly`` only of each folded equation.  With P_k = p_k(-(x+y), x)
     for each term p_k(d, x) k of [L_x g], the coefficient u of d^i x^j in
     A_g contributes to the residual of (L, g):
       - from f A_g(d+x, y) - A_g(d, y) f(d+y, x), when f is nonzero,
@@ -367,20 +371,33 @@ class _Ansatz:
                                 add(cells, g.name, (i, q + t, r + j - t), 0, u, -pc * c)
         # Coefficients add as ints while they are integral.
         self.zero_rows, self.affine_rows = (
-            [tuple(Poly(reg, {u: c if type(c) is Fraction else Fraction(c)
-                              for u, c in cell.items() if c}, _normalized=True)
-                   for cell in slots)
+            [tuple({u: c for u, c in cell.items() if c} for cell in slots)
              for slots in cells.values()]
             for cells in (zero, affine))
 
     def stage_one(self, f: Poly) -> tuple[Poly, ...]:
         """The stage-one equations of the Virasoro action f: the rows of f's
-        shape folded by ``_slot_weights(f)``, zero sums dropped."""
+        shape folded by ``_slot_weights(f)``, zero sums dropped.  The fold is
+        plain arithmetic, in ints while weights and cells are integral, and a
+        lone slot of weight 1 is taken as it is."""
         reg = self.alg.registry
-        weights = _slot_weights(f)
-        folded = (weighted_sum(reg, zip(w, row))
-                  for row in (self.affine_rows if f else self.zero_rows) for w in weights)
-        return tuple(eq for eq in folded if not eq.is_zero())
+        weights = [tuple(w.numerator if w.denominator == 1 else w for w in slot_weights)
+                   for slot_weights in _slot_weights(f)]
+        eqs = []
+        for row in (self.affine_rows if f else self.zero_rows):
+            for slot_weights in weights:
+                parts = [(w, cell) for w, cell in zip(slot_weights, row) if w and cell]
+                if len(parts) == 1 and parts[0][0] == 1:
+                    folded = parts[0][1]
+                else:
+                    folded = {}
+                    for w, cell in parts:
+                        for u, c in cell.items():
+                            folded[u] = folded.get(u, 0) + w * c
+                terms = {u: Fraction(c) for u, c in folded.items() if c}
+                if terms:
+                    eqs.append(Poly(reg, terms, _normalized=True))
+        return tuple(eqs)
 
     def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
         """The actions of a solution family under the Virasoro action f."""

@@ -634,22 +634,6 @@ def group_coefficients(p: Poly, unknowns: Iterable[Var]) -> dict[Mono, Poly]:
     }
 
 
-def weighted_sum(registry: Registry, pairs: Iterable[tuple[Fraction, Poly]]) -> Poly:
-    """The sum of ``weight * p`` over ``pairs``, in one accumulator: zero
-    weights are skipped, unit weights add ``p``'s coefficients as they are,
-    and a lone term of weight 1 is ``p`` itself."""
-    pairs = [(weight, p) for weight, p in pairs if weight]
-    if len(pairs) == 1 and pairs[0][0] == 1:
-        return pairs[0][1]
-    out: dict[Mono, Fraction] = {}
-    for weight, p in pairs:
-        for m, c in p._terms.items():
-            if weight != 1:
-                c = c * weight
-            out[m] = out[m] + c if m in out else c
-    return Poly(registry, out)
-
-
 # ---- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

@@ -9,8 +9,13 @@ the system is inconsistent.
 
 There is one exact elimination, ``integer_echelon``, and one
 back-substitution that reads each of its pivot rows as an assignment; both
-the solver and the canonical form of a family go through them.  Each step
-makes exactly one move, chosen by the shape of the equations:
+the solver and the canonical form of a family go through them.  An affine
+system, every term a constant or one unknown to the first power, is one
+elimination in the canonical order of the unknowns: its reduced echelon
+form is the system's one family, or the empty union when a row keeps only
+the constant, and it takes no branch depth.  Any other system goes through
+a branching search, in which each step makes exactly one move, chosen by
+the shape of the equations:
 
 - Affine: every equation of total degree at most 1 is reduced in one
   elimination (pivoting on the highest-index unknown of each row); a row
@@ -563,6 +568,18 @@ def integer_echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
     return [pivots[col] for col in sorted(pivots)]
 
 
+def _echelon_family(unknowns: Sequence[Var], rows: Iterable[Mapping[int, Fraction | int]],
+                    registry) -> SolutionFamily | None:
+    """The affine space cut out by ``rows`` in reduced row echelon form over
+    the unknown order, or None when the rows are inconsistent.  A row's keys
+    are the unknowns' positions, with the constant at ``len(unknowns)``."""
+    n = len(unknowns)
+    solved = _pivot_assignments(rows, lambda j: None if j == n else unknowns[j], registry)
+    if solved is None:
+        return None
+    return SolutionFamily(unknowns, solved, [v for v in unknowns if v not in solved])
+
+
 def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
                       registry) -> SolutionFamily:
     """Rewrite an assignment map in reduced row echelon form over the unknown
@@ -580,12 +597,38 @@ def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
             col = position[m[0][0]] if m else n
             row[col] = row.get(col, 0) - c
         rows.append(row)
-    solved = _pivot_assignments(rows, lambda j: None if j == n else unknowns[j], registry)
-    if solved is None:
+    family = _echelon_family(unknowns, rows, registry)
+    if family is None:
         raise UnsupportedSystemError("assignment map is inconsistent",
                                      SolutionFamily(unknowns, assign, ()).render())
-    free = [v for v in unknowns if v not in solved]
-    return SolutionFamily(unknowns, solved, free)
+    return family
+
+
+def _affine_rows(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> list[dict] | None:
+    """One sparse row per equation, keyed as ``_echelon_family`` reads them,
+    or None unless every term of every equation is a constant or one of the
+    ``unknowns`` to the first power."""
+    if not eqs:
+        return []
+    registry = eqs[0].registry
+    if not all(registry.has(v) for v in unknowns):
+        return None
+    position = {v.index: i for i, v in enumerate(unknowns)}
+    n = len(unknowns)
+    rows = []
+    for eq in eqs:
+        if eq.registry is not registry:
+            return None
+        row = {}
+        for m, c in eq._terms.items():
+            if not m:
+                row[n] = c
+            elif len(m) == 1 and m[0][1] == 1 and m[0][0] in position:
+                row[position[m[0][0]]] = c
+            else:
+                return None
+        rows.append(row)
+    return rows
 
 
 def _family_contains(big: SolutionFamily, small: SolutionFamily, registry) -> bool:
@@ -608,11 +651,18 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
     Every equation must be a polynomial purely in the listed unknowns (extract
     formal-variable coefficients and bind algebra parameters first).  Returns
     the full variety as a union of affine families; an empty union means the
-    system is inconsistent.  Raises UnsupportedSystemError when the bounded
-    elimination cannot triangularize the system.
+    system is inconsistent.  An affine system is one elimination in the
+    canonical order of ``unknowns``, whose reduced echelon form is its one
+    family; it takes no branch depth.  Any other system goes through the
+    branching search, and raises UnsupportedSystemError when the bounded
+    elimination cannot triangularize it.
     """
     unknowns = list(unknowns)
-    eqs = [e for e in eqs]
+    eqs = list(eqs)
+    rows = _affine_rows(eqs, unknowns)
+    if rows is not None:
+        family = _echelon_family(unknowns, rows, eqs[0].registry if eqs else None)
+        return SolutionSet(unknowns, () if family is None else (family,))
     unknown_set = set(unknowns)
     for eq in eqs:
         stray = [v.name for v in eq.variables() if v not in unknown_set]
@@ -620,10 +670,7 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
             raise UnsupportedSystemError(
                 f"equation mentions non-unknown variables {stray}", eq
             )
-    if all(e.is_zero() for e in eqs):
-        fam = SolutionFamily(unknowns, {}, tuple(unknowns))
-        return SolutionSet(unknowns, (fam,))
-    raw = _solve(list(eqs), {}, _MAX_BRANCH_DEPTH)
+    raw = _solve(eqs, {}, _MAX_BRANCH_DEPTH)
     if raw and len(raw) > 512:
         raise UnsupportedSystemError(
             f"solution decomposition exploded into {len(raw)} components", eqs[0]

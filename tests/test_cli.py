@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from confalg.cli import main
 
 BROKEN = "algebra broken\ngen L offset=1\n[L,L] = (d + 3*x) L\n"
 MALFORMED = "algebra bad\ngen L offset=1\n[L] = x\n"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 HEISENBERG = ("algebra heis\ngen A\ngen B\n"
               "[A,A] = 0\n[A,B] = 0\n[B,B] = 0\n")
 
@@ -369,8 +371,8 @@ class TestClassify:
 
     def test_solver_limit_is_unsupported(self, capsys, monkeypatch):
         monkeypatch.setattr(solve, "_MAX_BRANCH_DEPTH", 0)
-        code, out, err = run(capsys, ["classify", "w", "--param", "a=1", "b=0",
-                                      "--degree", "2"])
+        # Stage one is affine and needs no depth; stage two of wl.alg branches.
+        code, out, err = run(capsys, ["classify", str(GOLDEN / "wl.alg"), "--degree", "1"])
         assert code == 3
         assert out == ""
         assert err.startswith("unsupported: branch depth exhausted")

@@ -596,28 +596,35 @@ class TestClassificationResiduals:
         assert grouped == []
 
     def test_stage_one_is_one_elimination_step(self, monkeypatch):
-        """Stage one is affine, so the solver reduces it in a single step."""
+        """Stage one is affine, so the solver reduces it in one elimination
+        and takes no step of its branching search."""
         ansatzes = _record_ansatzes(monkeypatch)
-        real_step, real_solve = solve_module._solve_step, modules.solve_system
-        steps = []
+        real_step, real_echelon = solve_module._solve_step, solve_module.integer_echelon
+        real_solve = modules.solve_system
+        calls = []
         per_stage_one = []
 
         def counting_step(*args):
-            steps.append(1)
+            calls.append("step")
             return real_step(*args)
 
+        def counting_echelon(*args, **kwargs):
+            calls.append("echelon")
+            return real_echelon(*args, **kwargs)
+
         def solving(eqs, unknowns):
-            steps.clear()
+            calls.clear()
             result = real_solve(eqs, unknowns)
             if unknowns is ansatzes[-1].unknowns:
-                per_stage_one.append(len(steps))
+                per_stage_one.append(list(calls))
             return result
 
         monkeypatch.setattr(solve_module, "_solve_step", counting_step)
+        monkeypatch.setattr(solve_module, "integer_echelon", counting_echelon)
         monkeypatch.setattr(modules, "solve_system", solving)
         rank1_classify(instantiate("tsv", {"a": 1, "b": 0}), 4)
         # Two branches and 8 grid points.
-        assert per_stage_one == [1] * 10
+        assert per_stage_one == [["echelon"]] * 10
 
 
     def _tamper_grid_point(self, monkeypatch, change):

@@ -467,6 +467,68 @@ def test_affine_systems_match_sympy_linsolve(system):
 
 
 @st.composite
+def _drawn_affine_systems(draw):
+    """Affine systems with rational coefficients in 1-5 unknowns, listed in
+    a drawn order that is usually not the registry's.  Each draw mixes
+    random rows with zero rows, a constant-only row, repeated rows and
+    combinations of earlier rows, exact or with a shifted constant, so the
+    system may be all zero, free, unique or inconsistent."""
+    n = draw(st.integers(1, 5))
+    reg, registered = _unknowns(n)
+    unknowns = draw(st.permutations(registered))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=n + 1, max_size=n + 1), max_size=n))
+    kinds = ["zero", "constant", "repeat", "combination", "shifted"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        if kind == "zero":
+            row = [Fraction(0)] * (n + 1)
+        elif kind == "constant":
+            row = [Fraction(0)] * n + [draw(_ENTRIES.filter(bool))]
+        elif not rows:
+            continue
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_ENTRIES), draw(_ENTRIES)
+            row = [s * p + t * q for p, q in zip(a, b)]
+            if kind == "shifted":
+                row[-1] += draw(_ENTRIES.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return reg, unknowns, [_affine(reg, registered, row[:-1], row[-1]) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_affine_systems())
+def test_affine_systems_are_one_canonical_elimination(system):
+    """The one elimination of an affine system gives exactly what the
+    branching search followed by the canonical form of its families gives."""
+    reg, unknowns, eqs = system
+    got = solve_system(eqs, unknowns)
+    want = SolutionSet.from_assignments(
+        unknowns, solve_module._solve(eqs, {}, solve_module._MAX_BRANCH_DEPTH), reg)
+    assert got.families == want.families
+    assert got.render() == want.render()
+    assert [fam.free for fam in got] == [fam.free for fam in want]
+    assert got.verify(eqs)
+
+
+def test_affine_equation_naming_a_non_unknown_is_rejected(reg):
+    u, v = reg.var("u"), reg.var("v")
+    with pytest.raises(UnsupportedSystemError) as caught:
+        solve_system([P(reg, "u - 1"), P(reg, "u + 2*v - 1")], [u])
+    assert str(caught.value) == "equation mentions non-unknown variables ['v']: u + 2*v - 1"
+
+
+def test_affine_system_uses_no_branch_depth(reg, monkeypatch):
+    monkeypatch.setattr(solve_module, "_MAX_BRANCH_DEPTH", 0)
+    u, v, w = (reg.var(name) for name in "uvw")
+    sol = solve_system([P(reg, "u + v - 1"), P(reg, "u - v"), P(reg, "2*u + 2*v - 2")],
+                       [w, v, u])
+    assert sol.render() == "{u = 1/2; v = 1/2; free: w}"
+    assert solve_system([P(reg, "u + v"), P(reg, "u + v - 1")], [u, v]).inconsistent
+
+
+@st.composite
 def _product_systems(draw):
     """One to four equations, each a product of two random affine forms, in
     3-5 unknowns.  Equation k has its own leading unknown u_{n-1-k}, with a

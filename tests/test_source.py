@@ -53,23 +53,26 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def test_private_names_are_referenced():
-    """Every private module-level function, class or constant is read
-    somewhere in the package outside its own definition, so a deletion
-    leaves no orphan helper behind."""
+    """Every private module-level function, class or constant, and every
+    public module-level function or class that ``confalg`` does not export,
+    is read somewhere in the package outside its own definition, so a
+    deletion leaves no orphan helper behind."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(confalg.__file__).parent.glob("*.py"))}
     used = sum((_references(tree) for tree in trees.values()), Counter())
+    exported = set(confalg.__all__)
     orphans = []
     for filename, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names, own = [node.name], _references(node)
+                checked = [name for name in names if name not in exported]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names, own = [t.id for t in targets if isinstance(t, ast.Name)], Counter()
+                checked = [name for name in names if name.startswith("_")]
             else:
                 continue
-            orphans += [f"{filename}:{name}" for name in names
-                        if name.startswith("_") and not name.startswith("__")
-                        and used[name] <= own[name]]
+            orphans += [f"{filename}:{name}" for name in checked
+                        if not name.startswith("__") and used[name] <= own[name]]
     assert orphans == []
