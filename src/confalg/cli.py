@@ -43,6 +43,8 @@ class _InputError(Exception):
 
 def _parse_fraction(text: str) -> Fraction:
     try:
+        if not text.isascii() or any(c.isspace() for c in text):
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _InputError(f"not a rational number: {text!r}")

@@ -60,7 +60,7 @@ from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, for
                       parse_algebra)
 from .poly import (PARAMETER, Mono, Poly, Registry, Var, group_coefficients, monic_div_rem,
                    parse_poly)
-from .solve import SolutionFamily, SolutionSet, _compose, rational_roots, solve_system
+from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
 
 
 class Rank1Action:
@@ -427,13 +427,20 @@ class _Ansatz:
         generic coefficients.  Stage two substitutes each solution family into
         the ansatz actions, builds the cross residuals from them and solves
         the relations among the family's free coefficients; each stage-two
-        solution is composed with its stage-one family.
+        family is composed with its stage-one family by substitution.
         """
-        raw = []
+        # A family is in reduced echelon form exactly when each solved
+        # unknown is written in free unknowns later in the unknown order.
+        # fam.free keeps that order, so substituting a stage-two family into
+        # fam.solved keeps the form.  Stage one is affine, so it has at most
+        # one family, and stage two's families are already deduplicated and
+        # absorbed, so the composed families need no second elimination.
+        families = []
         for fam in solve_system(self.stage_one(f), self.unknowns):
-            subs = solve_system(self.stage_two(f, fam), fam.free)
-            raw += _compose(fam.solved, [sub.solved for sub in subs])
-        return SolutionSet.from_assignments(self.unknowns, raw, self.alg.registry)
+            for sub in solve_system(self.stage_two(f, fam), fam.free):
+                solved = {v: p.subs(sub.solved) for v, p in fam.solved.items()} | sub.solved
+                families.append(SolutionFamily(self.unknowns, solved, sub.free))
+        return SolutionSet(self.unknowns, families)
 
     def named_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
         """The actions of a solution family under the Virasoro action f, its

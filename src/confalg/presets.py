@@ -282,8 +282,9 @@ def named_module(alg: ConformalAlgebra, spec: str) -> Rank1Action:
     example ``M_0_2``, ``M_1/2_-1_3`` or ``M_alpha_beta_gamma``.
 
     A component other than its own name is read by ``Fraction``, as
-    ``--param`` values are, so every spelling ``Fraction`` accepts names a
-    rational: ``M_1.5_0`` is ``M_3/2_0`` and ``M_1e3_0`` is ``M_1000_0``."""
+    ``--param`` values are, so an ASCII spelling without whitespace that
+    ``Fraction`` accepts names a rational: ``M_1.5_0`` is ``M_3/2_0`` and
+    ``M_1e3_0`` is ``M_1000_0``."""
     text = spec.strip()
     if text in ("zero", "trivial"):
         return zero_module(alg)
@@ -297,6 +298,8 @@ def named_module(alg: ConformalAlgebra, spec: str) -> Rank1Action:
         if raw == name:
             return raw
         try:
+            if not raw.isascii() or any(c.isspace() for c in raw):
+                raise ValueError(raw)
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad value {raw!r} for {name} in {spec!r}") from None

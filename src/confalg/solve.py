@@ -8,27 +8,29 @@ affine expressions in the remaining free unknowns, or the empty union when
 the system is inconsistent.
 
 There is one exact elimination, ``integer_echelon``, and one
-back-substitution that reads each of its pivot rows as an assignment; both
-the solver and the canonical form of a family go through them.  An affine
-system, every term a constant or one unknown to the first power, is one
-elimination in the canonical order of the unknowns: its reduced echelon
-form is the system's one family, or the empty union when a row keeps only
-the constant, and it takes no branch depth.  Any other system goes through
-a branching search, in which each step makes exactly one move, chosen by
-the shape of the equations:
+back-substitution that reads each of its pivot rows as an assignment.  Every
+family is the reduced echelon form of affine equations in the canonical
+order of the unknowns.  An affine system, every term a constant or one
+unknown to the first power, is that elimination directly: its result is the
+system's one family, or the empty union when a row keeps only the constant,
+and it takes no branch depth.  Any other system goes through a branching
+search that returns each component as the affine equations cutting it out,
+which then go through the same elimination.  Each step of the search makes
+exactly one move, chosen by the shape of the equations:
 
 - Affine: every equation of total degree at most 1 is reduced in one
   elimination (pivoting on the highest-index unknown of each row); a row
   with only a constant means the system is inconsistent.  All pivots are
-  substituted into the nonlinear remainder in one pass and composed once
-  with its solutions.
-- Tier 1: a univariate equation branches on its rational roots (a
-  single-term one on its only root, 0).
-- Tier 2: an equation with monomial content branches on each variable of
-  the content being 0 and on the cofactor (a single-term equation is all
-  content, so its cofactor branch is inconsistent).
+  substituted into the nonlinear remainder in one pass, and the affine
+  equations join each component of its solution.
+- Tier 1: a univariate equation in v branches on its rational roots r (a
+  single-term one on its only root, 0); each branch adds v - r.
+- Tier 2: an equation with monomial content branches on each variable v of
+  the content being 0, adding v, and on the cofactor, which joins the
+  system (a single-term equation is all content, so its cofactor branch is
+  inconsistent).
 - Tier 3: a total-degree-2 equation that factors into two affine forms over
-  Q branches on the two factors.
+  Q branches on the two factors, each joining the system.
 
 Anything else raises UnsupportedSystemError naming the offending equation.
 
@@ -107,39 +109,14 @@ class SolutionFamily:
 
 
 class SolutionSet:
-    """A finite union of affine families; empty means inconsistent."""
+    """A finite union of affine families, each in canonical form and none
+    containing another; empty means inconsistent."""
 
     __slots__ = ("unknowns", "families")
 
     def __init__(self, unknowns: Sequence[Var], families: Sequence[SolutionFamily]):
         self.unknowns = tuple(unknowns)
         self.families = tuple(families)
-
-    @classmethod
-    def from_assignments(cls, unknowns: Sequence[Var], assignments: Iterable[Mapping[Var, Poly]],
-                         registry) -> "SolutionSet":
-        """The union of affine assignment maps over ``unknowns`` (other
-        variables are ignored): canonical, deduplicated, with contained
-        components absorbed and families sorted by (dim, render)."""
-        unknowns = list(unknowns)
-        unknown_set = set(unknowns)
-        families = []
-        for assign in assignments:
-            relevant = {v: p for v, p in assign.items() if v in unknown_set}
-            families.append(_canonical_family(unknowns, relevant, registry))
-        uniq = []
-        for fam in families:
-            if fam not in uniq:
-                uniq.append(fam)
-        # Distinct canonical families are distinct affine spaces, so no two
-        # contain each other.
-        kept = [
-            fam for fam in uniq
-            if not any(other is not fam and _family_contains(other, fam, registry)
-                       for other in uniq)
-        ]
-        kept.sort(key=lambda f: (f.dim, f.render()))
-        return cls(unknowns, kept)
 
     @property
     def inconsistent(self) -> bool:
@@ -355,39 +332,23 @@ def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:
 
 # ---- core search ------------------------------------------------------------
 #
-# _solve is purely functional: it maps an equation tuple to the list of
-# assignment maps (solved var -> polynomial in the remaining free unknowns)
-# describing the variety.  Different branch orders frequently reconverge to
-# the same reduced system, so results are memoized per solve_system call.
+# _solve is purely functional: it maps an equation tuple to a list of
+# branches, each a tuple of affine equations that cuts out one component of
+# the variety.  A move adds the affine equations it splits on to each branch
+# of the system it recurses into.
 
 
-def _compose(assign: Mapping[Var, Poly], subsolutions: list[dict]) -> list[dict]:
-    out = []
-    for sol in subsolutions:
-        combined = dict(sol)
-        for v, expr in assign.items():
-            combined[v] = expr.subs(sol) if sol else expr
-        out.append(combined)
-    return out
-
-
-def _solve(eqs: Iterable[Poly], memo: dict, depth: int) -> list[dict[Var, Poly]]:
+def _solve(eqs: Iterable[Poly], depth: int) -> list[tuple[Poly, ...]]:
     eqs = _normalized_eqs(eqs)
     for eq in eqs:
         if eq.is_constant():
             return []
     if not eqs:
-        return [{}]
-    key = frozenset(eqs)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+        return [()]
     if depth <= 0:
         raise UnsupportedSystemError("branch depth exhausted while triangularizing",
                                      min(eqs, key=_equation_key))
-    result = _solve_step(eqs, memo, depth)
-    memo[key] = result
-    return result
+    return _solve_step(eqs, depth)
 
 
 # Column keys of an affine equation's row: variable index i sorts as -i, so
@@ -396,21 +357,21 @@ def _solve(eqs: Iterable[Poly], memo: dict, depth: int) -> list[dict[Var, Poly]]
 _CONSTANT = 1
 
 
-def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var, Poly]]:
+def _solve_step(eqs: tuple[Poly, ...], depth: int) -> list[tuple[Poly, ...]]:
     registry = eqs[0].registry
     variables = registry.all_vars()
 
     # Affine: eliminate every affine equation at once, substitute all pivots
     # into the nonlinear rest and solve that.
-    rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()}
-            for eq in eqs if eq.total_degree() <= 1]
-    if rows:
+    affine = tuple(eq for eq in eqs if eq.total_degree() <= 1)
+    if affine:
+        rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()} for eq in affine]
         assign = _pivot_assignments(rows, lambda k: None if k == _CONSTANT else variables[-k],
                                     registry)
         if assign is None:
             return []
         rest = [eq.subs(assign) for eq in eqs if eq.total_degree() > 1]
-        return _compose(assign, _solve(rest, memo, depth - 1))
+        return [affine + branch for branch in _solve(rest, depth - 1)]
 
     def substituted(v: Var, value: Poly):
         return [e.substitute(v, value) for e in eqs]
@@ -424,7 +385,8 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             out = []
             for r in rational_roots(coeffs):
                 value = Poly.const(registry, r)
-                out.extend(_compose({v: value}, _solve(substituted(v, value), memo, depth - 1)))
+                root = Poly.from_var(registry, v) - value
+                out += [(root,) + branch for branch in _solve(substituted(v, value), depth - 1)]
             return out
     # Tier 2: split off a common monomial factor; a single-monomial equation
     # is all content, so it branches on its variables and the constant
@@ -445,10 +407,11 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             zero = Poly.zero(registry)
             for idx in sorted(content):
                 v = variables[idx]
-                cofactor, _ = monic_div_rem(cofactor, Poly.from_var(registry, v) ** content[idx], v)
-                out.extend(_compose({v: zero}, _solve(substituted(v, zero), memo, depth - 1)))
+                vp = Poly.from_var(registry, v)
+                cofactor, _ = monic_div_rem(cofactor, vp ** content[idx], v)
+                out += [(vp,) + branch for branch in _solve(substituted(v, zero), depth - 1)]
             rest = [e2 for e2 in eqs if e2 is not eq]
-            out.extend(_solve(rest + [cofactor], memo, depth - 1))
+            out += _solve(rest + [cofactor], depth - 1)
             return out
     # Tier 3: a degree-2 equation that factors into two affine forms.
     for eq in eqs:
@@ -469,7 +432,7 @@ def _solve_step(eqs: tuple[Poly, ...], memo: dict, depth: int) -> list[dict[Var,
             out = []
             for factor in (up * (a * 2) + eq.coeff_of(u, 1) - root,
                            up * (a * 2) + eq.coeff_of(u, 1) + root):
-                out.extend(_solve(rest + [factor], memo, depth - 1))
+                out += _solve(rest + [factor], depth - 1)
             return out
     raise UnsupportedSystemError(
         "system outside the supported shape (cannot factor or branch)", eqs[0]
@@ -580,30 +543,6 @@ def _echelon_family(unknowns: Sequence[Var], rows: Iterable[Mapping[int, Fractio
     return SolutionFamily(unknowns, solved, [v for v in unknowns if v not in solved])
 
 
-def _canonical_family(unknowns: Sequence[Var], assign: Mapping[Var, Poly],
-                      registry) -> SolutionFamily:
-    """Rewrite an assignment map in reduced row echelon form over the unknown
-    order, giving a unique (solved, free) presentation of the affine space."""
-    position = {v.index: i for i, v in enumerate(unknowns)}
-    n = len(unknowns)
-    rows = []
-    for v, expr in assign.items():
-        if expr.total_degree() > 1:
-            raise UnsupportedSystemError(
-                "solution family is not affine in its free unknowns", expr
-            )
-        row = {position[v.index]: Fraction(1)}
-        for m, c in expr._terms.items():
-            col = position[m[0][0]] if m else n
-            row[col] = row.get(col, 0) - c
-        rows.append(row)
-    family = _echelon_family(unknowns, rows, registry)
-    if family is None:
-        raise UnsupportedSystemError("assignment map is inconsistent",
-                                     SolutionFamily(unknowns, assign, ()).render())
-    return family
-
-
 def _affine_rows(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> list[dict] | None:
     """One sparse row per equation, keyed as ``_echelon_family`` reads them,
     or None unless every term of every equation is a constant or one of the
@@ -631,6 +570,20 @@ def _affine_rows(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> list[dict] | N
     return rows
 
 
+def _union(unknowns: Sequence[Var], families: Iterable[SolutionFamily],
+           registry) -> SolutionSet:
+    """The union of canonical ``families``: deduplicated, with contained
+    components absorbed and families sorted by (dim, render)."""
+    uniq = list(dict.fromkeys(families))
+    # Distinct canonical families are distinct affine spaces, so no two
+    # contain each other.
+    kept = [fam for fam in uniq
+            if not any(other is not fam and _family_contains(other, fam, registry)
+                       for other in uniq)]
+    kept.sort(key=lambda f: (f.dim, f.render()))
+    return SolutionSet(unknowns, kept)
+
+
 def _family_contains(big: SolutionFamily, small: SolutionFamily, registry) -> bool:
     """True if every point of ``small`` lies in ``big``."""
     if small.dim > big.dim:
@@ -654,8 +607,9 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
     system is inconsistent.  An affine system is one elimination in the
     canonical order of ``unknowns``, whose reduced echelon form is its one
     family; it takes no branch depth.  Any other system goes through the
-    branching search, and raises UnsupportedSystemError when the bounded
-    elimination cannot triangularize it.
+    branching search, whose branches of affine equations each go through
+    the same elimination, and raises UnsupportedSystemError when the bounded
+    search cannot triangularize it.
     """
     unknowns = list(unknowns)
     eqs = list(eqs)
@@ -670,9 +624,17 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
             raise UnsupportedSystemError(
                 f"equation mentions non-unknown variables {stray}", eq
             )
-    raw = _solve(eqs, {}, _MAX_BRANCH_DEPTH)
-    if raw and len(raw) > 512:
+    registry = eqs[0].registry
+    branches = _solve(eqs, _MAX_BRANCH_DEPTH)
+    if len(branches) > 512:
         raise UnsupportedSystemError(
-            f"solution decomposition exploded into {len(raw)} components", eqs[0]
+            f"solution decomposition exploded into {len(branches)} components", eqs[0]
         )
-    return SolutionSet.from_assignments(unknowns, raw, eqs[0].registry)
+    families = []
+    for branch in branches:
+        family = _echelon_family(unknowns, _affine_rows(branch, unknowns), registry)
+        if family is None:
+            raise UnsupportedSystemError("solver branch is inconsistent",
+                                         "{" + "; ".join(map(str, branch)) + "}")
+        families.append(family)
+    return _union(unknowns, families, registry)

@@ -154,6 +154,30 @@ class TestBadInput:
         assert code == 2
         assert "not a rational number" in err
 
+    @pytest.mark.parametrize("args, value", [
+        (["classify", "w", "--param", "a=\u0661", "b=0"], "'\u0661'"),
+        (["classify", "w", "--param", "a=1", "b=1 0"], "'1 0'"),
+        (["verify", "w", "--param", "b=0", "--param-grid", "a=0,\u0661"], "'\u0661'"),
+        (["verify", "w", "--param", "b=0", "--param-grid", "a=0, 1"], "' 1'"),
+    ])
+    def test_fraction_must_be_ascii_without_whitespace(self, capsys, args, value):
+        code, out, err = run(capsys, args)
+        assert code == 2
+        assert out == ""
+        assert f"not a rational number: {value}" in err
+
+    @pytest.mark.parametrize("name, component", [
+        ("M_\u0661_2", "'\u0661' for alpha"),
+        ("M_1_ 2", "' 2' for beta"),
+        ("M_1\t_2", "'1\\t' for alpha"),
+        ("M_0_0_\u0661", "'\u0661' for gamma"),
+    ])
+    def test_module_component_must_be_ascii_without_whitespace(self, capsys, name, component):
+        code, out, err = run(capsys, ["submodules", "vir", name])
+        assert code == 2
+        assert out == ""
+        assert f"bad value {component} in {name!r}" in err
+
     def test_duplicate_binding(self, capsys):
         code, _, err = run(capsys, ["verify", "w", "--param", "a=0", "a=1", "b=0"])
         assert code == 2
@@ -414,6 +438,13 @@ class TestSubmodules:
                                     "--degree", "1"])
         assert code == 0
         assert "submodule generator: d + 100000000000000000000\n" in out
+
+    @pytest.mark.parametrize("name, canonical", [
+        ("M_1.5_0", "M_3/2_0"), ("M_1e3_0", "M_1000_0"), (" M_1_2 ", "M_1_2")])
+    def test_module_spellings_that_name_a_rational(self, capsys, name, canonical):
+        code, out, _ = run(capsys, ["submodules", "vir", name])
+        assert code == 0
+        assert out.split("\n")[1:] == run(capsys, ["submodules", "vir", canonical])[1].split("\n")[1:]
 
     def test_json_verdict(self, capsys):
         code, out, _ = run(capsys, ["submodules", "w", "M_0_0_1",

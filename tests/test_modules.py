@@ -386,6 +386,27 @@ class TestClassificationResiduals:
         _assert_stage_one_matches_the_residuals(
             alg, degree, fs[:2] + [data.draw(st.sampled_from(fs[2:]))])
 
+    # At these three bindings stage two solves some stage-one free
+    # coefficients, so composing has something to substitute.
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS + [
+        ("w", {"a": 2, "b": 0}), ("wb", {"b": -1}), ("tsv", {"a": 2, "b": 0})])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_composed_families_are_canonical(self, preset, bindings, degree):
+        """Every family of a classification solve equals its own
+        re-elimination: substituting a stage-two family into its stage-one
+        family leaves it in reduced echelon form over the generic
+        coefficients."""
+        alg = instantiate(preset, bindings)
+        reg = alg.registry
+        virasoro = alg.virasoro_generator
+        ansatz = modules._Ansatz(alg, virasoro,
+                                 [g for g in alg.generators if g is not virasoro], degree)
+        for f in _virasoro_actions(alg):
+            for fam in ansatz.solve(f):
+                eqs = [Poly.from_var(reg, v) - p for v, p in fam.solved.items()]
+                rows = solve_module._affine_rows(eqs, ansatz.unknowns)
+                assert solve_module._echelon_family(ansatz.unknowns, rows, reg) == fam, str(f)
+
     def test_stage_one_multiplies_no_generic_action(self, monkeypatch):
         """A work count: building the ansatz's rows and folding them for f = 0
         and the symbolic f splits no polynomial into coefficients and

@@ -279,26 +279,33 @@ def test_rref_accepts_integer_rows():
     assert integer_echelon([]) == []
 
 
-def test_from_assignments_canonicalises_dedupes_absorbs_and_sorts(reg):
-    u, v, w = (reg.var(name) for name in "uvw")
-    plane = {u: P(reg, "v + w + 1")}
-    same_plane = {v: P(reg, "u - w - 1")}
-    line_in_plane = {u: P(reg, "2*w + 1"), v: P(reg, "w")}
-    point = {u: P(reg, "0"), v: P(reg, "0"), w: P(reg, "7")}
-    line = {u: P(reg, "w"), v: P(reg, "1")}
-    got = SolutionSet.from_assignments([u, v, w], [line_in_plane, plane, line, same_plane, point],
-                                       reg)
+def _family(reg, unknowns, *texts):
+    """The canonical family cut out by affine equations given as text."""
+    eqs = [P(reg, text) for text in texts]
+    return solve_module._echelon_family(unknowns, solve_module._affine_rows(eqs, unknowns), reg)
+
+
+def test_union_dedupes_absorbs_and_sorts(reg):
+    u, v, w = unknowns = [reg.var(name) for name in "uvw"]
+    plane = _family(reg, unknowns, "u - v - w - 1")
+    same_plane = _family(reg, unknowns, "v - u + w + 1")
+    line_in_plane = _family(reg, unknowns, "u - 2*w - 1", "v - w")
+    point = _family(reg, unknowns, "u", "v", "w - 7")
+    line = _family(reg, unknowns, "u - w", "v - 1")
+    got = solve_module._union(unknowns, [line_in_plane, plane, line, same_plane, point], reg)
     # The plane's two presentations are one family and absorb the line
     # inside it; the point and the other line lie off the plane.
     assert [fam.render() for fam in got] == ["{u = 0; v = 0; w = 7}", "{u = w; v = 1; free: w}",
                                              "{u = v + w + 1; free: v, w}"]
 
 
-def test_from_assignments_rejects_an_inconsistent_map(reg):
+def test_inconsistent_solver_branch_is_a_typed_error(reg, monkeypatch):
     u, v = reg.var("u"), reg.var("v")
+    monkeypatch.setattr(solve_module, "_solve",
+                        lambda eqs, depth: [(P(reg, "u - v"), P(reg, "u - v - 1"))])
     with pytest.raises(UnsupportedSystemError,
-                       match=r"assignment map is inconsistent: \{u = v; v = u \+ 1\}"):
-        SolutionSet.from_assignments([u, v], [{u: P(reg, "v"), v: P(reg, "u + 1")}], reg)
+                       match=r"solver branch is inconsistent: \{u - v; u - v - 1\}"):
+        solve_system([P(reg, "u*v")], [u, v])
 
 
 # ---- affine square roots -------------------------------------------------------
@@ -500,15 +507,25 @@ def _drawn_affine_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(_drawn_affine_systems())
 def test_affine_systems_are_one_canonical_elimination(system):
-    """The one elimination of an affine system gives exactly what the
-    branching search followed by the canonical form of its families gives."""
+    """The one elimination of an affine system agrees with solving it for
+    the highest-index unknown of each row, the solver's own affine move, and
+    is in reduced echelon form over the order of its unknowns."""
     reg, unknowns, eqs = system
     got = solve_system(eqs, unknowns)
-    want = SolutionSet.from_assignments(
-        unknowns, solve_module._solve(eqs, {}, solve_module._MAX_BRANCH_DEPTH), reg)
-    assert got.families == want.families
-    assert got.render() == want.render()
-    assert [fam.free for fam in got] == [fam.free for fam in want]
+    variables = reg.all_vars()
+    rows = [{-m[0][0] if m else solve_module._CONSTANT: c for m, c in eq._terms.items()}
+            for eq in eqs]
+    assign = solve_module._pivot_assignments(
+        rows, lambda k: None if k == solve_module._CONSTANT else variables[-k], reg)
+    assert (assign is None) == got.inconsistent
+    if assign is None:
+        return
+    (fam,) = got.families
+    assert fam.dim == len(unknowns) - len(assign)
+    for v, expr in fam.solved.items():
+        assert (Poly.from_var(reg, v) - expr).subs(assign).is_zero()
+        later = unknowns[unknowns.index(v) + 1:]
+        assert all(u in fam.free and u in later for u in expr.variables())
     assert got.verify(eqs)
 
 

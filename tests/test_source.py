@@ -21,6 +21,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_private_imports_across_modules():
+    """No module of the package imports a ``_private`` name from another
+    one, so a private helper is private to the module that defines it."""
+    found = [f"{path.name}:{node.lineno}: {alias.name}"
+             for path in sorted(Path(confalg.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "confalg")
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def _traced_names() -> list[tuple[str, str]]:
     """The (module, attribute path) pairs of the benchmark tracer's SPANS,
     read from its source so that nothing is imported from the benchmark."""
