@@ -63,7 +63,8 @@ def _parse_bindings(pairs: list[str] | None) -> dict[str, Fraction]:
 
 
 def _parse_grid(specs: list[str] | None) -> dict[str, list[Fraction]]:
-    """Grid axes: a=0..2 (integer range) or a=0,1/2,1 (explicit list)."""
+    """Grid axes: a=0..2 (integer range) or a=0,1/2,1 (explicit list); an
+    axis may not repeat a value."""
     out: dict[str, list[Fraction]] = {}
     for spec in specs or []:
         name, eq, values = spec.partition("=")
@@ -79,6 +80,9 @@ def _parse_grid(specs: list[str] | None) -> dict[str, list[Fraction]]:
             out[name] = [Fraction(v) for v in range(int(lo), int(hi) + 1)]
         else:
             out[name] = [_parse_fraction(v) for v in values.split(",")]
+            for i, v in enumerate(out[name]):
+                if v in out[name][:i]:
+                    raise _InputError(f"grid parameter {name} repeats the value {v}")
     return out
 
 
@@ -277,11 +281,12 @@ def _cmd_submodules(args) -> tuple[bool, str]:
     action = named_module(alg, args.module)
     witnesses = submodule_scan(alg, action, args.degree)
     verdict = irreducibility_verdict(alg, action, args.degree)
+    name = args.module.strip()  # as named_module reads it
     if args.format == "json":
         return True, render_json({
             "algebra": alg.name,
             "params": format_params(alg.param_values),
-            "module": args.module,
+            "module": name,
             "action": {g: str(p) for g, p in action.items()},
             "witnesses": [{"generator": str(w.generator),
                            "induced": {g: str(p) for g, p in w.induced.items()}}
@@ -290,14 +295,14 @@ def _cmd_submodules(args) -> tuple[bool, str]:
                         "reason": verdict.reason},
         })
     if args.format == "tex":
-        lines = [f"Module {args.module}: {verdict.status}."]
+        lines = [f"Module {name}: {verdict.status}."]
         for w in witnesses:
             lines.append(r"Proper submodule generated by $" + poly_to_latex(w.generator)
                          + r"$ acting by $" + ", ".join(
                              f"{g} \\mapsto {poly_to_latex(p)}" for g, p in w.induced.items())
                          + "$.")
         return True, document(lines)
-    lines = [f"module {args.module}: {action.render()}"]
+    lines = [f"module {name}: {action.render()}"]
     for w in witnesses:
         lines += [f"submodule generator: {w.generator}",
                   f"  induced action: {w.induced.render()}"]

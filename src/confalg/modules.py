@@ -34,15 +34,17 @@ actions valid for every (alpha, beta), a rational grid of (alpha, beta)
 values is re-solved independently and any family on one side only raises
 DiscrepancyError.  Stage one is never built by multiplying polynomials: the
 residual of the Virasoro generator with each other generator is linear in
-the generic coefficients, so ``_Ansatz`` writes it once in closed form as
-sparse rows, one per generator and monomial in d, x and y, each holding
-the parts of its equation that multiply 1, alpha and beta as coefficient
-dicts, in ints while the coefficients are integral.  Every Virasoro action,
-the symbolic one and each grid point's, folds those rows with its own
-weights in plain arithmetic and solves the folded equations on its own.
-The Virasoro generator's own pair needs no check: it is detected by its
-(d + 2x) bracket, and f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y)
-for every f = d + A*x + B with A and B free of d and x.
+the generic coefficients and in f = s*d + A*x + B, so ``_Ansatz`` writes it
+once in closed form as one operator: sparse rows, one per generator and
+monomial in d, x and y, each holding as coefficient dicts the bracket part
+of its equation, which does not depend on f, and the parts that multiply
+s, A and B, in ints while the coefficients are integral.  Every Virasoro
+action, f = 0 (s = 0), the symbolic one and each grid point's, folds those
+rows with its own weights in plain arithmetic and solves the folded
+equations on its own.  The Virasoro generator's own pair needs no check:
+it is detected by its (d + 2x) bracket, and
+f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for f = 0 and for
+every f = d + A*x + B with A and B free of d and x.
 """
 
 from __future__ import annotations
@@ -218,16 +220,16 @@ def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
 # ---- classification ------------------------------------------------------
 
 
-def _generic_poly(reg: Registry, prefix: str, max_degree: int) -> tuple[Poly, list[Var]]:
-    """Sum of u * d^i * x^j over 0 <= i, j <= max_degree with fresh unknowns."""
+def _generic_poly(reg: Registry, prefix: str,
+                  max_degree: int) -> tuple[Poly, list[tuple[int, int, Var]]]:
+    """Sum of u * d^i * x^j over 0 <= i, j <= max_degree with fresh unknowns,
+    and its terms' (i, j, u) in the order the unknowns are registered."""
     d, x = reg.d.index, reg.x.index
-    terms, unknowns = {}, []
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1):
-            v = reg.param(f"{prefix}_{i}_{j}")
-            unknowns.append(v)
-            terms[tuple(t for t in ((d, i), (x, j), (v.index, 1)) if t[1])] = Fraction(1)
-    return Poly(reg, terms, _normalized=True), unknowns
+    coefficients = [(i, j, reg.param(f"{prefix}_{i}_{j}"))
+                    for i in range(max_degree + 1) for j in range(max_degree + 1)]
+    terms = {tuple(t for t in ((d, i), (x, j), (v.index, 1)) if t[1]): Fraction(1)
+             for i, j, v in coefficients}
+    return Poly(reg, terms, _normalized=True), coefficients
 
 
 def _extract(poly: Poly, unknowns: Sequence[Var]) -> list[Poly]:
@@ -246,13 +248,11 @@ def vir_completeness(max_degree: int) -> list[Poly]:
         raise UnsupportedError("completeness search is supported for degree bounds 1 to 3")
     vir = parse_algebra("algebra vir\ngen L\n[L,L] = (d + 2*x) L\n")
     reg = vir.registry
-    f, unknowns = _generic_poly(reg, "c", max_degree)
+    f, coefficients = _generic_poly(reg, "c", max_degree)
+    unknowns = [v for _, _, v in coefficients]
     residual = _rank1_residual(vir, {"L": f}, "L", "L")
     families = solve_system(_extract(residual, unknowns), unknowns)
-    carriers = {}
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1):
-            carriers[reg.var(f"c_{i}_{j}")] = (i + j, i, j)
+    carriers = {v: (i + j, i, j) for i, j, v in coefficients}
 
     results = []
     for fam in families:
@@ -268,21 +268,22 @@ def vir_completeness(max_degree: int) -> list[Poly]:
     return results
 
 
-def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """How a stage-one row's three slot equations fold into equations for
-    the Virasoro action f = d + A*x + B, A and B free of d and x: per
-    monomial m in f's parameters, the weights (1 if m = 1 else 0, the
-    coefficient of m in A, the coefficient of m in B).  f = 0 keeps only
-    the constant slot; any other f is unsupported."""
-    if f.is_zero():
-        return [(Fraction(1), Fraction(0), Fraction(0))]
+def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """How a stage-one row's four slot equations fold into equations for
+    the Virasoro action f = s*d + A*x + B, A and B free of d and x: per
+    monomial m in f's parameters, the weights (1 if m = 1 else 0, s if m = 1
+    else 0, the coefficient of m in A, the coefficient of m in B).  The
+    staged shapes are those with s*f = f, that is f = 0 (s = 0) and
+    f = d + A*x + B (s = 1); any other f is unsupported."""
     reg = f.registry
-    a, b = f.coeff_of(reg.x, 1), f.coeff_of(reg.x, 0) - Poly.from_var(reg, reg.d)
-    if f.degree(reg.x) > 1 or any(v.kind != PARAMETER for v in a.variables() + b.variables()):
+    s = f.coeff_of(reg.d, 1)
+    a, b = f.coeff_of(reg.x, 1), f.coeff_of(reg.x, 0) - s * Poly.from_var(reg, reg.d)
+    if s * f != f or f.degree(reg.x) > 1 or \
+            any(v.kind != PARAMETER for v in a.variables() + b.variables()):
         raise UnsupportedError(f"the Virasoro action {f} is neither 0 nor d + A*x + B "
                                f"with A and B free of d and x")
-    a, b = dict(a.terms()), dict(b.terms())
-    return [(Fraction(1 if m == () else 0), a.get(m, Fraction(0)), b.get(m, Fraction(0)))
+    s, a, b = s.constant_value(), dict(a.terms()), dict(b.terms())
+    return [(Fraction(m == ()), s * (m == ()), a.get(m, Fraction(0)), b.get(m, Fraction(0)))
             for m in dict.fromkeys([(), *a, *b])]
 
 
@@ -294,21 +295,22 @@ class _Ansatz:
     u * d^i * x^j.
 
     Stage one is never built from the generic actions: the residual of the
-    pair (L, g) is linear in the generic coefficients, so ``__init__`` writes
-    it once in closed form as sparse rows, one per generator and monomial
-    d^p x^q y^r.  ``zero_rows`` serve f = 0; each of the ``affine_rows`` holds
-    the three slot equations of f = d + A*x + B (the constant part, the A-part
-    and the B-part), which do not depend on A and B.  A slot equation is a
-    plain coefficient dict keyed by the generic coefficient's ``Mono``, with
-    ints while its coefficients are integral.  ``stage_one(f)`` folds the
-    matching rows by ``_slot_weights(f)`` in that arithmetic and makes a
-    ``Poly`` only of each folded equation.  With P_k = p_k(-(x+y), x)
-    for each term p_k(d, x) k of [L_x g], the coefficient u of d^i x^j in
-    A_g contributes to the residual of (L, g):
-      - from f A_g(d+x, y) - A_g(d, y) f(d+y, x), when f is nonzero,
-        C(i,s) (d^(s+1) x^(i-s) + A d^s x^(i-s+1) + B d^s x^(i-s)) y^j
-        for s < i, and -d^i y^(j+1);
-      - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t).
+    pair (L, g) is linear in the generic coefficients and in f, so
+    ``__init__`` writes it once in closed form as one set of sparse ``rows``,
+    one per generator and monomial d^p x^q y^r, whatever f is.  Each row holds
+    four slot equations: the bracket part, which does not depend on f, and
+    the d-, A- and B-parts of f = s*d + A*x + B's own terms.  A slot equation
+    is a plain coefficient dict keyed by the generic coefficient's ``Mono``,
+    with ints while its coefficients are integral.  ``stage_one(f)`` folds
+    the rows by ``_slot_weights(f)`` in that arithmetic and makes a ``Poly``
+    only of each folded equation.  With P_k = p_k(-(x+y), x) for each term
+    p_k(d, x) k of [L_x g], the coefficient u of d^i x^j in A_g contributes
+    to the residual of (L, g):
+      - from f A_g(d+x, y) - A_g(d, y) f(d+y, x),
+        C(i,e) (s d^(e+1) x^(i-e) + A d^e x^(i-e+1) + B d^e x^(i-e)) y^j
+        for e < i, and -s d^i y^(j+1);
+      - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t), the
+        bracket part.
     The term k = L adds the constant -P_L f(d, x+y).
 
     The pair (L, L) needs no equation: the Virasoro generator is detected
@@ -323,21 +325,20 @@ class _Ansatz:
         self.unknowns: list[Var] = []
         self.owner: dict[Var, str] = {}
         self.coefficients: dict[str, list[tuple[int, int, Var]]] = {}
-        exponents = list(itertools.product(range(max_degree + 1), repeat=2))
         for g in others:
-            poly, uvars = _generic_poly(alg.registry, f"u_{g.name}", max_degree)
+            poly, coefficients = _generic_poly(alg.registry, f"u_{g.name}", max_degree)
             self.actions[g.name] = poly
-            self.unknowns += uvars
-            self.owner.update((v, g.name) for v in uvars)
-            self.coefficients[g.name] = [(i, j, v) for (i, j), v in zip(exponents, uvars)]
+            self.coefficients[g.name] = coefficients
+            for _, _, v in coefficients:
+                self.unknowns.append(v)
+                self.owner[v] = g.name
 
         vname, reg = virasoro.name, alg.registry
-        # Slot cells keyed by (generator, (p, q, r)), for f = 0 and for f = d + A*x + B.
-        zero: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict]] = {}
-        affine: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict]] = {}
+        # Slot cells keyed by (generator, (p, q, r)): bracket, d-, A- and B-part.
+        cells: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict, dict]] = {}
 
-        def add(cells: dict, g: str, pqr: tuple[int, int, int], slot: int, u: Mono, c) -> None:
-            cell = cells.setdefault((g, pqr), ({}, {}, {}))[slot]
+        def add(g: str, pqr: tuple[int, int, int], slot: int, u: Mono, c) -> None:
+            cell = cells.setdefault((g, pqr), ({}, {}, {}, {}))[slot]
             cell[u] = cell.get(u, 0) + c
 
         shift = {reg.d: -(Poly.from_var(reg, reg.x) + Poly.from_var(reg, reg.y))}
@@ -345,46 +346,43 @@ class _Ansatz:
         for g in others:
             for i, j, v in self.coefficients[g.name]:
                 u = ((v.index, 1),)
-                for s in range(i):
-                    c = math.comb(i, s)
-                    add(affine, g.name, (s + 1, i - s, j), 0, u, c)
-                    add(affine, g.name, (s, i - s + 1, j), 1, u, c)
-                    add(affine, g.name, (s, i - s, j), 2, u, c)
-                add(affine, g.name, (i, 0, j + 1), 0, u, -1)
+                for e in range(i):
+                    c = math.comb(i, e)
+                    add(g.name, (e + 1, i - e, j), 1, u, c)
+                    add(g.name, (e, i - e + 1, j), 2, u, c)
+                    add(g.name, (e, i - e, j), 3, u, c)
+                add(g.name, (i, 0, j + 1), 1, u, -1)
             for k, p in alg.entry(vname, g.name).items():
                 shifted = [(dict(m).get(xi, 0), dict(m).get(yi, 0),
                             c.numerator if c.denominator == 1 else c)
                            for m, c in p.subs(shift).terms()]
                 if k.name == vname:
                     for q, r, c in shifted:
-                        add(affine, g.name, (1, q, r), 0, (), -c)
-                        add(affine, g.name, (0, q + 1, r), 1, (), -c)
-                        add(affine, g.name, (0, q, r + 1), 1, (), -c)
-                        add(affine, g.name, (0, q, r), 2, (), -c)
+                        add(g.name, (1, q, r), 1, (), -c)
+                        add(g.name, (0, q + 1, r), 2, (), -c)
+                        add(g.name, (0, q, r + 1), 2, (), -c)
+                        add(g.name, (0, q, r), 3, (), -c)
                     continue
                 for i, j, v in self.coefficients[k.name]:
                     u = ((v.index, 1),)
                     for t in range(j + 1):
                         c = math.comb(j, t)
                         for q, r, pc in shifted:
-                            for cells in (zero, affine):
-                                add(cells, g.name, (i, q + t, r + j - t), 0, u, -pc * c)
+                            add(g.name, (i, q + t, r + j - t), 0, u, -pc * c)
         # Coefficients add as ints while they are integral.
-        self.zero_rows, self.affine_rows = (
-            [tuple({u: c for u, c in cell.items() if c} for cell in slots)
-             for slots in cells.values()]
-            for cells in (zero, affine))
+        self.rows = [tuple({u: c for u, c in cell.items() if c} for cell in slots)
+                     for slots in cells.values()]
 
     def stage_one(self, f: Poly) -> tuple[Poly, ...]:
-        """The stage-one equations of the Virasoro action f: the rows of f's
-        shape folded by ``_slot_weights(f)``, zero sums dropped.  The fold is
+        """The stage-one equations of the Virasoro action f: the rows folded
+        by ``_slot_weights(f)``, zero sums dropped.  The fold is
         plain arithmetic, in ints while weights and cells are integral, and a
         lone slot of weight 1 is taken as it is."""
         reg = self.alg.registry
         weights = [tuple(w.numerator if w.denominator == 1 else w for w in slot_weights)
                    for slot_weights in _slot_weights(f)]
         eqs = []
-        for row in (self.affine_rows if f else self.zero_rows):
+        for row in self.rows:
             for slot_weights in weights:
                 parts = [(w, cell) for w, cell in zip(slot_weights, row) if w and cell]
                 if len(parts) == 1 and parts[0][0] == 1:

@@ -15,14 +15,15 @@ unknown to the first power, is that elimination directly: its result is the
 system's one family, or the empty union when a row keeps only the constant,
 and it takes no branch depth.  Any other system goes through a branching
 search that returns each component as the affine equations cutting it out,
-which then go through the same elimination.  Each step of the search makes
-exactly one move, chosen by the shape of the equations:
+which then go through the same elimination.  Each step of the search sorts
+its equations and makes exactly one move, chosen by their shape:
 
 - Affine: every equation of total degree at most 1 is reduced in one
-  elimination (pivoting on the highest-index unknown of each row); a row
-  with only a constant means the system is inconsistent.  All pivots are
-  substituted into the nonlinear remainder in one pass, and the affine
-  equations join each component of its solution.
+  elimination, on the same rows as a family's and pivoting as a family does
+  on each row's first unknown in the order of the unknowns; a row with only
+  a constant means the system is inconsistent.  All pivots are substituted
+  into the nonlinear remainder in one pass, and the affine equations join
+  each component of its solution.
 - Tier 1: a univariate equation in v branches on its rational roots r (a
   single-term one on its only root, 0); each branch adds v - r.
 - Tier 2: an equation with monomial content branches on each variable v of
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import UnsupportedSystemError
 from .poly import Poly, Var, monic_div_rem
@@ -316,18 +317,9 @@ def _equation_key(eq: Poly):
 
 
 def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:
-    """The nonzero equations, deduplicated.  A system with an affine equation
-    keeps its order: the solver's next step reduces the affine block in one
-    elimination, whose result ignores row order, and normalises the
-    substituted rest again.  Only a system without one is sorted, for the
-    branching tiers."""
-    uniq = {}
-    affine = False
-    for eq in eqs:
-        if not eq.is_zero():
-            uniq[eq] = None
-            affine = affine or eq.total_degree() <= 1
-    return tuple(uniq) if affine else tuple(sorted(uniq, key=_equation_key))
+    """The nonzero equations, deduplicated and sorted by ``_equation_key``,
+    so a step's move does not depend on the order its equations came in."""
+    return tuple(sorted({eq: None for eq in eqs if not eq.is_zero()}, key=_equation_key))
 
 
 # ---- core search ------------------------------------------------------------
@@ -338,7 +330,8 @@ def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:
 # of the system it recurses into.
 
 
-def _solve(eqs: Iterable[Poly], depth: int) -> list[tuple[Poly, ...]]:
+def _solve(eqs: Iterable[Poly], unknowns: Sequence[Var],
+           depth: int) -> list[tuple[Poly, ...]]:
     eqs = _normalized_eqs(eqs)
     for eq in eqs:
         if eq.is_constant():
@@ -348,16 +341,11 @@ def _solve(eqs: Iterable[Poly], depth: int) -> list[tuple[Poly, ...]]:
     if depth <= 0:
         raise UnsupportedSystemError("branch depth exhausted while triangularizing",
                                      min(eqs, key=_equation_key))
-    return _solve_step(eqs, depth)
+    return _solve_step(eqs, unknowns, depth)
 
 
-# Column keys of an affine equation's row: variable index i sorts as -i, so
-# each pivot is the highest-index unknown of its row, and the constant sorts
-# last under key 1.
-_CONSTANT = 1
-
-
-def _solve_step(eqs: tuple[Poly, ...], depth: int) -> list[tuple[Poly, ...]]:
+def _solve_step(eqs: tuple[Poly, ...], unknowns: Sequence[Var],
+                depth: int) -> list[tuple[Poly, ...]]:
     registry = eqs[0].registry
     variables = registry.all_vars()
 
@@ -365,13 +353,11 @@ def _solve_step(eqs: tuple[Poly, ...], depth: int) -> list[tuple[Poly, ...]]:
     # into the nonlinear rest and solve that.
     affine = tuple(eq for eq in eqs if eq.total_degree() <= 1)
     if affine:
-        rows = [{-m[0][0] if m else _CONSTANT: c for m, c in eq._terms.items()} for eq in affine]
-        assign = _pivot_assignments(rows, lambda k: None if k == _CONSTANT else variables[-k],
-                                    registry)
+        assign = _pivot_assignments(_affine_rows(affine, unknowns), unknowns, registry)
         if assign is None:
             return []
         rest = [eq.subs(assign) for eq in eqs if eq.total_degree() > 1]
-        return [affine + branch for branch in _solve(rest, depth - 1)]
+        return [affine + branch for branch in _solve(rest, unknowns, depth - 1)]
 
     def substituted(v: Var, value: Poly):
         return [e.substitute(v, value) for e in eqs]
@@ -386,7 +372,8 @@ def _solve_step(eqs: tuple[Poly, ...], depth: int) -> list[tuple[Poly, ...]]:
             for r in rational_roots(coeffs):
                 value = Poly.const(registry, r)
                 root = Poly.from_var(registry, v) - value
-                out += [(root,) + branch for branch in _solve(substituted(v, value), depth - 1)]
+                out += [(root,) + branch
+                        for branch in _solve(substituted(v, value), unknowns, depth - 1)]
             return out
     # Tier 2: split off a common monomial factor; a single-monomial equation
     # is all content, so it branches on its variables and the constant
@@ -409,9 +396,10 @@ def _solve_step(eqs: tuple[Poly, ...], depth: int) -> list[tuple[Poly, ...]]:
                 v = variables[idx]
                 vp = Poly.from_var(registry, v)
                 cofactor, _ = monic_div_rem(cofactor, vp ** content[idx], v)
-                out += [(vp,) + branch for branch in _solve(substituted(v, zero), depth - 1)]
+                out += [(vp,) + branch
+                        for branch in _solve(substituted(v, zero), unknowns, depth - 1)]
             rest = [e2 for e2 in eqs if e2 is not eq]
-            out += _solve(rest + [cofactor], depth - 1)
+            out += _solve(rest + [cofactor], unknowns, depth - 1)
             return out
     # Tier 3: a degree-2 equation that factors into two affine forms.
     for eq in eqs:
@@ -432,35 +420,30 @@ def _solve_step(eqs: tuple[Poly, ...], depth: int) -> list[tuple[Poly, ...]]:
             out = []
             for factor in (up * (a * 2) + eq.coeff_of(u, 1) - root,
                            up * (a * 2) + eq.coeff_of(u, 1) + root):
-                out += _solve(rest + [factor], depth - 1)
+                out += _solve(rest + [factor], unknowns, depth - 1)
             return out
     raise UnsupportedSystemError(
         "system outside the supported shape (cannot factor or branch)", eqs[0]
     )
 
 
-def _pivot_assignments(rows: Iterable[Mapping[Hashable, Fraction | int]],
-                       column_var: Callable[[Hashable], Var | None],
+def _pivot_assignments(rows: Iterable[Mapping[int, Fraction | int]], unknowns: Sequence[Var],
                        registry) -> dict[Var, Poly] | None:
-    """Eliminate ``rows`` by ``integer_echelon`` and solve each pivot row for
-    its pivot: ``{pivot variable: -(rest of row) / pivot}``.
-
-    ``column_var`` maps a column key to its variable, or to None for the
-    constant column.  Returns None when a row keeps only the constant, that
-    is when the rows are inconsistent.
+    """Eliminate ``rows``, keyed as ``_affine_rows`` writes them, by
+    ``integer_echelon`` and solve each pivot row for its pivot, the row's
+    first unknown in ``unknowns`` order: ``{pivot: -(rest of row) / pivot}``.
+    Returns None when a row keeps only the constant, that is when the rows
+    are inconsistent.
     """
+    n = len(unknowns)
     assign = {}
     for row in integer_echelon(rows):
         lead = min(row)
-        pivot = column_var(lead)
-        if pivot is None:
+        if lead == n:
             return None
-        terms = {}
-        for k, c in row.items():
-            if k != lead:
-                v = column_var(k)
-                terms[() if v is None else ((v.index, 1),)] = Fraction(-c, row[lead])
-        assign[pivot] = Poly(registry, terms, _normalized=True)
+        assign[unknowns[lead]] = Poly(registry, {
+            () if k == n else ((unknowns[k].index, 1),): Fraction(-c, row[lead])
+            for k, c in row.items() if k != lead}, _normalized=True)
     return assign
 
 
@@ -533,20 +516,19 @@ def integer_echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
 
 def _echelon_family(unknowns: Sequence[Var], rows: Iterable[Mapping[int, Fraction | int]],
                     registry) -> SolutionFamily | None:
-    """The affine space cut out by ``rows`` in reduced row echelon form over
-    the unknown order, or None when the rows are inconsistent.  A row's keys
-    are the unknowns' positions, with the constant at ``len(unknowns)``."""
-    n = len(unknowns)
-    solved = _pivot_assignments(rows, lambda j: None if j == n else unknowns[j], registry)
+    """The affine space cut out by ``rows``, keyed as ``_affine_rows`` writes
+    them, in reduced row echelon form over the unknown order, or None when
+    the rows are inconsistent."""
+    solved = _pivot_assignments(rows, unknowns, registry)
     if solved is None:
         return None
     return SolutionFamily(unknowns, solved, [v for v in unknowns if v not in solved])
 
 
 def _affine_rows(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> list[dict] | None:
-    """One sparse row per equation, keyed as ``_echelon_family`` reads them,
-    or None unless every term of every equation is a constant or one of the
-    ``unknowns`` to the first power."""
+    """One sparse row per equation, keyed by the unknowns' positions with the
+    constant at ``len(unknowns)``, or None unless every term of every
+    equation is a constant or one of the ``unknowns`` to the first power."""
     if not eqs:
         return []
     registry = eqs[0].registry
@@ -625,7 +607,7 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
                 f"equation mentions non-unknown variables {stray}", eq
             )
     registry = eqs[0].registry
-    branches = _solve(eqs, _MAX_BRANCH_DEPTH)
+    branches = _solve(eqs, unknowns, _MAX_BRANCH_DEPTH)
     if len(branches) > 512:
         raise UnsupportedSystemError(
             f"solution decomposition exploded into {len(branches)} components", eqs[0]

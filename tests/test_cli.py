@@ -187,6 +187,14 @@ class TestBadInput:
         assert code == 2
         assert "q is not a parameter of w" in err
 
+    @pytest.mark.parametrize("axis, value", [("a=1,1", "1"), ("a=1,2/2", "1"),
+                                             ("a=0,1/2,2/4", "1/2")])
+    def test_grid_axis_repeating_a_value(self, capsys, axis, value):
+        code, out, err = run(capsys, ["verify", "w", "--param-grid", axis, "b=0"])
+        assert code == 2
+        assert out == ""
+        assert f"grid parameter a repeats the value {value}" in err
+
     def test_parameter_in_binding_and_grid(self, capsys):
         code, _, err = run(capsys, ["verify", "w", "--param", "a=0", "b=0",
                                     "--param-grid", "a=0..1"])
@@ -445,6 +453,13 @@ class TestSubmodules:
         code, out, _ = run(capsys, ["submodules", "vir", name])
         assert code == 0
         assert out.split("\n")[1:] == run(capsys, ["submodules", "vir", canonical])[1].split("\n")[1:]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "tex"])
+    def test_module_name_is_echoed_as_read(self, capsys, fmt):
+        """The outer spaces ``named_module`` strips are not echoed either."""
+        padded = run(capsys, ["submodules", "vir", " M_1_2 ", "--format", fmt])
+        assert padded[0] == 0
+        assert padded == run(capsys, ["submodules", "vir", "M_1_2", "--format", fmt])
 
     def test_json_verdict(self, capsys):
         code, out, _ = run(capsys, ["submodules", "w", "M_0_0_1",

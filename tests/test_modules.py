@@ -469,10 +469,11 @@ class TestClassificationResiduals:
         reg = alg.registry
         d, x, y = (Poly.from_var(reg, v) for v in (reg.d, reg.x, reg.y))
         alpha = formal(alg, "alpha")
-        for f in (d * 2, d * d, d + x * x, d + d * x, d + y, alpha):
+        # f = s*d + A*x + B is staged only when s*f = f: s = 1, or f = 0.
+        for f in (d * 2, d * d, d + x * x, d + d * x, d + y, alpha, x, alpha * x, x + 1):
             with pytest.raises(UnsupportedError, match="neither 0 nor d \\+ A\\*x \\+ B"):
                 modules._slot_weights(f)
-        for f in (d + alpha * alpha * x + alpha, d + Fraction(1, 2) * x):
+        for f in (d + alpha * alpha * x + alpha, d + Fraction(1, 2) * x, Poly.zero(reg)):
             modules._slot_weights(f)
 
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
