@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, ParseError
 from .poly import (PARAMETER, Combination, Poly, Registry, Var, group_coefficients, is_name,
-                   parse_expression)
+                   parse_expression, parse_rational)
 
 _ALLOWED_OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1))
 _ALLOWED_SHIFTS = (Fraction(0), Fraction(1, 2))
@@ -421,24 +421,20 @@ def parse_algebra(text: str) -> ConformalAlgebra:
                                  line=lineno)
             if gname in gen_names:
                 raise ParseError(f"duplicate generator {gname!r}", line=lineno)
-            offset = Fraction(0)
-            shift = Fraction(0)
+            options = {"offset": Fraction(0), "shift": Fraction(0)}
             for opt in parts[2:]:
                 if "=" not in opt:
                     raise ParseError(f"malformed generator option {opt!r}", line=lineno)
                 key, _, value = opt.partition("=")
                 try:
-                    fvalue = Fraction(value)
-                except (ValueError, ZeroDivisionError):
+                    fvalue = parse_rational(value)
+                except ValueError:
                     raise ParseError(f"malformed rational {value!r}", line=lineno) from None
-                if key == "offset":
-                    offset = fvalue
-                elif key == "shift":
-                    shift = fvalue
-                else:
+                if key not in options:
                     raise ParseError(f"unknown generator option {key!r}", line=lineno)
+                options[key] = fvalue
             try:
-                generators.append(Generator(gname, offset, shift))
+                generators.append(Generator(gname, options["offset"], options["shift"]))
             except DefinitionError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             gen_names.add(gname)

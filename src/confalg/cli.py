@@ -26,7 +26,7 @@ from .annihilation import compare_closed_form, expanded_brackets, truncated_quot
 from .errors import DiscrepancyError, DivisibilityError, UnsupportedError, WorkbenchError
 from .modules import irreducibility_verdict, rank1_classify, submodule_scan
 from .presets import PRESET_NAMES, instantiate, named_module
-from .poly import scaled, signed_sum
+from .poly import parse_rational, scaled, signed_sum
 from .report import (LATEX, align, ann_symbol_to_latex, ann_to_latex, attach_tex, build_report,
                      document, families_json, family_verdict, grid_heading, mapsto_row,
                      plural, poly_to_latex, render_json, render_tex, render_text)
@@ -43,11 +43,9 @@ class _InputError(Exception):
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        if not text.isascii() or any(c.isspace() for c in text):
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _InputError(f"not a rational number: {text!r}")
+        return parse_rational(text)
+    except ValueError:
+        raise _InputError(f"not a rational number: {text!r}") from None
 
 
 def _parse_bindings(pairs: list[str] | None) -> dict[str, Fraction]:
@@ -211,7 +209,7 @@ def _cmd_truncate(args) -> tuple[bool, str]:
     series = finite.derived_series()
     lower = finite.lower_central_series()
     solvable, length = finite.is_solvable()
-    nilpotent = finite.is_nilpotent()
+    nilpotent = lower[-1] == 0
     if args.format == "json":
         data = finite.to_json()
         data.update({

@@ -59,6 +59,17 @@ def is_name(text: str) -> bool:
     return _NAME_RE.match(text) is not None
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for ASCII text without whitespace (``3``, ``-1/2``,
+    ``1.5``, ``1e3``); other text, or a zero denominator, raises ValueError."""
+    try:
+        if text.isascii() and not any(c.isspace() for c in text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"not a rational number: {text!r}")
+
+
 class Registry:
     """Append-only table of variables shared by interacting polynomials.
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BindingError, DefinitionError, ParseError, UnsupportedError
-from .poly import Poly, Registry
+from .poly import Poly, Registry, parse_rational
 from .algebra import ConformalAlgebra, Generator, LambdaElement
 from .modules import Rank1Action, check_module
 
@@ -281,10 +281,9 @@ def named_module(alg: ConformalAlgebra, spec: str) -> Rank1Action:
     ``M_<alpha>_<beta>_<gamma>`` with rational or formal components, for
     example ``M_0_2``, ``M_1/2_-1_3`` or ``M_alpha_beta_gamma``.
 
-    A component other than its own name is read by ``Fraction``, as
-    ``--param`` values are, so an ASCII spelling without whitespace that
-    ``Fraction`` accepts names a rational: ``M_1.5_0`` is ``M_3/2_0`` and
-    ``M_1e3_0`` is ``M_1000_0``."""
+    A component other than its own name is read by ``parse_rational``, as
+    ``--param`` values are: ``M_1.5_0`` is ``M_3/2_0`` and ``M_1e3_0`` is
+    ``M_1000_0``."""
     text = spec.strip()
     if text in ("zero", "trivial"):
         return zero_module(alg)
@@ -298,10 +297,8 @@ def named_module(alg: ConformalAlgebra, spec: str) -> Rank1Action:
         if raw == name:
             return raw
         try:
-            if not raw.isascii() or any(c.isspace() for c in raw):
-                raise ValueError(raw)
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
+            return parse_rational(raw)
+        except ValueError:
             raise ParseError(f"bad value {raw!r} for {name} in {spec!r}") from None
 
     alpha = token(parts[1], "alpha")

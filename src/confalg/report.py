@@ -183,13 +183,13 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
     if not alg.params:
         finite = truncated_quotient(alg, depth)
         series = finite.derived_series()
-        solvable, length = finite.is_solvable()
+        solvable = series[-1] == 0
         data["truncation"] = {
             "depth": depth,
             "dim": finite.dim,
             "derived_series": series,
             "solvable": solvable,
-            "derived_length": length,
+            "derived_length": len(series) - 1 if solvable else None,
         }
 
         families = rank1_classify(alg, _REPORT_DEGREE)

@@ -253,6 +253,22 @@ class TestParser:
             got = parsed.bracket(parsed.gen(a), parsed.gen(b)).render()
             assert got == preset.bracket(preset.gen(a), preset.gen(b)).render()
 
+    @pytest.mark.parametrize("option", ["offset=\u0661", "shift=\u0661", "offset=1/0",
+                                        "offset=", "shift=1_/2"])
+    def test_generator_option_values_read_as_command_line_rationals(self, option):
+        # Options follow the --param rule: ASCII Fraction syntax, nonzero
+        # denominator; a non-ASCII digit is malformed, not the rational 1.
+        text = f"algebra demo\ngen L {option}\n[L,L] = (d + 2*x) L\n"
+        with pytest.raises(ParseError, match="malformed rational") as exc:
+            parse_algebra(text)
+        assert exc.value.line == 2
+
+    def test_generator_options_in_fraction_syntax(self):
+        text = "algebra demo\ngen L offset=1.0 shift=0\ngen Y offset=1/2 shift=0.5\n" \
+               "[L,L] = (d + 2*x) L\n[L,Y] = 0\n[Y,Y] = 0\n"
+        assert [(g.label_offset, g.filtration_shift) for g in parse_algebra(text).generators] \
+            == [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))]
+
     def test_cancelling_generator_products_parse_as_zero(self):
         text = "algebra demo\ngen L offset=1\n[L,L] = L*L - L^2\n"
         assert parse_algebra(text).entry("L", "L").is_zero()

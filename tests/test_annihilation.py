@@ -6,6 +6,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +28,11 @@ from confalg import (
     filtration_check,
     instantiate,
     labels_through,
+    parse_algebra,
     partial_action,
     truncated_quotient,
 )
-from confalg.annihilation import closed_form_bracket, expanded_brackets
+from confalg.annihilation import _bracket_expansion, closed_form_bracket, expanded_brackets
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
 PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
@@ -398,13 +400,111 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_degree_filtration(self, preset):
-        assert filtration_check(instantiate(preset), 4) == []
+        assert filtration_check(instantiate(preset)) == []
 
     def test_missing_closed_form_reported(self):
-        from confalg import parse_algebra
         alg = parse_algebra("algebra bare\ngen L offset=1\n[L,L] = (d + 2*x) L\n")
         with pytest.raises(UnsupportedError):
             compare_closed_form(alg, 2)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# [L_x W] = (d + x^8) W: the x^8 term drops the degree by 7, but its first
+# nonzero coefficient sits at L label 7, past the old label bound of 6.
+X8 = "algebra x8\ngen L offset=1\ngen W\n[L,L] = (d + 2*x) L\n[L,W] = (d + x^8) W\n[W,W] = 0\n"
+_VIOLATION = re.compile(r"\[(\w+)_x (\w+)\] term x\^(\d+) d\^(\d+) (\w+): drop (-[\d/]+)\Z")
+
+
+def _filtration_by_labels(alg, max_label):
+    """The label walk that ``filtration_check`` replaced: every term of
+    [g_m, h_n] and of [d, g_m] with labels up to ``max_label`` is compared
+    with the degrees of the arguments.  Returns the violations as
+    ``(g, h, target, degree - deg(g_m) - deg(h_n))``, with g = "d" for the
+    action of d."""
+    violations = set()
+    for g, m, h, n, out in expanded_brackets(alg, max_label):
+        floor = AnnBasis(g, m).degree + AnnBasis(h, n).degree
+        for term, _ in out.items():
+            if term.degree < floor:
+                violations.add((g.name, h.name, term.gen.name, term.degree - floor))
+    for g in alg.generators:
+        for m in labels_through(g, max_label):
+            a = AnnBasis(g, m)
+            for term, _ in partial_action(alg, a).items():
+                if term.degree != a.degree - 1:
+                    violations.add(("d", g.name, term.gen.name, term.degree - a.degree + 1))
+    return violations
+
+
+def _by_term(alg):
+    """``filtration_check``'s violations in the label walk's form."""
+    return {(g, h, k, Fraction(drop))
+            for g, h, _, _, k, drop in (_VIOLATION.match(v).groups()
+                                        for v in filtration_check(alg))}
+
+
+def _label_bound(alg):
+    """A label bound at which the label walk meets every expansion term.
+
+    The terms of [g_x h] with one target and one s = j + e contribute a
+    polynomial of degree <= s in each internal index, nonzero as a
+    polynomial, so it cannot vanish on all of {0, ..., s}^2.  Label offsets
+    are >= 0, so labels up to the largest s reach those internal indices."""
+    return max((j + e for g, h in alg.ordered_pairs()
+                for j, _, e, _ in _bracket_expansion(alg, g, h)), default=0)
+
+
+class TestFiltration:
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS] + GRID_POINTS)
+    def test_presets_agree_with_the_label_walk(self, preset, bindings):
+        alg = instantiate(preset, bindings)
+        assert _by_term(alg) == _filtration_by_labels(alg, _label_bound(alg)) == set()
+
+    @pytest.mark.parametrize("name", ["wl.alg", "heis.alg"])
+    def test_algebra_files_agree_with_the_label_walk(self, name):
+        alg = parse_algebra((GOLDEN / name).read_text())
+        assert _by_term(alg) == _filtration_by_labels(alg, _label_bound(alg))
+
+    def test_w_to_l_bracket_drops_the_degree(self):
+        # [W_x W] = (d + 2x) L, with W at offset 0 and L at offset 1.
+        alg = parse_algebra((GOLDEN / "wl.alg").read_text())
+        assert filtration_check(alg) == ["[W_x W] term x^0 d^1 L: drop -2",
+                                         "[W_x W] term x^1 d^0 L: drop -2"]
+
+    def test_high_power_of_x_is_found_at_every_label(self):
+        alg = parse_algebra(X8)
+        assert filtration_check(alg) == (
+            ["[L_x W] term x^8 d^0 W: drop -7"]
+            + [f"[W_x L] term x^{j} d^{8 - j} W: drop -7" for j in range(9)])
+        assert _label_bound(alg) == 8
+        assert _filtration_by_labels(alg, 6) == set()
+        assert _by_term(alg) == _filtration_by_labels(alg, 8) == {("L", "W", "W", -7),
+                                                                  ("W", "L", "W", -7)}
+
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_one_expansion_per_pair_and_no_labels(self, preset, monkeypatch):
+        import confalg.annihilation as annihilation
+        expansions = []
+        expand = annihilation._bracket_expansion
+
+        def counting_expansion(alg, gname, hname):
+            expansions.append((gname, hname))
+            return expand(alg, gname, hname)
+
+        def no_labels(*args):
+            raise AssertionError("filtration_check walked labels")
+
+        monkeypatch.setattr(annihilation, "_bracket_expansion", counting_expansion)
+        for name in ("labels_through", "_pair_brackets", "_coefficient_terms",
+                     "partial_action"):
+            monkeypatch.setattr(annihilation, name, no_labels)
+        alg = instantiate(preset)
+        assert filtration_check(alg) == []
+        assert expansions == alg.ordered_pairs()
+
+    def test_takes_no_label_bound(self):
+        with pytest.raises(TypeError):
+            filtration_check(instantiate("vir"), 6)
 
 
 class TestTruncation:

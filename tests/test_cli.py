@@ -288,6 +288,28 @@ class TestTruncate:
         assert data["derived_series"] == [2, 1, 0]
         assert len(data["basis"]) == 2
 
+    def test_each_series_computed_once(self, capsys, monkeypatch):
+        # The nilpotency verdict is read off the printed lower central
+        # series; a bound report reads solvability off its derived series.
+        from confalg.annihilation import FiniteLie
+        calls = []
+        for method in ("derived_series", "lower_central_series"):
+            def counting(self, _method=getattr(FiniteLie, method), _name=method):
+                calls.append(_name)
+                return _method(self)
+            monkeypatch.setattr(FiniteLie, method, counting)
+        code, out, _ = run(capsys, ["truncate", "w", "--param", "a=2", "b=1",
+                                    "--truncate", "3"])
+        assert code == 0
+        assert "nilpotent: no\n" in out
+        assert calls.count("lower_central_series") == 1
+        calls.clear()
+        code, out, _ = run(capsys, ["report", "w", "--param", "a=2", "b=1",
+                                    "--truncate", "3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["truncation"]["derived_length"] == 3
+        assert calls == ["derived_series"]
+
     def test_depth_twenty(self, capsys):
         code, out, _ = run(capsys, ["truncate", "tsv", "--param", "a=0", "b=0",
                                     "--truncate", "20"])
