@@ -36,13 +36,14 @@ DiscrepancyError.  Stage one is never built by multiplying polynomials: the
 residual of the Virasoro generator with each other generator is linear in
 the generic coefficients and in f = s*d + A*x + B, so ``_Ansatz`` writes it
 once in closed form as one operator: sparse rows, one per generator and
-monomial in d, x and y, each holding as coefficient dicts the bracket part
-of its equation, which does not depend on f, and the parts that multiply
-s, A and B, in ints while the coefficients are integral.  Every Virasoro
-action, f = 0 (s = 0), the symbolic one and each grid point's, folds those
-rows with its own weights in plain arithmetic and solves the folded
-equations on its own.  The Virasoro generator's own pair needs no check:
-it is detected by its (d + 2x) bracket, and
+monomial in d, x and y, each holding four integer cells keyed by column
+(a generic coefficient's position among the unknowns, the constant last):
+the bracket part of its equation, which does not depend on f, and the
+parts that multiply s, A and B.  Every Virasoro action, f = 0 (s = 0), the
+symbolic one and each grid point's, folds those rows with its own integer
+weights straight into the integer rows the solver's one elimination reads,
+and solves them on its own.  The Virasoro generator's own pair needs no
+check: it is detected by its (d + 2x) bracket, and
 f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for f = 0 and for
 every f = d + A*x + B with A and B free of d and x.
 """
@@ -60,7 +61,7 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
                      UnsupportedError)
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
                       parse_algebra)
-from .poly import (PARAMETER, Mono, Poly, Registry, Var, group_coefficients, monic_div_rem,
+from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem,
                    parse_poly)
 from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
 
@@ -300,12 +301,14 @@ class _Ansatz:
     one per generator and monomial d^p x^q y^r, whatever f is.  Each row holds
     four slot equations: the bracket part, which does not depend on f, and
     the d-, A- and B-parts of f = s*d + A*x + B's own terms.  A slot equation
-    is a plain coefficient dict keyed by the generic coefficient's ``Mono``,
-    with ints while its coefficients are integral.  ``stage_one(f)`` folds
-    the rows by ``_slot_weights(f)`` in that arithmetic and makes a ``Poly``
-    only of each folded equation.  With P_k = p_k(-(x+y), x) for each term
-    p_k(d, x) k of [L_x g], the coefficient u of d^i x^j in A_g contributes
-    to the residual of (L, g):
+    is a sparse integer cell keyed by column, as ``solve_system`` reads
+    affine rows: the generic coefficient's position in ``unknowns``, the
+    constant at ``len(unknowns)``.  Each row's cells are scaled once by the
+    lcm of their denominators, which scales its folded equations and spans
+    the same ones.  ``stage_one(f)`` folds the rows by ``_slot_weights(f)``
+    in ints straight into those rows, with no ``Poly`` per equation.  With
+    P_k = p_k(-(x+y), x) for each term p_k(d, x) k of [L_x g], the
+    coefficient u of d^i x^j in A_g contributes to the residual of (L, g):
       - from f A_g(d+x, y) - A_g(d, y) f(d+y, x),
         C(i,e) (s d^(e+1) x^(i-e) + A d^e x^(i-e+1) + B d^e x^(i-e)) y^j
         for e < i, and -s d^i y^(j+1);
@@ -334,18 +337,20 @@ class _Ansatz:
                 self.owner[v] = g.name
 
         vname, reg = virasoro.name, alg.registry
+        column = {v: k for k, v in enumerate(self.unknowns)}
+        constant = len(self.unknowns)
         # Slot cells keyed by (generator, (p, q, r)): bracket, d-, A- and B-part.
         cells: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict, dict]] = {}
 
-        def add(g: str, pqr: tuple[int, int, int], slot: int, u: Mono, c) -> None:
+        def add(g: str, pqr: tuple[int, int, int], slot: int, col: int, c) -> None:
             cell = cells.setdefault((g, pqr), ({}, {}, {}, {}))[slot]
-            cell[u] = cell.get(u, 0) + c
+            cell[col] = cell.get(col, 0) + c
 
         shift = {reg.d: -(Poly.from_var(reg, reg.x) + Poly.from_var(reg, reg.y))}
         xi, yi = reg.x.index, reg.y.index
         for g in others:
             for i, j, v in self.coefficients[g.name]:
-                u = ((v.index, 1),)
+                u = column[v]
                 for e in range(i):
                     c = math.comb(i, e)
                     add(g.name, (e + 1, i - e, j), 1, u, c)
@@ -358,44 +363,52 @@ class _Ansatz:
                            for m, c in p.subs(shift).terms()]
                 if k.name == vname:
                     for q, r, c in shifted:
-                        add(g.name, (1, q, r), 1, (), -c)
-                        add(g.name, (0, q + 1, r), 2, (), -c)
-                        add(g.name, (0, q, r + 1), 2, (), -c)
-                        add(g.name, (0, q, r), 3, (), -c)
+                        add(g.name, (1, q, r), 1, constant, -c)
+                        add(g.name, (0, q + 1, r), 2, constant, -c)
+                        add(g.name, (0, q, r + 1), 2, constant, -c)
+                        add(g.name, (0, q, r), 3, constant, -c)
                     continue
                 for i, j, v in self.coefficients[k.name]:
-                    u = ((v.index, 1),)
+                    u = column[v]
                     for t in range(j + 1):
                         c = math.comb(j, t)
                         for q, r, pc in shifted:
                             add(g.name, (i, q + t, r + j - t), 0, u, -pc * c)
-        # Coefficients add as ints while they are integral.
-        self.rows = [tuple({u: c for u, c in cell.items() if c} for cell in slots)
-                     for slots in cells.values()]
+        # Coefficients add as ints while they are integral; then each row's
+        # four cells are scaled by the lcm of their denominators, which
+        # scales every equation folded from the row and spans the same ones.
+        self.rows = []
+        for slots in cells.values():
+            scale = math.lcm(*(c.denominator for cell in slots for c in cell.values()))
+            self.rows.append(tuple({k: int(c * scale) for k, c in cell.items() if c}
+                                   for cell in slots))
 
-    def stage_one(self, f: Poly) -> tuple[Poly, ...]:
-        """The stage-one equations of the Virasoro action f: the rows folded
-        by ``_slot_weights(f)``, zero sums dropped.  The fold is
-        plain arithmetic, in ints while weights and cells are integral, and a
-        lone slot of weight 1 is taken as it is."""
-        reg = self.alg.registry
-        weights = [tuple(w.numerator if w.denominator == 1 else w for w in slot_weights)
-                   for slot_weights in _slot_weights(f)]
+    def stage_one(self, f: Poly) -> list[dict[int, int]]:
+        """The stage-one equations of the Virasoro action f as integer rows
+        keyed like the cells: the rows folded by ``_slot_weights(f)``, each
+        monomial's weights scaled by the lcm of their denominators, zero sums
+        dropped.  The fold is int arithmetic and builds no ``Poly``; a lone
+        slot of weight 1 is taken as it is, so the rows are shared with the
+        operator and must not be changed."""
+        weights = []
+        for slot_weights in _slot_weights(f):
+            scale = math.lcm(*(w.denominator for w in slot_weights))
+            weights.append(tuple(int(w * scale) for w in slot_weights))
         eqs = []
         for row in self.rows:
             for slot_weights in weights:
                 parts = [(w, cell) for w, cell in zip(slot_weights, row) if w and cell]
                 if len(parts) == 1 and parts[0][0] == 1:
-                    folded = parts[0][1]
-                else:
-                    folded = {}
-                    for w, cell in parts:
-                        for u, c in cell.items():
-                            folded[u] = folded.get(u, 0) + w * c
-                terms = {u: Fraction(c) for u, c in folded.items() if c}
-                if terms:
-                    eqs.append(Poly(reg, terms, _normalized=True))
-        return tuple(eqs)
+                    eqs.append(parts[0][1])
+                    continue
+                folded = {}
+                for w, cell in parts:
+                    for k, c in cell.items():
+                        folded[k] = folded.get(k, 0) + w * c
+                folded = {k: c for k, c in folded.items() if c}
+                if folded:
+                    eqs.append(folded)
+        return eqs
 
     def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
         """The actions of a solution family under the Virasoro action f."""
@@ -434,7 +447,8 @@ class _Ansatz:
         # one family, and stage two's families are already deduplicated and
         # absorbed, so the composed families need no second elimination.
         families = []
-        for fam in solve_system(self.stage_one(f), self.unknowns):
+        for fam in solve_system(self.stage_one(f), self.unknowns,
+                                registry=self.alg.registry):
             for sub in solve_system(self.stage_two(f, fam), fam.free):
                 solved = {v: p.subs(sub.solved) for v, p in fam.solved.items()} | sub.solved
                 families.append(SolutionFamily(self.unknowns, solved, sub.free))

@@ -13,10 +13,14 @@ family is the reduced echelon form of affine equations in the canonical
 order of the unknowns.  An affine system, every term a constant or one
 unknown to the first power, is that elimination directly: its result is the
 system's one family, or the empty union when a row keeps only the constant,
-and it takes no branch depth.  Any other system goes through a branching
-search that returns each component as the affine equations cutting it out,
-which then go through the same elimination.  Each step of the search sorts
-its equations and makes exactly one move, chosen by their shape:
+and it takes no branch depth.  A caller that has the system's integer or
+rational rows already (one sparse row per equation, keyed by the unknowns'
+positions with the constant last, as classification stage one folds them)
+passes those rows instead of ``Poly``s, and they enter the same
+elimination.  Any other system goes through a branching search that returns
+each component as the affine equations cutting it out, which then go
+through the same elimination.  Each step of the search sorts its equations
+and makes exactly one move, chosen by their shape:
 
 - Affine: every equation of total degree at most 1 is reduced in one
   elimination, on the same rows as a family's and pivoting as a family does
@@ -458,10 +462,13 @@ def _content_free(ints: dict) -> dict:
 
 def _primitive(row: Mapping[Hashable, Fraction | int]) -> dict | None:
     """The primitive integer multiple of a sparse rational row, zero entries
-    dropped, or None for the zero row."""
+    dropped, or None for the zero row.  An all-int row is only divided by
+    its gcd."""
     row = {k: c for k, c in row.items() if c}
     if not row:
         return None
+    if all(type(c) is int for c in row.values()):
+        return _content_free(row)
     scale = math.lcm(*(c.denominator for c in row.values()))
     return _content_free({k: c.numerator * (scale // c.denominator) for k, c in row.items()})
 
@@ -580,7 +587,8 @@ def _family_contains(big: SolutionFamily, small: SolutionFamily, registry) -> bo
     return True
 
 
-def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
+def solve_system(eqs: Sequence[Poly] | Sequence[Mapping[int, Fraction | int]],
+                 unknowns: Sequence[Var], *, registry=None) -> SolutionSet:
     """Solve a polynomial system exactly over Q.
 
     Every equation must be a polynomial purely in the listed unknowns (extract
@@ -592,12 +600,23 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
     branching search, whose branches of affine equations each go through
     the same elimination, and raises UnsupportedSystemError when the bounded
     search cannot triangularize it.
+
+    An affine system may also be given as its rows, keyed as ``_affine_rows``
+    writes them (each unknown's position in ``unknowns``, the constant at
+    ``len(unknowns)``) with int or ``Fraction`` entries, together with the
+    ``registry`` of the unknowns, in which the family's ``Poly``s are built.
+    With ``registry`` set, ``eqs`` are such rows; they go straight into the
+    same elimination, so both forms give the same canonical family.
     """
     unknowns = list(unknowns)
     eqs = list(eqs)
-    rows = _affine_rows(eqs, unknowns)
+    if registry is None:
+        rows = _affine_rows(eqs, unknowns)
+        registry = eqs[0].registry if eqs else None
+    else:
+        rows = eqs
     if rows is not None:
-        family = _echelon_family(unknowns, rows, eqs[0].registry if eqs else None)
+        family = _echelon_family(unknowns, rows, registry)
         return SolutionSet(unknowns, () if family is None else (family,))
     unknown_set = set(unknowns)
     for eq in eqs:
@@ -606,7 +625,6 @@ def solve_system(eqs: Sequence[Poly], unknowns: Sequence[Var]) -> SolutionSet:
             raise UnsupportedSystemError(
                 f"equation mentions non-unknown variables {stray}", eq
             )
-    registry = eqs[0].registry
     branches = _solve(eqs, unknowns, _MAX_BRANCH_DEPTH)
     if len(branches) > 512:
         raise UnsupportedSystemError(

@@ -339,10 +339,22 @@ def _virasoro_actions(alg):
         [d + a0 * x + b0 for a0, b0 in points]
 
 
+def _row_multiset(rows) -> Counter:
+    """Sparse rows as a multiset of their primitive integer multiples."""
+    return Counter(tuple(sorted(solve_module._primitive(row).items())) for row in rows)
+
+
+def _reference_rows(ansatz, eqs) -> Counter:
+    """Residual coefficients as ``solve_system`` reads them: rows keyed by
+    the unknowns' positions, as a multiset of primitive rows."""
+    return _row_multiset(solve_module._affine_rows(eqs, ansatz.unknowns))
+
+
 def _assert_stage_one_matches_the_residuals(alg, degree, fs):
-    """The closed-form stage-one equations of each Virasoro action in ``fs``
-    are, as a multiset, the coefficients of the (L, g) residuals built from
-    the generic actions and split by ``_extract``."""
+    """The closed-form stage-one rows of each Virasoro action in ``fs`` are
+    nonzero ints and, as a multiset of primitive rows, the coefficients of
+    the (L, g) residuals built from the generic actions and split by
+    ``_extract``."""
     virasoro = alg.virasoro_generator
     ansatz = modules._Ansatz(alg, virasoro,
                              [g for g in alg.generators if g is not virasoro], degree)
@@ -352,7 +364,9 @@ def _assert_stage_one_matches_the_residuals(alg, degree, fs):
                      for eq in modules._extract(
                          modules._rank1_residual(alg, actions, virasoro.name, g.name),
                          ansatz.unknowns)]
-        assert Counter(ansatz.stage_one(f)) == Counter(reference), str(f)
+        rows = ansatz.stage_one(f)
+        assert all(type(c) is int and c for row in rows for c in row.values())
+        assert _row_multiset(rows) == _reference_rows(ansatz, reference), str(f)
 
 
 _ENTRY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -498,8 +512,8 @@ class TestClassificationResiduals:
                                            vname, g.name)
                    for g in ansatz.others]
         assert specialised == rebuilt
-        assert set(ansatz.stage_one(rebuilt_f)) == {
-            eq for r in rebuilt for eq in modules._extract(r, ansatz.unknowns)}
+        assert set(_row_multiset(ansatz.stage_one(rebuilt_f))) == set(_reference_rows(
+            ansatz, [eq for r in rebuilt for eq in modules._extract(r, ansatz.unknowns)]))
 
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     @pytest.mark.parametrize("degree", [2, 3, 4])
@@ -527,7 +541,8 @@ class TestClassificationResiduals:
                          for eq in modules._extract(r.subs(point), ansatz.unknowns)]
             specialised = f.subs(point)
             assert specialised == d + a0 * x + b0
-            assert Counter(ansatz.stage_one(specialised)) == Counter(reference)
+            assert _row_multiset(ansatz.stage_one(specialised)) == \
+                _reference_rows(ansatz, reference)
 
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_stage_two_matches_the_substituted_generic_cross_residuals(self, preset, bindings):
@@ -545,7 +560,7 @@ class TestClassificationResiduals:
             generic = {alg.virasoro_generator.name: f, **ansatz.actions}
             cross = [modules._rank1_residual(alg, generic, g, h)
                      for i, g in enumerate(others) for h in others[i:]]
-            families = list(solve_system(ansatz.stage_one(f), ansatz.unknowns))
+            families = list(solve_system(ansatz.stage_one(f), ansatz.unknowns, registry=reg))
             assert families
             for fam in families + [_probe_family(ansatz)]:
                 eqs = ansatz.stage_two(f, fam)
@@ -634,9 +649,9 @@ class TestClassificationResiduals:
             calls.append("echelon")
             return real_echelon(*args, **kwargs)
 
-        def solving(eqs, unknowns):
+        def solving(eqs, unknowns, **kwargs):
             calls.clear()
-            result = real_solve(eqs, unknowns)
+            result = real_solve(eqs, unknowns, **kwargs)
             if unknowns is ansatzes[-1].unknowns:
                 per_stage_one.append(list(calls))
             return result
@@ -648,6 +663,41 @@ class TestClassificationResiduals:
         # Two branches and 8 grid points.
         assert per_stage_one == [["echelon"]] * 10
 
+    def test_stage_one_folds_straight_into_the_elimination_rows(self, monkeypatch):
+        """A work count: folding a Virasoro action's stage one builds only
+        the ``Poly``s that reading its weights builds, none per equation,
+        and solving the folded rows never calls ``_affine_rows`` and builds
+        only the family's assignments."""
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        reg = alg.registry
+        virasoro = alg.virasoro_generator
+        ansatz = modules._Ansatz(alg, virasoro,
+                                 [g for g in alg.generators if g is not virasoro], 3)
+        real_init, real_rows = Poly.__init__, solve_module._affine_rows
+        built, read = [], []
+
+        def init(self, *args, **kwargs):
+            built.append(True)
+            real_init(self, *args, **kwargs)
+
+        def reading(*args):
+            read.append(True)
+            return real_rows(*args)
+
+        monkeypatch.setattr(Poly, "__init__", init)
+        monkeypatch.setattr(solve_module, "_affine_rows", reading)
+        for f in _virasoro_actions(alg):
+            built.clear()
+            modules._slot_weights(f)
+            for_weights = len(built)
+            built.clear()
+            rows = ansatz.stage_one(f)
+            assert len(built) == for_weights < len(rows), str(f)
+            built.clear()
+            solution = solve_system(rows, ansatz.unknowns, registry=reg)
+            assert len(built) == sum(len(fam.solved) for fam in solution), str(f)
+        assert read == []
+
 
     def _tamper_grid_point(self, monkeypatch, change):
         """Apply ``change`` to the stage-one solutions of the second grid
@@ -655,8 +705,8 @@ class TestClassificationResiduals:
         real = modules.solve_system
         stage1 = []
 
-        def tampered(eqs, unknowns):
-            result = real(eqs, unknowns)
+        def tampered(eqs, unknowns, **kwargs):
+            result = real(eqs, unknowns, **kwargs)
             if not stage1 or tuple(unknowns) == stage1[0]:
                 stage1.append(tuple(unknowns))
                 if len(stage1) == 4:  # zero branch, symbolic branch, two points

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,23 @@ def test_rref_accepts_integer_rows():
     assert integer_echelon([]) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=5), max_size=6),
+       st.integers(1, 5))
+def test_integer_rows_eliminate_as_their_fractions(rows, bound):
+    """Integer rows, which ``_primitive`` only divides by their gcd, give
+    the same ``integer_echelon`` output as the same rows written as
+    ``Fraction``s, with and without a rank bound."""
+    ints = _sparse(rows)
+    fractions = [{k: Fraction(c) for k, c in row.items()} for row in ints]
+    for rank_bound in (None, bound):
+        got = integer_echelon(ints, rank_bound)
+        assert got == integer_echelon(fractions, rank_bound)
+        assert all(type(c) is int and c for row in got for c in row.values())
+    for row, frac in zip(ints, fractions):
+        assert solve_module._primitive(row) == solve_module._primitive(frac)
+
+
 def _family(reg, unknowns, *texts):
     """The canonical family cut out by affine equations given as text."""
     eqs = [P(reg, text) for text in texts]
@@ -480,12 +498,14 @@ def test_affine_systems_match_sympy_linsolve(system):
 
 
 @st.composite
-def _drawn_affine_systems(draw):
-    """Affine systems with rational coefficients in 1-5 unknowns, listed in
-    a drawn order that is usually not the registry's.  Each draw mixes
-    random rows with zero rows, a constant-only row, repeated rows and
-    combinations of earlier rows, exact or with a shifted constant, so the
-    system may be all zero, free, unique or inconsistent."""
+def _drawn_affine_rows(draw):
+    """Affine systems with rational coefficients in 1-5 unknowns, as the
+    registry, the unknowns in registry order, the unknowns in a drawn order
+    that is usually not the registry's, and dense rows over the registry
+    order with the constant last.  Each draw mixes random rows with zero
+    rows, a constant-only row, repeated rows and combinations of earlier
+    rows, exact or with a shifted constant, so the system may be empty, all
+    zero, free, unique or inconsistent."""
     n = draw(st.integers(1, 5))
     reg, registered = _unknowns(n)
     unknowns = draw(st.permutations(registered))
@@ -507,11 +527,17 @@ def _drawn_affine_systems(draw):
             if kind == "shifted":
                 row[-1] += draw(_ENTRIES.filter(bool))
         rows.insert(draw(st.integers(0, len(rows))), row)
+    return reg, registered, unknowns, rows
+
+
+def _affine_polys(system):
+    """A ``_drawn_affine_rows`` system as (registry, unknowns, ``Poly``s)."""
+    reg, registered, unknowns, rows = system
     return reg, unknowns, [_affine(reg, registered, row[:-1], row[-1]) for row in rows]
 
 
 @settings(max_examples=200, deadline=None)
-@given(_drawn_affine_systems())
+@given(_drawn_affine_rows().map(_affine_polys))
 def test_affine_systems_are_one_canonical_elimination(system):
     """The one elimination of an affine system agrees with solving it for
     the highest-index unknown of each row, a pivot order of its own, and is
@@ -540,6 +566,51 @@ def test_affine_systems_are_one_canonical_elimination(system):
         later = unknowns[unknowns.index(v) + 1:]
         assert all(u in fam.free and u in later for u in expr.variables())
     assert got.verify(eqs)
+
+
+def _solve_rows(reg, registered, unknowns, rows, as_ints):
+    """``solve_system`` of dense rows over ``registered`` given as sparse
+    rows keyed by position in ``unknowns``, the constant last, zero entries
+    kept; with ``as_ints`` each row is first scaled to integers by the lcm
+    of its denominators."""
+    column = {v: k for k, v in enumerate(unknowns)}
+    sparse = []
+    for row in rows:
+        scale = math.lcm(*(c.denominator for c in row)) if as_ints else 1
+        entries = [c * scale for c in row]
+        if as_ints:
+            entries = [int(c) for c in entries]
+        sparse.append({column[v]: c for v, c in zip(registered, entries)}
+                      | {len(unknowns): entries[-1]})
+    return solve_system(sparse, unknowns, registry=reg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_affine_rows(), st.booleans())
+def test_affine_rows_and_polys_are_the_same_elimination(system, as_ints):
+    """An affine system given as its rows, rational or scaled to integers,
+    gives the same families, one by one, as the same system given as
+    ``Poly``s: empty, all-zero, free, unique and inconsistent alike."""
+    reg, unknowns, eqs = _affine_polys(system)
+    by_polys = solve_system(eqs, unknowns)
+    by_rows = _solve_rows(*system, as_ints)
+    assert by_rows.families == by_polys.families
+    assert by_rows.render() == by_polys.render()
+
+
+def test_affine_rows_cover_the_degenerate_systems():
+    """The empty system, a zero row and a constant-only row, as rows and as
+    ``Poly``s, give the same solution sets."""
+    reg, unknowns = _unknowns(2)
+    zero, one = Fraction(0), Fraction(1)
+    for rows, render in (([], "{free: u0, u1}"), ([[zero, zero, zero]], "{free: u0, u1}"),
+                         ([[zero, zero, one], [one, zero, one]], "inconsistent"),
+                         ([[one, -one, Fraction(1, 2)], [zero] * 3], "{u0 = u1 - 1/2; free: u1}")):
+        _, _, eqs = _affine_polys((reg, unknowns, unknowns, rows))
+        for as_ints in (False, True):
+            by_rows = _solve_rows(reg, unknowns, unknowns, rows, as_ints)
+            assert by_rows == solve_system(eqs, unknowns)
+            assert by_rows.render() == render
 
 
 def test_affine_equation_naming_a_non_unknown_is_rejected(reg):
