@@ -17,6 +17,7 @@ once.  An error exit prints nothing on stdout, only a message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from fractions import Fraction
@@ -206,6 +207,13 @@ def _cmd_ann(args) -> tuple[bool, str]:
 def _cmd_truncate(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     finite = truncated_quotient(alg, args.truncate)
+    if args.format == "tex":
+        def tex_symbol(index):
+            return ann_symbol_to_latex(*finite.basis[index])
+        return True, document(align(
+            f"[{tex_symbol(i)}, {tex_symbol(j)}] &= "
+            f"{signed_sum(scaled(c, tex_symbol(k), LATEX) for k, c in terms)} \\\\"
+            for (i, j), terms in finite.nonzero_brackets()))
     series = finite.derived_series()
     lower = finite.lower_central_series()
     solvable, length = finite.is_solvable()
@@ -220,13 +228,6 @@ def _cmd_truncate(args) -> tuple[bool, str]:
             "nilpotent": nilpotent,
         })
         return True, render_json(data)
-    if args.format == "tex":
-        def tex_symbol(index):
-            return ann_symbol_to_latex(*finite.basis[index])
-        return True, document(align(
-            f"[{tex_symbol(i)}, {tex_symbol(j)}] &= "
-            f"{signed_sum(scaled(c, tex_symbol(k), LATEX) for k, c in terms)} \\\\"
-            for (i, j), terms in finite.nonzero_brackets()))
     lines = [f"dimension {finite.dim}",
              "basis: " + ", ".join(finite.symbol(i) for i in range(finite.dim))]
     for (i, j), terms in finite.nonzero_brackets():
@@ -336,7 +337,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call; parsing leaves it and its defaults unchanged."""
     parser = argparse.ArgumentParser(
         prog="confalg",
         description="Exact workbench for finite Lie conformal algebras.")

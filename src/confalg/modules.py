@@ -275,11 +275,12 @@ def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction, Fraction]
     monomial m in f's parameters, the weights (1 if m = 1 else 0, s if m = 1
     else 0, the coefficient of m in A, the coefficient of m in B).  The
     staged shapes are those with s*f = f, that is f = 0 (s = 0) and
-    f = d + A*x + B (s = 1); any other f is unsupported."""
+    f = d + A*x + B (s = 1), since (s - 1)*f = 0 only when f = 0 or s = 1;
+    any other f is unsupported."""
     reg = f.registry
     s = f.coeff_of(reg.d, 1)
     a, b = f.coeff_of(reg.x, 1), f.coeff_of(reg.x, 0) - s * Poly.from_var(reg, reg.d)
-    if s * f != f or f.degree(reg.x) > 1 or \
+    if not (f.is_zero() or s == 1) or f.degree(reg.x) > 1 or \
             any(v.kind != PARAMETER for v in a.variables() + b.variables()):
         raise UnsupportedError(f"the Virasoro action {f} is neither 0 nor d + A*x + B "
                                f"with A and B free of d and x")

@@ -462,8 +462,11 @@ def _content_free(ints: dict) -> dict:
 
 def _primitive(row: Mapping[Hashable, Fraction | int]) -> dict | None:
     """The primitive integer multiple of a sparse rational row, zero entries
-    dropped, or None for the zero row.  An all-int row is only divided by
-    its gcd."""
+    dropped, or None for the zero row.  A one-entry row {k: c} is
+    {k: sign(c)}; an all-int row is only divided by its gcd."""
+    if len(row) == 1:
+        (k, c), = row.items()
+        return {k: 1 if c > 0 else -1} if c else None
     row = {k: c for k, c in row.items() if c}
     if not row:
         return None
@@ -474,9 +477,11 @@ def _primitive(row: Mapping[Hashable, Fraction | int]) -> dict | None:
 
 
 def _cancel(row: dict, pivot: dict, col) -> dict:
-    """The integer combination of ``row`` and ``pivot`` that is zero at ``col``."""
+    """The integer combination ``p * row - c * pivot`` that is zero at
+    ``col``, p = pivot[col] and c = row[col]; a pivot entry of 1 multiplies
+    nothing."""
     p, c = pivot[col], row[col]
-    out = {k: p * a for k, a in row.items()}
+    out = dict(row) if p == 1 else {k: p * a for k, a in row.items()}
     for k, b in pivot.items():
         v = out.get(k, 0) - c * b
         if v:
@@ -500,17 +505,25 @@ def integer_echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
     no row holds a zero entry.  When the rank reaches ``rank_bound`` no
     further row is read, so a caller that knows the span lies in a space of
     that dimension gets a basis of that space without reducing the rest.
+
+    Most rows the callers pass are unit rows, with one nonzero entry, and
+    most of those are already spanned.  A unit row {k: c} becomes {k: ±1}
+    and is dropped at once when column k's pivot row is itself a unit row,
+    and a pivot entry of 1 cancels without multiplying; the output is the
+    one the general reduction gives, signs and order included.
     """
     pivots: dict = {}
     for row in rows:
         vec = _primitive(row)
-        if vec is None:
+        if vec is None or (len(vec) == 1 and len(pivots.get(min(vec), ())) == 1):
             continue
-        for col in [k for k in vec if k in pivots]:
-            vec = _cancel(vec, pivots[col], col)
-        if not vec:
-            continue
-        vec = _content_free(vec)
+        hits = [k for k in vec if k in pivots]
+        if hits:  # else vec is as primitive as _primitive made it
+            for col in hits:
+                vec = _cancel(vec, pivots[col], col)
+            if not vec:
+                continue
+            vec = _content_free(vec)
         lead = min(vec)
         for col, prow in pivots.items():
             if lead in prow:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 from pathlib import Path
@@ -318,10 +319,17 @@ class TestTruncate:
         assert "derived series dims: [60, 59, 55, 45, 24, 0]\n" in out
         assert "lower central series dims: [60, 59, 59]\n" in out
 
-    def test_tex_integer_coefficients(self, capsys):
+    def test_tex_integer_coefficients(self, capsys, monkeypatch):
+        # TeX prints only the brackets, so no series is computed for it.
+        from confalg.annihilation import FiniteLie
+        calls = []
+        for method in ("derived_series", "lower_central_series", "is_solvable",
+                       "is_nilpotent"):
+            monkeypatch.setattr(FiniteLie, method,
+                                lambda self, _name=method: calls.append(_name))
         code, out, _ = run(capsys, ["truncate", "vir", "--truncate", "3",
                                     "--format", "tex"])
-        assert code == 0
+        assert (code, calls) == (0, [])
         assert out == ("\\begin{align*}\n"
                        "[L_{0}, L_{1}] &= -L_{1} \\\\\n"
                        "[L_{0}, L_{2}] &= -2 L_{2} \\\\\n"
@@ -519,6 +527,38 @@ class TestReport:
                                     "--format", "tex"])
         assert code == 0
         assert "\\partial" in out
+
+
+class TestParser:
+    JOBS = [["verify", "w", "--param", "a=1", "b=0"],
+            ["verify", "vir"],
+            ["verify", "w", "--param-grid", "a=0..1", "b=0"],
+            ["classify", "wb", "--param", "b=0", "--degree", "1"],
+            ["verify", "w", "--param", "a"],
+            ["truncate", "vir"],
+            ["--help"],
+            ["submodules", "tsv", "--param", "a=0", "b=1", "M_0_2"],
+            ["verify", "w"]]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        """``main`` builds its parser once, and every call through the shared
+        parser prints and exits as it does through a fresh one."""
+        from confalg import cli
+        build = cli._build_parser.__wrapped__
+        monkeypatch.setattr(cli, "_build_parser", build)
+        fresh = [run(capsys, argv) for argv in self.JOBS]
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 0, 0, 0]
+        builds = []
+
+        def counting():
+            builds.append(True)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", functools.cache(counting))
+        assert [run(capsys, argv) for argv in self.JOBS * 2] == fresh * 2
+        assert len(builds) == 1
+        defaults = cli._build_parser().parse_args(["verify", "vir"])
+        assert defaults.param == defaults.param_grid == []
 
 
 class TestDeterminism:

@@ -490,6 +490,24 @@ class TestClassificationResiduals:
         for f in (d + alpha * alpha * x + alpha, d + Fraction(1, 2) * x, Poly.zero(reg)):
             modules._slot_weights(f)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_staged_shape_test_agrees_with_the_product(self, data):
+        """With s the coefficient of d in f, ``_slot_weights`` reads s*f = f
+        as f = 0 or s = 1, and rejects every f with s*f != f."""
+        alg = instantiate("w", {"a": 1, "b": 0})
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        alpha = formal(alg, "alpha")
+        pieces = [0, 1, -1, 2, Fraction(1, 2), alpha, x, alpha * x, x + 1, alpha + 1]
+        s, a, b = (data.draw(st.sampled_from(pieces)) for _ in range(3))
+        f = s * d + a * x + b
+        s = f.coeff_of(reg.d, 1)
+        assert (s * f != f) == (not (f.is_zero() or s == 1))
+        if s * f != f:
+            with pytest.raises(UnsupportedError, match="neither 0 nor d \\+ A\\*x \\+ B"):
+                modules._slot_weights(f)
+
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     def test_specialised_residuals_match_rebuilt_ones(self, preset, bindings):
         """Substituting a point into the (L, g) residuals of the symbolic

@@ -303,6 +303,102 @@ def test_integer_rows_eliminate_as_their_fractions(rows, bound):
         assert solve_module._primitive(row) == solve_module._primitive(frac)
 
 
+def _reference_echelon(rows, rank_bound=None):
+    """``integer_echelon`` without its unit-row path: every row is scaled
+    to a primitive integer row and cross-multiplied against each pivot it
+    meets.  The oracle the kernel must match exactly."""
+    def content_free(ints):
+        g = math.gcd(*ints.values())
+        return ints if g == 1 else {k: c // g for k, c in ints.items()}
+
+    def cancel(row, pivot, col):
+        p, c = pivot[col], row[col]
+        out = {k: p * a for k, a in row.items()}
+        for k, b in pivot.items():
+            v = out.get(k, 0) - c * b
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return out
+
+    pivots = {}
+    for row in rows:
+        row = {k: c for k, c in row.items() if c}
+        if not row:
+            continue
+        scale = math.lcm(*(Fraction(c).denominator for c in row.values()))
+        vec = content_free({k: int(c * scale) for k, c in row.items()})
+        for col in [k for k in vec if k in pivots]:
+            vec = cancel(vec, pivots[col], col)
+        if not vec:
+            continue
+        vec = content_free(vec)
+        lead = min(vec)
+        for col, prow in pivots.items():
+            if lead in prow:
+                pivots[col] = content_free(cancel(prow, vec, lead))
+        pivots[lead] = vec
+        if len(pivots) == rank_bound:
+            break
+    return [pivots[col] for col in sorted(pivots)]
+
+
+@st.composite
+def _traffic_rows(draw):
+    """Sparse rows shaped like the kernel's traffic: mostly one- and
+    two-entry rows over at most 12 columns, with repeated rows and their
+    scalar multiples (negative scalars included), int and ``Fraction``
+    entries and explicit zeros."""
+    column = st.integers(0, draw(st.integers(1, 12)) - 1)
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["unit", "unit", "unit", "pair", "pair", "wide", "repeat"]))
+        if kind == "repeat" and rows:
+            scalar = draw(st.sampled_from([1, -1, 2, -3, Fraction(-1, 2)]))
+            row = {k: scalar * c for k, c in draw(st.sampled_from(rows)).items()}
+        else:
+            size = {"unit": 1, "pair": 2}.get(kind) or draw(st.integers(3, 5))
+            row = {draw(column): draw(entry) for _ in range(size)}
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traffic_rows(), st.integers(1, 6))
+@example([{0: 1, 1: -1}, {0: -1}, {1: 2}], 2)
+def test_integer_echelon_matches_the_reference(rows, bound):
+    """The kernel returns exactly the reference's rows, entries, signs, key
+    order and row order, and stops reading at the same row under a rank
+    bound."""
+    for rank_bound in (None, bound):
+        got_rows, want_rows = iter(rows), iter(rows)
+        got = integer_echelon(got_rows, rank_bound)
+        want = _reference_echelon(want_rows, rank_bound)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+        assert all(type(c) is int for row in got for c in row.values())
+        assert len(list(got_rows)) == len(list(want_rows))
+
+
+def test_spanned_unit_rows_are_skipped_without_cancelling(monkeypatch):
+    """A unit row on a column whose pivot row is a unit row is dropped in
+    O(1): only the one real reduction, clearing column 4 from the first
+    pivot, calls ``_cancel``."""
+    calls = []
+    real_cancel = solve_module._cancel
+
+    def counting(*args):
+        calls.append(args)
+        return real_cancel(*args)
+
+    monkeypatch.setattr(solve_module, "_cancel", counting)
+    rows = [{3: 1, 4: 2}, {4: -5}, {3: 7}, {4: Fraction(1, 3)}, {3: -1, 5: 0}]
+    assert integer_echelon(rows) == [{3: -1}, {4: -1}]
+    assert len(calls) == 1
+
+
 def _family(reg, unknowns, *texts):
     """The canonical family cut out by affine equations given as text."""
     eqs = [P(reg, text) for text in texts]
