@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
-from .poly import PARAMETER, Combination, Poly, signed_sum
+from .poly import PARAMETER, Combination, Poly, parse_rational, signed_sum
 from .algebra import ConformalAlgebra, Generator
 from .solve import integer_echelon
 
@@ -313,6 +313,16 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _json_rational(value) -> Fraction:
+    """A label or coefficient as ``to_json`` writes it (a string) or as a
+    plain integer; a float, a bool or anything else raises ValueError."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if _is_index(value):
+        return Fraction(value)
+    raise ValueError(f"not a rational number: {value!r}")
+
+
 def _nonzeros(vector: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     """The (index, coeff) pairs of the nonzero entries of a dense vector."""
     return [(i, c) for i, c in enumerate(vector) if c]
@@ -332,11 +342,15 @@ class FiniteLie:
     Jacobiator by D^2, so the Jacobi re-check and the derived and lower
     central series run on the integer table alone: vectors are sparse
     (index, coeff) pairs with integer entries, and each span is reduced by
-    ``integer_echelon``.  In any bilinear algebra each term of the derived
-    and of the lower central series lies in the one before it (by induction,
-    without the Jacobi identity), so a series step stops reading brackets
-    once its rank reaches the dimension of the space it started from: that
-    space is then reached again and the series is stable.
+    ``integer_echelon``.  Both touch only brackets that can be nonzero: the
+    Jacobi re-check walks the stored pairs and the rows of their targets,
+    so a triple whose double brackets all vanish is never formed, and both
+    series read [g, g] off the stored rows without bracketing basis pairs.
+    In any bilinear algebra each term of the derived and of the lower
+    central series lies in the one before it (by induction, without the
+    Jacobi identity), so a series step stops reading brackets once its rank
+    reaches the dimension of the space it started from: that space is then
+    reached again and the series is stable.
     """
 
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
@@ -409,42 +423,63 @@ class FiniteLie:
         return out
 
     def check_jacobi(self) -> list[str]:
-        """Residual [x,[y,z]] + [y,[z,x]] + [z,[x,y]] per basis triple, read
-        off the integer table as D^2 times the Jacobiator; returns the
-        failing triples."""
-        failures = []
+        """Basis triples whose Jacobiator [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
+        is nonzero, in sorted order, read off the integer table as D^2 times
+        the Jacobiator.
+
+        Every term of a Jacobiator is a double bracket [e_x, [e_y, e_z]] with
+        y < z and x neither, and it is zero unless [e_y, e_z] is stored and
+        one of its targets m has [e_x, e_m] stored.  So one pass over the
+        stored pairs, their targets and the row of each target visits each
+        nonzero term once, and a triple none of whose terms is nonzero is
+        never formed.  The term enters the triple's sum with sign -1 exactly
+        when y < x < z, where it is -[e_j, [e_k, e_i]] of the sorted triple
+        i < j < k; otherwise it is [e_i, [e_j, e_k]] or [e_k, [e_i, e_j]].
+        """
         ad = self._ad
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                ij = ad[i].get(j)
-                for k in range(j + 1, self.dim):
-                    jk, ki = ad[j].get(k), ad[k].get(i)
-                    if not (ij or jk or ki):
-                        continue  # all three inner brackets vanish
-                    total: dict[int, int] = {}
-                    for x, inner in ((i, jk), (j, ki), (k, ij)):
-                        for m, c in (inner or {}).items():
-                            for n, e in ad[x].get(m, {}).items():
-                                total[n] = total.get(n, 0) + c * e
-                    if any(total.values()):
-                        failures.append(f"({self.symbol(i)}, {self.symbol(j)}, {self.symbol(k)})")
-        return failures
+        totals: dict[tuple[int, int, int], dict[int, int]] = {}
+        for y, row in enumerate(ad):
+            for z, inner in row.items():
+                if z < y:
+                    continue
+                for m, c in inner.items():
+                    # c [e_x, e_m] = -c [e_m, e_x], read off the row of m
+                    for x, outer in ad[m].items():
+                        if x < y:
+                            key, sign = (x, y, z), -c
+                        elif y < x < z:
+                            key, sign = (y, x, z), c
+                        elif z < x:
+                            key, sign = (y, z, x), -c
+                        else:
+                            continue  # x is y or z
+                        total = totals.setdefault(key, {})
+                        for n, e in outer.items():
+                            total[n] = total.get(n, 0) + sign * e
+        return [f"({self.symbol(i)}, {self.symbol(j)}, {self.symbol(k)})"
+                for (i, j, k), total in sorted(totals.items()) if any(total.values())]
 
     # ---- span arithmetic ----
 
     def _series_dims(self, step) -> list[int]:
-        """Dimensions of the spaces reached by repeating ``step``, which maps
-        a basis of sparse integer rows to brackets spanning the next space,
-        a subspace of the current one."""
-        current = [[(i, 1)] for i in range(self.dim)]
-        dims = [self.dim]
+        """Dimensions of g, [g, g] and the spaces reached from it by repeating
+        ``step``, which maps a basis of sparse integer rows to brackets
+        spanning the next space, a subspace of the current one.
+
+        [g, g] is spanned by the brackets of basis pairs i < j, since
+        [e_i, e_i] = 0 and [e_j, e_i] = -[e_i, e_j], and every nonzero one is
+        a stored row of the table.  So the first term is one elimination of
+        the table's rows and brackets nothing."""
+        size = self.dim
+        rows = (terms for i, row in enumerate(self._ad) for j, terms in row.items() if i < j)
+        dims = [size]
         while True:
-            rows = filter(None, step(current))
-            nxt = [list(row.items()) for row in integer_echelon(rows, rank_bound=len(current))]
-            dims.append(len(nxt))
-            if len(nxt) == 0 or len(nxt) == len(current):
+            current = [list(row.items()) for row in integer_echelon(rows, rank_bound=size)]
+            dims.append(len(current))
+            if not current or len(current) == size:
                 return dims
-            current = nxt
+            size = len(current)
+            rows = filter(None, step(current))
 
     def derived_series(self) -> list[int]:
         """Dimensions of g, [g,g], [[g,g],[g,g]], ... until zero or stable."""
@@ -481,10 +516,10 @@ class FiniteLie:
     @classmethod
     def from_json(cls, data: Mapping) -> "FiniteLie":
         try:
-            basis = [(entry["gen"], Fraction(entry["label"])) for entry in data["basis"]]
+            basis = [(entry["gen"], _json_rational(entry["label"])) for entry in data["basis"]]
             brackets = {}
             for rec in data.get("brackets", []):
-                terms = {term["k"]: Fraction(term["coeff"]) for term in rec["terms"]}
+                terms = {term["k"]: _json_rational(term["coeff"]) for term in rec["terms"]}
                 brackets[(rec["i"], rec["j"])] = terms
         except (KeyError, TypeError, ValueError) as exc:
             raise DefinitionError(f"malformed finite algebra data: {exc}") from None
@@ -508,8 +543,14 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
     Parameters must be bound beforehand, by ``specialize``.  Structure
     constants come from one expansion per generator pair, with its
     coefficients reduced to rationals once, fed to the same rule as
-    ``ann_bracket`` on plain internal indices.  The Jacobi identity of the
-    result is re-checked after truncation.
+    ``ann_bracket`` on plain internal indices.  A term c x^p d^e k of the
+    pair's entry sends internal indices m, n to degree m + n - p - e - base_k,
+    with base_k the internal index of k at degree 0, so a label pair whose
+    m + n is at least depth + max(p + e + base_k) has every term at degree
+    >= depth: its bracket is zero in the quotient and is not expanded.  Such
+    a pair holds no term of negative degree either, so a table that lowers
+    the filtration is still refused at its first offending pair.  The Jacobi
+    identity of the result is re-checked after truncation.
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
@@ -523,16 +564,24 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
     internal = [s.internal for s in symbols]
     base = internal[::depth]
     position = {g.name: pos for pos, g in enumerate(gens)}
-    expansions: dict[tuple[int, int], list] = {}
+    expansions: dict[tuple[int, int], tuple[list, int]] = {}
     brackets = {}
     for i, a in enumerate(symbols):
         for j in range(i + 1, len(symbols)):
             pair = (i // depth, j // depth)
             if pair not in expansions:
                 g, h = (gens[pos].name for pos in pair)
-                expansions[pair] = [(p, position[k.name], e, c.constant_value())
-                                    for p, k, e, c in _bracket_expansion(alg, g, h)]
-            raw = _coefficient_terms(expansions[pair], internal[i], internal[j])
+                expansion = [(p, position[k.name], e, c.constant_value())
+                             for p, k, e, c in _bracket_expansion(alg, g, h)]
+                # a term lands at degree m + n - (p + e + base[k]), so every
+                # term is at degree >= depth once m + n reaches this bound (an
+                # empty entry brackets to zero at every m + n >= 0)
+                bound = max((depth + p + e + base[k] for p, k, e, _ in expansion), default=0)
+                expansions[pair] = expansion, bound
+            expansion, bound = expansions[pair]
+            if internal[i] + internal[j] >= bound:
+                continue
+            raw = _coefficient_terms(expansion, internal[i], internal[j])
             terms = {}
             low = []
             for (k, t), c in raw.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -595,6 +596,25 @@ class TestTruncation:
         assert q.dim == 36
         assert len(expansions) == len(set(expansions)) <= len(alg.generators) ** 2
 
+    @pytest.mark.parametrize("preset,bindings,depth,calls,nonzero", [
+        ("tsv", {"a": 0, "b": 0}, 12, 222, 222), ("w", {"a": 2, "b": 1}, 14, 154, 153)])
+    def test_pairs_beyond_the_depth_are_not_expanded(self, preset, bindings, depth, calls,
+                                                     nonzero, monkeypatch):
+        # One _coefficient_terms call per label pair with a term below the
+        # depth, of 630 and 378 label pairs; in w one such bracket cancels.
+        import confalg.annihilation as annihilation
+        count = [0]
+        terms = annihilation._coefficient_terms
+
+        def counting(expansion, m, n):
+            count[0] += 1
+            return terms(expansion, m, n)
+
+        monkeypatch.setattr(annihilation, "_coefficient_terms", counting)
+        q = annihilation.truncated_quotient(instantiate(preset, bindings), depth)
+        assert count[0] == calls
+        assert len(q.nonzero_brackets()) == nonzero
+
     @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)
     def test_quotients_are_solvable(self, preset, bindings):
         for depth in (1, 2, 3):
@@ -677,6 +697,34 @@ class TestFiniteLie:
         assert back.basis == q.basis
         assert back.nonzero_brackets() == q.nonzero_brackets()
 
+    def test_json_reads_strings_and_plain_integers(self):
+        lie = FiniteLie([("u", Fraction(1, 2)), ("v", -3)], {(0, 1): {1: Fraction(-5, 7)}})
+        data = json.loads(json.dumps(lie.to_json()))
+        assert data["basis"][0]["label"] == "1/2"
+        assert data["brackets"][0]["terms"][0]["coeff"] == "-5/7"
+        assert FiniteLie.from_json(data) == lie
+        data["basis"][1]["label"] = -3
+        data["brackets"][0]["terms"][0]["coeff"] = "-10/14"
+        assert FiniteLie.from_json(data) == lie
+
+    @pytest.mark.parametrize("where,value", [
+        ("coeff", True), ("coeff", False), ("coeff", 0.1), ("coeff", 1.0), ("coeff", None),
+        ("coeff", [1]), ("coeff", " 1/2"), ("coeff", "1/0"), ("coeff", "one"),
+        ("label", True), ("label", 0.5), ("label", None), ("label", "1 /2"),
+    ])
+    def test_json_rejects_non_rational_values(self, where, value):
+        data = {"basis": [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}],
+                "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"}]}]}
+        if where == "coeff":
+            data["brackets"][0]["terms"][0]["coeff"] = value
+        else:
+            data["basis"][1]["label"] = value
+        with pytest.raises(DefinitionError) as info:
+            FiniteLie.from_json(data)
+        message = str(info.value)
+        assert message.startswith("malformed finite algebra data: ")
+        assert message.endswith(repr(value))
+
     def test_sparse_paths_never_build_dense_brackets(self, monkeypatch):
         calls = []
         dense = FiniteLie.bracket_vectors
@@ -732,9 +780,10 @@ class TestFiniteLie:
 
         monkeypatch.setattr(FiniteLie, "_bracket", counting)
         assert q.lower_central_series() == [16, 15, 15]
-        # the first step reads all 16 x 16 brackets and reaches rank 15; the
-        # second stops once it has 15 independent rows again
-        assert 16 * 16 <= calls[0] < 16 * 16 + 16 * 15
+        # the first step reads [g, g] off the table and brackets nothing; the
+        # second stops once it has 15 independent rows again, before reading
+        # all 16 x 15 brackets
+        assert 15 <= calls[0] < 16 * 15
 
 
 # ---- FiniteLie against independent dense references ------------------------
@@ -763,6 +812,29 @@ def _dense_bracket(table, u, v):
                 for k in range(n):
                     out[k] += u[i] * v[j] * table[i][j][k]
     return out
+
+
+def _triple_walk_jacobi(lie):
+    """Failing triples by the sparse walk over every triple i < j < k,
+    summing [e_x, [e_y, e_z]] over the three cyclic orders of each triple
+    with any nonzero inner bracket."""
+    ad = lie._ad
+    failures = []
+    for i in range(lie.dim):
+        for j in range(i + 1, lie.dim):
+            ij = ad[i].get(j)
+            for k in range(j + 1, lie.dim):
+                jk, ki = ad[j].get(k), ad[k].get(i)
+                if not (ij or jk or ki):
+                    continue
+                total: dict[int, int] = {}
+                for x, inner in ((i, jk), (j, ki), (k, ij)):
+                    for m, c in (inner or {}).items():
+                        for n, e in ad[x].get(m, {}).items():
+                            total[n] = total.get(n, 0) + c * e
+                if any(total.values()):
+                    failures.append(f"({lie.symbol(i)}, {lie.symbol(j)}, {lie.symbol(k)})")
+    return failures
 
 
 def _naive_jacobi(lie):
@@ -819,17 +891,25 @@ def _random_tables(draw):
     return FiniteLie([("e", i) for i in range(dim)], brackets)
 
 
+@functools.cache
+def _preset_truncation(position, depth):
+    preset, bindings = PRESET_BINDINGS[position]
+    return truncated_quotient(instantiate(preset, bindings), depth)
+
+
 @st.composite
-def _perturbed_truncations(draw):
-    """A small truncation of a preset with one stored coefficient changed or
-    one bracket added, so that some triples fail Jacobi and others pass."""
-    preset, bindings = draw(st.sampled_from(PRESET_BINDINGS))
-    q = truncated_quotient(instantiate(preset, bindings), draw(st.integers(2, 3)))
+def _perturbed_truncations(draw, max_depth=3, max_changes=1):
+    """A truncation of a preset with up to ``max_changes`` stored coefficients
+    changed or brackets added, so that some triples fail Jacobi and others
+    pass."""
+    position = draw(st.integers(0, len(PRESET_BINDINGS) - 1))
+    q = _preset_truncation(position, draw(st.integers(2, max_depth)))
     brackets = {pair: dict(terms) for pair, terms in q.nonzero_brackets()}
-    i = draw(st.integers(0, q.dim - 2))
-    j = draw(st.integers(i + 1, q.dim - 1))
-    k = draw(st.integers(0, q.dim - 1))
-    brackets.setdefault((i, j), {})[k] = draw(_COEFFS)
+    for _ in range(draw(st.integers(1, max_changes))):
+        i = draw(st.integers(0, q.dim - 2))
+        j = draw(st.integers(i + 1, q.dim - 1))
+        k = draw(st.integers(0, q.dim - 1))
+        brackets.setdefault((i, j), {})[k] = draw(_COEFFS)
     return FiniteLie(q.basis, brackets)
 
 
@@ -930,6 +1010,11 @@ class TestFiniteLieOracle:
     @given(st.one_of(_random_tables(), _perturbed_truncations()))
     def test_jacobi_failures_match_dense_jacobiator(self, lie):
         assert lie.check_jacobi() == _naive_jacobi(lie)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_random_tables(), _perturbed_truncations(max_depth=12, max_changes=3)))
+    def test_jacobi_failures_match_the_triple_walk(self, lie):
+        assert lie.check_jacobi() == _triple_walk_jacobi(lie)
 
     @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)
     def test_truncations_pass_dense_jacobiator(self, preset, bindings):

@@ -374,6 +374,29 @@ class TestTruncate:
         assert out == ""
         assert err == "error: [W_0, V_0] has term L_-1 of negative degree -1\n"
 
+    def test_broken_table_names_its_first_jacobi_failures(self, capsys):
+        code, out, err = run(capsys, ["truncate", str(GOLDEN / "broken.alg"),
+                                      "--truncate", "6"])
+        assert (code, out) == (2, "")
+        assert err == ("error: truncation broke the Jacobi identity at "
+                       "['(L_0, L_1, L_2)', '(L_0, L_1, L_4)', '(L_0, L_2, L_3)']\n")
+
+    def test_unfiltered_table_truncates_above_its_offending_pair(self, capsys):
+        # [W_x W] = (d + 2x) L lowers the filtration, but at depth 1 the
+        # offending [W_0, W_1] is not in the quotient.
+        code, out, err = run(capsys, ["truncate", str(GOLDEN / "wl.alg"), "--truncate", "1"])
+        assert (code, err) == (0, "")
+        assert out == ("dimension 2\n"
+                       "basis: L_0, W_0\n"
+                       "[L_0, W_0] = W_0\n"
+                       "derived series dims: [2, 1, 0]\n"
+                       "lower central series dims: [2, 1, 1]\n"
+                       "solvable: yes (derived length 2)\n"
+                       "nilpotent: no\n")
+        code, out, err = run(capsys, ["truncate", str(GOLDEN / "wl.alg"), "--truncate", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: [W_0, W_1] has term L_-1 of negative degree -1\n"
+
 
 class TestClassify:
     def test_families_with_verdicts(self, capsys):
