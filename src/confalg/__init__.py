@@ -18,8 +18,8 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError,
 from .modules import (Rank1Action, SubmoduleWitness, Verdict, check_module, induced_action,
                       irreducibility_verdict, rank1_classify, submodule_scan, vir_completeness)
 from .poly import Poly, Registry, group_coefficients, monic_div_rem, parse_poly
-from .presets import (PRESET_NAMES, PRESET_PARAMS, gamma_carrier, instantiate,
-                      named_module, rank1_module, zero_module)
+from .presets import (PRESET_NAMES, gamma_carrier, instantiate, named_module,
+                      rank1_module, zero_module)
 from .report import build_report, poly_to_latex, render_json, render_text, render_tex
 from .solve import SolutionFamily, SolutionSet, solve_system
 
@@ -29,7 +29,7 @@ __all__ = [
     "AnnBasis", "AnnElement", "AxiomReport", "BindingError", "ConformalAlgebra",
     "DefinitionError", "DiscrepancyError", "DivisibilityError", "FiniteLie", "Generator",
     "LabelError", "LambdaElement", "NonMonicDivisorError",
-    "PRESET_NAMES", "PRESET_PARAMS", "ParseError", "Poly", "Rank1Action", "Registry",
+    "PRESET_NAMES", "ParseError", "Poly", "Rank1Action", "Registry",
     "RegistryError", "ReportEntry", "SolutionFamily", "SolutionSet",
     "SubmoduleWitness", "UnsupportedError", "UnsupportedSystemError", "Verdict",
     "WorkbenchError", "ann_bracket", "build_report", "check_module",

@@ -389,10 +389,10 @@ def parse_algebra(text: str) -> ConformalAlgebra:
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("algebra"):
+        parts = line.split()
+        if parts[0] == "algebra":
             if name is not None:
                 raise ParseError("duplicate algebra header", line=lineno)
-            parts = line.split()
             if len(parts) < 2:
                 raise ParseError("algebra header needs a name", line=lineno)
             name = parts[1]
@@ -412,7 +412,6 @@ def parse_algebra(text: str) -> ConformalAlgebra:
         if name is None:
             raise ParseError("the file must start with an 'algebra' header", line=lineno)
         if line.startswith("gen "):
-            parts = line.split()
             gname = parts[1]
             if not is_name(gname):
                 raise ParseError(f"generator name {gname!r} is not an identifier", line=lineno)

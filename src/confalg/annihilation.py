@@ -356,6 +356,9 @@ class FiniteLie:
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
                  brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]):
         self.basis = tuple((name, Fraction(label)) for name, label in basis)
+        for name, _ in self.basis:
+            if not isinstance(name, str):
+                raise DefinitionError(f"basis generator name {name!r} is not a string")
         if len(set(self.basis)) != len(self.basis):
             raise DefinitionError("duplicate basis symbols")
         dim = len(self.basis)
@@ -515,15 +518,23 @@ class FiniteLie:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FiniteLie":
+        """Read ``to_json`` data; anything malformed, a repeated bracket or a
+        repeated target within one bracket included, raises DefinitionError."""
         try:
             basis = [(entry["gen"], _json_rational(entry["label"])) for entry in data["basis"]]
             brackets = {}
             for rec in data.get("brackets", []):
-                terms = {term["k"]: _json_rational(term["coeff"]) for term in rec["terms"]}
-                brackets[(rec["i"], rec["j"])] = terms
-        except (KeyError, TypeError, ValueError) as exc:
+                i, j = rec["i"], rec["j"]
+                if (i, j) in brackets:
+                    raise ValueError(f"bracket ({i!r},{j!r}) given twice")
+                terms = brackets[(i, j)] = {}
+                for term in rec["terms"]:
+                    if term["k"] in terms:
+                        raise ValueError(f"bracket ({i!r},{j!r}) repeats target {term['k']!r}")
+                    terms[term["k"]] = _json_rational(term["coeff"])
+            return cls(basis, brackets)
+        except (KeyError, TypeError, ValueError, DefinitionError) as exc:
             raise DefinitionError(f"malformed finite algebra data: {exc}") from None
-        return cls(basis, brackets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteLie):

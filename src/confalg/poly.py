@@ -221,7 +221,7 @@ def signed_sum(pieces: Iterable[str]) -> str:
 class Poly:
     """Immutable exact polynomial in canonical sparse form."""
 
-    __slots__ = ("registry", "_terms", "_hash", "_sig", "_deg")
+    __slots__ = ("registry", "_terms", "_hash")
 
     def __init__(self, registry: Registry, terms: Mapping[Mono, Fraction], *, _normalized=False):
         self.registry = registry
@@ -230,8 +230,6 @@ class Poly:
         else:
             self._terms = {m: c for m, c in terms.items() if c != 0}
         self._hash = None
-        self._sig = None
-        self._deg = None
 
     # ---- constructors -------------------------------------------------
 
@@ -273,17 +271,9 @@ class Poly:
         """Term list in canonical (graded lex, descending) order."""
         return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
 
-    def signature(self) -> tuple:
-        """Cached canonical term tuple; a cheap deterministic sort key."""
-        if self._sig is None:
-            self._sig = tuple(self.terms())
-        return self._sig
-
     def total_degree(self) -> int:
-        """Cached total degree; -1 for the zero polynomial."""
-        if self._deg is None:
-            self._deg = max((_mono_degree(m) for m in self._terms), default=-1)
-        return self._deg
+        """Total degree; -1 for the zero polynomial."""
+        return max((_mono_degree(m) for m in self._terms), default=-1)
 
     def degree(self, v: Var) -> int:
         """Degree in ``v``; -1 for the zero polynomial."""
@@ -438,7 +428,7 @@ class Poly:
         """Simultaneous substitution of several variables.
 
         Returns ``self`` itself when no mapped variable occurs, so untouched
-        polynomials keep their cached hash and signature.
+        polynomials keep their cached hash.
         """
         if not mapping:
             return self

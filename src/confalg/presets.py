@@ -38,14 +38,6 @@ from .modules import Rank1Action, check_module
 
 PRESET_NAMES = ("vir", "w", "wb", "tsv", "tsvc")
 
-PRESET_PARAMS: dict[str, tuple[str, ...]] = {
-    "vir": (),
-    "w": ("a", "b"),
-    "wb": ("b",),
-    "tsv": ("a", "b"),
-    "tsvc": ("c",),
-}
-
 
 def _closed_form(rules):
     """Complete per-pair label rules: a missing pair is the mirrored rule

@@ -164,11 +164,11 @@ class SolutionSet:
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """All rational roots of sum(coeffs[k] * u**k), exact, sorted.
 
-    After the zero roots are split off, a linear remainder is solved exactly
-    and a quadratic one by the square root of its discriminant; higher
-    degrees go through ``_integer_roots`` in time polynomial in the size of
-    the coefficients.  Complete for rational roots at any degree; irrational
-    and complex roots are deliberately not produced.
+    After the zero roots are split off, a linear remainder is solved exactly;
+    any higher degree goes through the Sturm search of ``_integer_roots``, in
+    time polynomial in the size of the coefficients.  Complete for rational
+    roots at any degree; irrational and complex roots are deliberately not
+    produced.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -190,28 +190,22 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     ints = [c // g for c in ints]
     if len(ints) == 2:
         roots.append(Fraction(-ints[0], ints[1]))
-    elif len(ints) == 3:
-        c0, c1, c2 = ints
-        root = _fraction_sqrt(Fraction(c1 * c1 - 4 * c2 * c0))
-        if root is not None:
-            roots += [(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)]
     else:
         roots += _integer_roots(ints)
     return sorted(set(roots))
 
 
-def _poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of dense coefficient lists (constant first, no
-    trailing zeros, q nonzero); the zero polynomial is the empty list."""
-    rem, quot = list(p), [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+def _poly_rem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Remainder of dense coefficient lists (constant first, no trailing
+    zeros, q nonzero); the zero polynomial is the empty list."""
+    rem = list(p)
     while len(rem) >= len(q):
         c, shift = rem[-1] / q[-1], len(rem) - len(q)
-        quot[shift] = c
         for k, qc in enumerate(q):
             rem[shift + k] -= c * qc
         while rem and rem[-1] == 0:
             rem.pop()
-    return quot, rem
+    return rem
 
 
 def _derivative(p: list) -> list:
@@ -226,30 +220,22 @@ def _value(p: list, t):
 
 
 def _integer_roots(ints: list[int]) -> list[Fraction]:
-    """The rational roots of an integer polynomial (constant term first).
+    """The rational roots of an integer polynomial p (constant term first).
 
-    Its squarefree part s, with leading coefficient a and degree n, becomes
-    the monic integer polynomial a^(n-1) s(y / a), whose rational roots are
-    integers inside its Cauchy bound 1 + max |coefficient|.  A Sturm sequence
-    counts the distinct real roots between two half-integers, which are never
-    roots, so bisecting the bound down to unit intervals that still hold a
-    root costs O(n log bound) counts; each unit interval's one integer is
-    then tested.
+    With leading coefficient a and degree n, p becomes the monic integer
+    polynomial a^(n-1) p(y / a), whose rational roots are integers inside its
+    Cauchy bound 1 + max |coefficient|.  The Sturm sequence of that
+    polynomial and its derivative counts its distinct real roots between two
+    half-integers, which are never roots, repeated factors or not; so
+    bisecting the bound down to unit intervals that still hold a root costs
+    O(n log bound) counts, and each unit interval's one integer is then
+    tested.
     """
-    p = [Fraction(c) for c in ints]
-    gcd, rest = p, _derivative(p)
-    while rest:
-        gcd, rest = rest, _poly_divmod(gcd, rest)[1]
-    s = _poly_divmod(p, gcd)[0]
-    scale = math.lcm(*(c.denominator for c in s))
-    s = [int(c * scale) for c in s]
-    content = math.gcd(*s)
-    s = [c // content for c in s]
-    lead, n = s[-1], len(s) - 1
-    monic = [c * lead ** (n - 1 - k) for k, c in enumerate(s[:-1])] + [1]
+    lead, n = ints[-1], len(ints) - 1
+    monic = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     sturm = [[Fraction(c) for c in monic], [Fraction(c) for c in _derivative(monic)]]
     while True:
-        rem = _poly_divmod(sturm[-2], sturm[-1])[1]
+        rem = _poly_rem(sturm[-2], sturm[-1])
         if not rem:
             break
         sturm.append([-c for c in rem])
@@ -317,7 +303,7 @@ def _affine_sqrt(p: Poly) -> Poly | None:
 
 
 def _equation_key(eq: Poly):
-    return eq.total_degree(), len(eq._terms), eq.signature()
+    return eq.total_degree(), len(eq._terms), tuple(eq.terms())
 
 
 def _normalized_eqs(eqs: Iterable[Poly]) -> tuple[Poly, ...]:

@@ -725,6 +725,33 @@ class TestFiniteLie:
         assert message.startswith("malformed finite algebra data: ")
         assert message.endswith(repr(value))
 
+    @pytest.mark.parametrize("gen", [[1], 5, None])
+    def test_basis_name_must_be_a_string(self, gen):
+        data = {"basis": [{"gen": gen, "label": "0"}], "brackets": []}
+        with pytest.raises(DefinitionError) as info:
+            FiniteLie.from_json(data)
+        message = str(info.value)
+        assert message.startswith("malformed finite algebra data: ")
+        assert repr(gen) in message
+        with pytest.raises(DefinitionError, match=re.escape(repr(gen))):
+            FiniteLie([(gen, 0)], {})
+
+    def test_json_rejects_a_repeated_bracket(self):
+        rec = {"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"}]}
+        data = {"basis": [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}],
+                "brackets": [rec, dict(rec, terms=[{"k": 1, "coeff": "2"}])]}
+        with pytest.raises(DefinitionError, match=re.escape(
+                "malformed finite algebra data: bracket (0,1) given twice")):
+            FiniteLie.from_json(data)
+
+    def test_json_rejects_a_repeated_target(self):
+        data = {"basis": [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}],
+                "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"},
+                                                        {"k": 1, "coeff": "2"}]}]}
+        with pytest.raises(DefinitionError, match=re.escape(
+                "malformed finite algebra data: bracket (0,1) repeats target 1")):
+            FiniteLie.from_json(data)
+
     def test_sparse_paths_never_build_dense_brackets(self, monkeypatch):
         calls = []
         dense = FiniteLie.bracket_vectors

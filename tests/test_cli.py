@@ -17,6 +17,7 @@ from confalg.cli import main
 BROKEN = "algebra broken\ngen L offset=1\n[L,L] = (d + 3*x) L\n"
 MALFORMED = "algebra bad\ngen L offset=1\n[L] = x\n"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+VIR = "gen L offset=1\n[L,L] = (d + 2*x) L\n"
 HEISENBERG = ("algebra heis\ngen A\ngen B\n"
               "[A,A] = 0\n[A,B] = 0\n[B,B] = 0\n")
 
@@ -135,6 +136,42 @@ class TestBadInput:
         assert out == ""
         assert "line 2" in err
         assert "'1L' is not an identifier" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("algebra p\nalgebra q\n" + VIR, "line 2: duplicate algebra header"),
+        ("algebra\n" + VIR, "line 1: algebra header needs a name"),
+        ("algebra p a b\n" + VIR, "line 1: expected 'params' after the algebra name"),
+        ("algebra p params x\n" + VIR, "line 1: x is a reserved formal variable"),
+        (VIR + "algebra p\n", "line 1: the file must start with an 'algebra' header"),
+        ("algebras mine\n" + VIR, "line 1: the file must start with an 'algebra' header"),
+        ("algebra p params a\ngen a\n[a,a] = 0\n",
+         "line 2: generator name 'a' clashes with a variable"),
+        ("algebra p\n" + VIR + "gen L\n", "line 4: duplicate generator 'L'"),
+        ("algebra p\ngen L offset\n[L,L] = 0\n", "line 2: malformed generator option 'offset'"),
+        ("algebra p\ngen L weight=1\n[L,L] = 0\n", "line 2: unknown generator option 'weight'"),
+        ("algebra p\ngen L offset=2\n[L,L] = 0\n",
+         "line 2: generator L: label offset must be 0, 1/2, or 1"),
+        ("algebra p\ngen L offset=1\n[L,L] (d + 2*x) L\n", "line 3: bracket line needs '='"),
+        ("algebra p\ngen L offset=1\n[L,L] L = (d + 2*x) L\n",
+         "line 3: bracket line must start with [A,B]"),
+        ("algebra p\n" + VIR + "[L,L] = (d + 2*x) L\n", "line 4: duplicate bracket [L,L]"),
+        ("algebra p\n" + VIR + "hello world\n", "line 4: unrecognized line 'hello world'"),
+        ("", "line 1: empty algebra definition"),
+    ])
+    def test_malformed_file_names_its_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("axes, message", [
+        (["a"], "expected name=range, got 'a'"),
+        (["a=1", "a=2"], "grid parameter a given twice"),
+        (["a=2..1"], "range must be nondecreasing integers: 'a=2..1'"),
+    ])
+    def test_malformed_grid(self, capsys, axes, message):
+        code, out, err = run(capsys, ["verify", "w", "--param-grid", *axes, "b=0"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/file.alg"])
@@ -453,6 +490,21 @@ class TestClassify:
         assert [f["actions"]["L"] for f in data["families"]] == \
             ["0", "x*alpha + d + beta"]
 
+    def test_several_free_constants(self, capsys):
+        """Two currents of weight 1 each get their own free constant."""
+        two = str(GOLDEN / "two.alg")
+        code, out, _ = run(capsys, ["classify", two, "--degree", "1"])
+        assert code == 0
+        assert out == ("L -> 0; V -> 0; W -> 0\n"
+                       "  trivial (all actions zero)\n"
+                       "L -> x*alpha + d + beta; V -> gamma_V; W -> gamma_W\n"
+                       "  irreducible iff alpha != 0 or gamma_V != 0 or gamma_W != 0\n")
+        code, out, _ = run(capsys, ["classify", two, "--degree", "1", "--format", "json"])
+        assert json.loads(out)["families"][1]["actions"] == \
+            {"L": "x*alpha + d + beta", "V": "gamma_V", "W": "gamma_W"}
+        code, out, _ = run(capsys, ["classify", two, "--degree", "1", "--format", "tex"])
+        assert "V &\\mapsto \\gamma_{V} \\quad W &\\mapsto \\gamma_{W} \\\\\n" in out
+
 
     def test_solver_limit_is_unsupported(self, capsys, monkeypatch):
         monkeypatch.setattr(solve, "_MAX_BRANCH_DEPTH", 0)
@@ -550,6 +602,12 @@ class TestReport:
                                     "--format", "tex"])
         assert code == 0
         assert "\\partial" in out
+
+    def test_several_carriers_need_a_named_module(self, capsys):
+        code, out, err = run(capsys, ["report", str(GOLDEN / "two.alg")])
+        assert (code, out) == (3, "")
+        assert err == ("unsupported: two admits several constant carriers; "
+                       "name the intended module explicitly\n")
 
 
 class TestParser:

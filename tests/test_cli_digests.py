@@ -56,6 +56,7 @@ JOBS = [
         "classify tsvc --param c=1 --degree 2",
         "classify tsv --param-grid a=0..1 --param b=0 --degree 1",
         "classify wbad.alg --param a=1 b=1 --degree 2",
+        "classify two.alg --degree 1",
     ),
     *_all_formats(
         "truncate vir --truncate 3",
@@ -83,6 +84,7 @@ JOBS = [
         "classify w --param a=nope b=0",
         "report broken.alg",
     ),
+    "report two.alg",
     "verify nothere",
     "verify w --param a=0",
     "verify w --param a=0 a=1 b=0",

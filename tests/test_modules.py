@@ -41,8 +41,6 @@ from confalg import (
 from confalg import modules
 from confalg import solve as solve_module
 from confalg.algebra import LambdaElement, parse_algebra
-from confalg.errors import UnsupportedSystemError
-from confalg.poly import monic_div_rem
 from confalg.solve import SolutionFamily, SolutionSet, solve_system
 
 
@@ -809,28 +807,45 @@ class TestSubmodules:
             submodule_scan(vir, named_module(vir, "M_1_2"), 0)
 
 
-def _reference_scan(alg, action, max_degree):
-    """The parametric scan, kept as the reference: for each degree k, a
-    generic monic p = d^k + t_(k-1) d^(k-1) + ... + t_0 and a solve for the
-    t's that make every A_g(d, x) p(d + x) divisible by p(d).  Returns the
-    monic generators in the solver's family order, without induced actions."""
-    reg = alg.registry
-    d, x = reg.d, reg.x
-    dp = Poly.from_var(reg, d)
+def _sympy_expr(p, sympy):
+    """The same polynomial as a sympy expression."""
+    return sum((sympy.Rational(c.numerator, c.denominator) *
+                sympy.prod([sympy.Symbol(p.registry.name_of(i)) ** e for i, e in mono])
+                for mono, c in p.terms()), sympy.Integer(0))
+
+
+def _reference_scan(action, max_degree):
+    """The monic p(d) of degree 1..max_degree with every A_g(d, x) p(d + x)
+    divisible by p(d), found by sympy alone, as sympy polynomials in d in the
+    order ``submodules`` prints: by degree, then by rendered coefficients.
+
+    A root r of p makes A_g(r, x) p(r + x) vanish, so it is a root of every
+    x-coefficient of every A_g.  The candidates are therefore the monic
+    products of (d - r) over the rational roots those coefficients share."""
+    sympy = pytest.importorskip("sympy")
+    d, x = sympy.symbols("d x")
+    actions = [sympy.Poly(_sympy_expr(p, sympy), d, x) for _, p in action.items()]
+    common = None
+    for a in actions:
+        for c in sympy.Poly(a.as_expr(), x).all_coeffs():
+            if c != 0:
+                roots = {-f.nth(0) / f.nth(1)
+                         for f, _ in sympy.Poly(c, d).factor_list()[1] if f.degree() == 1}
+                common = roots if common is None else common & roots
     found = []
-    for degree in range(1, max_degree + 1):
-        tvars = [reg.param(f"t{k}") for k in range(degree)]
-        candidate = dp ** degree
-        for k, v in enumerate(tvars):
-            candidate = candidate + Poly.from_var(reg, v) * dp ** k
-        shifted = candidate.substitute(d, dp + Poly.from_var(reg, x))
-        eqs = []
-        for _, p in action.items():
-            eqs += modules._extract(monic_div_rem(p * shifted, candidate, d)[1], tvars)
-        for fam in solve_system(eqs, tvars):
-            assert fam.dim == 0
-            found.append(fam.substitute_into(candidate))
-    return found
+    for k in range(1, max_degree + 1):
+        for chosen in itertools.combinations_with_replacement(sorted(common), k):
+            p = math.prod(sympy.Poly(d - r, d, x) for r in chosen)
+            shifted = math.prod(sympy.Poly(d + x - r, d, x) for r in chosen)
+            if all(sympy.div(a * shifted, p)[1].is_zero for a in actions):
+                found.append(sympy.Poly(p.as_expr(), d))
+    return sorted(found, key=lambda p: (p.degree(), "{%s}" % "; ".join(
+        f"t{i} = {c}" for i, c in enumerate(p.all_coeffs()[:0:-1]))))
+
+
+def _as_sympy_polys(polys):
+    sympy = pytest.importorskip("sympy")
+    return [sympy.Poly(_sympy_expr(p, sympy), sympy.Symbol("d")) for p in polys]
 
 
 _PRESET_GRID = [("vir", None), ("w", {"a": 1, "b": 0}), ("w", {"a": 2, "b": 1}),
@@ -867,42 +882,27 @@ def _drawn_action(alg, roots, unit, parts):
 
 class TestSubmoduleGcd:
     """Submodule generators are the monic divisors of the gcd G(d) of the
-    action's x-coefficients; the parametric scan is the reference."""
+    action's x-coefficients; a divisor scan in sympy is the reference."""
 
-    def test_matches_the_parametric_scan_on_the_preset_grid(self):
+    def test_matches_the_sympy_scan_on_the_preset_grid(self):
         checked = 0
         for preset, bindings in _PRESET_GRID:
             alg = instantiate(preset, bindings)
-            d = alg.registry.d
             for action in _standard_modules(alg):
-                want = _reference_scan(alg, action, 3)
+                want = _reference_scan(action, 3)
                 for bound in (1, 2, 3):
-                    assert modules._submodule_generators(action, bound) == \
-                        [p for p in want if p.degree(d) <= bound], action.render()
+                    assert _as_sympy_polys(modules._submodule_generators(action, bound)) == \
+                        [p for p in want if p.degree() <= bound], action.render()
                 checked += 1
         assert checked == 450
 
     @settings(max_examples=150, deadline=None)
     @given(_ROOTS, st.sampled_from([1, -2, 3]),
            st.lists(_X_PART, min_size=2, max_size=2), st.integers(1, 3))
-    def test_matches_the_parametric_scan_on_drawn_actions(self, roots, unit, parts, bound):
-        alg = instantiate("w", {"a": 1, "b": 0})
-        d = alg.registry.d
-        action = _drawn_action(alg, roots, unit, parts)
-        got = modules._submodule_generators(action, bound)
-        try:
-            assert got == _reference_scan(alg, action, bound)
-        except UnsupportedSystemError:
-            # The solver cannot split some scan systems when G has three or
-            # more linear factors, counted with multiplicity; the gcd still
-            # answers.  Distinct monic divisors of G, as many as G has up to
-            # the bound, are all of them.
-            g0 = math.prod((Poly.from_var(alg.registry, d) - r for r in roots),
-                           start=Poly.one(alg.registry))
-            count = sum(1 <= sum(es) <= bound for es in itertools.product(
-                *(range(m + 1) for m in Counter(roots).values())))
-            assert len(set(got)) == len(got) == count
-            assert all(monic_div_rem(g0, p, d)[1].is_zero() for p in got)
+    def test_matches_the_sympy_scan_on_drawn_actions(self, roots, unit, parts, bound):
+        action = _drawn_action(instantiate("w", {"a": 1, "b": 0}), roots, unit, parts)
+        assert _as_sympy_polys(modules._submodule_generators(action, bound)) == \
+            _reference_scan(action, bound)
 
     def test_no_solver_call_and_no_new_unknowns(self, vir, monkeypatch):
         calls = []

@@ -238,9 +238,10 @@ def _low_degree_huge(draw):
 # which has no rational root.
 @example([Fraction(-879), Fraction(-52672014718), Fraction(-52672014718)])
 def test_rational_roots_of_huge_low_degree_match_sympy(coeffs):
-    """Linear and quadratic remainders are solved in closed form, so huge
-    coefficients and roots cost no divisor search.  The expected roots are
-    those of the linear factors of sympy's factorisation over Q."""
+    """A linear remainder is solved in closed form and a quadratic one by the
+    Sturm bisection, so huge coefficients and roots cost no divisor search.
+    The expected roots are those of the linear factors of sympy's
+    factorisation over Q."""
     sympy = pytest.importorskip("sympy")
     u = sympy.Symbol("u")
     poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * u ** k
@@ -251,13 +252,27 @@ def test_rational_roots_of_huge_low_degree_match_sympy(coeffs):
 
 
 def test_rational_roots_of_huge_cubics():
-    """Degree >= 3 remainders bisect a Sturm sequence inside the Cauchy bound
-    instead of trying divisors, so 20-digit end coefficients cost nothing."""
+    """Degree >= 2 remainders bisect a Sturm sequence inside the Cauchy bound
+    instead of trying divisors, so 20-digit end coefficients cost nothing.
+    The sequence counts distinct roots, so repeated factors need no
+    squarefree part first."""
     big = 10 ** 20
     assert rational_roots([-big, 0, 0, 1]) == []
     assert rational_roots([-big, 1, -big, 1]) == [big]  # (u - big)(u^2 + 1)
     # (3u - big)(u^2 + u + 1)
     assert rational_roots([-big, 3 - big, 3 - big, 3]) == [Fraction(big, 3)]
+    # (2u - 1)^3 (u + 2)^2
+    assert rational_roots([Fraction(c) for c in (-4, 20, -25, -10, 20, 8)]) == \
+        [-2, Fraction(1, 2)]
+    # u^2 (3u - big)^2
+    assert rational_roots([Fraction(c) for c in (0, 0, big * big, -6 * big, 9)]) == \
+        [0, Fraction(big, 3)]
+    assert rational_roots([Fraction(c) for c in (1, 0, 2, 0, 1)]) == []  # (u^2 + 1)^2
+    # (u^2 - 2)^2 (u - 5)
+    assert rational_roots([Fraction(c) for c in (-20, 4, 20, -4, -5, 1)]) == [5]
+    # (u - 1/3)^2
+    assert rational_roots([Fraction(1, 9), Fraction(-2, 3), Fraction(1)]) == [Fraction(1, 3)]
+    assert rational_roots([Fraction(0)] * 5 + [Fraction(1)]) == [0]  # u^5
 
 
 @settings(max_examples=100, deadline=None)
