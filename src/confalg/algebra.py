@@ -411,7 +411,9 @@ def parse_algebra(text: str) -> ConformalAlgebra:
             continue
         if name is None:
             raise ParseError("the file must start with an 'algebra' header", line=lineno)
-        if line.startswith("gen "):
+        if parts[0] == "gen":
+            if len(parts) < 2:
+                raise ParseError("generator line needs a name", line=lineno)
             gname = parts[1]
             if not is_name(gname):
                 raise ParseError(f"generator name {gname!r} is not an identifier", line=lineno)

@@ -15,6 +15,10 @@ where [a_x b] = sum_k p_k(d, x) k.  Everything here reduces to exact
 polynomial identities: verifying a proposed action, classifying all actions
 of bounded degree, locating rank-one submodules, and deciding
 irreducibility for the families that come out of the classification.
+Actions and bracket coefficients use only d, x and parameters, so the
+residual is bilinear in the terms of A_a and A_b and linear in those of the
+A_k: ``_rank1_residual`` expands each pair of terms by binomials into one
+dict of coefficients, with no ``Poly`` product or substitution.
 Submodules need no solving: a monic nonconstant p(d) generates one iff p
 divides G(d), the gcd in Q[d] of all x-coefficients of all A_g (p(r + x) is
 nonzero at a root r of p), so C[d]v is irreducible iff G is a nonzero constant.
@@ -62,7 +66,7 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
                       parse_algebra)
 from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem,
-                   parse_poly)
+                   mono_mul, parse_poly)
 from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
 
 
@@ -181,36 +185,84 @@ def _names_in(text: str) -> set[str]:
     return set(_NAME_RE.findall(text))
 
 
+def _split_terms(p: Poly) -> list[tuple[int, int, tuple, int | Fraction]]:
+    """The terms c*d^i*x^j*rest of ``p``, which uses no formal variable but d
+    and x, as (i, j, rest, c): rest a monomial in parameters only and c an
+    int while it is integral."""
+    out = []
+    for m, c in p._terms.items():
+        i = j = 0
+        if m and m[0][0] == 0:
+            i, m = m[0][1], m[1:]
+        if m and m[0][0] == 1:
+            j, m = m[0][1], m[1:]
+        out.append((i, j, m, c.numerator if c.denominator == 1 else c))
+    return out
+
+
 def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
                     aname: str, bname: str) -> Poly:
-    reg = alg.registry
-    d, x, y = reg.d, reg.x, reg.y
-    dp, xp, yp = (Poly.from_var(reg, v) for v in (d, x, y))
-    A, B = actions[aname], actions[bname]
-    t3 = Poly.zero(reg)
-    for k, coeff in alg.entry(aname, bname).items():
-        t3 = t3 + coeff.subs({d: -(xp + yp)}) * actions[k.name].substitute(x, xp + yp)
-    if A.is_zero() or B.is_zero():  # both products vanish
-        return -t3
-    t1 = A * B.subs({d: dp + xp, x: yp})
-    t2 = B.substitute(x, yp) * A.substitute(d, dp + yp)
-    return t1 - t2 - t3
+    """The residual of the pair (a, b) in closed form, built with no ``Poly``
+    product or substitution.  The actions and bracket coefficients use only
+    d, x and parameters; with their terms split as a_ij d^i x^j, b_kl d^k x^l
+    and p d^i x^j, the three parts expand by binomials:
+      - A_a(d, x) A_b(d+x, y) adds a_ij b_kl C(k,e) d^(i+e) x^(j+k-e) y^l;
+      - -A_b(d, y) A_a(d+y, x) adds -a_ij b_kl C(i,e) d^(k+e) x^j y^(l+i-e),
+        whose term e = i cancels the first part's term e = k, so neither is
+        added;
+      - for each term p_k k of [a_x b], each term p d^i x^j of p_k
+        becomes (-1)^i C(i,s) p x^(s+j) y^(i-s) in p_k(-(x+y), x), and
+        each term c d^i x^j of A_k becomes C(j,t) c d^i x^t y^(j-t) in
+        A_k(d, x+y); their products are subtracted.
+    Coefficients add as ints while they are integral, in one dict keyed by
+    the exponents of d, x and y and the parameter monomial; only the
+    surviving terms become ``Fraction``s."""
+    comb = math.comb
+    acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
+    get = acc.get
+    b_terms = _split_terms(actions[bname])
+    for i, j, ra, ca in _split_terms(actions[aname]):
+        for k, l, rb, cb in b_terms:
+            rest, c = mono_mul(ra, rb), ca * cb
+            for e in range(k):
+                key = (i + e, j + k - e, l, rest)
+                acc[key] = get(key, 0) + c * comb(k, e)
+            for e in range(i):
+                key = (k + e, j, l + i - e, rest)
+                acc[key] = get(key, 0) - c * comb(i, e)
+    for gen, coeff in alg.entry(aname, bname).items():
+        target = _split_terms(actions[gen.name])
+        for i, j, rp, cp in _split_terms(coeff):
+            sign = cp if i % 2 else -cp
+            for i2, j2, rk, ck in target:
+                rest, c = mono_mul(rp, rk), sign * ck
+                for s in range(i + 1):
+                    cs = c * comb(i, s)
+                    for t in range(j2 + 1):
+                        key = (i2, s + j + t, i - s + j2 - t, rest)
+                        acc[key] = get(key, 0) + cs * comb(j2, t)
+    terms = {}
+    for (p, q, r, rest), c in acc.items():
+        if c:
+            mono = tuple(t for t in ((0, p), (1, q), (2, r)) if t[1]) + rest
+            terms[mono] = c if isinstance(c, Fraction) else Fraction(c)
+    return Poly(alg.registry, terms, _normalized=True)
 
 
 def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
     """Verify the rank-one module identity for every ordered generator pair.
 
     Accepts a Rank1Action or a plain mapping of generator names to action
-    polynomials; each entry carries the residual polynomial of its pair.
+    polynomials, which must use only d, x and parameters as a Rank1Action's
+    do; each entry carries the residual polynomial of its pair.
     """
-    if isinstance(module, Rank1Action):
-        actions = dict(module.items())
-    elif isinstance(module, Mapping):
-        actions = dict(module)
-    else:
+    if isinstance(module, Mapping):
+        if set(module) != {g.name for g in alg.generators}:
+            raise DefinitionError("module actions do not match the algebra's generators")
+        module = Rank1Action(alg, module)
+    elif not isinstance(module, Rank1Action):
         raise DefinitionError(f"cannot check a {type(module).__name__}")
-    if set(actions) != {g.name for g in alg.generators}:
-        raise DefinitionError("module actions do not match the algebra's generators")
+    actions = dict(module.items())
     entries = []
     for a, b in alg.ordered_pairs():
         res = _rank1_residual(alg, actions, a, b)
@@ -412,10 +464,21 @@ class _Ansatz:
         return eqs
 
     def family_actions(self, f: Poly, fam: SolutionFamily) -> dict[str, Poly]:
-        """The actions of a solution family under the Virasoro action f."""
+        """The actions of a solution family under the Virasoro action f.  The
+        coefficient u of d^i x^j becomes its value in the family, a
+        polynomial in parameters only, so each of its terms moves to
+        d^i x^j unchanged and no ``Poly.subs`` is needed."""
         actions = {self.virasoro.name: f}
         for g in self.others:
-            actions[g.name] = fam.substitute_into(self.actions[g.name])
+            terms = {}
+            for i, j, v in self.coefficients[g.name]:
+                head = tuple(t for t in ((0, i), (1, j)) if t[1])
+                value = fam.solved.get(v)
+                if value is None:
+                    terms[head + ((v.index, 1),)] = Fraction(1)
+                else:
+                    terms.update((head + m, c) for m, c in value._terms.items())
+            actions[g.name] = Poly(self.alg.registry, terms, _normalized=True)
         return actions
 
     def stage_two(self, f: Poly, fam: SolutionFamily) -> list[Poly]:

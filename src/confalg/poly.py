@@ -131,7 +131,8 @@ class Registry:
         return self._vars[index].name
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
+def mono_mul(a: Mono, b: Mono) -> Mono:
+    """The product of two exponent maps."""
     if not a:
         return b
     if not b:
@@ -352,7 +353,7 @@ class Poly:
         out: dict[Mono, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in q._terms.items():
-                m = _mono_mul(m1, m2)
+                m = mono_mul(m1, m2)
                 s = out.get(m, Fraction(0)) + c1 * c2
                 if s:
                     out[m] = s
@@ -464,7 +465,7 @@ class Poly:
                 expansion = expansions[key] = {(): Fraction(1)} if prod is None else prod._terms
             rest = tuple(rest)
             for fm, fc in expansion.items():
-                mono = _mono_mul(rest, fm)
+                mono = mono_mul(rest, fm)
                 out[mono] = out.get(mono, 0) + c * fc
         return Poly(self.registry, out)
 

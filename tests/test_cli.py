@@ -156,6 +156,9 @@ class TestBadInput:
          "line 3: bracket line must start with [A,B]"),
         ("algebra p\n" + VIR + "[L,L] = (d + 2*x) L\n", "line 4: duplicate bracket [L,L]"),
         ("algebra p\n" + VIR + "hello world\n", "line 4: unrecognized line 'hello world'"),
+        ("algebra p\ngen\n" + VIR, "line 2: generator line needs a name"),
+        ("algebra p\ngen # L\n" + VIR, "line 2: generator line needs a name"),
+        ("algebra p\ngens L\n" + VIR, "line 2: unrecognized line 'gens L'"),
         ("", "line 1: empty algebra definition"),
     ])
     def test_malformed_file_names_its_line(self, capsys, tmp_path, text, message):
@@ -163,6 +166,17 @@ class TestBadInput:
         path.write_text(text)
         code, out, err = run(capsys, ["verify", str(path)])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_generator_lines_split_on_any_whitespace(self, capsys, tmp_path):
+        """A line is a generator line when its first word is exactly gen,
+        as a header is one when its first word is exactly algebra."""
+        outputs = []
+        for sep in (" ", "\t", " \t "):
+            path = tmp_path / "vir.alg"
+            path.write_text(f"algebra{sep}p\ngen{sep}L{sep}offset=1\n[L,L] = (d + 2*x) L\n")
+            outputs.append(run(capsys, ["verify", str(path)]))
+        assert outputs[0][0] == 0
+        assert outputs[1:] == outputs[:1] * 2
 
     @pytest.mark.parametrize("axes, message", [
         (["a"], "expected name=range, got 'a'"),

@@ -124,9 +124,107 @@ class TestCheckModule:
         assert residuals[("W", "L")] == "y*gamma"
 
     def test_mismatched_generator_set_rejected(self, vir):
-        with pytest.raises(DefinitionError):
+        with pytest.raises(DefinitionError,
+                           match="module actions do not match the algebra's generators"):
             check_module(vir, {"L": Poly.zero(vir.registry),
                                "W": Poly.zero(vir.registry)})
+
+    def test_mapping_actions_use_only_d_x_and_parameters(self, vir):
+        """A mapping is held to the rule of ``Rank1Action``: y is the
+        identity's own second bracket variable, so an action in y (or z) is
+        refused rather than mixed up with it."""
+        reg = vir.registry
+        d, y, z = (Poly.from_var(reg, v) for v in (reg.d, reg.y, reg.z))
+        for bad, name in ((d + y, "y"), (z, "z")):
+            with pytest.raises(DefinitionError, match=f"action of L uses {name}; "
+                                                      f"only d, x and parameters are allowed"):
+                check_module(vir, {"L": bad})
+        assert check_module(vir, {"L": d + 2}).passed
+
+
+_ORACLE_ALGEBRAS = [*PRESET_NAMES, "heis.alg", "two.alg", "wl.alg"]
+_ORACLE_PARAMS = ("alpha", "beta", "gamma", "u_L_1_0", "u_W_0_2")
+
+
+@st.composite
+def _oracle_actions(draw, alg):
+    """One drawn action per generator: up to four terms c*d^i*x^j*m with c a
+    rational, often non-integral, and m a monomial in module parameters."""
+    reg = alg.registry
+    d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+    params = [Poly.from_var(reg, reg.param(name)) for name in _ORACLE_PARAMS]
+    coefficient = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    term = st.tuples(coefficient, st.integers(0, 3), st.integers(0, 3),
+                     st.lists(st.sampled_from(range(len(params))), max_size=3))
+    return {g.name: sum((c * d ** i * x ** j * math.prod((params[k] for k in ks),
+                                                         start=Poly.one(reg))
+                         for c, i, j, ks in draw(st.lists(term, max_size=4))),
+                        Poly.zero(reg))
+            for g in alg.generators}
+
+
+def _assert_residuals_match_the_oracle(alg, actions):
+    """The closed-form residual of every ordered pair has the oracle's
+    terms, in order, with ``Fraction`` coefficients."""
+    for a, b in alg.ordered_pairs():
+        residual = modules._rank1_residual(alg, actions, a, b)
+        assert residual.terms() == _unshortened_residual(alg, actions, a, b).terms()
+        assert all(type(c) is Fraction for _, c in residual.terms())
+
+
+class TestClosedFormResidual:
+    """``_rank1_residual`` expands the identity by binomials; the oracle
+    multiplies and substitutes ``Poly``s."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_ORACLE_ALGEBRAS), st.data())
+    def test_matches_the_oracle_on_drawn_actions(self, name, data):
+        """Unbound preset tables (brackets in a, b, c) and the golden
+        fixtures, with drawn rational actions in module parameters."""
+        alg = golden_algebra(name) if name.endswith(".alg") else instantiate(name)
+        _assert_residuals_match_the_oracle(alg, data.draw(_oracle_actions(alg)))
+
+    def test_matches_the_oracle_on_the_generic_completeness_action(self):
+        vir = parse_algebra("algebra vir\ngen L\n[L,L] = (d + 2*x) L\n")
+        f, _ = modules._generic_poly(vir.registry, "c", 3)
+        _assert_residuals_match_the_oracle(vir, {"L": f})
+        _assert_residuals_match_the_oracle(vir, {"L": f * Fraction(-2, 3)})
+
+    def test_check_module_and_stage_two_substitute_and_multiply_nothing(self, monkeypatch):
+        """A work count: certifying classified families, a mapping and an
+        induced action, and building stage two's cross equations, call
+        neither ``Poly.subs`` nor ``Poly.__mul__``."""
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        ansatz = _degree_two_ansatz(alg)
+        fs = (Poly.zero(reg), d + formal(alg, "alpha") * x + formal(alg, "beta"))
+        stage_one = [(f, fam) for f in fs
+                     for fam in solve_system(ansatz.stage_one(f), ansatz.unknowns, registry=reg)]
+        families = rank1_classify(alg, 2, cross_check=False)
+        mapping = {"L": d + x, "Y": Poly.zero(reg), "M": Poly.zero(reg)}
+        induced = induced_action(alg, named_module(alg, "M_0_1"), d + 1)
+        real_subs, real_mul = Poly.subs, Poly.__mul__
+        calls = []
+
+        def subs(p, sub):
+            calls.append(("subs", str(p)))
+            return real_subs(p, sub)
+
+        def mul(p, q):
+            calls.append(("mul", str(p)))
+            return real_mul(p, q)
+
+        monkeypatch.setattr(Poly, "subs", subs)
+        monkeypatch.setattr(Poly, "__mul__", mul)
+        monkeypatch.setattr(Poly, "__rmul__", mul)
+        reports = [check_module(alg, action) for action in families + [induced]]
+        reports.append(check_module(alg, mapping))
+        eqs = [ansatz.stage_two(f, fam) for f, fam in stage_one]
+        eqs.append(ansatz.stage_two(fs[0], _probe_family(ansatz)))
+        assert calls == []
+        assert all(report.passed for report in reports)
+        assert eqs[-1]
 
 
 class TestRank1Action:
