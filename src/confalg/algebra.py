@@ -15,6 +15,18 @@ Axioms checked here, with residuals reported per pair or triple:
 * skew-symmetry      [g_x h] + ([h_x g] with x -> -x - d)  = 0
 * Jacobi identity    [g_x [h_y k]] - [[g_x h]_{x+y} k] - [h_y [g_x k]] = 0
 
+Both residuals are computed in closed form, with no ``Poly`` product or
+substitution.  Table coefficients use only d, x and parameters, so each is
+split once into terms c d^i x^j m (m a parameter monomial, c an int while it
+is integral, see ``poly.split_terms``).  The skew image of a term is
+-c d^i (-(x + d))^j, expanded by C(j, t); each double bracket of the Jacobi
+identity is a product of two coefficients with some variables shifted, and
+expands by binomials term by term (``_jacobi_residual`` lists the three).
+The terms add into one dict per generator keyed by the exponents of d, x
+and y and the parameter monomial, and ``poly.join_terms`` turns the
+nonzero ones into the same canonical ``Poly`` that substituting and
+multiplying would give.
+
 Sesquilinearity is structural: brackets of d-multiples are computed by the
 substitution rules [p(d) g_x h] = p(-x) [g_x h] and
 [g_x p(d) h] = p(d + x) [g_x h], so it cannot fail.
@@ -29,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, ParseError
 from .poly import (PARAMETER, Combination, Poly, Registry, Var, group_coefficients, is_name,
-                   parse_expression, parse_rational)
+                   join_terms, mono_mul, parse_expression, parse_rational, split_terms)
 
 _ALLOWED_OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1))
 _ALLOWED_SHIFTS = (Fraction(0), Fraction(1, 2))
@@ -148,9 +160,20 @@ class ConformalAlgebra:
                         f"declared parameters are allowed")
 
     def _skew_image(self, elem: LambdaElement) -> LambdaElement:
-        reg = self.registry
-        minus = -Poly.from_var(reg, reg.x) - Poly.from_var(reg, reg.d)
-        return (-(elem.map_coeffs(lambda p: p.substitute(reg.x, minus))))
+        """``-elem`` with x -> -(x + d), in closed form: a term c d^i x^j
+        becomes -(-1)^j c C(j, t) d^(i+j-t) x^t for t = 0..j."""
+        comb = math.comb
+        out = {}
+        for g, p in elem.items():
+            acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
+            get = acc.get
+            for i, j, rest, c in split_terms(p):
+                sign = c if j % 2 else -c
+                for t in range(j + 1):
+                    key = (i + j - t, t, 0, rest)
+                    acc[key] = get(key, 0) + sign * comb(j, t)
+            out[g] = join_terms(self.registry, acc)
+        return LambdaElement(self.registry, out)
 
     def _build_table(self, table):
         """Validate ``table`` and complete each pair given in one order only
@@ -174,9 +197,9 @@ class ConformalAlgebra:
 
     def _detect_virasoro(self) -> str | None:
         reg = self.registry
+        d_2x = join_terms(reg, {(1, 0, 0, ()): 1, (0, 1, 0, ()): 2})
         for g in self.generators:
-            want = LambdaElement(reg, {
-                g: Poly.from_var(reg, reg.d) + Poly.from_var(reg, reg.x) * 2})
+            want = LambdaElement(reg, {g: d_2x})
             if self._table[(g.name, g.name)] == want:
                 return g.name
         return None
@@ -288,17 +311,11 @@ class ConformalAlgebra:
         """The j-th product, j! times the x^j coefficient of the bracket."""
         if j < 0:
             raise ValueError("j-th products need j >= 0")
-        br = self.bracket(xelem, yelem)
-        lam = self.registry.x
-        fact = math.factorial(j)
-        return br.map_coeffs(lambda p: p.coeff_of(lam, j) * fact)
+        return jth_product_of(self.bracket(xelem, yelem), j)
 
     def locality_order(self, xelem, yelem) -> int:
         """Least N with all j-th products for j >= N zero; max x-degree + 1."""
-        br = self.bracket(xelem, yelem)
-        if br.is_zero():
-            return 0
-        return max(p.degree(self.registry.x) for _, p in br.items()) + 1
+        return locality_order_of(self.bracket(xelem, yelem))
 
     # ---- axiom checks -----------------------------------------------------------
 
@@ -310,42 +327,90 @@ class ConformalAlgebra:
             entries.append(ReportEntry((a, b), residual.render(), residual.is_zero()))
         return AxiomReport("skew-symmetry", entries)
 
-    def _jacobi_residual(self, a: str, b: str, c: str) -> LambdaElement:
+    def _jacobi_residual(self, terms, a: str, b: str, c: str) -> LambdaElement:
+        """The Jacobi residual of (a, b, c) in closed form, from ``terms``,
+        each table entry as (generator, ``split_terms`` of its coefficient)
+        pairs.  With r, q, p terms c d^i x^j of the coefficients in the
+        brackets named below, each double bracket expands by binomials into
+        one dict per output generator, keyed like ``join_terms``:
+          - [a_x [b_y c]] adds r(d, x) q(d+x, y) for q k in [b_x c] and r in
+            [a_x k]: c_r c_q C(k, e) d^(i+e) x^(j+k-e) y^l for a term
+            d^k x^l of q;
+          - -[[a_x b]_{x+y} c] adds -p(-(x+y), x) r(d, x+y) for p k in
+            [a_x b] and r in [k_x c]: a term d^i x^j of p becomes
+            (-1)^i C(i, s) x^(s+j) y^(i-s), and a term d^i x^j of r becomes
+            C(j, t) d^i x^t y^(j-t);
+          - -[b_y [a_x c]] adds -q(d, y) r(d+y, x) for r k in [a_x c] and q
+            in [b_x k]: -c_r c_q C(i, e) d^(k+e) x^j y^(l+i-e) for a term
+            d^i x^j of r and d^k x^l of q.
+        Coefficients add as ints while they are integral; only the surviving
+        terms become ``Fraction``s."""
+        comb = math.comb
+        accs: dict[Generator, dict] = {}
+        for k, q_terms in terms[(b, c)]:
+            for m, r_terms in terms[(a, k.name)]:
+                acc = accs.setdefault(m, {})
+                get = acc.get
+                for i, j, rr, cr in r_terms:
+                    for k2, l, rq, cq in q_terms:
+                        rest, coef = mono_mul(rr, rq), cr * cq
+                        for e in range(k2 + 1):
+                            key = (i + e, j + k2 - e, l, rest)
+                            acc[key] = get(key, 0) + coef * comb(k2, e)
+        for k, p_terms in terms[(a, b)]:
+            for m, r_terms in terms[(k.name, c)]:
+                acc = accs.setdefault(m, {})
+                get = acc.get
+                for i, j, rp, cp in p_terms:
+                    sign = cp if i % 2 else -cp
+                    for i2, j2, rr, cr in r_terms:
+                        rest, coef = mono_mul(rp, rr), sign * cr
+                        for s in range(i + 1):
+                            cs = coef * comb(i, s)
+                            for t in range(j2 + 1):
+                                key = (i2, s + j + t, i - s + j2 - t, rest)
+                                acc[key] = get(key, 0) + cs * comb(j2, t)
+        for k, r_terms in terms[(a, c)]:
+            for m, q_terms in terms[(b, k.name)]:
+                acc = accs.setdefault(m, {})
+                get = acc.get
+                for i, j, rr, cr in r_terms:
+                    for k2, l, rq, cq in q_terms:
+                        rest, coef = mono_mul(rr, rq), cr * cq
+                        for e in range(i + 1):
+                            key = (k2 + e, j, l + i - e, rest)
+                            acc[key] = get(key, 0) - coef * comb(i, e)
         reg = self.registry
-        d, lam, mu = reg.d, reg.x, reg.y
-        dp, lp, mp = (Poly.from_var(reg, v) for v in (d, lam, mu))
-        out = LambdaElement(reg)
-        # [a_x [b_y c]]: inner coefficients move y into place, then shift d by x.
-        for k, q in self._table[(b, c)].items():
-            qs = q.substitute(lam, mp).substitute(d, dp + lp)
-            out = out + self._table[(a, k.name)].map_coeffs(lambda r: r * qs)
-        # -[[a_x b]_{x+y} c]: left coefficients are evaluated at d -> -(x+y),
-        # the outer bracket variable becomes x + y.
-        for k, p in self._table[(a, b)].items():
-            ps = p.substitute(d, -(lp + mp))
-            inner = self._table[(k.name, c)].map_coeffs(
-                lambda r: r.substitute(lam, lp + mp))
-            out = out - inner.map_coeffs(lambda r: r * ps)
-        # -[b_y [a_x c]]: inner coefficients keep x, shift d by y, outer uses y.
-        for k, r0 in self._table[(a, c)].items():
-            rs = r0.substitute(d, dp + mp)
-            inner = self._table[(b, k.name)].map_coeffs(lambda q2: q2.substitute(lam, mp))
-            out = out - inner.map_coeffs(lambda q2: q2 * rs)
-        return out
+        return LambdaElement(reg, {m: join_terms(reg, acc) for m, acc in accs.items()})
 
     def check_jacobi(self) -> AxiomReport:
         """Residual [a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]] per triple."""
         names = [g.name for g in self.generators]
+        terms = {pair: [(g, split_terms(p)) for g, p in elem.items()]
+                 for pair, elem in self._table.items()}
         entries = []
         for a in names:
             for b in names:
                 for c in names:
-                    residual = self._jacobi_residual(a, b, c)
+                    residual = self._jacobi_residual(terms, a, b, c)
                     entries.append(ReportEntry((a, b, c), residual.render(), residual.is_zero()))
         return AxiomReport("jacobi", entries)
 
     def __repr__(self) -> str:
         return f"ConformalAlgebra({self.name}, generators={[g.name for g in self.generators]})"
+
+
+def jth_product_of(br: LambdaElement, j: int) -> LambdaElement:
+    """j! times the x^j coefficient of the bracket value ``br``."""
+    lam = br.registry.x
+    fact = math.factorial(j)
+    return br.map_coeffs(lambda p: p.coeff_of(lam, j) * fact)
+
+
+def locality_order_of(br: LambdaElement) -> int:
+    """Max x-degree + 1 of the bracket value ``br``, 0 when it is zero."""
+    lam = br.registry.x
+    return max((p.degree(lam) + 1 for _, p in br.items()), default=0)
 
 
 # ---- textual algebra definitions ----------------------------------------------

@@ -65,8 +65,8 @@ from .errors import (BindingError, DefinitionError, DiscrepancyError, Divisibili
                      UnsupportedError)
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
                       parse_algebra)
-from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, monic_div_rem,
-                   mono_mul, parse_poly)
+from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, join_terms,
+                   monic_div_rem, mono_mul, parse_poly, split_terms)
 from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
 
 
@@ -185,21 +185,6 @@ def _names_in(text: str) -> set[str]:
     return set(_NAME_RE.findall(text))
 
 
-def _split_terms(p: Poly) -> list[tuple[int, int, tuple, int | Fraction]]:
-    """The terms c*d^i*x^j*rest of ``p``, which uses no formal variable but d
-    and x, as (i, j, rest, c): rest a monomial in parameters only and c an
-    int while it is integral."""
-    out = []
-    for m, c in p._terms.items():
-        i = j = 0
-        if m and m[0][0] == 0:
-            i, m = m[0][1], m[1:]
-        if m and m[0][0] == 1:
-            j, m = m[0][1], m[1:]
-        out.append((i, j, m, c.numerator if c.denominator == 1 else c))
-    return out
-
-
 def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
                     aname: str, bname: str) -> Poly:
     """The residual of the pair (a, b) in closed form, built with no ``Poly``
@@ -220,8 +205,8 @@ def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
     comb = math.comb
     acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
     get = acc.get
-    b_terms = _split_terms(actions[bname])
-    for i, j, ra, ca in _split_terms(actions[aname]):
+    b_terms = split_terms(actions[bname])
+    for i, j, ra, ca in split_terms(actions[aname]):
         for k, l, rb, cb in b_terms:
             rest, c = mono_mul(ra, rb), ca * cb
             for e in range(k):
@@ -231,8 +216,8 @@ def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
                 key = (k + e, j, l + i - e, rest)
                 acc[key] = get(key, 0) - c * comb(i, e)
     for gen, coeff in alg.entry(aname, bname).items():
-        target = _split_terms(actions[gen.name])
-        for i, j, rp, cp in _split_terms(coeff):
+        target = split_terms(actions[gen.name])
+        for i, j, rp, cp in split_terms(coeff):
             sign = cp if i % 2 else -cp
             for i2, j2, rk, ck in target:
                 rest, c = mono_mul(rp, rk), sign * ck
@@ -241,12 +226,7 @@ def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
                     for t in range(j2 + 1):
                         key = (i2, s + j + t, i - s + j2 - t, rest)
                         acc[key] = get(key, 0) + cs * comb(j2, t)
-    terms = {}
-    for (p, q, r, rest), c in acc.items():
-        if c:
-            mono = tuple(t for t in ((0, p), (1, q), (2, r)) if t[1]) + rest
-            terms[mono] = c if isinstance(c, Fraction) else Fraction(c)
-    return Poly(alg.registry, terms, _normalized=True)
+    return join_terms(alg.registry, acc)
 
 
 def check_module(alg: ConformalAlgebra, module) -> AxiomReport:

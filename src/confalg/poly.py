@@ -577,6 +577,37 @@ class Combination:
         return f"{type(self).__name__}({self.render()})"
 
 
+# ---- closed-form term dicts ---------------------------------------------------
+
+
+def split_terms(p: Poly) -> list[tuple[int, int, Mono, Scalar]]:
+    """The terms c*d^i*x^j*rest of ``p``, which uses no formal variable but d
+    and x, as (i, j, rest, c): rest a monomial in parameters only and c an
+    int while it is integral."""
+    out = []
+    for m, c in p._terms.items():
+        i = j = 0
+        if m and m[0][0] == 0:
+            i, m = m[0][1], m[1:]
+        if m and m[0][0] == 1:
+            j, m = m[0][1], m[1:]
+        out.append((i, j, m, c.numerator if c.denominator == 1 else c))
+    return out
+
+
+def join_terms(registry: Registry, acc: Mapping[tuple[int, int, int, Mono], Scalar]) -> Poly:
+    """The sum of c*d^p*x^q*y^r*rest over ``acc``, the dict a closed-form
+    expansion adds into, keyed by (p, q, r, rest) with rest a monomial in
+    parameters only.  Zero coefficients are dropped and the others become
+    ``Fraction``s, so the result is canonical."""
+    terms = {}
+    for (p, q, r, rest), c in acc.items():
+        if c:
+            mono = tuple(t for t in ((0, p), (1, q), (2, r)) if t[1]) + rest
+            terms[mono] = c if isinstance(c, Fraction) else Fraction(c)
+    return Poly(registry, terms, _normalized=True)
+
+
 # ---- division ------------------------------------------------------------
 
 

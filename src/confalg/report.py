@@ -21,7 +21,7 @@ import json
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .algebra import ConformalAlgebra, format_params
+from .algebra import ConformalAlgebra, format_params, jth_product_of, locality_order_of
 from .errors import DefinitionError
 from .annihilation import (AnnBasis, ann_bracket, compare_closed_form, labels_through,
                            truncated_quotient)
@@ -135,6 +135,14 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
     """Assemble the dossier as plain nested data (strings, lists, dicts)."""
     skew = alg.check_skew()
     jacobi = alg.check_jacobi()
+    # A generator pair's bracket is its table entry.
+    locality, products = [], []
+    for a, b in alg.upper_pairs():
+        entry = alg.entry(a, b)
+        order = locality_order_of(entry)
+        locality.append({"pair": [a, b], "order": order})
+        products += [{"pair": [a, b], "j": j, "value": jth_product_of(entry, j).render()}
+                     for j in range(order)]
     data: dict = {
         "algebra": alg.name,
         "params": format_params(alg.param_values),
@@ -150,17 +158,9 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
             "jacobi_checks": len(jacobi.entries),
             "failures": [list(e.key) for e in skew.failures() + jacobi.failures()],
         },
-        "locality": [{"pair": [a, b], "order": alg.locality_order(alg.gen(a), alg.gen(b))}
-                     for a, b in alg.upper_pairs()],
+        "locality": locality,
+        "jth_products": products,
     }
-
-    products = []
-    for a, b in alg.upper_pairs():
-        g, h = alg.gen(a), alg.gen(b)
-        for j in range(alg.locality_order(g, h)):
-            products.append({"pair": [a, b], "j": j,
-                             "value": alg.jth_product(g, h, j).render()})
-    data["jth_products"] = products
 
     ann: dict = {"max_label": _REPORT_LABEL_BOUND}
     if alg.closed_ann_form is not None:

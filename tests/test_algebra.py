@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from confalg.poly import Poly, parse_poly
 from confalg.presets import instantiate
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def elem(alg, text_by_gen):
@@ -58,6 +60,136 @@ class TestAxioms:
         bumped = entry + LambdaElement.of(alg.registry, alg.gen("L"))
         mutated = alg.with_entry("L", "L", bumped)
         assert not (mutated.check_skew().passed and mutated.check_jacobi().passed)
+
+
+def _poly_jacobi_residual(alg, a, b, c):
+    """The Jacobi residual of (a, b, c) built by ``Poly`` substitutions and
+    products: the oracle for the closed form of ``check_jacobi``."""
+    reg = alg.registry
+    d, lam, mu = reg.d, reg.x, reg.y
+    dp, lp, mp = (Poly.from_var(reg, v) for v in (d, lam, mu))
+    out = LambdaElement(reg)
+    # [a_x [b_y c]]: inner coefficients move y into place, then shift d by x.
+    for k, q in alg.entry(b, c).items():
+        qs = q.substitute(lam, mp).substitute(d, dp + lp)
+        out = out + alg.entry(a, k.name).map_coeffs(lambda r: r * qs)
+    # -[[a_x b]_{x+y} c]: left coefficients are evaluated at d -> -(x+y),
+    # the outer bracket variable becomes x + y.
+    for k, p in alg.entry(a, b).items():
+        ps = p.substitute(d, -(lp + mp))
+        inner = alg.entry(k.name, c).map_coeffs(lambda r: r.substitute(lam, lp + mp))
+        out = out - inner.map_coeffs(lambda r: r * ps)
+    # -[b_y [a_x c]]: inner coefficients keep x, shift d by y, outer uses y.
+    for k, r0 in alg.entry(a, c).items():
+        rs = r0.substitute(d, dp + mp)
+        inner = alg.entry(b, k.name).map_coeffs(lambda q2: q2.substitute(lam, mp))
+        out = out - inner.map_coeffs(lambda q2: q2 * rs)
+    return out
+
+
+def _substituted_skew_image(alg, elem):
+    """``-elem`` with x -> -x - d by ``Poly.substitute``: the oracle for
+    the closed-form skew image."""
+    reg = alg.registry
+    minus = -Poly.from_var(reg, reg.x) - Poly.from_var(reg, reg.d)
+    return -(elem.map_coeffs(lambda p: p.substitute(reg.x, minus)))
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _drawn_element(draw, alg, min_terms=1, max_terms=3):
+    """A sum of terms c d^i x^j m g: c a rational, often non-integral, m 1
+    or a declared parameter, g a generator."""
+    reg = alg.registry
+    d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+    params = [Poly.one(reg)] + [Poly.from_var(reg, v) for v in alg.params]
+    term = st.tuples(_RATIONALS, st.integers(0, 2), st.integers(0, 2),
+                     st.sampled_from(params), st.sampled_from(alg.generators))
+    out = LambdaElement(reg)
+    for c, i, j, m, g in draw(st.lists(term, min_size=min_terms, max_size=max_terms)):
+        out = out + LambdaElement(reg, {g: c * d ** i * x ** j * m})
+    return out
+
+
+@st.composite
+def _jacobi_algebras(draw):
+    """An unbound preset (coefficients in its parameters), a preset bound at
+    drawn rationals, or a golden fixture; then up to two entries perturbed
+    by ``with_entry``, each by 1-3 drawn terms."""
+    kind = draw(st.sampled_from(["unbound", "bound", "golden"]))
+    if kind == "golden":
+        name = draw(st.sampled_from(["broken", "wbad", "wl", "two", "heis"]))
+        alg = parse_algebra((GOLDEN / f"{name}.alg").read_text())
+    else:
+        alg = instantiate(draw(st.sampled_from(ALL_PRESETS)))
+        if kind == "bound":
+            alg = alg.specialize({v.name: draw(_RATIONALS) for v in alg.params})
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(alg.ordered_pairs()))
+        alg = alg.with_entry(a, b, alg.entry(a, b) + draw(_drawn_element(alg)))
+    return alg
+
+
+class TestClosedFormAxioms:
+    """``check_jacobi`` and the skew image expand by binomials; the oracles
+    substitute and multiply ``Poly``s."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_jacobi_algebras())
+    def test_jacobi_matches_the_oracle(self, alg):
+        names = [g.name for g in alg.generators]
+        want = []
+        for key in ((a, b, c) for a in names for b in names for c in names):
+            residual = _poly_jacobi_residual(alg, *key)
+            want.append((key, residual.render(), residual.is_zero()))
+        assert [(e.key, e.residual, e.ok) for e in alg.check_jacobi().entries] == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(_jacobi_algebras(), st.data())
+    def test_skew_image_matches_the_oracle(self, alg, data):
+        elem = data.draw(_drawn_element(alg, 0, 5))
+        got = alg._skew_image(elem)
+        want = _substituted_skew_image(alg, elem)
+        assert got == want and got.render() == want.render()
+        assert all(type(c) is Fraction for _, p in got.items() for _, c in p.terms())
+        report = [(e.key, e.residual, e.ok) for e in alg.check_skew().entries]
+        oracle = []
+        for a, b in alg.ordered_pairs():
+            residual = alg.entry(a, b) - _substituted_skew_image(alg, alg.entry(b, a))
+            oracle.append(((a, b), residual.render(), residual.is_zero()))
+        assert report == oracle
+
+    def test_checks_and_instantiate_substitute_and_multiply_nothing(self, monkeypatch):
+        """A work count: building each preset's algebra from its table (skew
+        completion and Virasoro detection), ``check_skew`` and
+        ``check_jacobi`` call none of ``Poly.subs``, ``Poly.substitute``,
+        ``Poly.__mul__`` or ``__rmul__``.  The preset builders' own table
+        literals, such as ``d + 2 * x``, are outside the count."""
+        calls, counting = [], []
+        for name in ("subs", "substitute", "__mul__", "__rmul__"):
+            def record(p, *args, _name=name, _real=getattr(Poly, name)):
+                if counting:
+                    calls.append((_name, str(p)))
+                return _real(p, *args)
+            monkeypatch.setattr(Poly, name, record)
+        real_init = ConformalAlgebra.__init__
+
+        def init(self, *args, **kwargs):
+            counting.append(True)
+            try:
+                real_init(self, *args, **kwargs)
+            finally:
+                counting.pop()
+
+        monkeypatch.setattr(ConformalAlgebra, "__init__", init)
+        algebras = [instantiate(name) for name in ALL_PRESETS]
+        counting.append(True)
+        reports = [check(alg) for alg in algebras
+                   for check in (ConformalAlgebra.check_skew, ConformalAlgebra.check_jacobi)]
+        assert calls == []
+        assert all(report.passed for report in reports)
 
 
 class TestBracket:

@@ -167,6 +167,24 @@ class TestBuildReport:
         assert calls == [(s["left"], s["right"]) for s in data["annihilation"]["samples"]]
         assert len(calls) == 9
 
+    @pytest.mark.parametrize("name", ["tsvc", "w"])
+    def test_locality_and_products_are_read_off_the_table(self, monkeypatch, name):
+        """Each upper pair's locality order and j-th products come from its
+        table entry, with no ``bracket`` call, and agree with the methods."""
+        alg = instantiate(name)
+        pairs = alg.upper_pairs()
+        orders = [alg.locality_order(alg.gen(a), alg.gen(b)) for a, b in pairs]
+        products = [{"pair": [a, b], "j": j,
+                     "value": alg.jth_product(alg.gen(a), alg.gen(b), j).render()}
+                    for (a, b), order in zip(pairs, orders) for j in range(order)]
+        calls = []
+        monkeypatch.setattr(type(alg), "bracket", lambda *args: calls.append(args))
+        data = build_report(alg)
+        assert calls == []
+        assert data["locality"] == [{"pair": [a, b], "order": order}
+                                    for (a, b), order in zip(pairs, orders)]
+        assert data["jth_products"] == products
+
 
 class TestRenderers:
     def test_text_round_trips_through_json(self, vir):
