@@ -22,10 +22,13 @@ is integral, see ``poly.split_terms``).  The skew image of a term is
 -c d^i (-(x + d))^j, expanded by C(j, t); each double bracket of the Jacobi
 identity is a product of two coefficients with some variables shifted, and
 expands by binomials term by term (``_jacobi_residual`` lists the three).
-The terms add into one dict per generator keyed by the exponents of d, x
-and y and the parameter monomial, and ``poly.join_terms`` turns the
-nonzero ones into the same canonical ``Poly`` that substituting and
-multiplying would give.
+The middle one's terms -p(-(x+y), x) r(d, x+y) are also the bracket term
+of the rank-one module identity, so ``add_bracket_term`` writes them for
+both; the outer two stay apart, as the module identity merges its pair into
+one loop that skips the terms that cancel.  The terms add into one dict per
+generator keyed by the exponents of d, x and y and the parameter monomial,
+and ``poly.join_terms`` turns the nonzero ones into the same canonical
+``Poly`` that substituting and multiplying would give.
 
 Sesquilinearity is structural: brackets of d-multiples are computed by the
 substitution rules [p(d) g_x h] = p(-x) [g_x h] and
@@ -337,9 +340,7 @@ class ConformalAlgebra:
             [a_x k]: c_r c_q C(k, e) d^(i+e) x^(j+k-e) y^l for a term
             d^k x^l of q;
           - -[[a_x b]_{x+y} c] adds -p(-(x+y), x) r(d, x+y) for p k in
-            [a_x b] and r in [k_x c]: a term d^i x^j of p becomes
-            (-1)^i C(i, s) x^(s+j) y^(i-s), and a term d^i x^j of r becomes
-            C(j, t) d^i x^t y^(j-t);
+            [a_x b] and r in [k_x c], by ``add_bracket_term``;
           - -[b_y [a_x c]] adds -q(d, y) r(d+y, x) for r k in [a_x c] and q
             in [b_x k]: -c_r c_q C(i, e) d^(k+e) x^j y^(l+i-e) for a term
             d^i x^j of r and d^k x^l of q.
@@ -359,17 +360,7 @@ class ConformalAlgebra:
                             acc[key] = get(key, 0) + coef * comb(k2, e)
         for k, p_terms in terms[(a, b)]:
             for m, r_terms in terms[(k.name, c)]:
-                acc = accs.setdefault(m, {})
-                get = acc.get
-                for i, j, rp, cp in p_terms:
-                    sign = cp if i % 2 else -cp
-                    for i2, j2, rr, cr in r_terms:
-                        rest, coef = mono_mul(rp, rr), sign * cr
-                        for s in range(i + 1):
-                            cs = coef * comb(i, s)
-                            for t in range(j2 + 1):
-                                key = (i2, s + j + t, i - s + j2 - t, rest)
-                                acc[key] = get(key, 0) + cs * comb(j2, t)
+                add_bracket_term(accs.setdefault(m, {}), p_terms, r_terms)
         for k, r_terms in terms[(a, c)]:
             for m, q_terms in terms[(b, k.name)]:
                 acc = accs.setdefault(m, {})
@@ -398,6 +389,23 @@ class ConformalAlgebra:
 
     def __repr__(self) -> str:
         return f"ConformalAlgebra({self.name}, generators={[g.name for g in self.generators]})"
+
+
+def add_bracket_term(acc: dict, p_terms, r_terms) -> None:
+    """Add -p(-(x+y), x) r(d, x+y) into ``acc``, keyed like ``join_terms``,
+    from the ``split_terms`` of p and r: a term c d^i x^j of p becomes
+    (-1)^i C(i, s) c x^(s+j) y^(i-s), and one of r becomes
+    C(j, t) c d^i x^t y^(j-t).  Coefficients add as ints while integral."""
+    comb, get = math.comb, acc.get
+    for i, j, rp, cp in p_terms:
+        sign = cp if i % 2 else -cp
+        for i2, j2, rr, cr in r_terms:
+            rest, coef = mono_mul(rp, rr), sign * cr
+            for s in range(i + 1):
+                cs = coef * comb(i, s)
+                for t in range(j2 + 1):
+                    key = (i2, s + j + t, i - s + j2 - t, rest)
+                    acc[key] = get(key, 0) + cs * comb(j2, t)
 
 
 def jth_product_of(br: LambdaElement, j: int) -> LambdaElement:

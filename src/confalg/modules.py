@@ -17,8 +17,9 @@ of bounded degree, locating rank-one submodules, and deciding
 irreducibility for the families that come out of the classification.
 Actions and bracket coefficients use only d, x and parameters, so the
 residual is bilinear in the terms of A_a and A_b and linear in those of the
-A_k: ``_rank1_residual`` expands each pair of terms by binomials into one
-dict of coefficients, with no ``Poly`` product or substitution.
+A_k: ``_rank1_terms`` expands each pair of terms by binomials into one dict
+of coefficients, with no ``Poly`` product or substitution; its bracket part
+is ``algebra.add_bracket_term``, shared with the Jacobi identity.
 Submodules need no solving: a monic nonconstant p(d) generates one iff p
 divides G(d), the gcd in Q[d] of all x-coefficients of all A_g (p(r + x) is
 nonzero at a root r of p), so C[d]v is irreducible iff G is a nonzero constant.
@@ -38,16 +39,17 @@ actions valid for every (alpha, beta), a rational grid of (alpha, beta)
 values is re-solved independently and any family on one side only raises
 DiscrepancyError.  Stage one is never built by multiplying polynomials: the
 residual of the Virasoro generator with each other generator is linear in
-the generic coefficients and in f = s*d + A*x + B, so ``_Ansatz`` writes it
-once in closed form as one operator: sparse rows, one per generator and
-monomial in d, x and y, each holding four integer cells keyed by column
-(a generic coefficient's position among the unknowns, the constant last):
-the bracket part of its equation, which does not depend on f, and the
-parts that multiply s, A and B.  Every Virasoro action, f = 0 (s = 0), the
-symbolic one and each grid point's, folds those rows with its own integer
-weights straight into the integer rows the solver's one elimination reads,
-and solves them on its own.  The Virasoro generator's own pair needs no
-check: it is detected by its (d + 2x) bracket, and
+the generic coefficients and in f = s*d + A*x + B, so ``_Ansatz`` reads it
+once off the same expansion as ``_rank1_residual``, with f's three terms
+tagged by the slot they fill, into one operator: sparse rows, one per
+generator and monomial in d, x and y, each holding four integer cells keyed
+by column (a generic coefficient's position among the unknowns, the
+constant last): the bracket part of its equation, which does not depend on
+f, and the parts that multiply s, A and B.  Every Virasoro action, f = 0
+(s = 0), the symbolic one and each grid point's, folds those rows with its
+own integer weights straight into the integer rows the solver's one
+elimination reads, and solves them on its own.  The Virasoro generator's own
+pair needs no check: it is detected by its (d + 2x) bracket, and
 f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for f = 0 and for
 every f = d + A*x + B with A and B free of d and x.
 """
@@ -59,12 +61,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (BindingError, DefinitionError, DiscrepancyError, DivisibilityError,
                      UnsupportedError)
-from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry, format_params,
-                      parse_algebra)
+from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry,
+                      add_bracket_term, format_params, parse_algebra)
 from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, join_terms,
                    monic_div_rem, mono_mul, parse_poly, split_terms)
 from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
@@ -185,28 +187,27 @@ def _names_in(text: str) -> set[str]:
     return set(_NAME_RE.findall(text))
 
 
-def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
-                    aname: str, bname: str) -> Poly:
-    """The residual of the pair (a, b) in closed form, built with no ``Poly``
-    product or substitution.  The actions and bracket coefficients use only
-    d, x and parameters; with their terms split as a_ij d^i x^j, b_kl d^k x^l
-    and p d^i x^j, the three parts expand by binomials:
+def _rank1_terms(alg: ConformalAlgebra, terms_of: Callable[[str], list],
+                 aname: str, bname: str) -> dict[tuple[int, int, int, tuple], int | Fraction]:
+    """The residual of the pair (a, b) in closed form, as the dict
+    ``join_terms`` reads, from ``terms_of(g)``, the ``split_terms`` of the
+    action of g, for a, b and every generator in [a_x b].  With their terms
+    written a_ij d^i x^j and b_kl d^k x^l, the three parts expand by
+    binomials:
       - A_a(d, x) A_b(d+x, y) adds a_ij b_kl C(k,e) d^(i+e) x^(j+k-e) y^l;
       - -A_b(d, y) A_a(d+y, x) adds -a_ij b_kl C(i,e) d^(k+e) x^j y^(l+i-e),
         whose term e = i cancels the first part's term e = k, so neither is
         added;
-      - for each term p_k k of [a_x b], each term p d^i x^j of p_k
-        becomes (-1)^i C(i,s) p x^(s+j) y^(i-s) in p_k(-(x+y), x), and
-        each term c d^i x^j of A_k becomes C(j,t) c d^i x^t y^(j-t) in
-        A_k(d, x+y); their products are subtracted.
-    Coefficients add as ints while they are integral, in one dict keyed by
-    the exponents of d, x and y and the parameter monomial; only the
-    surviving terms become ``Fraction``s."""
+      - each term p_k k of [a_x b] adds -p_k(-(x+y), x) A_k(d, x+y), by
+        ``add_bracket_term``.
+    Coefficients add as ints while they are integral, keyed by the exponents
+    of d, x and y and the term's monomial in everything else; zero sums stay
+    in the dict."""
     comb = math.comb
     acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
     get = acc.get
-    b_terms = split_terms(actions[bname])
-    for i, j, ra, ca in split_terms(actions[aname]):
+    b_terms = terms_of(bname)
+    for i, j, ra, ca in terms_of(aname):
         for k, l, rb, cb in b_terms:
             rest, c = mono_mul(ra, rb), ca * cb
             for e in range(k):
@@ -216,17 +217,22 @@ def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
                 key = (k + e, j, l + i - e, rest)
                 acc[key] = get(key, 0) - c * comb(i, e)
     for gen, coeff in alg.entry(aname, bname).items():
-        target = split_terms(actions[gen.name])
-        for i, j, rp, cp in split_terms(coeff):
-            sign = cp if i % 2 else -cp
-            for i2, j2, rk, ck in target:
-                rest, c = mono_mul(rp, rk), sign * ck
-                for s in range(i + 1):
-                    cs = c * comb(i, s)
-                    for t in range(j2 + 1):
-                        key = (i2, s + j + t, i - s + j2 - t, rest)
-                        acc[key] = get(key, 0) + cs * comb(j2, t)
-    return join_terms(alg.registry, acc)
+        add_bracket_term(acc, split_terms(coeff), terms_of(gen.name))
+    return acc
+
+
+def _rank1_residual(alg: ConformalAlgebra, actions: Mapping[str, Poly],
+                    aname: str, bname: str) -> Poly:
+    """The residual of the pair (a, b), built by ``_rank1_terms`` with no
+    ``Poly`` product or substitution."""
+    return join_terms(alg.registry, _rank1_terms(alg, lambda g: split_terms(actions[g]),
+                                                 aname, bname))
+
+
+def _require_own_action(alg: ConformalAlgebra, action: "Rank1Action") -> None:
+    # The closed form reads an action's variable indices in alg's registry.
+    if action.algebra is not alg:
+        raise DefinitionError("action belongs to a different algebra")
 
 
 def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
@@ -242,6 +248,7 @@ def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
         module = Rank1Action(alg, module)
     elif not isinstance(module, Rank1Action):
         raise DefinitionError(f"cannot check a {type(module).__name__}")
+    _require_own_action(alg, module)
     actions = dict(module.items())
     entries = []
     for a, b in alg.ordered_pairs():
@@ -321,6 +328,13 @@ def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction, Fraction]
             for m in dict.fromkeys([(), *a, *b])]
 
 
+# f = s*d + A*x + B enters ``_rank1_terms`` as three terms, each carrying a
+# one-entry marker monomial of negative index that names its slot: it sorts
+# before every unknown and registers no variable.
+_MARKED_F = [(1, 0, ((-3, 1),), 1), (0, 1, ((-2, 1),), 1), (0, 0, ((-1, 1),), 1)]
+_SLOTS = {-3: 1, -2: 2, -1: 3}
+
+
 class _Ansatz:
     """Generic bounded-degree actions of the non-Virasoro generators, built
     once per classification and shared by every Virasoro action.  ``owner``
@@ -330,24 +344,21 @@ class _Ansatz:
 
     Stage one is never built from the generic actions: the residual of the
     pair (L, g) is linear in the generic coefficients and in f, so
-    ``__init__`` writes it once in closed form as one set of sparse ``rows``,
-    one per generator and monomial d^p x^q y^r, whatever f is.  Each row holds
-    four slot equations: the bracket part, which does not depend on f, and
-    the d-, A- and B-parts of f = s*d + A*x + B's own terms.  A slot equation
-    is a sparse integer cell keyed by column, as ``solve_system`` reads
-    affine rows: the generic coefficient's position in ``unknowns``, the
-    constant at ``len(unknowns)``.  Each row's cells are scaled once by the
-    lcm of their denominators, which scales its folded equations and spans
-    the same ones.  ``stage_one(f)`` folds the rows by ``_slot_weights(f)``
-    in ints straight into those rows, with no ``Poly`` per equation.  With
-    P_k = p_k(-(x+y), x) for each term p_k(d, x) k of [L_x g], the
-    coefficient u of d^i x^j in A_g contributes to the residual of (L, g):
-      - from f A_g(d+x, y) - A_g(d, y) f(d+y, x),
-        C(i,e) (s d^(e+1) x^(i-e) + A d^e x^(i-e+1) + B d^e x^(i-e)) y^j
-        for e < i, and -s d^i y^(j+1);
-      - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t), the
-        bracket part.
-    The term k = L adds the constant -P_L f(d, x+y).
+    ``__init__`` reads it once, whatever f is, off ``_rank1_terms`` of
+    (L, g), the expansion behind ``_rank1_residual``, with f = s*d + A*x + B
+    entered as its three terms tagged by their slot (``_MARKED_F``).  An
+    output key (p, q, r, rest) names the row, one per generator and monomial
+    d^p x^q y^r; rest's marker names the slot, the d-, A- or B-part of f, or
+    with no marker the bracket part, which does not depend on f; and rest's
+    generic coefficient names the column, its position in ``unknowns``, or
+    with none the constant at ``len(unknowns)``.  Each slot equation is thus
+    a sparse integer cell keyed by column, as ``solve_system`` reads affine
+    rows.  A row holding a ``Fraction`` is scaled by the lcm of its
+    denominators, which scales its folded equations and spans the same
+    ones.  ``rows`` runs by generator, then by (p, q, r) descending: the
+    solutions do not depend on the order, but the elimination does less work
+    in this one.  ``stage_one(f)`` folds the rows by ``_slot_weights(f)`` in
+    ints straight into those rows, with no ``Poly`` per equation.
 
     The pair (L, L) needs no equation: the Virasoro generator is detected
     by [L_x L] = (d + 2x) L, and for A and B free of d and x,
@@ -369,52 +380,29 @@ class _Ansatz:
                 self.unknowns.append(v)
                 self.owner[v] = g.name
 
-        vname, reg = virasoro.name, alg.registry
-        column = {v: k for k, v in enumerate(self.unknowns)}
+        vname = virasoro.name
+        column = {v.index: k for k, v in enumerate(self.unknowns)}
         constant = len(self.unknowns)
-        # Slot cells keyed by (generator, (p, q, r)): bracket, d-, A- and B-part.
-        cells: dict[tuple[str, tuple[int, int, int]], tuple[dict, dict, dict, dict]] = {}
-
-        def add(g: str, pqr: tuple[int, int, int], slot: int, col: int, c) -> None:
-            cell = cells.setdefault((g, pqr), ({}, {}, {}, {}))[slot]
-            cell[col] = cell.get(col, 0) + c
-
-        shift = {reg.d: -(Poly.from_var(reg, reg.x) + Poly.from_var(reg, reg.y))}
-        xi, yi = reg.x.index, reg.y.index
-        for g in others:
-            for i, j, v in self.coefficients[g.name]:
-                u = column[v]
-                for e in range(i):
-                    c = math.comb(i, e)
-                    add(g.name, (e + 1, i - e, j), 1, u, c)
-                    add(g.name, (e, i - e + 1, j), 2, u, c)
-                    add(g.name, (e, i - e, j), 3, u, c)
-                add(g.name, (i, 0, j + 1), 1, u, -1)
-            for k, p in alg.entry(vname, g.name).items():
-                shifted = [(dict(m).get(xi, 0), dict(m).get(yi, 0),
-                            c.numerator if c.denominator == 1 else c)
-                           for m, c in p.subs(shift).terms()]
-                if k.name == vname:
-                    for q, r, c in shifted:
-                        add(g.name, (1, q, r), 1, constant, -c)
-                        add(g.name, (0, q + 1, r), 2, constant, -c)
-                        add(g.name, (0, q, r + 1), 2, constant, -c)
-                        add(g.name, (0, q, r), 3, constant, -c)
-                    continue
-                for i, j, v in self.coefficients[k.name]:
-                    u = column[v]
-                    for t in range(j + 1):
-                        c = math.comb(j, t)
-                        for q, r, pc in shifted:
-                            add(g.name, (i, q + t, r + j - t), 0, u, -pc * c)
-        # Coefficients add as ints while they are integral; then each row's
-        # four cells are scaled by the lcm of their denominators, which
-        # scales every equation folded from the row and spans the same ones.
+        split = {vname: _MARKED_F, **{g: split_terms(p) for g, p in self.actions.items()}}
         self.rows = []
-        for slots in cells.values():
-            scale = math.lcm(*(c.denominator for cell in slots for c in cell.values()))
-            self.rows.append(tuple({k: int(c * scale) for k, c in cell.items() if c}
-                                   for cell in slots))
+        for g in others:
+            cells: dict[tuple[int, int, int], tuple[dict, dict, dict, dict]] = {}
+            for (p, q, r, rest), c in _rank1_terms(alg, split.__getitem__, vname,
+                                                   g.name).items():
+                if not c:
+                    continue
+                slot = 0
+                if rest and rest[0][0] < 0:
+                    slot, rest = _SLOTS[rest[0][0]], rest[1:]
+                row = cells.get((p, q, r)) or cells.setdefault((p, q, r), ({}, {}, {}, {}))
+                row[slot][column[rest[0][0]] if rest else constant] = c
+            for pqr in sorted(cells, reverse=True):
+                row = cells[pqr]
+                values = [c for cell in row for c in cell.values()]
+                if any(type(c) is Fraction for c in values):
+                    scale = math.lcm(*(c.denominator for c in values))
+                    row = tuple({k: int(c * scale) for k, c in cell.items()} for cell in row)
+                self.rows.append(row)
 
     def stage_one(self, f: Poly) -> list[dict[int, int]]:
         """The stage-one equations of the Virasoro action f as integer rows
@@ -657,6 +645,7 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
     re-certified before being returned.  When it fails, the source action is
     checked too, and a source that is no module is named as the culprit.
     """
+    _require_own_action(alg, action)
     reg = alg.registry
     d, x = reg.d, reg.x
     if divisor.registry is not reg:
@@ -723,8 +712,7 @@ def submodule_scan(alg: ConformalAlgebra, action: Rank1Action,
     They are the monic divisors of G(d), each re-certified by ``induced_action``;
     G = 0 (the zero action) or a factor of G with no rational root is unsupported.
     """
-    if action.algebra is not alg:
-        raise DefinitionError("action belongs to a different algebra")
+    _require_own_action(alg, action)
     _require_bound_action(action)
     if max_degree < 1:
         raise ValueError("scan degree must be at least 1")
@@ -742,6 +730,7 @@ def irreducibility_verdict(alg: ConformalAlgebra, action: Rank1Action,
     ``submodule_scan`` is a reducibility witness; an empty scan means G = 1,
     irreducible at every degree, under the conservative certificate "bounded".
     """
+    _require_own_action(alg, action)
     _require_bound_action(action)
     if action.is_zero():
         witness = SubmoduleWitness(Poly.from_var(alg.registry, alg.registry.d), action)

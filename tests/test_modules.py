@@ -70,7 +70,27 @@ def _unshortened_residual(alg, actions, aname, bname):
     return A * B.subs({d: dp + xp, x: yp}) - B.substitute(x, yp) * A.substitute(d, dp + yp) - t3
 
 
+def _foreign_action_setups():
+    """(checking algebra, action built on another w) pairs: a fresh w20,
+    whose registry is shorter than the action's, and a w20 with extra
+    parameters registered, so every index of the action names a variable."""
+    w10 = instantiate("w", {"a": 1, "b": 0})
+    action = rank1_module(w10, "alpha", "beta", "gamma")
+    padded = instantiate("w", {"a": 2, "b": 0})
+    for k in range(len(w10.registry)):
+        padded.registry.param(f"pad_{k}")
+    return [(instantiate("w", {"a": 2, "b": 0}), action), (padded, action)]
+
+
 class TestCheckModule:
+    @pytest.mark.parametrize("setup", range(2))
+    def test_an_action_on_another_algebra_is_rejected(self, setup):
+        """The closed form reads the action's variable indices in the
+        checking algebra's registry, where they name other variables."""
+        alg, action = _foreign_action_setups()[setup]
+        with pytest.raises(DefinitionError, match="action belongs to a different algebra"):
+            check_module(alg, action)
+
     def test_standard_family_passes_symbolically(self, vir):
         action = rank1_module(vir, "alpha", "beta")
         assert action.render() == "L -> x*alpha + d + beta"
@@ -471,6 +491,20 @@ _ENTRY_COEFFS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                 min_size=1, max_size=3)
 
 
+def _drawn_tsv(data):
+    """tsv at a = 1, b = 0 with drawn [L, Y] and [L, M] entries, each naming
+    L, Y and M with rational coefficients; the (L, L) entry stays Virasoro."""
+    alg = instantiate("tsv", {"a": 1, "b": 0})
+    reg = alg.registry
+    d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+    for g in ("Y", "M"):
+        entry = {alg.gen(k): sum((c * d ** i * x ** j
+                                  for (i, j), c in data.draw(_ENTRY_COEFFS).items()),
+                                 Poly.zero(reg)) for k in ("L", "Y", "M")}
+        alg = alg.with_entry("L", g, LambdaElement(reg, entry))
+    return alg
+
+
 class TestClassificationResiduals:
     @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS)
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -484,14 +518,7 @@ class TestClassificationResiduals:
         """Drawn [L, g] entries of tsv's three generators, each naming g,
         the other non-Virasoro generator and L itself with rational
         coefficients; the (L, L) entry stays Virasoro."""
-        alg = instantiate("tsv", {"a": 1, "b": 0})
-        reg = alg.registry
-        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
-        for g in ("Y", "M"):
-            entry = {alg.gen(k): sum((c * d ** i * x ** j
-                                      for (i, j), c in data.draw(_ENTRY_COEFFS).items()),
-                                     Poly.zero(reg)) for k in ("L", "Y", "M")}
-            alg = alg.with_entry("L", g, LambdaElement(reg, entry))
+        alg = _drawn_tsv(data)
         fs = _virasoro_actions(alg)
         _assert_stage_one_matches_the_residuals(
             alg, degree, fs[:2] + [data.draw(st.sampled_from(fs[2:]))])
@@ -859,6 +886,131 @@ class TestClassificationResiduals:
         ]
 
 
+def _ansatz(alg, degree):
+    virasoro = alg.virasoro_generator
+    return modules._Ansatz(alg, virasoro,
+                           [g for g in alg.generators if g is not virasoro], degree)
+
+
+def _hand_rows(alg, degree):
+    """Stage one's rows derived by hand, term by term, as an oracle.  With
+    P_k = p_k(-(x+y), x) for each term p_k(d, x) k of [L_x g], the
+    coefficient u of d^i x^j in A_g contributes to the residual of (L, g):
+      - from f A_g(d+x, y) - A_g(d, y) f(d+y, x),
+        C(i,e) (s d^(e+1) x^(i-e) + A d^e x^(i-e+1) + B d^e x^(i-e)) y^j
+        for e < i, and -s d^i y^(j+1);
+      - as a coefficient of A_k, -P_k d^i sum_t C(j,t) x^t y^(j-t), the
+        bracket part.
+    The term k = L adds the constant -P_L f(d, x+y).  Each row's four cells
+    are scaled by the lcm of their denominators; a row whose terms all
+    cancel is kept, with four empty cells."""
+    reg = alg.registry
+    virasoro = alg.virasoro_generator
+    vname = virasoro.name
+    others = [g for g in alg.generators if g is not virasoro]
+    coefficients = {g.name: modules._generic_poly(reg, f"u_{g.name}", degree)[1]
+                    for g in others}
+    unknowns = [v for g in others for _, _, v in coefficients[g.name]]
+    column = {v: k for k, v in enumerate(unknowns)}
+    constant = len(unknowns)
+    cells = {}
+
+    def add(g, pqr, slot, col, c):
+        cell = cells.setdefault((g, pqr), ({}, {}, {}, {}))[slot]
+        cell[col] = cell.get(col, 0) + c
+
+    shift = {reg.d: -(Poly.from_var(reg, reg.x) + Poly.from_var(reg, reg.y))}
+    xi, yi = reg.x.index, reg.y.index
+    for g in others:
+        for i, j, v in coefficients[g.name]:
+            u = column[v]
+            for e in range(i):
+                c = math.comb(i, e)
+                add(g.name, (e + 1, i - e, j), 1, u, c)
+                add(g.name, (e, i - e + 1, j), 2, u, c)
+                add(g.name, (e, i - e, j), 3, u, c)
+            add(g.name, (i, 0, j + 1), 1, u, -1)
+        for k, p in alg.entry(vname, g.name).items():
+            shifted = [(dict(m).get(xi, 0), dict(m).get(yi, 0),
+                        c.numerator if c.denominator == 1 else c)
+                       for m, c in p.subs(shift).terms()]
+            if k.name == vname:
+                for q, r, c in shifted:
+                    add(g.name, (1, q, r), 1, constant, -c)
+                    add(g.name, (0, q + 1, r), 2, constant, -c)
+                    add(g.name, (0, q, r + 1), 2, constant, -c)
+                    add(g.name, (0, q, r), 3, constant, -c)
+                continue
+            for i, j, v in coefficients[k.name]:
+                u = column[v]
+                for t in range(j + 1):
+                    c = math.comb(j, t)
+                    for q, r, pc in shifted:
+                        add(g.name, (i, q + t, r + j - t), 0, u, -pc * c)
+    rows = []
+    for slots in cells.values():
+        scale = math.lcm(*(c.denominator for cell in slots for c in cell.values()))
+        rows.append(tuple({k: int(c * scale) for k, c in cell.items() if c} for cell in slots))
+    return rows
+
+
+def _cell_multiset(rows) -> Counter:
+    """Rows as a multiset of their four cells, each cell's sorted items."""
+    return Counter(tuple(tuple(sorted(cell.items())) for cell in row) for row in rows)
+
+
+def _assert_rows_match_the_hand_oracle(alg, degree):
+    rows = _ansatz(alg, degree).rows
+    oracle = [row for row in _hand_rows(alg, degree) if any(row)]
+    assert all(type(c) is int and c for row in rows for cell in row for c in cell.values())
+    assert all(any(row) for row in rows)
+    assert _cell_multiset(rows) == _cell_multiset(oracle)
+
+
+class TestStageOneRows:
+    """``_Ansatz`` reads its rows off ``_rank1_terms``; ``_hand_rows`` is the
+    term-by-term derivation they replace."""
+
+    @pytest.mark.parametrize("preset, bindings", STAGED_PRESETS + [("tsv", {"a": 2, "b": 0})])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_rows_match_the_hand_derived_oracle(self, preset, bindings, degree):
+        _assert_rows_match_the_hand_oracle(instantiate(preset, bindings), degree)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_rows_match_the_hand_derived_oracle_on_drawn_brackets(self, degree, data):
+        _assert_rows_match_the_hand_oracle(_drawn_tsv(data), degree)
+
+    def test_building_the_ansatz_substitutes_and_multiplies_nothing(self, monkeypatch):
+        """A work count: the rows come from the closed-form expansion, with
+        no ``Poly`` substitution or product."""
+        algs = [instantiate(preset, bindings) for preset, bindings in STAGED_PRESETS]
+        calls = []
+        for name in ("subs", "substitute", "__mul__", "__rmul__"):
+            def recording(p, *args, _name=name, _real=getattr(Poly, name)):
+                calls.append((_name, str(p)))
+                return _real(p, *args)
+            monkeypatch.setattr(Poly, name, recording)
+        ansatzes = [_ansatz(alg, degree) for alg in algs for degree in (1, 3)]
+        assert calls == []
+        assert all(ansatz.rows for ansatz in ansatzes)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(STAGED_PRESETS), st.data())
+    def test_row_order_changes_no_solution(self, preset_bindings, data):
+        """The rows' order is a speed choice only: solving f = 0, the
+        symbolic f and a grid point's f from permuted rows gives the same
+        families."""
+        alg = instantiate(*preset_bindings)
+        ansatz = _degree_two_ansatz(alg)
+        fs = _virasoro_actions(alg)
+        grid = len(modules._GRID_ALPHAS) * len(modules._GRID_BETAS)
+        fs = fs[:2] + [data.draw(st.sampled_from(fs[2:2 + grid]))]
+        expected = [ansatz.solve(f) for f in fs]
+        ansatz.rows = data.draw(st.permutations(ansatz.rows))
+        assert [ansatz.solve(f) for f in fs] == expected
+
+
 class TestGammaCarrier:
     def test_carrier_locus(self):
         assert gamma_carrier(instantiate("w", {"a": 1, "b": 0})).name == "W"
@@ -1064,6 +1216,12 @@ class TestInducedAction:
                                                    r"module identity at pair \(W, W\)"):
             induced_action(wl, named_module(wl, "M_0_2"), parse_poly(wl.registry, "d + 2"))
 
+    def test_an_action_on_another_algebra_is_rejected(self):
+        w10, w20 = instantiate("w", {"a": 1, "b": 0}), instantiate("w", {"a": 2, "b": 0})
+        for divisor in (parse_poly(w20.registry, "d + 2"), parse_poly(w20.registry, "1")):
+            with pytest.raises(DefinitionError, match="action belongs to a different algebra"):
+                induced_action(w20, rank1_module(w10, 0, 2), divisor)
+
     def test_induced_action_is_certified(self):
         w10 = instantiate("w", {"a": 1, "b": 0})
         action = named_module(w10, "M_0_3_0")
@@ -1101,3 +1259,11 @@ class TestVerdicts:
         assert v.certificate == "unconditional"
         assert [str(w.generator) for w in v.witnesses] == ["d"]
         assert v.witnesses[0].induced.is_zero()
+
+    @pytest.mark.parametrize("spec", ["zero", "M_0_2_1", "M_0_2"])
+    def test_an_action_on_another_algebra_is_rejected(self, spec):
+        """Before every verdict: the zero action, a nonzero constant and a
+        submodule scan."""
+        w10, w20 = instantiate("w", {"a": 1, "b": 0}), instantiate("w", {"a": 2, "b": 0})
+        with pytest.raises(DefinitionError, match="action belongs to a different algebra"):
+            irreducibility_verdict(w20, named_module(w10, spec), 3)
