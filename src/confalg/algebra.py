@@ -73,6 +73,11 @@ class Generator:
         if self.filtration_shift not in _ALLOWED_SHIFTS:
             raise DefinitionError(f"generator {self.name}: filtration shift must be 0 or 1/2")
 
+    def __hash__(self) -> int:
+        # equal generators share their name; hashing the name alone skips
+        # rehashing two Fractions on every dict lookup
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 

@@ -18,8 +18,11 @@ per expansion term), and d lowers degree by one.  Truncating at depth N
 (degrees 0 to N-1) yields a finite-dimensional Lie algebra whose solvability
 is decided exactly over the rationals.  Its structure constants come from one
 expansion per generator pair, with the binomial and falling-factorial rule
-applied in integer index arithmetic to rational coefficients; ``ann_bracket``
-and ``expanded_brackets`` apply the same rule to polynomial coefficients.
+applied in integer index arithmetic to rational coefficients.
+``ann_bracket`` and ``expanded_brackets`` apply the same rule to the scalar
+terms of the parameter polynomials, one term c*rest (rest a parameter
+monomial, c an int while it is integral) at a time, and build one polynomial
+per target symbol from the sums.
 
 A closed bracket formula is checked for every label at once: with M and N
 the internal indices of g_m and h_n, an expansion term of [g_x h] with
@@ -37,7 +40,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
-from .poly import PARAMETER, Combination, Poly, parse_rational, signed_sum
+from .poly import PARAMETER, Combination, Poly, parse_rational, signed_sum, split_terms
 from .algebra import ConformalAlgebra, Generator
 from .solve import integer_echelon
 
@@ -56,6 +59,11 @@ class AnnBasis:
             raise LabelError(
                 f"{self.gen.name} label {self.label} gives internal index {internal}; "
                 f"labels must be offset-shifted nonnegative integers")
+
+    def __hash__(self) -> int:
+        # the dataclass hash would rehash the generator's and the label's
+        # Fractions on every dict lookup
+        return hash((self.gen.name, self.label.numerator, self.label.denominator))
 
     @property
     def internal(self) -> int:
@@ -125,11 +133,12 @@ def _bracket_expansion(alg: ConformalAlgebra, gname: str, hname: str):
 
 
 def _coefficient_terms(expansion, m: int, n: int) -> dict:
-    """[a_(m), b_(n)] for one generator pair's expansion (as returned by
-    ``_bracket_expansion``) and internal indices m, n, as
-    ``{(target generator, internal index): coefficient}``.  Coefficients stay
-    in the ring of the expansion's (``Poly`` or ``Fraction``); a target whose
-    terms cancel is kept with a zero sum."""
+    """[a_(m), b_(n)] for internal indices m, n from one generator pair's
+    expansion given as (j, key, e, c) terms, as ``{(key, internal index):
+    coefficient}``.  The coefficients are scalars: rationals for
+    ``truncated_quotient`` (key a generator position), or the terms of
+    ``_scalar_expansion`` (key a (generator, parameter monomial) pair).  A
+    key whose terms cancel is kept with a zero sum."""
     out = {}
     for j, k, e, c in expansion:
         t = m + n - j
@@ -140,6 +149,26 @@ def _coefficient_terms(expansion, m: int, n: int) -> dict:
         key = (k, t - e)
         out[key] = out[key] + term if key in out else term
     return out
+
+
+def _scalar_expansion(expansion) -> list:
+    """One pair's ``_bracket_expansion`` with each parameter-only coefficient
+    split into its terms, as (j, (k, rest), e, c) for c*rest: rest a
+    monomial in parameters and c an int while it is integral."""
+    return [(j, (k, rest), e, c)
+            for j, k, e, p in expansion for _, _, rest, c in split_terms(p)]
+
+
+def _grouped_terms(reg, scalar, m: int, n: int) -> dict:
+    """[a_(m), b_(n)] from a pair's ``_scalar_expansion`` as
+    ``{(target generator, internal index): Poly}``: the nonzero scalar sums
+    of one target become one polynomial, and a target whose terms all cancel
+    is left out."""
+    groups: dict = {}
+    for ((k, rest), t), c in _coefficient_terms(scalar, m, n).items():
+        if c:
+            groups.setdefault((k, t), {})[rest] = c if type(c) is Fraction else Fraction(c)
+    return {key: Poly(reg, terms, _normalized=True) for key, terms in groups.items()}
 
 
 def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
@@ -156,8 +185,8 @@ def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
         for bbasis, cb in right.items():
             pair = (abasis.gen.name, bbasis.gen.name)
             if pair not in expansions:
-                expansions[pair] = _bracket_expansion(alg, *pair)
-            terms = _coefficient_terms(expansions[pair], abasis.internal, bbasis.internal)
+                expansions[pair] = _scalar_expansion(_bracket_expansion(alg, *pair))
+            terms = _grouped_terms(reg, expansions[pair], abasis.internal, bbasis.internal)
             for (k, t), c in terms.items():
                 target = AnnBasis(k, Fraction(t) - k.label_offset)
                 acc[target] = acc.get(target, Poly.zero(reg)) + c * ca * cb
@@ -188,14 +217,23 @@ def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
 def _pair_brackets(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
                    max_label: Fraction | int):
     """Yield ``(m, n, [g_m, h_n])`` for all labels up to ``max_label`` from
-    one expansion of the pair ``(g, h)``."""
+    one expansion of the pair ``(g, h)``, split once into scalar terms.  Each
+    target symbol is built once per pair."""
     reg = alg.registry
+    scalar = _scalar_expansion(expansion)
+    right = [(n, int(n + h.label_offset)) for n in labels_through(h, max_label)]
+    targets: dict = {}
     for m in labels_through(g, max_label):
-        for n in labels_through(h, max_label):
-            terms = _coefficient_terms(expansion, int(m + g.label_offset),
-                                       int(n + h.label_offset))
-            yield m, n, AnnElement(reg, {AnnBasis(k, t - k.label_offset): c
-                                         for (k, t), c in terms.items()})
+        internal = int(m + g.label_offset)
+        for n, other in right:
+            terms = {}
+            for key, c in _grouped_terms(reg, scalar, internal, other).items():
+                target = targets.get(key)
+                if target is None:
+                    k, t = key
+                    target = targets[key] = AnnBasis(k, t - k.label_offset)
+                terms[target] = c
+            yield m, n, AnnElement(reg, terms)
 
 
 def expanded_brackets(alg: ConformalAlgebra, max_label: Fraction | int):

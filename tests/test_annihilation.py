@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from confalg import (
     BindingError,
     DefinitionError,
     FiniteLie,
+    Generator,
     LabelError,
     LambdaElement,
     Poly,
@@ -506,6 +511,117 @@ class TestFiltration:
     def test_takes_no_label_bound(self):
         with pytest.raises(TypeError):
             filtration_check(instantiate("vir"), 6)
+
+
+def _polynomial_coefficient_terms(expansion, m, n):
+    """[a_(m), b_(n)] as ``{(target generator, internal index): Poly}``,
+    with the coefficient rule applied to whole ``Poly`` coefficients, the
+    way ``ann_bracket`` and ``expanded_brackets`` computed it before they
+    split the coefficients into scalar terms."""
+    out = {}
+    for j, k, e, c in expansion:
+        t = m + n - j
+        if j > m or e > t:
+            continue
+        term = c * (math.comb(m, j) * math.perm(t, e) * (-1) ** e * math.factorial(j))
+        key = (k, t - e)
+        out[key] = out[key] + term if key in out else term
+    return out
+
+
+def _polynomial_rows(alg, max_label):
+    """``expanded_brackets``' rows from ``_polynomial_coefficient_terms``:
+    the oracle of the scalar expansion."""
+    reg = alg.registry
+    for g in alg.generators:
+        for h in alg.generators:
+            expansion = _bracket_expansion(alg, g.name, h.name)
+            for m in labels_through(g, max_label):
+                for n in labels_through(h, max_label):
+                    terms = _polynomial_coefficient_terms(
+                        expansion, int(m + g.label_offset), int(n + h.label_offset))
+                    yield g, m, h, n, AnnElement(reg, {AnnBasis(k, t - k.label_offset): c
+                                                       for (k, t), c in terms.items()})
+
+
+_HASH_SEED_COMMANDS = [["ann", "tsv", "--degree", "4"], ["report", "w", "--param", "a=1", "b=0"]]
+
+
+class TestScalarExpansion:
+    def _assert_matches_polynomial_rule(self, alg):
+        oracle = list(_polynomial_rows(alg, 6))
+        rows = list(expanded_brackets(alg, 6))
+        assert rows == oracle
+        assert [v.render() for *_, v in rows] == [v.render() for *_, v in oracle]
+        assert all(type(c) is Fraction for *_, v in rows for _, p in v.items() for _, c in p.terms())
+        assert [(g, m, h, n, ann_bracket(alg, AnnBasis(g, m), AnnBasis(h, n)))
+                for g, m, h, n, _ in oracle] == oracle
+
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS]
+                             + PRESET_BINDINGS)
+    def test_presets_match_the_polynomial_rule(self, preset, bindings):
+        self._assert_matches_polynomial_rule(instantiate(preset, bindings))
+
+    @pytest.mark.parametrize("name", ["two.alg", "heis.alg", "wl.alg"])
+    def test_algebra_files_match_the_polynomial_rule(self, name):
+        self._assert_matches_polynomial_rule(parse_algebra((GOLDEN / name).read_text()))
+
+    def test_combinations_match_the_polynomial_rule(self):
+        # ann_bracket of sums with parameter coefficients is the bilinear
+        # extension of the oracle's basis brackets.
+        alg = instantiate("w")
+        reg = alg.registry
+        a_param = Poly.from_var(reg, reg.var("a"))
+        left = AnnElement(reg, {basis(alg, "L", 1): a_param, basis(alg, "W", 2): Fraction(1, 3)})
+        right = AnnElement(reg, {basis(alg, "L", 0): 2, basis(alg, "W", 1): a_param + 1})
+        table = {(g.name, m, h.name, n): v for g, m, h, n, v in _polynomial_rows(alg, 2)}
+        want = AnnElement(reg)
+        for x, cx in left.items():
+            for y, cy in right.items():
+                want = want + table[(x.gen.name, x.label, y.gen.name, y.label)].scale(cx * cy)
+        assert ann_bracket(alg, left, right) == want
+
+    def test_expansion_adds_no_polynomials(self, monkeypatch):
+        """A work count: ``expanded_brackets`` builds each coefficient from
+        scalar sums, with no ``Poly`` product or sum per label pair."""
+        alg = instantiate("tsv")
+
+        def refuse(*args):
+            raise AssertionError("Poly arithmetic in expanded_brackets")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        rows = list(expanded_brackets(alg, 6))
+        assert any(not v.is_zero() for *_, v in rows)
+
+
+class TestHashes:
+    def test_equal_generators_hash_equally(self):
+        assert Generator("L", 1) == Generator("L", Fraction(1))
+        assert hash(Generator("L", 1)) == hash(Generator("L", Fraction(1)))
+        assert Generator("L", 1) != Generator("L", 0)
+
+    def test_equal_basis_symbols_hash_equally(self):
+        g = Generator("W")
+        assert AnnBasis(g, 2) == AnnBasis(g, Fraction(4, 2))
+        assert hash(AnnBasis(g, 2)) == hash(AnnBasis(g, Fraction(4, 2)))
+        half = Generator("Y", Fraction(1, 2))
+        assert AnnBasis(half, Fraction(1, 2)) != AnnBasis(half, Fraction(3, 2))
+        assert AnnBasis(Generator("W", 1), 2) != AnnBasis(g, 2)
+
+    @pytest.mark.parametrize("argv", _HASH_SEED_COMMANDS, ids=lambda argv: argv[0])
+    def test_output_is_independent_of_the_hash_seed(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = "import sys\nfrom confalg.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        outputs = set()
+        for seed in range(5):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script, *argv],
+                                 env=env, capture_output=True, check=True)
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().strip()
 
 
 class TestTruncation:
