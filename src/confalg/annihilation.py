@@ -16,13 +16,14 @@ the extended algebra.  Labels minus the filtration shift grade a filtration:
 brackets never decrease total degree (``filtration_check`` decides this once
 per expansion term), and d lowers degree by one.  Truncating at depth N
 (degrees 0 to N-1) yields a finite-dimensional Lie algebra whose solvability
-is decided exactly over the rationals.  Its structure constants come from one
-expansion per generator pair, with the binomial and falling-factorial rule
-applied in integer index arithmetic to rational coefficients.
-``ann_bracket`` and ``expanded_brackets`` apply the same rule to the scalar
-terms of the parameter polynomials, one term c*rest (rest a parameter
-monomial, c an int while it is integral) at a time, and build one polynomial
-per target symbol from the sums.
+is decided exactly over the rationals.
+
+Every reader takes a table entry as ``_pair_terms`` lists it, by
+``split_terms``: one term c x^j d^e rest k at a time, with rest a parameter
+monomial (empty at bound parameters) and c an int while it is integral.  The
+truncation applies the binomial and falling-factorial rule to these scalars
+in integer index arithmetic; ``ann_bracket`` and ``expanded_brackets`` apply
+the same rule and build one polynomial per target symbol from the sums.
 
 A closed bracket formula is checked for every label at once: with M and N
 the internal indices of g_m and h_n, an expansion term of [g_x h] with
@@ -117,28 +118,20 @@ def _check_membership(alg: ConformalAlgebra, elem: AnnElement) -> None:
             raise DefinitionError(f"{basis} does not belong to {alg.name}")
 
 
-def _bracket_expansion(alg: ConformalAlgebra, gname: str, hname: str):
-    """Expand the table entry [g_x h] = sum_k sum_{j,e} c x^j d^e k into a
-    list of (j, k, e, coefficient) with parameter-only coefficients."""
-    reg = alg.registry
-    out = []
-    for k, p in alg.entry(gname, hname).items():
-        for j in range(p.degree(reg.x) + 1):
-            pj = p.coeff_of(reg.x, j)
-            for e in range(pj.degree(reg.d) + 1):
-                c = pj.coeff_of(reg.d, e)
-                if not c.is_zero():
-                    out.append((j, k, e, c))
-    return out
+def _pair_terms(alg: ConformalAlgebra, gname: str, hname: str) -> list:
+    """The table entry [g_x h] as its terms (j, (k, rest), e, c) for
+    c x^j d^e rest k: rest a monomial in parameters and c an int while it is
+    integral."""
+    return [(j, (k, rest), e, c)
+            for k, p in alg.entry(gname, hname).items() for e, j, rest, c in split_terms(p)]
 
 
 def _coefficient_terms(expansion, m: int, n: int) -> dict:
     """[a_(m), b_(n)] for internal indices m, n from one generator pair's
-    expansion given as (j, key, e, c) terms, as ``{(key, internal index):
-    coefficient}``.  The coefficients are scalars: rationals for
-    ``truncated_quotient`` (key a generator position), or the terms of
-    ``_scalar_expansion`` (key a (generator, parameter monomial) pair).  A
-    key whose terms cancel is kept with a zero sum."""
+    expansion given as scalar (j, key, e, c) terms, as ``{(key, internal
+    index): coefficient}``: the key is a generator position for
+    ``truncated_quotient``, or a (generator, parameter monomial) pair of
+    ``_pair_terms``.  A key whose terms cancel is kept with a zero sum."""
     out = {}
     for j, k, e, c in expansion:
         t = m + n - j
@@ -151,16 +144,8 @@ def _coefficient_terms(expansion, m: int, n: int) -> dict:
     return out
 
 
-def _scalar_expansion(expansion) -> list:
-    """One pair's ``_bracket_expansion`` with each parameter-only coefficient
-    split into its terms, as (j, (k, rest), e, c) for c*rest: rest a
-    monomial in parameters and c an int while it is integral."""
-    return [(j, (k, rest), e, c)
-            for j, k, e, p in expansion for _, _, rest, c in split_terms(p)]
-
-
 def _grouped_terms(reg, scalar, m: int, n: int) -> dict:
-    """[a_(m), b_(n)] from a pair's ``_scalar_expansion`` as
+    """[a_(m), b_(n)] from a pair's ``_pair_terms`` as
     ``{(target generator, internal index): Poly}``: the nonzero scalar sums
     of one target become one polynomial, and a target whose terms all cancel
     is left out."""
@@ -185,7 +170,7 @@ def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
         for bbasis, cb in right.items():
             pair = (abasis.gen.name, bbasis.gen.name)
             if pair not in expansions:
-                expansions[pair] = _scalar_expansion(_bracket_expansion(alg, *pair))
+                expansions[pair] = _pair_terms(alg, *pair)
             terms = _grouped_terms(reg, expansions[pair], abasis.internal, bbasis.internal)
             for (k, t), c in terms.items():
                 target = AnnBasis(k, Fraction(t) - k.label_offset)
@@ -217,17 +202,16 @@ def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
 def _pair_brackets(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
                    max_label: Fraction | int):
     """Yield ``(m, n, [g_m, h_n])`` for all labels up to ``max_label`` from
-    one expansion of the pair ``(g, h)``, split once into scalar terms.  Each
-    target symbol is built once per pair."""
+    the ``_pair_terms`` expansion of the pair ``(g, h)``.  Each target
+    symbol is built once per pair."""
     reg = alg.registry
-    scalar = _scalar_expansion(expansion)
     right = [(n, int(n + h.label_offset)) for n in labels_through(h, max_label)]
     targets: dict = {}
     for m in labels_through(g, max_label):
         internal = int(m + g.label_offset)
         for n, other in right:
             terms = {}
-            for key, c in _grouped_terms(reg, scalar, internal, other).items():
+            for key, c in _grouped_terms(reg, expansion, internal, other).items():
                 target = targets.get(key)
                 if target is None:
                     k, t = key
@@ -239,11 +223,11 @@ def _pair_brackets(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
 def expanded_brackets(alg: ConformalAlgebra, max_label: Fraction | int):
     """Yield ``(g, m, h, n, [g_m, h_n])`` for every ordered generator pair
     (in ``alg.ordered_pairs()`` order) and all labels up to ``max_label``.
-    Each pair's table entry is expanded once; every label pair then applies
+    Each pair's table entry is split into terms once; every label pair applies
     the coefficient rule of ``ann_bracket`` to that expansion."""
     for g in alg.generators:
         for h in alg.generators:
-            expansion = _bracket_expansion(alg, g.name, h.name)
+            expansion = _pair_terms(alg, g.name, h.name)
             for m, n, value in _pair_brackets(alg, g, h, expansion, max_label):
                 yield g, m, h, n, value
 
@@ -277,19 +261,22 @@ def _falling(value, k: int):
 
 def _identity_holds(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
                     rule) -> bool:
-    """Whether one pair's expansion equals its closed rule as polynomials in
-    formal labels m and n, keyed by (target, shift) with target label
-    m + n + shift.  The labels are written in the formal variables y and z,
-    which no coefficient-algebra coefficient uses, so the registry does not
-    grow."""
+    """Whether one pair's ``_pair_terms`` expansion equals its closed rule as
+    polynomials in formal labels m and n, keyed by (target, shift) with
+    target label m + n + shift.  The labels are written in the formal
+    variables y and z, which no coefficient-algebra coefficient uses, so the
+    registry does not grow.  The label factor of each (j, e) is formed once."""
     reg = alg.registry
     m, n = Poly.from_var(reg, reg.y), Poly.from_var(reg, reg.z)
     left = m + g.label_offset
     total = left + n + h.label_offset
     diff = {key: -c for key, c in rule(m, n).items()}
-    for j, k, e, c in expansion:
+    factors = {}
+    for j, (k, rest), e, c in expansion:
+        if (j, e) not in factors:
+            factors[j, e] = _falling(left, j) * _falling(total - j, e) * (-1) ** e
         key = (k.name, g.label_offset + h.label_offset - j - e - k.label_offset)
-        term = c * _falling(left, j) * _falling(total - j, e) * (-1) ** e
+        term = factors[j, e] * Poly(reg, {rest: Fraction(c)}, _normalized=True)
         diff[key] = diff[key] + term if key in diff else term
     return not any(diff.values())
 
@@ -305,21 +292,27 @@ def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -
     indices the falling factorials vanish exactly where the expansion skips a
     term, so a pair whose identity holds matches at every label.  Only a pair
     whose identity fails is compared label by label, up to ``max_label`` in
-    ``expanded_brackets`` order.  Returns those disagreements, empty when the
-    formulas match; ``max_label`` bounds only which mismatches are listed.
+    ``expanded_brackets`` order, and if none of those labels disagrees, one
+    line names the pair and the bound.  Returns those lines, empty exactly
+    when the formulas match; ``max_label`` bounds only which mismatches are
+    listed.
     """
     rules = _closed_rules(alg)
     mismatches = []
     for g in alg.generators:
         for h in alg.generators:
-            expansion = _bracket_expansion(alg, g.name, h.name)
+            expansion = _pair_terms(alg, g.name, h.name)
             if _identity_holds(alg, g, h, expansion, rules[(g.name, h.name)]):
                 continue
+            listed = len(mismatches)
             for m, n, got in _pair_brackets(alg, g, h, expansion, max_label):
                 want = closed_form_bracket(alg, g, m, h, n)
                 if got != want:
                     mismatches.append(f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
                                       f"!= closed form {want.render()}")
+            if len(mismatches) == listed:
+                mismatches.append(f"[{g.name}_x {h.name}]: expansion != closed form "
+                                  f"at a label above {max_label}")
     return mismatches
 
 
@@ -332,15 +325,17 @@ def filtration_check(alg: ConformalAlgebra) -> list[str]:
     Its contribution c (M)_j (M + N - j)_e (-1)^e is nonzero at all large
     enough internal indices M, N, and terms with the same target and j + e
     have different degrees e in N, so they cannot cancel at every label.
-    Returns one violation per term with drop < 0, in ``ordered_pairs`` order."""
+    Returns one violation per target k, j and e with drop < 0, however many
+    parameter monomials its coefficient has, in ``ordered_pairs`` order and
+    then by the name of k, j and e."""
     violations = []
     for gname, hname in alg.ordered_pairs():
         g, h = alg.gen(gname), alg.gen(hname)
         base = g.label_offset + g.filtration_shift + h.label_offset + h.filtration_shift
-        for j, k, e, _ in _bracket_expansion(alg, gname, hname):
-            drop = base - k.label_offset - k.filtration_shift - j - e
-            if drop < 0:
-                violations.append(f"[{gname}_x {hname}] term x^{j} d^{e} {k.name}: drop {drop}")
+        drops = {(k.name, j, e, base - k.label_offset - k.filtration_shift - j - e)
+                 for j, (k, _), e, _ in _pair_terms(alg, gname, hname)}
+        violations += [f"[{gname}_x {hname}] term x^{j} d^{e} {kname}: drop {drop}"
+                       for kname, j, e, drop in sorted(drops) if drop < 0]
     return violations
 
 
@@ -590,9 +585,9 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
 
     Each generator contributes basis labels shift, shift+1, ..., shift+depth-1.
     Parameters must be bound beforehand, by ``specialize``.  Structure
-    constants come from one expansion per generator pair, with its
-    coefficients reduced to rationals once, fed to the same rule as
-    ``ann_bracket`` on plain internal indices.  A term c x^p d^e k of the
+    constants come from one ``_pair_terms`` expansion per generator pair,
+    all scalar at bound parameters, fed to the same rule as ``ann_bracket``
+    on plain internal indices.  A term c x^p d^e k of the
     pair's entry sends internal indices m, n to degree m + n - p - e - base_k,
     with base_k the internal index of k at degree 0, so a label pair whose
     m + n is at least depth + max(p + e + base_k) has every term at degree
@@ -620,8 +615,8 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
             pair = (i // depth, j // depth)
             if pair not in expansions:
                 g, h = (gens[pos].name for pos in pair)
-                expansion = [(p, position[k.name], e, c.constant_value())
-                             for p, k, e, c in _bracket_expansion(alg, g, h)]
+                expansion = [(p, position[k.name], e, c)
+                             for p, (k, _), e, c in _pair_terms(alg, g, h)]
                 # a term lands at degree m + n - (p + e + base[k]), so every
                 # term is at degree >= depth once m + n reaches this bound (an
                 # empty entry brackets to zero at every m + n >= 0)

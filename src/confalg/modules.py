@@ -240,7 +240,8 @@ def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
 
     Accepts a Rank1Action or a plain mapping of generator names to action
     polynomials, which must use only d, x and parameters as a Rank1Action's
-    do; each entry carries the residual polynomial of its pair.
+    do; each entry carries the residual polynomial of its pair.  Each
+    action is split into terms once, for all the pairs.
     """
     if isinstance(module, Mapping):
         if set(module) != {g.name for g in alg.generators}:
@@ -249,10 +250,10 @@ def check_module(alg: ConformalAlgebra, module) -> AxiomReport:
     elif not isinstance(module, Rank1Action):
         raise DefinitionError(f"cannot check a {type(module).__name__}")
     _require_own_action(alg, module)
-    actions = dict(module.items())
+    terms = {g: split_terms(p) for g, p in module.items()}
     entries = []
     for a, b in alg.ordered_pairs():
-        res = _rank1_residual(alg, actions, a, b)
+        res = join_terms(alg.registry, _rank1_terms(alg, terms.__getitem__, a, b))
         entries.append(ReportEntry((a, b), str(res), res.is_zero()))
     return AxiomReport("module", entries)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from confalg import (
     partial_action,
     truncated_quotient,
 )
-from confalg.annihilation import _bracket_expansion, closed_form_bracket, expanded_brackets
+from confalg.annihilation import closed_form_bracket, expanded_brackets
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
 PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
@@ -47,6 +48,22 @@ PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction
 
 def basis(alg, name, label):
     return AnnBasis(alg.gen(name), Fraction(label))
+
+
+def _grouped_expansion(alg, gname, hname):
+    """The table entry [g_x h] read by ``Poly.coeff_of``, first by x and
+    then by d, as (j, k, e, c) for c x^j d^e k with c a parameter-only
+    ``Poly``: a reading independent of ``split_terms``, for the oracles."""
+    reg = alg.registry
+    out = []
+    for k, p in alg.entry(gname, hname).items():
+        for j in range(p.degree(reg.x) + 1):
+            pj = p.coeff_of(reg.x, j)
+            for e in range(pj.degree(reg.d) + 1):
+                c = pj.coeff_of(reg.d, e)
+                if not c.is_zero():
+                    out.append((j, k, e, c))
+    return out
 
 
 class TestLabels:
@@ -244,33 +261,40 @@ def _bracket_rows(alg, max_label):
 
 def _reference_rows(alg, rows):
     """The per-label comparison of expanded ``rows`` with the closed
-    formulas, as ``(m, n, outcome)``.  The outcome is None on agreement, the
-    mismatch string, or the error of the closed form."""
+    formulas, as ``(g, h, m, n, outcome)``.  The outcome is None on
+    agreement, the mismatch string, or the error of the closed form."""
     for g, m, h, n, got in rows:
         want = _outcome(lambda: closed_form_bracket(alg, g, m, h, n))
         if isinstance(want, tuple):
-            yield m, n, want
+            yield g, h, m, n, want
         elif got != want:
-            yield m, n, (f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
-                         f"!= closed form {want.render()}")
+            yield g, h, m, n, (f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
+                               f"!= closed form {want.render()}")
         else:
-            yield m, n, None
+            yield g, h, m, n, None
 
 
 def _reference_by_bound(alg, top, expand=_bracket_rows):
     """The per-label comparison's result at every label bound 0..top: the
-    mismatch list, or the first error met in row order."""
+    mismatch list, or the first error met in row order.  A pair that
+    disagrees at some label up to ``top`` but at none up to the bound
+    contributes one line naming the pair and the bound."""
     rows = list(_reference_rows(alg, expand(alg, top)))
+    failing = {(g, h) for g, h, _, _, row in rows if row is not None}
     out = {}
     for bound in range(top + 1):
         result = []
-        for m, n, row in rows:
-            if m > bound or n > bound or row is None:
-                continue
-            if isinstance(row, tuple):
-                result = row
+        for (g, h), pair_rows in itertools.groupby(rows, key=lambda row: row[:2]):
+            found = [row for _, _, m, n, row in pair_rows
+                     if m <= bound and n <= bound and row is not None]
+            error = next((row for row in found if isinstance(row, tuple)), None)
+            if error is not None:
+                result = error
                 break
-            result.append(row)
+            if (g, h) in failing and not found:
+                found = [f"[{g.name}_x {h.name}]: expansion != closed form "
+                         f"at a label above {bound}"]
+            result += found
         out[bound] = result
     return out
 
@@ -288,6 +312,15 @@ def _bumped_tables(alg):
                 for index, exponent in mono:
                     bump = bump * Poly.from_var(reg, reg.all_vars()[index]) ** exponent
                 yield alg.with_entry(a, b, entry + LambdaElement(reg, {g: bump}))
+
+
+def _w_with_x_squared():
+    """w at (a, b) = (2, 1) with [L_x W] = (d + 2x + 1 + x^2) W, where the
+    closed form has (d + 2x + 1) W."""
+    alg = instantiate("w", {"a": 2, "b": 1})
+    reg = alg.registry
+    d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+    return alg.with_entry("L", "W", LambdaElement(reg, {alg.gen("W"): d + 2 * x + 1 + x ** 2}))
 
 
 class TestClosedForms:
@@ -334,6 +367,19 @@ class TestClosedForms:
         for bound in range(11):
             assert compare_closed_form(alg, bound) == reference[bound]
 
+    def test_a_failing_identity_is_reported_at_every_bound(self):
+        # The x^2 term of [L_x W] needs an L internal index of 2, which no
+        # label up to 0 reaches; the identity still fails, so the pair is
+        # named at bound 0 and its first label mismatch is listed at 1.
+        bad = _w_with_x_squared()
+        assert compare_closed_form(bad, 0) == [
+            "[L_x W]: expansion != closed form at a label above 0"]
+        assert [line.split(":")[0] for line in compare_closed_form(bad, 1)] == [
+            "[L_1, W_0]", "[L_1, W_1]"]
+        reference = _reference_by_bound(bad, 3)
+        for bound in range(4):
+            assert compare_closed_form(bad, bound) == reference[bound] != []
+
     def test_closed_form_on_an_invalid_label_raises_as_per_label(self):
         # A closed-form term one label below [L_m, W_n] lands on W_-1 at
         # m = -1, n = 0, where the expansion has no term.
@@ -373,7 +419,7 @@ class TestClosedForms:
     def test_one_expansion_per_pair_and_no_bracket_calls(self, preset, bindings, monkeypatch):
         import confalg.annihilation as annihilation
         expansions = []
-        expand = annihilation._bracket_expansion
+        expand = annihilation._pair_terms
 
         def counting_expansion(alg, gname, hname):
             expansions.append((gname, hname))
@@ -382,7 +428,7 @@ class TestClosedForms:
         def no_bracket(*args):
             raise AssertionError("ann_bracket or a per-label comparison called")
 
-        monkeypatch.setattr(annihilation, "_bracket_expansion", counting_expansion)
+        monkeypatch.setattr(annihilation, "_pair_terms", counting_expansion)
         monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
         monkeypatch.setattr(annihilation, "closed_form_bracket", no_bracket)
         alg = instantiate(preset, bindings)
@@ -457,7 +503,7 @@ def _label_bound(alg):
     polynomial, so it cannot vanish on all of {0, ..., s}^2.  Label offsets
     are >= 0, so labels up to the largest s reach those internal indices."""
     return max((j + e for g, h in alg.ordered_pairs()
-                for j, _, e, _ in _bracket_expansion(alg, g, h)), default=0)
+                for j, _, e, _ in _grouped_expansion(alg, g, h)), default=0)
 
 
 class TestFiltration:
@@ -487,11 +533,17 @@ class TestFiltration:
         assert _by_term(alg) == _filtration_by_labels(alg, 8) == {("L", "W", "W", -7),
                                                                   ("W", "L", "W", -7)}
 
+    def test_parameter_monomials_of_one_term_give_one_violation(self):
+        # The d^1 coefficient of [W_x W] holds two parameter monomials.
+        alg = parse_algebra("algebra wlab params a b\ngen L offset=1\ngen W\n"
+                            "[L,L] = (d + 2*x) L\n[L,W] = (d + 2*x) W\n[W,W] = (a + b)*d L\n")
+        assert filtration_check(alg) == ["[W_x W] term x^0 d^1 L: drop -2"]
+
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_one_expansion_per_pair_and_no_labels(self, preset, monkeypatch):
         import confalg.annihilation as annihilation
         expansions = []
-        expand = annihilation._bracket_expansion
+        expand = annihilation._pair_terms
 
         def counting_expansion(alg, gname, hname):
             expansions.append((gname, hname))
@@ -500,7 +552,7 @@ class TestFiltration:
         def no_labels(*args):
             raise AssertionError("filtration_check walked labels")
 
-        monkeypatch.setattr(annihilation, "_bracket_expansion", counting_expansion)
+        monkeypatch.setattr(annihilation, "_pair_terms", counting_expansion)
         for name in ("labels_through", "_pair_brackets", "_coefficient_terms",
                      "partial_action"):
             monkeypatch.setattr(annihilation, name, no_labels)
@@ -535,7 +587,7 @@ def _polynomial_rows(alg, max_label):
     reg = alg.registry
     for g in alg.generators:
         for h in alg.generators:
-            expansion = _bracket_expansion(alg, g.name, h.name)
+            expansion = _grouped_expansion(alg, g.name, h.name)
             for m in labels_through(g, max_label):
                 for n in labels_through(h, max_label):
                     terms = _polynomial_coefficient_terms(
@@ -593,6 +645,26 @@ class TestScalarExpansion:
             monkeypatch.setattr(Poly, name, refuse)
         rows = list(expanded_brackets(alg, 6))
         assert any(not v.is_zero() for *_, v in rows)
+
+
+class TestTableReads:
+    def test_no_reader_reads_an_entry_by_coeff_of(self, monkeypatch):
+        """A work count: every reader of a table entry takes its terms from
+        ``split_terms``, and none calls ``Poly.coeff_of``."""
+        formal, bound = instantiate("tsv"), instantiate("tsv", {"a": 1, "b": 0})
+        bad = _w_with_x_squared()
+
+        def refuse(*args):
+            raise AssertionError("Poly.coeff_of called")
+
+        monkeypatch.setattr(Poly, "coeff_of", refuse)
+        for alg in (formal, bound):
+            assert any(not v.is_zero() for *_, v in expanded_brackets(alg, 3))
+            assert not ann_bracket(alg, basis(alg, "L", 1), basis(alg, "Y", Fraction(1, 2))).is_zero()
+            assert compare_closed_form(alg, 3) == []
+            assert filtration_check(alg) == []
+        assert compare_closed_form(bad, 1) != []
+        assert truncated_quotient(bound, 6).dim == 18
 
 
 class TestHashes:
@@ -696,7 +768,7 @@ class TestTruncation:
     def test_one_expansion_per_generator_pair(self, monkeypatch):
         import confalg.annihilation as annihilation
         expansions = []
-        expand = annihilation._bracket_expansion
+        expand = annihilation._pair_terms
 
         def counting_expansion(alg, gname, hname):
             expansions.append((gname, hname))
@@ -705,7 +777,7 @@ class TestTruncation:
         def no_bracket(*args):
             raise AssertionError("truncated_quotient called ann_bracket")
 
-        monkeypatch.setattr(annihilation, "_bracket_expansion", counting_expansion)
+        monkeypatch.setattr(annihilation, "_pair_terms", counting_expansion)
         monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
         alg = instantiate("tsv", {"a": 0, "b": 0})
         q = annihilation.truncated_quotient(alg, 12)

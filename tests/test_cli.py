@@ -286,7 +286,7 @@ class TestAnn:
         # once more, and neither calls ann_bracket.
         import confalg.annihilation as annihilation
         calls = []
-        expand = annihilation._bracket_expansion
+        expand = annihilation._pair_terms
 
         def counting(alg, gname, hname):
             calls.append((gname, hname))
@@ -295,7 +295,7 @@ class TestAnn:
         def no_bracket(*args):
             raise AssertionError("ann called ann_bracket")
 
-        monkeypatch.setattr(annihilation, "_bracket_expansion", counting)
+        monkeypatch.setattr(annihilation, "_pair_terms", counting)
         monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
         code, out, _ = run(capsys, ["ann", "w", "--degree", "2"])
         assert code == 0

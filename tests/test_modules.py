@@ -117,6 +117,28 @@ class TestCheckModule:
                 assert modules._rank1_residual(alg, actions, a, b) == \
                     _unshortened_residual(alg, actions, a, b)
 
+    def test_each_action_is_split_once(self, monkeypatch):
+        """A work count: over the nine ordered pairs of tsv's three
+        generators, ``check_module`` splits each action polynomial once, and
+        its entries are the pairs' residuals."""
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        reg = alg.registry
+        d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+        actions = {"L": d + 3 * x + 5, "Y": 7 * x, "M": d ** 2 + 11}
+        residuals = [((a, b), str(modules._rank1_residual(alg, actions, a, b)))
+                     for a, b in alg.ordered_pairs()]
+        real = modules.split_terms
+        split = Counter()
+
+        def counting(p):
+            split.update(name for name, action in actions.items() if p == action)
+            return real(p)
+
+        monkeypatch.setattr(modules, "split_terms", counting)
+        report = check_module(alg, actions)
+        assert split == {"L": 1, "Y": 1, "M": 1}
+        assert [(e.key, e.residual) for e in report.entries] == residuals
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(STAGED_PRESETS), st.data())
     def test_zero_actions_leave_drawn_residuals_unchanged(self, preset, data):
@@ -731,11 +753,12 @@ class TestClassificationResiduals:
         total.clear()
         rank1_classify(alg, 2)
         # Per Virasoro action (0 and the symbolic one) the three cross pairs
-        # for its one stage-one family, then 9 pairs per certified family;
-        # stage one's pairs with Y and M are written in closed form.
-        assert unchecked == (0, 2 * 3 + 2 * 9) == (0, 24)
+        # for its one stage-one family; stage one's pairs with Y and M are
+        # written in closed form, and certifying a family (check_module)
+        # builds its residuals without _rank1_residual.
+        assert unchecked == (0, 2 * 3) == (0, 6)
         # Each of the 8 grid points adds the three cross pairs of its family.
-        assert (len(generic), len(total)) == (0, 24 + 3 * 8) == (0, 48)
+        assert (len(generic), len(total)) == (0, 6 + 3 * 8) == (0, 30)
 
     def test_grid_points_substitute_only_the_virasoro_action(self, monkeypatch):
         """A work count, not a timing: in the grid cross-check the only
