@@ -22,8 +22,10 @@ Every reader takes a table entry as ``_pair_terms`` lists it, by
 ``split_terms``: one term c x^j d^e rest k at a time, with rest a parameter
 monomial (empty at bound parameters) and c an int while it is integral.  The
 truncation applies the binomial and falling-factorial rule to these scalars
-in integer index arithmetic; ``ann_bracket`` and ``expanded_brackets`` apply
-the same rule and build one polynomial per target symbol from the sums.
+in integer index arithmetic; ``ann_bracket`` and ``expanded_sums`` apply the
+same rule and group the sums by target symbol, sorted once per label pair.
+``render_sums`` spells such a bracket from the sums, with no ``AnnElement``
+and no polynomial.
 
 A closed bracket formula is checked for every label at once: with M and N
 the internal indices of g_m and h_n, an expansion term of [g_x h] with
@@ -31,6 +33,8 @@ coefficient c on x^j d^e k contributes c (M)_j (M + N - j)_e (-1)^e to
 k_(M + N - j - e), where (.)_j is the falling factorial.  This is a
 polynomial in the labels that vanishes exactly where the rule skips a term,
 so one identity in formal labels per generator pair proves the formula.
+The closed rules run on ``_LabelPoly`` labels and parameters, so both sides
+of the identity are dicts of rationals and no ``Poly`` is multiplied.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
-from .poly import PARAMETER, Combination, Poly, parse_rational, signed_sum, split_terms
+from .poly import (PARAMETER, TEXT, Combination, Poly, Spelling, mono_mul, parse_rational,
+                   render_terms, scaled, signed_sum, split_terms)
 from .algebra import ConformalAlgebra, Generator
 from .solve import integer_echelon
 
@@ -78,6 +83,9 @@ class AnnBasis:
         return f"{self.gen.name}_{self.label}"
 
 
+_TEXT_GROUP = "({})*{}"
+
+
 class AnnElement(Combination):
     """Finite rational-coefficient combination of coefficient-algebra symbols.
 
@@ -101,7 +109,7 @@ class AnnElement(Combination):
         return (basis.gen.name, basis.label)
 
     def render(self) -> str:
-        return signed_sum(self.rendered_terms(group="({})*{}"))
+        return signed_sum(self.rendered_terms(group=_TEXT_GROUP))
 
 
 def _as_ann_element(alg: ConformalAlgebra, value) -> AnnElement:
@@ -144,16 +152,38 @@ def _coefficient_terms(expansion, m: int, n: int) -> dict:
     return out
 
 
-def _grouped_terms(reg, scalar, m: int, n: int) -> dict:
-    """[a_(m), b_(n)] from a pair's ``_pair_terms`` as
-    ``{(target generator, internal index): Poly}``: the nonzero scalar sums
-    of one target become one polynomial, and a target whose terms all cancel
-    is left out."""
+def _target_sums(expansion, m: int, n: int) -> list:
+    """[a_(m), b_(n)] from a pair's ``_pair_terms`` as ``[((target generator,
+    internal index), {parameter monomial: coefficient})]``, sorted as
+    ``AnnElement`` lists its terms.  Zero sums are left out, and so is a
+    target whose sums all cancel."""
     groups: dict = {}
-    for ((k, rest), t), c in _coefficient_terms(scalar, m, n).items():
+    for ((k, rest), t), c in _coefficient_terms(expansion, m, n).items():
         if c:
-            groups.setdefault((k, t), {})[rest] = c if type(c) is Fraction else Fraction(c)
-    return {key: Poly(reg, terms, _normalized=True) for key, terms in groups.items()}
+            groups.setdefault((k, t), {})[rest] = c
+    return sorted(groups.items(), key=lambda item: (item[0][0].name, item[0][1]))
+
+
+def _coefficient_poly(reg, terms: Mapping) -> Poly:
+    """The polynomial of one target's nonzero ``{parameter monomial: c}``."""
+    return Poly(reg, {rest: c if type(c) is Fraction else Fraction(c)
+                      for rest, c in terms.items()}, _normalized=True)
+
+
+def _element(reg, sums) -> AnnElement:
+    return AnnElement(reg, {target: _coefficient_poly(reg, terms) for target, terms in sums})
+
+
+def render_sums(reg, sums, spelling: Spelling = TEXT, symbol=str, group: str = _TEXT_GROUP) -> str:
+    """A bracket given as ``expanded_sums`` lists it, spelled as the
+    ``AnnElement`` built from it renders (``symbol`` spells a target
+    ``AnnBasis``, ``group`` joins a non-constant coefficient to it), with no
+    ``Poly`` built: a coefficient is spelled from its sums by ``scaled`` or,
+    with a parameter monomial, by ``render_terms``."""
+    return signed_sum(
+        scaled(terms[()], symbol(target), spelling) if len(terms) == 1 and () in terms
+        else group.format(render_terms(reg, terms, spelling), symbol(target))
+        for target, terms in sums)
 
 
 def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
@@ -171,9 +201,9 @@ def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
             pair = (abasis.gen.name, bbasis.gen.name)
             if pair not in expansions:
                 expansions[pair] = _pair_terms(alg, *pair)
-            terms = _grouped_terms(reg, expansions[pair], abasis.internal, bbasis.internal)
-            for (k, t), c in terms.items():
+            for (k, t), terms in _target_sums(expansions[pair], abasis.internal, bbasis.internal):
                 target = AnnBasis(k, Fraction(t) - k.label_offset)
+                c = _coefficient_poly(reg, terms)
                 acc[target] = acc.get(target, Poly.zero(reg)) + c * ca * cb
     return AnnElement(reg, acc)
 
@@ -199,59 +229,137 @@ def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
     return [Fraction(t) - gen.label_offset for t in range(top + 1)]
 
 
-def _pair_brackets(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
-                   max_label: Fraction | int):
-    """Yield ``(m, n, [g_m, h_n])`` for all labels up to ``max_label`` from
-    the ``_pair_terms`` expansion of the pair ``(g, h)``.  Each target
-    symbol is built once per pair."""
-    reg = alg.registry
+def _pair_sums(g: Generator, h: Generator, expansion, max_label: Fraction | int):
+    """Yield ``(m, n, sums)`` for all labels up to ``max_label`` from the
+    ``_pair_terms`` expansion of the pair ``(g, h)``: the ``_target_sums``
+    of [g_m, h_n] with each target an ``AnnBasis``, built once per pair."""
     right = [(n, int(n + h.label_offset)) for n in labels_through(h, max_label)]
     targets: dict = {}
     for m in labels_through(g, max_label):
         internal = int(m + g.label_offset)
         for n, other in right:
-            terms = {}
-            for key, c in _grouped_terms(reg, expansion, internal, other).items():
+            sums = []
+            for key, terms in _target_sums(expansion, internal, other):
                 target = targets.get(key)
                 if target is None:
                     k, t = key
                     target = targets[key] = AnnBasis(k, t - k.label_offset)
-                terms[target] = c
-            yield m, n, AnnElement(reg, terms)
+                sums.append((target, terms))
+            yield m, n, sums
 
 
-def expanded_brackets(alg: ConformalAlgebra, max_label: Fraction | int):
-    """Yield ``(g, m, h, n, [g_m, h_n])`` for every ordered generator pair
-    (in ``alg.ordered_pairs()`` order) and all labels up to ``max_label``.
-    Each pair's table entry is split into terms once; every label pair applies
-    the coefficient rule of ``ann_bracket`` to that expansion."""
+def expanded_sums(alg: ConformalAlgebra, max_label: Fraction | int):
+    """Yield ``(g, m, h, n, sums)`` for every ordered generator pair (in
+    ``alg.ordered_pairs()`` order) and all labels up to ``max_label``, with
+    [g_m, h_n] as ``[(target AnnBasis, {parameter monomial: coefficient})]``
+    in ``AnnElement`` order, nonzero coefficients only.  Each pair's table
+    entry is split into terms once; every label pair applies the coefficient
+    rule of ``ann_bracket`` to that expansion."""
     for g in alg.generators:
         for h in alg.generators:
-            expansion = _pair_terms(alg, g.name, h.name)
-            for m, n, value in _pair_brackets(alg, g, h, expansion, max_label):
-                yield g, m, h, n, value
+            for m, n, sums in _pair_sums(g, h, _pair_terms(alg, g.name, h.name), max_label):
+                yield g, m, h, n, sums
+
+
+class _LabelPoly:
+    """A polynomial in formal labels m, n and the parameters, as
+    ``{(power of m, power of n, parameter monomial): coefficient}`` with int
+    or Fraction coefficients, none zero.  It has the arithmetic a closed rule
+    applies to its labels and unbound parameters: sums, differences,
+    products and division by a rational."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping):
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    @staticmethod
+    def terms_of(value) -> dict | None:
+        """The terms of a ``_LabelPoly`` or a rational; None for any other
+        value."""
+        if isinstance(value, _LabelPoly):
+            return value.terms
+        if isinstance(value, (int, Fraction)):
+            return {(0, 0, ()): value} if value else {}
+        return None
+
+    def __add__(self, other):
+        terms = self.terms_of(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + c
+        return _LabelPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _LabelPoly({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        terms = self.terms_of(other)
+        if terms is None:
+            return NotImplemented
+        return self + _LabelPoly({key: -c for key, c in terms.items()})
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = self.terms_of(other)
+        if terms is None:
+            return NotImplemented
+        out: dict = {}
+        for (i, k, rest), c in self.terms.items():
+            for (i2, k2, rest2), c2 in terms.items():
+                key = (i + i2, k + k2, mono_mul(rest, rest2))
+                out[key] = out.get(key, 0) + c * c2
+        return _LabelPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(other))
 
 
 def _closed_rules(alg: ConformalAlgebra) -> dict:
     """The algebra's closed-form rules per ordered generator-name pair, with
-    bound parameters at their values and unbound ones formal."""
+    bound parameters at their values and unbound ones formal ``_LabelPoly``
+    parameters."""
     if alg.closed_ann_form is None:
         raise UnsupportedError(f"{alg.name} has no closed bracket formula attached")
-    values: dict = {v.name: Poly.from_var(alg.registry, v) for v in alg.params}
+    values: dict = {v.name: _LabelPoly({(0, 0, ((v.index, 1),)): 1}) for v in alg.params}
     values.update(alg.param_values)
     return alg.closed_ann_form(**values)
 
 
-def closed_form_bracket(alg: ConformalAlgebra, g: Generator, m: Fraction,
-                        h: Generator, n: Fraction) -> AnnElement:
-    """[g_m, h_n] from the algebra's closed formulas at rational labels."""
+def _rule_terms(coeff) -> dict:
+    """The ``_LabelPoly`` terms of one coefficient a closed rule returned."""
+    terms = _LabelPoly.terms_of(coeff)
+    if terms is None:
+        raise DefinitionError(f"closed-form coefficient {coeff!r} is neither a rational nor a "
+                              f"polynomial in the labels and parameters")
+    return terms
+
+
+def _closed_bracket(alg: ConformalAlgebra, rule, m: Fraction, n: Fraction) -> AnnElement:
+    """[g_m, h_n] from the pair's closed ``rule`` at rational labels."""
     reg = alg.registry
     terms = {}
-    for (kname, shift), coeff in _closed_rules(alg)[(g.name, h.name)](m, n).items():
-        p = coeff if isinstance(coeff, Poly) else Poly.const(reg, coeff)
-        if not p.is_zero():
-            terms[AnnBasis(alg.gen(kname), m + n + shift)] = p
+    for (kname, shift), coeff in rule(m, n).items():
+        coeffs = {rest: c for (_, _, rest), c in _rule_terms(coeff).items()}
+        if coeffs:
+            terms[AnnBasis(alg.gen(kname), m + n + shift)] = _coefficient_poly(reg, coeffs)
     return AnnElement(reg, terms)
+
+
+def _integral(q: Fraction) -> int | Fraction:
+    """``q`` as an int when it is integral, so that sums and products with
+    it, and hashes of keys holding it, stay in int arithmetic."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _falling(value, k: int):
@@ -259,25 +367,31 @@ def _falling(value, k: int):
     return math.prod((value - i for i in range(k)), start=1)
 
 
-def _identity_holds(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
-                    rule) -> bool:
+def _identity_holds(g: Generator, h: Generator, expansion, rule) -> bool:
     """Whether one pair's ``_pair_terms`` expansion equals its closed rule as
-    polynomials in formal labels m and n, keyed by (target, shift) with
-    target label m + n + shift.  The labels are written in the formal
-    variables y and z, which no coefficient-algebra coefficient uses, so the
-    registry does not grow.  The label factor of each (j, e) is formed once."""
-    reg = alg.registry
-    m, n = Poly.from_var(reg, reg.y), Poly.from_var(reg, reg.z)
-    left = m + g.label_offset
-    total = left + n + h.label_offset
-    diff = {key: -c for key, c in rule(m, n).items()}
-    factors = {}
+    polynomials in formal labels m and n, compared as rationals keyed by
+    (target, shift, power of m, power of n, parameter monomial) with target
+    label m + n + shift.  The rule's terms are read once, and the label
+    factor of each (j, e) is formed once from its linear factors."""
+    m, n = _LabelPoly({(1, 0, ()): 1}), _LabelPoly({(0, 1, ()): 1})
+    left = m + _integral(g.label_offset)
+    total = left + n + _integral(h.label_offset)
+    base = _integral(g.label_offset + h.label_offset)
+    diff: dict = {}
+    for (kname, shift), coeff in rule(m, n).items():
+        for (i, k, rest), c in _rule_terms(coeff).items():
+            key = (kname, shift, i, k, rest)
+            diff[key] = diff.get(key, 0) - c
+    factors: dict = {}
     for j, (k, rest), e, c in expansion:
-        if (j, e) not in factors:
-            factors[j, e] = _falling(left, j) * _falling(total - j, e) * (-1) ** e
-        key = (k.name, g.label_offset + h.label_offset - j - e - k.label_offset)
-        term = factors[j, e] * Poly(reg, {rest: Fraction(c)}, _normalized=True)
-        diff[key] = diff[key] + term if key in diff else term
+        factor = factors.get((j, e))
+        if factor is None:
+            factor = factors[j, e] = _LabelPoly.terms_of(
+                _falling(left, j) * _falling(total - j, e) * (-1) ** e)
+        shift = base - j - e - _integral(k.label_offset)
+        for (i, power, _), v in factor.items():
+            key = (k.name, shift, i, power, rest)
+            diff[key] = diff.get(key, 0) + c * v
     return not any(diff.values())
 
 
@@ -292,21 +406,24 @@ def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -
     indices the falling factorials vanish exactly where the expansion skips a
     term, so a pair whose identity holds matches at every label.  Only a pair
     whose identity fails is compared label by label, up to ``max_label`` in
-    ``expanded_brackets`` order, and if none of those labels disagrees, one
+    ``expanded_sums`` order, and if none of those labels disagrees, one
     line names the pair and the bound.  Returns those lines, empty exactly
     when the formulas match; ``max_label`` bounds only which mismatches are
-    listed.
+    listed.  The rules are built once per call.
     """
     rules = _closed_rules(alg)
+    reg = alg.registry
     mismatches = []
     for g in alg.generators:
         for h in alg.generators:
             expansion = _pair_terms(alg, g.name, h.name)
-            if _identity_holds(alg, g, h, expansion, rules[(g.name, h.name)]):
+            rule = rules[(g.name, h.name)]
+            if _identity_holds(g, h, expansion, rule):
                 continue
             listed = len(mismatches)
-            for m, n, got in _pair_brackets(alg, g, h, expansion, max_label):
-                want = closed_form_bracket(alg, g, m, h, n)
+            for m, n, sums in _pair_sums(g, h, expansion, max_label):
+                got = _element(reg, sums)
+                want = _closed_bracket(alg, rule, m, n)
                 if got != want:
                     mismatches.append(f"[{g.name}_{m}, {h.name}_{n}]: expansion {got.render()} "
                                       f"!= closed form {want.render()}")

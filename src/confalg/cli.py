@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, format_params, parse_algebra
-from .annihilation import compare_closed_form, expanded_brackets, truncated_quotient
+from .annihilation import compare_closed_form, expanded_sums, render_sums, truncated_quotient
 from .errors import DiscrepancyError, DivisibilityError, UnsupportedError, WorkbenchError
 from .modules import irreducibility_verdict, rank1_classify, submodule_scan
 from .presets import PRESET_NAMES, instantiate, named_module
@@ -174,28 +174,31 @@ def _cmd_verify(args) -> tuple[bool, str]:
 
 def _cmd_ann(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
+    reg = alg.registry
     bound = Fraction(args.degree)
-    rows = list(expanded_brackets(alg, bound))
+    rows = list(expanded_sums(alg, bound))
     mismatches: list[str] | None = None
     if alg.closed_ann_form is not None:
         mismatches = compare_closed_form(alg, bound)
     ok = not mismatches
     closed = "unavailable" if mismatches is None else "fail" if mismatches else "pass"
+    if args.format == "tex":
+        return ok, document(align(
+            f"[{ann_symbol_to_latex(g.name, m)}, {ann_symbol_to_latex(h.name, n)}] "
+            f"&= {ann_to_latex(reg, sums)} \\\\" for g, m, h, n, sums in rows))
+    values = [(f"{g.name}_{m}", f"{h.name}_{n}", render_sums(reg, sums))
+              for g, m, h, n, sums in rows]
     if args.format == "json":
         return ok, render_json({
             "algebra": alg.name,
             "params": format_params(alg.param_values),
             "max_label": str(bound),
-            "brackets": [{"left": f"{g.name}_{m}", "right": f"{h.name}_{n}", "value": v.render()}
-                         for g, m, h, n, v in rows],
+            "brackets": [{"left": left, "right": right, "value": value}
+                         for left, right, value in values],
             "closed_form": closed,
             "mismatches": mismatches or [],
         })
-    if args.format == "tex":
-        return ok, document(align(
-            f"[{ann_symbol_to_latex(g.name, m)}, {ann_symbol_to_latex(h.name, n)}] "
-            f"&= {ann_to_latex(v)} \\\\" for g, m, h, n, v in rows))
-    lines = [f"[{g.name}_{m}, {h.name}_{n}] = {v.render()}" for g, m, h, n, v in rows]
+    lines = [f"[{left}, {right}] = {value}" for left, right, value in values]
     if mismatches:
         lines.append(f"closed form: FAIL ({len(mismatches)} mismatches)")
         lines += [f"  {m}" for m in mismatches[:10]]

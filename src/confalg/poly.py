@@ -219,6 +219,20 @@ def signed_sum(pieces: Iterable[str]) -> str:
     return " ".join(out) or "0"
 
 
+def render_terms(registry: Registry, terms: Mapping[Mono, Scalar],
+                 spelling: Spelling = TEXT) -> str:
+    """``{monomial: nonzero coefficient}`` as ``Poly.render`` spells the
+    polynomial: the terms in canonical order as a signed sum.  Coefficients
+    may be ints or Fractions; an int is spelled as its Fraction would be."""
+    def factor(index: int, exp: int) -> str:
+        base = spelling.var(registry.name_of(index))
+        return base if exp == 1 else spelling.power(base, exp)
+
+    return signed_sum(scaled(c, spelling.times.join(factor(i, e) for i, e in m), spelling)
+                      for m, c in sorted(terms.items(), key=lambda t: _mono_key(t[0]),
+                                         reverse=True))
+
+
 class Poly:
     """Immutable exact polynomial in canonical sparse form."""
 
@@ -474,12 +488,7 @@ class Poly:
     def render(self, spelling: Spelling = TEXT) -> str:
         """The terms in canonical order as a signed sum, spelled by
         ``spelling`` (plain text by default)."""
-        def factor(index: int, exp: int) -> str:
-            base = spelling.var(self.registry.name_of(index))
-            return base if exp == 1 else spelling.power(base, exp)
-
-        return signed_sum(scaled(c, spelling.times.join(factor(i, e) for i, e in m), spelling)
-                          for m, c in self.terms())
+        return render_terms(self.registry, self._terms, spelling)
 
     def __str__(self) -> str:
         return self.render()

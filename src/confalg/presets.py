@@ -17,8 +17,9 @@ used to cross-check the general binomial expansion, and enough metadata
 function of the structure parameters (keyword arguments by name) returning
 one rule per ordered generator pair; a rule maps the labels (m, n) to
 ``{(target generator, shift): coefficient}`` for the target label
-m + n + shift.  The rules use plain arithmetic, so they accept rational
-labels and parameter values as well as formal ``Poly``s.  Each coefficient
+m + n + shift.  The rules use plain arithmetic (sums, products, division
+by a rational), so they accept rational labels and parameter values as well
+as the formal label polynomials of ``compare_closed_form``.  Each coefficient
 is a polynomial of degree <= 2 in the labels, so ``compare_closed_form``
 checks a rule as one identity in formal m and n, which holds at every label.
 ``rank1_module`` builds the standard modules: the Virasoro generator acts by

@@ -6,9 +6,10 @@ brackets of the coefficient algebra, a truncation with its solvability
 analysis, the rank-one module families, and irreducibility samples.  All
 content is deterministic, so renderings are stable byte for byte.
 
-Terms are rendered in one place, :mod:`confalg.poly` (``Poly.render``,
-``scaled``, ``signed_sum``); this module only supplies the LaTeX spelling
-``LATEX`` (\\partial, \\lambda, ``\\tfrac`` coefficients, braced powers).
+Terms are rendered in one place, :mod:`confalg.poly` (``render_terms``
+behind ``Poly.render``, ``scaled``, ``signed_sum``); this module only
+supplies the LaTeX spelling ``LATEX`` (\\partial, \\lambda, ``\\tfrac``
+coefficients, braced powers).
 It also holds the layout that the dossier and the CLI subcommands share:
 the line join of a document, count plurals, grid-point headings, the
 ``align*`` block and its ``g &\\mapsto p`` rows, the JSON writer, and the
@@ -18,15 +19,16 @@ families block of ``build_report`` and ``confalg classify --format json``.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_string
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .algebra import ConformalAlgebra, format_params, jth_product_of, locality_order_of
 from .errors import DefinitionError
 from .annihilation import (AnnBasis, ann_bracket, compare_closed_form, labels_through,
-                           truncated_quotient)
+                           render_sums, truncated_quotient)
 from .modules import irreducibility_verdict, rank1_classify
-from .poly import Poly, Spelling, signed_sum
+from .poly import Poly, Spelling
 from .presets import gamma_carrier, named_module
 
 _LATEX_NAMES = {
@@ -103,10 +105,11 @@ def ann_symbol_to_latex(gen_name: str, label) -> str:
     return f"{gen_name}_{{{label}}}"
 
 
-def ann_to_latex(elem) -> str:
-    """LaTeX for a coefficient-algebra element, labels in braced subscripts."""
-    return signed_sum(elem.rendered_terms(
-        LATEX, lambda s: ann_symbol_to_latex(s.gen.name, s.label), _LATEX_GROUP))
+def ann_to_latex(registry, sums) -> str:
+    """LaTeX for a coefficient-algebra bracket given as ``expanded_sums``
+    lists it, labels in braced subscripts."""
+    return render_sums(registry, sums, LATEX,
+                       lambda s: ann_symbol_to_latex(s.gen.name, s.label), _LATEX_GROUP)
 
 
 _REPORT_LABEL_BOUND = 6
@@ -277,8 +280,72 @@ def render_text(data: dict) -> str:
     return document(lines)
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json`` turns it into a string before quoting it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return json.dumps(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(out: list, value, newline: str) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` spells
+    it, with ``newline`` the line break and indent before the value's
+    closing bracket.  Types are tried in ``json``'s order; a value of any
+    other type (a float, or one ``json`` rejects) is left to ``json.dumps``."""
+    if isinstance(value, str):
+        out.append(_encode_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write_json(out, item, inner)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key, item in value.items():
+            out += (inner, _encode_string(_json_key(key)), ": ")
+            _write_json(out, item, inner)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        out.append(json.dumps(value))
+
+
 def render_json(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """``json.dumps(data, indent=2)`` and a newline, byte for byte, written
+    in one pass: ``json`` falls back to its pure-Python encoder whenever an
+    indent is given, and strings here go through its C quoting function."""
+    out: list = []
+    _write_json(out, data, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def render_tex(data: dict) -> str:

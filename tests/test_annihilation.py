@@ -39,7 +39,8 @@ from confalg import (
     partial_action,
     truncated_quotient,
 )
-from confalg.annihilation import closed_form_bracket, expanded_brackets
+from confalg import annihilation
+from confalg.annihilation import expanded_sums
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
 PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
@@ -48,6 +49,20 @@ PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction
 
 def basis(alg, name, label):
     return AnnBasis(alg.gen(name), Fraction(label))
+
+
+def expanded_brackets(alg, max_label):
+    """``expanded_sums`` with each bracket as an ``AnnElement``, built from
+    the sums as the mismatch listing of ``compare_closed_form`` builds it."""
+    reg = alg.registry
+    for g, m, h, n, sums in expanded_sums(alg, max_label):
+        yield g, m, h, n, annihilation._element(reg, sums)
+
+
+def closed_form_bracket(alg, g, m, h, n):
+    """[g_m, h_n] from the algebra's closed formulas at rational labels."""
+    return annihilation._closed_bracket(
+        alg, annihilation._closed_rules(alg)[(g.name, h.name)], m, n)
 
 
 def _grouped_expansion(alg, gname, hname):
@@ -398,6 +413,20 @@ class TestClosedForms:
         for bound in range(5):
             assert _outcome(lambda: compare_closed_form(alg, bound)) == reference[bound]
 
+    @pytest.mark.parametrize("coeff", [0.5, "1", None])
+    def test_a_rule_coefficient_of_another_type_is_refused(self, coeff):
+        alg = instantiate("w", {"a": 2, "b": 1})
+        rules = alg.closed_ann_form
+
+        def bumped(**values):
+            out = dict(rules(**values))
+            out[("L", "W")] = lambda m, n: {("W", 0): coeff}
+            return out
+
+        alg.closed_ann_form = bumped
+        with pytest.raises(DefinitionError, match="closed-form coefficient"):
+            compare_closed_form(alg, 2)
+
     def test_report_lists_the_first_mismatches(self):
         alg = instantiate("w")
         reg = alg.registry
@@ -430,7 +459,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(annihilation, "_pair_terms", counting_expansion)
         monkeypatch.setattr(annihilation, "ann_bracket", no_bracket)
-        monkeypatch.setattr(annihilation, "closed_form_bracket", no_bracket)
+        monkeypatch.setattr(annihilation, "_closed_bracket", no_bracket)
         alg = instantiate(preset, bindings)
         assert compare_closed_form(alg, 6) == []
         assert expansions == alg.ordered_pairs()
@@ -465,6 +494,150 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # nonzero coefficient sits at L label 7, past the old label bound of 6.
 X8 = "algebra x8\ngen L offset=1\ngen W\n[L,L] = (d + 2*x) L\n[L,W] = (d + x^8) W\n[W,W] = 0\n"
 _VIOLATION = re.compile(r"\[(\w+)_x (\w+)\] term x\^(\d+) d\^(\d+) (\w+): drop (-[\d/]+)\Z")
+
+
+def _poly_rules(alg):
+    """The closed rules with unbound parameters as ``Poly`` variables, as
+    ``compare_closed_form`` built them before the rules ran on label dicts."""
+    values = {v.name: Poly.from_var(alg.registry, v) for v in alg.params}
+    values.update(alg.param_values)
+    return alg.closed_ann_form(**values)
+
+
+def _poly_identity_holds(alg, g, h, expansion, rule):
+    """One pair's closed-form identity decided with ``Poly`` labels y and z
+    and ``Poly`` falling factorials: the oracle of ``_identity_holds``."""
+    reg = alg.registry
+    m, n = Poly.from_var(reg, reg.y), Poly.from_var(reg, reg.z)
+    left = m + g.label_offset
+    total = left + n + h.label_offset
+    diff = {key: -c for key, c in rule(m, n).items()}
+    factors = {}
+    for j, (k, rest), e, c in expansion:
+        if (j, e) not in factors:
+            factors[j, e] = annihilation._falling(left, j) * annihilation._falling(total - j, e) \
+                * (-1) ** e
+        key = (k.name, g.label_offset + h.label_offset - j - e - k.label_offset)
+        term = factors[j, e] * Poly(reg, {rest: Fraction(c)}, _normalized=True)
+        diff[key] = diff[key] + term if key in diff else term
+    return not any(diff.values())
+
+
+def _identity_verdicts(alg):
+    """Per ordered pair, the identity's verdict and the oracle's."""
+    rules, poly_rules = annihilation._closed_rules(alg), _poly_rules(alg)
+    out = []
+    for gname, hname in alg.ordered_pairs():
+        g, h = alg.gen(gname), alg.gen(hname)
+        expansion = annihilation._pair_terms(alg, gname, hname)
+        out.append((annihilation._identity_holds(g, h, expansion, rules[(gname, hname)]),
+                    _poly_identity_holds(alg, g, h, expansion, poly_rules[(gname, hname)])))
+    return out
+
+
+# Changes to one rule coefficient, given the labels m, n and the value p of
+# the algebra's first parameter (1 when it has none).  The last is zero, and
+# the one before vanishes at p = 1 only, so it splits parameter monomials.
+_RULE_DELTAS = (lambda m, n, p: 1, lambda m, n, p: m, lambda m, n, p: m * n - n / 2,
+                lambda m, n, p: p, lambda m, n, p: p * m + Fraction(1, 2),
+                lambda m, n, p: (p - 1) * m, lambda m, n, p: (m + 1) * n - m * n - n)
+
+
+def _perturbed_rules(alg):
+    """Copies of ``alg`` whose closed formula changes one coefficient of one
+    pair's rule by each of ``_RULE_DELTAS``, or adds one target."""
+    reg = alg.registry
+    labels = Poly.from_var(reg, reg.y), Poly.from_var(reg, reg.z)
+    form = alg.closed_ann_form
+    for pair, rule in _poly_rules(alg).items():
+        for key in sorted(rule(*labels)) + [(pair[1], 2)]:
+            for delta in _RULE_DELTAS:
+                def perturbed(pair=pair, key=key, delta=delta, **values):
+                    out = dict(form(**values))
+                    inner = out[pair]
+                    p = next(iter(values.values()), 1)
+
+                    def changed(m, n):
+                        terms = inner(m, n)
+                        return {**terms, key: terms.get(key, 0) + delta(m, n, p)}
+                    out[pair] = changed
+                    return out
+                copy = alg.with_entry(*pair, alg.entry(*pair))
+                copy.closed_ann_form = perturbed
+                yield copy
+
+
+class TestIdentityOracle:
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS] + GRID_POINTS)
+    def test_presets_agree_with_the_polynomial_identity(self, preset, bindings):
+        verdicts = _identity_verdicts(instantiate(preset, bindings))
+        assert verdicts == [(True, True)] * len(verdicts)
+
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS]
+                             + PRESET_BINDINGS)
+    def test_bumped_tables_agree_with_the_polynomial_identity(self, preset, bindings):
+        failing = 0
+        for alg in _bumped_tables(instantiate(preset, bindings)):
+            verdicts = _identity_verdicts(alg)
+            assert all(new == old for new, old in verdicts)
+            failing += sum(not new for new, _ in verdicts)
+        assert failing > 0
+
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS]
+                             + PRESET_BINDINGS)
+    def test_perturbed_rules_agree_with_the_polynomial_identity(self, preset, bindings):
+        outcomes = set()
+        for alg in _perturbed_rules(instantiate(preset, bindings)):
+            verdicts = _identity_verdicts(alg)
+            assert all(new == old for new, old in verdicts)
+            outcomes.add(all(new for new, _ in verdicts))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS]
+                             + PRESET_BINDINGS)
+    def test_identity_makes_no_poly_arithmetic(self, preset, bindings, monkeypatch):
+        """A work count: ``compare_closed_form`` decides every preset pair by
+        its identity with no ``Poly`` product, sum or power."""
+        alg = instantiate(preset, bindings)
+        calls = []
+        holds = annihilation._identity_holds
+
+        def counting(*args):
+            calls.append(args[:2])
+            return holds(*args)
+
+        def refuse(*args):
+            raise AssertionError("Poly arithmetic in compare_closed_form")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__neg__", "__pow__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        monkeypatch.setattr(annihilation, "_identity_holds", counting)
+        assert compare_closed_form(alg, 6) == []
+        assert [(g.name, h.name) for g, h in calls] == alg.ordered_pairs()
+
+    def test_mismatch_listing_builds_the_rules_once(self):
+        # A perturbed [L_m, Y_n] rule disagrees at all 12 * 11 label pairs up
+        # to 10; the listing reads one rule table, not one per label pair.
+        alg = instantiate("tsv")
+        form = alg.closed_ann_form
+        builds = []
+
+        def perturbed(**values):
+            builds.append(values)
+            out = dict(form(**values))
+            inner = out[("L", "Y")]
+            out[("L", "Y")] = lambda m, n: {**inner(m, n), ("Y", 1): inner(m, n)[("Y", 1)] + 1}
+            return out
+
+        alg.closed_ann_form = perturbed
+        reference = _reference_by_bound(alg, 10)[10]
+        builds.clear()
+        mismatches = compare_closed_form(alg, 10)
+        assert len(builds) == 1
+        assert mismatches == reference
+        assert len(mismatches) == 132
+        assert all(line.startswith("[L_") and ", Y_" in line for line in mismatches)
 
 
 def _filtration_by_labels(alg, max_label):
@@ -553,7 +726,7 @@ class TestFiltration:
             raise AssertionError("filtration_check walked labels")
 
         monkeypatch.setattr(annihilation, "_pair_terms", counting_expansion)
-        for name in ("labels_through", "_pair_brackets", "_coefficient_terms",
+        for name in ("labels_through", "_pair_sums", "_coefficient_terms",
                      "partial_action"):
             monkeypatch.setattr(annihilation, name, no_labels)
         alg = instantiate(preset)

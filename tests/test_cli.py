@@ -304,6 +304,37 @@ class TestAnn:
         pairs = [("L", "L"), ("L", "W"), ("W", "L"), ("W", "W")]
         assert calls == pairs + pairs
 
+    @pytest.mark.parametrize("bindings", [[], ["--param", "a=1", "b=-1/2"]])
+    def test_rows_build_no_elements_and_no_polynomials(self, bindings, capsys, monkeypatch):
+        """A work count: past loading the algebra, ``ann`` writes its rows and
+        checks its closed form with no ``Poly`` (so no product) and no
+        ``AnnElement``, in every format, and prints the same bytes."""
+        from confalg import cli, instantiate
+        from confalg.annihilation import AnnElement
+        from confalg.poly import Poly
+        argv = ["ann", "tsv", *bindings, "--degree", "6", "--format"]
+        want = {fmt: run(capsys, argv + [fmt]) for fmt in ("text", "json", "tex")}
+        alg = instantiate("tsv", cli._parse_bindings(bindings[1:]) or None)
+        work = []
+
+        def refuse(name):
+            def record(*args, **kwargs):
+                work.append(name)
+                raise AssertionError(f"{name} called")
+            return record
+
+        monkeypatch.setattr(cli, "instantiate", lambda *args: alg)
+        monkeypatch.setattr(Poly, "__mul__", refuse("Poly.__mul__"))
+        monkeypatch.setattr(Poly, "__rmul__", refuse("Poly.__rmul__"))
+        monkeypatch.setattr(Poly, "__init__", refuse("Poly"))
+        monkeypatch.setattr(AnnElement, "__init__", refuse("AnnElement"))
+        for fmt, expected in want.items():
+            assert run(capsys, argv + [fmt]) == expected
+        assert work == []
+        assert "closed form: pass" in want["text"][1]
+        # L, Y and M have 8, 7 and 7 labels up to 6
+        assert want["text"][1].count(" = ") == (8 + 7 + 7) ** 2
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, ["ann", "tsv", "--param", "a=0", "b=0",
                                     "--degree", "1", "--format", "json"])

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confalg import (
     DefinitionError,
@@ -15,7 +16,7 @@ from confalg import (
     zero_module,
 )
 from confalg.algebra import LambdaElement
-from confalg.annihilation import AnnBasis, AnnElement
+from confalg.annihilation import AnnBasis, AnnElement, render_sums
 from confalg.poly import Poly
 from confalg.report import (
     _latex_element,
@@ -84,20 +85,25 @@ class TestJoinStyles:
     def test_ann_element_signed_join(self):
         w = instantiate("w")
         reg = w.registry
-        e = AnnElement(reg, {AnnBasis(w.gen("W"), Fraction(1)): -3,
-                             AnnBasis(w.gen("L"), Fraction(0)): 2})
-        assert e.render() == "2*L_0 - 3*W_1"
-        assert ann_to_latex(e) == "2 L_{0} - 3 W_{1}"
+        sums = [(AnnBasis(w.gen("L"), Fraction(0)), {(): 2}),
+                (AnnBasis(w.gen("W"), Fraction(1)), {(): -3})]
+        e = AnnElement(reg, {basis: terms[()] for basis, terms in sums})
+        assert e.render() == render_sums(reg, sums) == "2*L_0 - 3*W_1"
+        assert ann_to_latex(reg, sums) == "2 L_{0} - 3 W_{1}"
 
     def test_ann_element_polynomial_and_fractional_terms(self):
         w = instantiate("w")
         reg = w.registry
+        a = reg.var("a").index
+        sums = [(AnnBasis(w.gen("L"), Fraction(0)), {(): Fraction(-1, 2)}),
+                (AnnBasis(w.gen("W"), Fraction(1)), {((a, 1),): 1, (): -1}),
+                (AnnBasis(w.gen("W"), Fraction(2)), {(): -1})]
         e = AnnElement(reg, {AnnBasis(w.gen("L"), Fraction(0)): Fraction(-1, 2),
                              AnnBasis(w.gen("W"), Fraction(1)): parse_poly(reg, "a - 1"),
                              AnnBasis(w.gen("W"), Fraction(2)): -1})
-        assert e.render() == "-1/2*L_0 + (a - 1)*W_1 - W_2"
-        assert ann_to_latex(e) == (r"-\tfrac{1}{2} L_{0} + \left(a - 1\right) W_{1} - W_{2}")
-        assert ann_to_latex(AnnElement(reg)) == "0"
+        assert e.render() == render_sums(reg, sums) == "-1/2*L_0 + (a - 1)*W_1 - W_2"
+        assert ann_to_latex(reg, sums) == (r"-\tfrac{1}{2} L_{0} + \left(a - 1\right) W_{1} - W_{2}")
+        assert ann_to_latex(reg, []) == render_sums(reg, []) == AnnElement(reg).render() == "0"
 
 
 class TestFamilyVerdicts:
@@ -184,6 +190,61 @@ class TestBuildReport:
         assert data["locality"] == [{"pair": [a, b], "order": order}
                                     for (a, b), order in zip(pairs, orders)]
         assert data["jth_products"] == products
+
+
+# Strings mix the characters json escapes (quotes, backslashes, control
+# characters), non-ASCII and lone surrogates, which only ASCII escaping keeps.
+_JSON_STRINGS = st.text(st.one_of(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff'),
+    st.characters(exclude_categories=())))
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), _JSON_STRINGS,
+                          st.integers(-10 ** 80, 10 ** 80))
+_JSON_KEYS = st.one_of(_JSON_STRINGS, st.integers(-10 ** 30, 10 ** 30), st.booleans(), st.none())
+_JSON_DOCUMENTS = st.recursive(_JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(_JSON_KEYS, children, max_size=4)), max_leaves=25)
+
+
+def _json_outcome(fn, value):
+    """``fn(value)``, or the type and message of the TypeError it raises."""
+    try:
+        return fn(value)
+    except TypeError as exc:
+        return (type(exc), str(exc))
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_DOCUMENTS)
+    def test_matches_json_dumps(self, value):
+        assert render_json(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        1.5, -0.0, 1e300, float("nan"), float("inf"), [2.5, {"x": -1e-7}],
+        {1.5: "a", float("-inf"): [], 2: {}}, {"a": [], "b": {}, "c": ()}])
+    def test_floats_keep_json_spelling(self, value):
+        assert render_json(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), {"a": [1, {2}]}, {"k": object()}, {(1, 2): 0}, {"a": {Fraction(1): 1}}])
+    def test_other_types_raise_json_type_error(self, value):
+        assert _json_outcome(render_json, value) == _json_outcome(_dumps, value)
+        assert _json_outcome(render_json, value)[0] is TypeError
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "tsv", "--param", "a=1", "b=0"],
+        ["ann", "tsv", "--degree", "2"],
+        ["truncate", "w", "--param", "a=2", "b=1", "--truncate", "4"],
+        ["classify", "w", "--param-grid", "a=0,1", "--param", "b=0", "--degree", "2"]])
+    def test_cli_documents_match_json_dumps(self, argv, capsys):
+        from confalg.cli import main
+        main(argv + ["--format", "json"])
+        out = capsys.readouterr().out
+        assert out == _dumps(json.loads(out))
 
 
 class TestRenderers:
