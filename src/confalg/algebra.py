@@ -256,8 +256,8 @@ class ConformalAlgebra:
     def specialize(self, bindings: Mapping[str, Fraction | int] | None) -> "ConformalAlgebra":
         """Bind declared parameters to rational values.
 
-        Every declared parameter must be bound exactly once; binding an
-        undeclared name is an error.
+        Every declared parameter must be bound exactly once, to a value
+        ``exact_rational`` accepts; binding an undeclared name is an error.
         """
         bindings = dict(bindings or {})
         declared = {v.name for v in self.params}
@@ -269,11 +269,10 @@ class ConformalAlgebra:
             raise BindingError(f"{self.name} needs binding(s) for {missing}")
         if not self.params:
             return self
-        sub = {v: Fraction(bindings[v.name]) for v in self.params}
+        sub = {v: exact_rational(v.name, bindings[v.name]) for v in self.params}
         table = {pair: elem.map_coeffs(lambda p: p.subs(sub))
                  for pair, elem in self._table.items()}
-        values = dict(self.param_values)
-        values.update({v.name: Fraction(bindings[v.name]) for v in self.params})
+        values = {**self.param_values, **{v.name: value for v, value in sub.items()}}
         return ConformalAlgebra(self.name, self.registry, self.generators, table, (),
                                 closed_ann_form=self.closed_ann_form, param_values=values)
 
@@ -427,6 +426,13 @@ def locality_order_of(br: LambdaElement) -> int:
 
 
 # ---- textual algebra definitions ----------------------------------------------
+
+
+def exact_rational(name: str, value) -> Fraction:
+    """``value`` as parameter ``name``'s binding: an int that is not a bool, or a Fraction."""
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Fraction(value)
+    raise BindingError(f"{name} must be bound to an int or a Fraction, not {value!r}")
 
 
 def format_params(values: Mapping[str, Fraction]) -> dict[str, str]:

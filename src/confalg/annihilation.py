@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
-from .poly import (PARAMETER, TEXT, Combination, Poly, Spelling, mono_mul, parse_rational,
+from .poly import (PARAMETER, TEXT, Combination, Poly, Spelling, mono_mul,
                    render_terms, scaled, signed_sum, split_terms)
 from .algebra import ConformalAlgebra, Generator
 from .solve import integer_echelon
@@ -463,16 +463,6 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_rational(value) -> Fraction:
-    """A label or coefficient as ``to_json`` writes it (a string) or as a
-    plain integer; a float, a bool or anything else raises ValueError."""
-    if isinstance(value, str):
-        return parse_rational(value)
-    if _is_index(value):
-        return Fraction(value)
-    raise ValueError(f"not a rational number: {value!r}")
-
-
 def _nonzeros(vector: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     """The (index, coeff) pairs of the nonzero entries of a dense vector."""
     return [(i, c) for i, c in enumerate(vector) if c]
@@ -539,13 +529,6 @@ class FiniteLie:
     def symbol(self, index: int) -> str:
         name, label = self.basis[index]
         return f"{name}_{label}"
-
-    def index_of(self, name: str, label: Fraction | int) -> int:
-        key = (name, Fraction(label))
-        for i, entry in enumerate(self.basis):
-            if entry == key:
-                return i
-        raise LabelError(f"no basis symbol {name}_{label}")
 
     def nonzero_brackets(self) -> list[tuple[tuple[int, int], list[tuple[int, Fraction]]]]:
         """Stored bracket table as ((i, j), [(k, coeff), ...]) rows, sorted."""
@@ -665,26 +648,6 @@ class FiniteLie:
             "basis": [{"gen": name, "label": str(label)} for name, label in self.basis],
             "brackets": brackets,
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "FiniteLie":
-        """Read ``to_json`` data; anything malformed, a repeated bracket or a
-        repeated target within one bracket included, raises DefinitionError."""
-        try:
-            basis = [(entry["gen"], _json_rational(entry["label"])) for entry in data["basis"]]
-            brackets = {}
-            for rec in data.get("brackets", []):
-                i, j = rec["i"], rec["j"]
-                if (i, j) in brackets:
-                    raise ValueError(f"bracket ({i!r},{j!r}) given twice")
-                terms = brackets[(i, j)] = {}
-                for term in rec["terms"]:
-                    if term["k"] in terms:
-                        raise ValueError(f"bracket ({i!r},{j!r}) repeats target {term['k']!r}")
-                    terms[term["k"]] = _json_rational(term["coeff"])
-            return cls(basis, brackets)
-        except (KeyError, TypeError, ValueError, DefinitionError) as exc:
-            raise DefinitionError(f"malformed finite algebra data: {exc}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteLie):

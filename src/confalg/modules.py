@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -66,9 +65,9 @@ from typing import Callable, Mapping, Sequence
 from .errors import (BindingError, DefinitionError, DiscrepancyError, DivisibilityError,
                      UnsupportedError)
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry,
-                      add_bracket_term, format_params, parse_algebra)
+                      add_bracket_term, parse_algebra)
 from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, join_terms,
-                   monic_div_rem, mono_mul, parse_poly, split_terms)
+                   monic_div_rem, mono_mul, split_terms)
 from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
 
 
@@ -124,16 +123,6 @@ class Rank1Action:
                     seen[v.index] = v.name
         return [seen[i] for i in sorted(seen)]
 
-    def bind(self, bindings: Mapping[str, Fraction | int]) -> "Rank1Action":
-        reg = self.algebra.registry
-        sub = {}
-        for name, value in bindings.items():
-            if not reg.has_name(name):
-                raise BindingError(f"no parameter named {name!r}")
-            sub[reg.var(name)] = Fraction(value)
-        return Rank1Action(self.algebra,
-                           {g: p.subs(sub) for g, p in self._actions.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rank1Action):
             return NotImplemented
@@ -147,44 +136,6 @@ class Rank1Action:
 
     def __repr__(self) -> str:
         return f"Rank1Action({self.render()})"
-
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra.name,
-            "params": format_params(self.algebra.param_values),
-            "actions": {g: str(p) for g, p in self.items()},
-        }
-
-    @classmethod
-    def from_json(cls, algebra: ConformalAlgebra, data: Mapping) -> "Rank1Action":
-        if data.get("algebra") != algebra.name:
-            raise DefinitionError(
-                f"action data is for {data.get('algebra')!r}, not {algebra.name!r}")
-        given = {k: Fraction(v) for k, v in data.get("params", {}).items()}
-        if format_params(given) != format_params(algebra.param_values):
-            raise DefinitionError("action data has mismatched parameter bindings")
-        reg = algebra.registry
-        texts = data.get("actions", {})
-        fresh = set()
-        for g, text in texts.items():
-            for name in _names_in(text):
-                if not reg.has_name(name):
-                    if not _MODULE_PARAM_RE.fullmatch(name):
-                        raise DefinitionError(f"unknown name {name!r} in action of {g}")
-                    fresh.add(name)
-        # Registration order is term order, so new module parameters are
-        # registered by name, never in set iteration order.
-        for name in sorted(fresh):
-            reg.param(name)
-        return cls(algebra, {g: parse_poly(reg, text) for g, text in texts.items()})
-
-
-_MODULE_PARAM_RE = re.compile(r"(alpha|beta|gamma)(_[A-Za-z0-9_]+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-def _names_in(text: str) -> set[str]:
-    return set(_NAME_RE.findall(text))
 
 
 def _rank1_terms(alg: ConformalAlgebra, terms_of: Callable[[str], list],

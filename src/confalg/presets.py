@@ -34,7 +34,7 @@ from typing import Mapping
 
 from .errors import BindingError, DefinitionError, ParseError, UnsupportedError
 from .poly import Poly, Registry, parse_rational
-from .algebra import ConformalAlgebra, Generator, LambdaElement
+from .algebra import ConformalAlgebra, Generator, LambdaElement, exact_rational
 from .modules import Rank1Action, check_module
 
 PRESET_NAMES = ("vir", "w", "wb", "tsv", "tsvc")
@@ -238,9 +238,9 @@ def rank1_module(alg: ConformalAlgebra, alpha, beta, gamma=None) -> Rank1Action:
     beta, the constant carrier (when one exists) acts by gamma, everything
     else by zero.
 
-    alpha, beta, gamma may be rationals or the strings "alpha", "beta",
-    "gamma" for formal values.  Passing gamma to an algebra whose parameters
-    admit no constant carrier is an error.
+    alpha, beta, gamma may be values ``exact_rational`` accepts, or the
+    strings "alpha", "beta", "gamma" for formal values.  Passing gamma to
+    an algebra whose parameters admit no constant carrier is an error.
     """
     if alg.params:
         raise BindingError(f"bind the structure parameters of {alg.name} first")
@@ -254,7 +254,7 @@ def rank1_module(alg: ConformalAlgebra, alpha, beta, gamma=None) -> Rank1Action:
             if token != name:
                 raise DefinitionError(f"formal value for {name} must be {name!r}")
             return Poly.from_var(reg, reg.param(name))
-        return Poly.const(reg, Fraction(token))
+        return Poly.const(reg, exact_rational(name, token))
 
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
     actions = {g.name: Poly.zero(reg) for g in alg.generators}

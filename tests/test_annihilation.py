@@ -1033,9 +1033,6 @@ class TestFiniteLie:
         ({"i": False, "j": 1, "terms": [{"k": 1, "coeff": "1"}]}, "(False,1)"),
     ])
     def test_non_integer_indices_rejected(self, data, entry):
-        basis = [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}]
-        with pytest.raises(DefinitionError, match=re.escape(entry)):
-            FiniteLie.from_json({"basis": basis, "brackets": [data]})
         terms = {t["k"]: Fraction(t["coeff"]) for t in data["terms"]}
         with pytest.raises(DefinitionError, match=re.escape(entry)):
             FiniteLie([("u", 0), ("v", 0)], {(data["i"], data["j"]): terms})
@@ -1044,74 +1041,10 @@ class TestFiniteLie:
         with pytest.raises(DefinitionError):
             FiniteLie([("u", 0), ("u", 0)], {})
 
-    def test_index_lookup(self):
-        q = truncated_quotient(instantiate("tsv", {"a": 0, "b": 0}), 2)
-        i = q.index_of("Y", Fraction(3, 2))
-        assert q.symbol(i) == "Y_3/2"
-        with pytest.raises(LabelError):
-            q.index_of("Y", 0)
-
-    def test_json_round_trip(self):
-        q = truncated_quotient(instantiate("tsvc", {"c": 1}), 3)
-        data = json.loads(json.dumps(q.to_json()))
-        back = FiniteLie.from_json(data)
-        assert back.basis == q.basis
-        assert back.nonzero_brackets() == q.nonzero_brackets()
-
-    def test_json_reads_strings_and_plain_integers(self):
-        lie = FiniteLie([("u", Fraction(1, 2)), ("v", -3)], {(0, 1): {1: Fraction(-5, 7)}})
-        data = json.loads(json.dumps(lie.to_json()))
-        assert data["basis"][0]["label"] == "1/2"
-        assert data["brackets"][0]["terms"][0]["coeff"] == "-5/7"
-        assert FiniteLie.from_json(data) == lie
-        data["basis"][1]["label"] = -3
-        data["brackets"][0]["terms"][0]["coeff"] = "-10/14"
-        assert FiniteLie.from_json(data) == lie
-
-    @pytest.mark.parametrize("where,value", [
-        ("coeff", True), ("coeff", False), ("coeff", 0.1), ("coeff", 1.0), ("coeff", None),
-        ("coeff", [1]), ("coeff", " 1/2"), ("coeff", "1/0"), ("coeff", "one"),
-        ("label", True), ("label", 0.5), ("label", None), ("label", "1 /2"),
-    ])
-    def test_json_rejects_non_rational_values(self, where, value):
-        data = {"basis": [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}],
-                "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"}]}]}
-        if where == "coeff":
-            data["brackets"][0]["terms"][0]["coeff"] = value
-        else:
-            data["basis"][1]["label"] = value
-        with pytest.raises(DefinitionError) as info:
-            FiniteLie.from_json(data)
-        message = str(info.value)
-        assert message.startswith("malformed finite algebra data: ")
-        assert message.endswith(repr(value))
-
     @pytest.mark.parametrize("gen", [[1], 5, None])
     def test_basis_name_must_be_a_string(self, gen):
-        data = {"basis": [{"gen": gen, "label": "0"}], "brackets": []}
-        with pytest.raises(DefinitionError) as info:
-            FiniteLie.from_json(data)
-        message = str(info.value)
-        assert message.startswith("malformed finite algebra data: ")
-        assert repr(gen) in message
         with pytest.raises(DefinitionError, match=re.escape(repr(gen))):
             FiniteLie([(gen, 0)], {})
-
-    def test_json_rejects_a_repeated_bracket(self):
-        rec = {"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"}]}
-        data = {"basis": [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}],
-                "brackets": [rec, dict(rec, terms=[{"k": 1, "coeff": "2"}])]}
-        with pytest.raises(DefinitionError, match=re.escape(
-                "malformed finite algebra data: bracket (0,1) given twice")):
-            FiniteLie.from_json(data)
-
-    def test_json_rejects_a_repeated_target(self):
-        data = {"basis": [{"gen": "u", "label": "0"}, {"gen": "v", "label": "0"}],
-                "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "coeff": "1"},
-                                                        {"k": 1, "coeff": "2"}]}]}
-        with pytest.raises(DefinitionError, match=re.escape(
-                "malformed finite algebra data: bracket (0,1) repeats target 1")):
-            FiniteLie.from_json(data)
 
     def test_sparse_paths_never_build_dense_brackets(self, monkeypatch):
         calls = []
@@ -1346,9 +1279,6 @@ class TestIntegerTable:
         assert got_rows == want
         assert all(isinstance(c, Fraction) for _, terms in got_rows for _, c in terms)
 
-        back = FiniteLie.from_json(json.loads(json.dumps(lie.to_json())))
-        assert back == lie
-        assert back.nonzero_brackets() == want
         assert [term["coeff"] for rec in lie.to_json()["brackets"] for term in rec["terms"]] \
             == [str(c) for _, terms in want for _, c in terms]
 

@@ -270,16 +270,9 @@ class TestClosedFormResidual:
 
 
 class TestRank1Action:
-    def test_free_params_and_bind(self, vir):
+    def test_free_params(self, vir):
         action = rank1_module(vir, "alpha", "beta")
         assert action.free_params() == ["alpha", "beta"]
-        bound = action.bind({"alpha": 1, "beta": Fraction(1, 2)})
-        assert bound.free_params() == []
-        assert bound.render() == "L -> d + x + 1/2"
-
-    def test_bind_unknown_name_rejected(self, vir):
-        with pytest.raises(BindingError):
-            rank1_module(vir, "alpha", "beta").bind({"nope": 1})
 
     def test_action_must_cover_generators(self):
         w = instantiate("w", {"a": 1, "b": 0})
@@ -290,12 +283,6 @@ class TestRank1Action:
         reg = vir.registry
         with pytest.raises(DefinitionError):
             Rank1Action(vir, {"L": Poly.from_var(reg, reg.y)})
-
-    def test_json_round_trip(self):
-        w = instantiate("w", {"a": 1, "b": 0})
-        action = rank1_module(w, Fraction(1, 2), -2, 3)
-        data = action.to_json()
-        assert Rank1Action.from_json(w, data) == action
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -309,10 +296,7 @@ def golden_algebra(name):
 _DETERMINISM_SCRIPT = """
 import sys
 from pathlib import Path
-from confalg import DiscrepancyError, Rank1Action, instantiate, parse_algebra, rank1_classify
-vir = instantiate("vir")
-data = {"algebra": "vir", "params": {}, "actions": {"L": "beta*alpha + d + gamma_L*x"}}
-print(Rank1Action.from_json(vir, data).render())
+from confalg import DiscrepancyError, instantiate, parse_algebra, rank1_classify
 for fam in rank1_classify(instantiate("w", {"a": 1, "b": 0}), 2):
     print(fam.render())
 try:
@@ -333,7 +317,6 @@ def test_output_is_independent_of_the_hash_seed():
         outputs.add(run.stdout)
     assert len(outputs) == 1
     lines = outputs.pop().decode().splitlines()
-    assert lines[0] == "L -> x*gamma_L + alpha*beta + d"
     assert lines[-1] == "  missing from the symbolic families: L -> d - x; W -> d - x"
 
 

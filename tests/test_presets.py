@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,31 @@ class TestCatalog:
         alg = instantiate("w", {"a": 2, "b": 1})
         assert alg.param_values == {"a": Fraction(2), "b": Fraction(1)}
         assert alg.params == ()
+        alg = instantiate("w", {"a": Fraction(-2, 4), "b": 3})
+        assert alg.param_values == {"a": Fraction(-1, 2), "b": Fraction(3)}
+        assert all(type(v) is Fraction for v in alg.param_values.values())
+
+
+class TestExactBindings:
+    """A parameter binds only to an int that is not a bool, or a Fraction, at
+    both entry points: ``specialize`` (behind ``instantiate``) and
+    ``rank1_module``."""
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1/2", " 1", None])
+    def test_specialize_rejects_inexact_values(self, value):
+        message = re.escape(f"a must be bound to an int or a Fraction, not {value!r}")
+        with pytest.raises(BindingError, match=message):
+            instantiate("w", {"a": value, "b": 0})
+        with pytest.raises(BindingError, match=message):
+            instantiate("w").specialize({"a": value, "b": 0})
+
+    @pytest.mark.parametrize("slot", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+    def test_rank1_module_rejects_inexact_values(self, slot, value):
+        values = {"alpha": 0, "beta": 0, "gamma": 0, slot: value}
+        with pytest.raises(BindingError, match=re.escape(
+                f"{slot} must be bound to an int or a Fraction, not {value!r}")):
+            rank1_module(instantiate("w", {"a": 1, "b": 0}), **values)
 
 
 class TestShapes:
@@ -96,3 +122,5 @@ class TestModuleHelpers:
         vir = instantiate("vir")
         with pytest.raises(DefinitionError):
             rank1_module(vir, "beta", 0)
+        with pytest.raises(DefinitionError, match="formal value for alpha"):
+            rank1_module(vir, "1/2", 0)

@@ -65,10 +65,11 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def test_private_names_are_referenced():
-    """Every private module-level function, class or constant, and every
-    public module-level function or class that ``confalg`` does not export,
-    is read somewhere in the package outside its own definition, so a
-    deletion leaves no orphan helper behind."""
+    """Every private module-level function, class or constant, every private
+    method of a module-level class, and every public module-level function
+    or class that ``confalg`` does not export, is read somewhere in the
+    package outside its own definition, so a deletion leaves no orphan
+    helper behind."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(confalg.__file__).parent.glob("*.py"))}
     used = sum((_references(tree) for tree in trees.values()), Counter())
@@ -79,6 +80,13 @@ def test_private_names_are_referenced():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names, own = [node.name], _references(node)
                 checked = [name for name in names if name not in exported]
+                if isinstance(node, ast.ClassDef):
+                    orphans += [f"{filename}:{node.name}.{method.name}"
+                                for method in node.body
+                                if isinstance(method, ast.FunctionDef)
+                                and method.name.startswith("_")
+                                and not method.name.startswith("__")
+                                and used[method.name] <= _references(method)[method.name]]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names, own = [t.id for t in targets if isinstance(t, ast.Name)], Counter()
