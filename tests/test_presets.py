@@ -67,6 +67,17 @@ class TestExactBindings:
                 f"{slot} must be bound to an int or a Fraction, not {value!r}")):
             rank1_module(instantiate("w", {"a": 1, "b": 0}), **values)
 
+    @pytest.mark.parametrize("slot,want", [
+        ("alpha", "L -> d - 1/2*x + 3; W -> -2"),
+        ("beta", "L -> d - 1/2; W -> -2"),
+        ("gamma", "L -> d + 3; W -> -1/2"),
+    ])
+    def test_rank1_module_binds_ints_and_fractions(self, slot, want):
+        values = {"alpha": 0, "beta": 3, "gamma": -2, slot: Fraction(-2, 4)}
+        action = rank1_module(instantiate("w", {"a": 1, "b": 0}), **values)
+        assert action.render() == want
+        assert action.free_params() == []
+
 
 class TestShapes:
     def test_virasoro_is_rank_one(self):
