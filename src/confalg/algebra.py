@@ -428,9 +428,15 @@ def locality_order_of(br: LambdaElement) -> int:
 # ---- textual algebra definitions ----------------------------------------------
 
 
+def is_exact_rational(value) -> bool:
+    """Whether ``value`` is an int that is not a bool, or a Fraction: the
+    values read as exact rationals, with no float, bool or str syntax."""
+    return isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def exact_rational(name: str, value) -> Fraction:
-    """``value`` as parameter ``name``'s binding: an int that is not a bool, or a Fraction."""
-    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+    """``value`` as parameter ``name``'s binding; it must be ``is_exact_rational``."""
+    if is_exact_rational(value):
         return Fraction(value)
     raise BindingError(f"{name} must be bound to an int or a Fraction, not {value!r}")
 

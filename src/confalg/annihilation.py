@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
 from .poly import (PARAMETER, TEXT, Combination, Poly, Spelling, mono_mul,
                    render_terms, scaled, signed_sum, split_terms)
-from .algebra import ConformalAlgebra, Generator
+from .algebra import ConformalAlgebra, Generator, is_exact_rational
 from .solve import integer_echelon
 
 
@@ -472,11 +472,14 @@ class FiniteLie:
     """A finite-dimensional Lie algebra over Q given by structure constants.
 
     The basis is a sequence of (generator name, label) pairs.  Brackets are
-    given for index pairs i < j.  The table is kept once, in integers: with
-    D the lcm of the denominators of all structure constants, ``_ad[i][j]``
-    is ``{k: D * coeff}`` for both orders of every nonzero pair (the
-    reversed one negated), so D [e_i, e_j] is one lookup.  Serialization,
-    equality and ``bracket_vectors`` divide by D on the way out.
+    given for index pairs i < j.  Labels and structure constants must be
+    ``is_exact_rational``, so a float, bool or str is a ``DefinitionError``
+    rather than a rational read by ``Fraction``'s own rules.  The table is
+    kept once, in integers: with D the lcm of the denominators of all
+    structure constants, ``_ad[i][j]`` is ``{k: D * coeff}`` for both orders
+    of every nonzero pair (the reversed one negated), so D [e_i, e_j] is one
+    lookup.  Serialization, equality and ``bracket_vectors`` divide by D on
+    the way out.
 
     Scaling the bracket by D changes no span, and it multiplies every
     Jacobiator by D^2, so the Jacobi re-check and the derived and lower
@@ -495,10 +498,14 @@ class FiniteLie:
 
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
                  brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]):
-        self.basis = tuple((name, Fraction(label)) for name, label in basis)
-        for name, _ in self.basis:
+        basis = tuple(basis)
+        for name, label in basis:
             if not isinstance(name, str):
                 raise DefinitionError(f"basis generator name {name!r} is not a string")
+            if not is_exact_rational(label):
+                raise DefinitionError(
+                    f"basis label {label!r} of {name} is not an int or a Fraction")
+        self.basis = tuple((name, Fraction(label)) for name, label in basis)
         if len(set(self.basis)) != len(self.basis):
             raise DefinitionError("duplicate basis symbols")
         dim = len(self.basis)
@@ -507,7 +514,11 @@ class FiniteLie:
             if not (_is_index(i) and _is_index(j) and 0 <= i < j < dim):
                 raise DefinitionError(
                     f"bracket indices ({i!r},{j!r}) must be integers with 0 <= i < j < dim")
-            cleaned = {k: Fraction(c) for k, c in terms.items() if c != 0}
+            for k, c in terms.items():
+                if not is_exact_rational(c):
+                    raise DefinitionError(f"bracket ({i},{j}) has coefficient {c!r} at {k!r}, "
+                                          f"not an int or a Fraction")
+            cleaned = {k: Fraction(c) for k, c in terms.items() if c}
             for k in cleaned:
                 if not (_is_index(k) and 0 <= k < dim):
                     raise DefinitionError(f"bracket ({i},{j}) targets invalid index {k!r}")

@@ -42,14 +42,15 @@ residual of the Virasoro generator with each other generator is linear in
 the generic coefficients and in f = s*d + A*x + B, so ``_Ansatz`` reads it
 once off the same expansion as ``_rank1_residual``, with f's three terms
 tagged by the slot they fill, into one operator: sparse rows, one per
-generator and monomial in d, x and y, each holding four integer cells keyed
-by column (a generic coefficient's position among the unknowns, the
-constant last): the bracket part of its equation, which does not depend on
-f, and the parts that multiply s, A and B.  Every Virasoro action, f = 0
-(s = 0), the symbolic one and each grid point's, folds those rows with its
-own integer weights straight into the integer rows the solver's one
-elimination reads, and solves them on its own.  The Virasoro generator's own
-pair needs no check: it is detected by its (d + 2x) bracket, and
+generator and monomial in d, x and y, keyed by column (a generic
+coefficient's position among the unknowns, the constant last), each column
+holding four integers: its coefficient in the bracket part of the equation,
+which does not depend on f, and in the parts that multiply s, A and B.
+Every Virasoro action, f = 0 (s = 0), the symbolic one and each grid
+point's, folds those rows with its own integer weights straight into the
+integer rows the solver's one elimination reads, and solves them on its
+own.  The Virasoro generator's own pair needs no check: it is detected by
+its (d + 2x) bracket, and
 f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for f = 0 and for
 every f = d + A*x + B with A and B free of d and x.
 """
@@ -303,14 +304,16 @@ class _Ansatz:
     d^p x^q y^r; rest's marker names the slot, the d-, A- or B-part of f, or
     with no marker the bracket part, which does not depend on f; and rest's
     generic coefficient names the column, its position in ``unknowns``, or
-    with none the constant at ``len(unknowns)``.  Each slot equation is thus
-    a sparse integer cell keyed by column, as ``solve_system`` reads affine
-    rows.  A row holding a ``Fraction`` is scaled by the lcm of its
-    denominators, which scales its folded equations and spans the same
-    ones.  ``rows`` runs by generator, then by (p, q, r) descending: the
-    solutions do not depend on the order, but the elimination does less work
-    in this one.  ``stage_one(f)`` folds the rows by ``_slot_weights(f)`` in
-    ints straight into those rows, with no ``Poly`` per equation.
+    with none the constant at ``len(unknowns)``.  A row is thus sparse in
+    columns, keyed as ``solve_system`` reads affine rows, and each column
+    holds its four slot coefficients (bracket, d, A, B) as integers.  A row
+    holding a ``Fraction`` is scaled by the lcm of its denominators, which
+    scales its folded equations and spans the same ones.  ``rows`` runs by
+    generator, then by (p, q, r) descending; the solver reads its rows
+    sparsest first, so this order only breaks ties between rows of one
+    size, and the solutions depend on neither.  ``stage_one(f)`` folds each
+    row by each weight tuple of ``_slot_weights(f)`` in ints straight into
+    the solver's rows, with no ``Poly`` per equation.
 
     The pair (L, L) needs no equation: the Virasoro generator is detected
     by [L_x L] = (d + 2x) L, and for A and B free of d and x,
@@ -338,7 +341,7 @@ class _Ansatz:
         split = {vname: _MARKED_F, **{g: split_terms(p) for g, p in self.actions.items()}}
         self.rows = []
         for g in others:
-            cells: dict[tuple[int, int, int], tuple[dict, dict, dict, dict]] = {}
+            grouped: dict[tuple[int, int, int], dict[int, list]] = {}
             for (p, q, r, rest), c in _rank1_terms(alg, split.__getitem__, vname,
                                                    g.name).items():
                 if not c:
@@ -346,39 +349,34 @@ class _Ansatz:
                 slot = 0
                 if rest and rest[0][0] < 0:
                     slot, rest = _SLOTS[rest[0][0]], rest[1:]
-                row = cells.get((p, q, r)) or cells.setdefault((p, q, r), ({}, {}, {}, {}))
-                row[slot][column[rest[0][0]] if rest else constant] = c
-            for pqr in sorted(cells, reverse=True):
-                row = cells[pqr]
-                values = [c for cell in row for c in cell.values()]
-                if any(type(c) is Fraction for c in values):
-                    scale = math.lcm(*(c.denominator for c in values))
-                    row = tuple({k: int(c * scale) for k, c in cell.items()} for cell in row)
+                row = grouped.get((p, q, r)) or grouped.setdefault((p, q, r), {})
+                col = column[rest[0][0]] if rest else constant
+                entry = row.get(col) or row.setdefault(col, [0, 0, 0, 0])
+                entry[slot] = c
+            for pqr in sorted(grouped, reverse=True):
+                row = {k: tuple(entry) for k, entry in grouped[pqr].items()}
+                denominators = [c.denominator for entry in row.values() for c in entry
+                                if type(c) is Fraction]
+                if denominators:
+                    scale = math.lcm(*denominators)
+                    row = {k: tuple(int(c * scale) for c in entry) for k, entry in row.items()}
                 self.rows.append(row)
 
     def stage_one(self, f: Poly) -> list[dict[int, int]]:
         """The stage-one equations of the Virasoro action f as integer rows
-        keyed like the cells: the rows folded by ``_slot_weights(f)``, each
-        monomial's weights scaled by the lcm of their denominators, zero sums
-        dropped.  The fold is int arithmetic and builds no ``Poly``; a lone
-        slot of weight 1 is taken as it is, so the rows are shared with the
-        operator and must not be changed."""
+        keyed by column: each row folded, in one pass over its columns, by
+        each monomial's weights from ``_slot_weights(f)`` scaled by the lcm
+        of their denominators, zero sums dropped and empty equations
+        skipped.  The fold is int arithmetic and builds no ``Poly``."""
         weights = []
         for slot_weights in _slot_weights(f):
             scale = math.lcm(*(w.denominator for w in slot_weights))
             weights.append(tuple(int(w * scale) for w in slot_weights))
         eqs = []
         for row in self.rows:
-            for slot_weights in weights:
-                parts = [(w, cell) for w, cell in zip(slot_weights, row) if w and cell]
-                if len(parts) == 1 and parts[0][0] == 1:
-                    eqs.append(parts[0][1])
-                    continue
-                folded = {}
-                for w, cell in parts:
-                    for k, c in cell.items():
-                        folded[k] = folded.get(k, 0) + w * c
-                folded = {k: c for k, c in folded.items() if c}
+            for w0, w1, w2, w3 in weights:
+                folded = {k: t for k, (c0, c1, c2, c3) in row.items()
+                          if (t := w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3)}
                 if folded:
                     eqs.append(folded)
         return eqs

@@ -17,10 +17,12 @@ and it takes no branch depth.  A caller that has the system's integer or
 rational rows already (one sparse row per equation, keyed by the unknowns'
 positions with the constant last, as classification stage one folds them)
 passes those rows instead of ``Poly``s, and they enter the same
-elimination.  Any other system goes through a branching search that returns
-each component as the affine equations cutting it out, which then go
-through the same elimination.  Each step of the search sorts its equations
-and makes exactly one move, chosen by their shape:
+elimination.  It reads the rows sparsest first, and a homogeneous system
+stops reading at full rank, where its only solution is zero; neither
+changes the family.  Any other system goes through a branching search that
+returns each component as the affine equations cutting it out, which then
+go through the same elimination.  Each step of the search sorts its
+equations and makes exactly one move, chosen by their shape:
 
 - Affine: every equation of total degree at most 1 is reduced in one
   elimination, on the same rows as a family's and pivoting as a family does
@@ -424,10 +426,19 @@ def _pivot_assignments(rows: Iterable[Mapping[int, Fraction | int]], unknowns: S
     first unknown in ``unknowns`` order: ``{pivot: -(rest of row) / pivot}``.
     Returns None when a row keeps only the constant, that is when the rows
     are inconsistent.
+
+    The rows are read sparsest first (a stable sort by entry count), and a
+    homogeneous system, no row with a nonzero constant, stops reading at
+    rank ``len(unknowns)``: its pivots are all unknowns, so at that rank
+    every later row is in the span.  Neither changes the result, since the
+    reduced echelon form is unique and each pivot row is divided by its
+    pivot entry; a system with a constant anywhere reads every row.
     """
     n = len(unknowns)
+    rows = sorted(rows, key=len)
+    bound = None if any(row.get(n) for row in rows) else n
     assign = {}
-    for row in integer_echelon(rows):
+    for row in integer_echelon(rows, bound):
         lead = min(row)
         if lead == n:
             return None
@@ -595,10 +606,12 @@ def solve_system(eqs: Sequence[Poly] | Sequence[Mapping[int, Fraction | int]],
     the full variety as a union of affine families; an empty union means the
     system is inconsistent.  An affine system is one elimination in the
     canonical order of ``unknowns``, whose reduced echelon form is its one
-    family; it takes no branch depth.  Any other system goes through the
-    branching search, whose branches of affine equations each go through
-    the same elimination, and raises UnsupportedSystemError when the bounded
-    search cannot triangularize it.
+    family; it takes no branch depth.  The elimination reads the rows
+    sparsest first and stops a homogeneous one at rank ``len(unknowns)``,
+    so a system whose only solution is zero leaves its last rows unread.
+    Any other system goes through the branching search, whose branches of
+    affine equations each go through the same elimination, and raises
+    UnsupportedSystemError when the bounded search cannot triangularize it.
 
     An affine system may also be given as its rows, keyed as ``_affine_rows``
     writes them (each unknown's position in ``unknowns``, the constant at

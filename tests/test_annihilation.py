@@ -1046,6 +1046,22 @@ class TestFiniteLie:
         with pytest.raises(DefinitionError, match=re.escape(repr(gen))):
             FiniteLie([(gen, 0)], {})
 
+    @pytest.mark.parametrize("value", [0.1, 0.0, True, False, "1/2", "0"])
+    def test_basis_label_must_be_an_int_or_a_fraction(self, value):
+        with pytest.raises(DefinitionError, match=re.escape(f"basis label {value!r} of u ")):
+            FiniteLie([("u", value), ("v", 0)], {})
+
+    @pytest.mark.parametrize("value", [0.1, 0.0, True, False, "1/2", "0"])
+    def test_structure_constant_must_be_an_int_or_a_fraction(self, value):
+        with pytest.raises(DefinitionError, match=re.escape(f"bracket (0,1) has coefficient "
+                                                            f"{value!r} at 1,")):
+            FiniteLie([("u", 0), ("v", 0)], {(0, 1): {0: 1, 1: value}})
+
+    def test_ints_and_fractions_are_read_exactly(self):
+        lie = FiniteLie([("u", Fraction(-1, 2)), ("v", 3)], {(0, 1): {0: Fraction(1, 3), 1: 2}})
+        assert [lie.symbol(i) for i in range(2)] == ["u_-1/2", "v_3"]
+        assert lie.nonzero_brackets() == [((0, 1), [(0, Fraction(1, 3)), (1, Fraction(2))])]
+
     def test_sparse_paths_never_build_dense_brackets(self, monkeypatch):
         calls = []
         dense = FiniteLie.bracket_vectors

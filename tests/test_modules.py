@@ -810,6 +810,35 @@ class TestClassificationResiduals:
         # Two branches and 8 grid points.
         assert per_stage_one == [["echelon"]] * 10
 
+    def test_full_rank_stage_one_stops_reading_rows(self, monkeypatch):
+        """A work count: each stage-one elimination reads (``_primitive``)
+        at most the rows it is given, and one whose only solution is zero
+        stops at full rank, before its last rows."""
+        ansatzes = _record_ansatzes(monkeypatch)
+        real_primitive, real_solve = solve_module._primitive, modules.solve_system
+        read = []
+        counts = []
+
+        def primitive(row):
+            read.append(True)
+            return real_primitive(row)
+
+        def solving(eqs, unknowns, **kwargs):
+            read.clear()
+            result = real_solve(eqs, unknowns, **kwargs)
+            if unknowns is ansatzes[-1].unknowns:
+                counts.append((len(eqs), len(read), [fam.dim for fam in result]))
+            return result
+
+        monkeypatch.setattr(solve_module, "_primitive", primitive)
+        monkeypatch.setattr(modules, "solve_system", solving)
+        rank1_classify(instantiate("tsv", {"a": 1, "b": 0}), 4)
+        assert len(counts) == 10
+        assert all(n_read <= given for given, n_read, _ in counts)
+        full_rank = [(given, n_read) for given, n_read, dims in counts if dims == [0]]
+        assert full_rank and all(n_read < given for given, n_read in full_rank)
+        assert sum(n_read for _, n_read, _ in counts) < sum(given for given, _, _ in counts)
+
     def test_stage_one_folds_straight_into_the_elimination_rows(self, monkeypatch):
         """A work count: folding a Virasoro action's stage one builds only
         the ``Poly``s that reading its weights builds, none per equation,
@@ -965,12 +994,20 @@ def _cell_multiset(rows) -> Counter:
     return Counter(tuple(tuple(sorted(cell.items())) for cell in row) for row in rows)
 
 
+def _cells(row) -> tuple:
+    """A column-major row, ``{column: (bracket, d, A, B)}``, transposed to
+    its four cells ``{column: coefficient}``, zero coefficients dropped."""
+    return tuple({k: entry[slot] for k, entry in row.items() if entry[slot]}
+                 for slot in range(4))
+
+
 def _assert_rows_match_the_hand_oracle(alg, degree):
     rows = _ansatz(alg, degree).rows
     oracle = [row for row in _hand_rows(alg, degree) if any(row)]
-    assert all(type(c) is int and c for row in rows for cell in row for c in cell.values())
-    assert all(any(row) for row in rows)
-    assert _cell_multiset(rows) == _cell_multiset(oracle)
+    assert all(row for row in rows)
+    assert all(len(entry) == 4 and all(type(c) is int for c in entry) and any(entry)
+               for row in rows for entry in row.values())
+    assert _cell_multiset(map(_cells, rows)) == _cell_multiset(oracle)
 
 
 class TestStageOneRows:

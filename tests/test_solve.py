@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from confalg import solve as solve_module
 from confalg.errors import UnsupportedSystemError
 from confalg.poly import Poly, Registry, parse_poly
-from confalg.solve import SolutionSet, integer_echelon, rational_roots, solve_system
+from confalg.solve import SolutionFamily, SolutionSet, integer_echelon, rational_roots, solve_system
 
 
 @pytest.fixture()
@@ -722,6 +722,55 @@ def test_affine_rows_cover_the_degenerate_systems():
             by_rows = _solve_rows(reg, unknowns, unknowns, rows, as_ints)
             assert by_rows == solve_system(eqs, unknowns)
             assert by_rows.render() == render
+
+
+def _reference_pivot_assignments(rows, unknowns, registry):
+    """``_pivot_assignments`` reading every row in the given order, with no
+    sort and no rank bound.  The oracle the solver's families must match."""
+    n = len(unknowns)
+    assign = {}
+    for row in integer_echelon(rows):
+        lead = min(row)
+        if lead == n:
+            return None
+        assign[unknowns[lead]] = Poly(registry, {
+            () if k == n else ((unknowns[k].index, 1),): Fraction(-c, row[lead])
+            for k, c in row.items() if k != lead}, _normalized=True)
+    return assign
+
+
+@st.composite
+def _sparse_int_rows(draw):
+    """Sparse integer rows over 0-6 unknowns, keyed by position with the
+    constant at n, explicit zeros included: homogeneous (no constant key)
+    or not, so the system may be of full rank, free or inconsistent."""
+    n = draw(st.integers(0, 6))
+    columns = list(range(n)) + ([] if draw(st.booleans()) else [n])
+    row = st.dictionaries(st.sampled_from(columns), st.integers(-3, 3), max_size=4) \
+        if columns else st.just({})
+    return n, draw(st.lists(row, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_int_rows())
+@example((3, [{0: 1, 1: 2}, {2: -1}, {1: 3}, {0: 2, 1: 1, 2: 5}, {1: 1}]))  # full rank
+@example((2, [{0: 1}, {1: 1}, {0: 1, 1: 1, 2: 1}]))  # the constant after rank n
+@example((2, [{0: 1}, {1: 1}, {0: 1, 2: 0}]))  # a zero constant only
+@example((0, []))
+@example((0, [{}, {0: 0}]))
+@example((0, [{0: 3}]))
+def test_row_systems_match_the_unsorted_unbounded_elimination(system):
+    """Reading rows sparsest first and stopping a homogeneous system at
+    full rank gives the same solution set as eliminating every row in the
+    given order."""
+    n, rows = system
+    reg, unknowns = _unknowns(n)
+    assign = _reference_pivot_assignments(rows, unknowns, reg)
+    want = SolutionSet(unknowns, () if assign is None else (
+        SolutionFamily(unknowns, assign, [v for v in unknowns if v not in assign]),))
+    got = solve_system(rows, unknowns, registry=reg)
+    assert got == want
+    assert got.render() == want.render()
 
 
 def test_affine_equation_naming_a_non_unknown_is_rejected(reg):
