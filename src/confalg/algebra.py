@@ -30,9 +30,11 @@ generator keyed by the exponents of d, x and y and the parameter monomial,
 and ``poly.join_terms`` turns the nonzero ones into the same canonical
 ``Poly`` that substituting and multiplying would give.
 
-Sesquilinearity is structural: brackets of d-multiples are computed by the
-substitution rules [p(d) g_x h] = p(-x) [g_x h] and
-[g_x p(d) h] = p(d + x) [g_x h], so it cannot fail.
+Each entry is split so once, when the algebra is built, and kept with the
+table for both orders of every pair (``entry_terms``): the skew completion,
+both axiom checks, the module identity in ``modules`` and the expansions in
+``annihilation`` read that list, and ``specialize`` binds parameters on its
+terms.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class Generator:
     (internal index = label + offset); ``filtration_shift`` relates labels to
     filtration degrees (degree = label - shift).  The standard relabelings use
     offset 1 for Virasoro-type generators, 1/2 for odd generators indexed by
-    half-integers, and 0 otherwise.
+    half-integers, and 0 otherwise.  Both must be ``is_exact_rational``.
     """
 
     name: str
@@ -66,8 +68,12 @@ class Generator:
     filtration_shift: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "label_offset", Fraction(self.label_offset))
-        object.__setattr__(self, "filtration_shift", Fraction(self.filtration_shift))
+        for field in ("label_offset", "filtration_shift"):
+            value = getattr(self, field)
+            if not is_exact_rational(value):
+                raise DefinitionError(f"generator {self.name}: {field.replace('_', ' ')} "
+                                      f"{value!r} is not an int or a Fraction")
+            object.__setattr__(self, field, Fraction(value))
         if self.label_offset not in _ALLOWED_OFFSETS:
             raise DefinitionError(f"generator {self.name}: label offset must be 0, 1/2, or 1")
         if self.filtration_shift not in _ALLOWED_SHIFTS:
@@ -86,9 +92,9 @@ class LambdaElement(Combination):
     """A finite sum of generators with polynomial coefficients.
 
     Coefficients may involve d, x and parameters.  Elements whose
-    coefficients are free of x play the role of plain module elements (inputs
-    to brackets, values of j-th products); the same class covers both since
-    the invariants differ only in which variables appear.  Terms are listed
+    coefficients are free of x play the role of plain module elements
+    (values of j-th products); the same class covers both since the
+    invariants differ only in which variables appear.  Terms are listed
     by generator name and rendered joined by " + ".
     """
 
@@ -150,7 +156,7 @@ class ConformalAlgebra:
             if v.kind != PARAMETER:
                 raise DefinitionError(f"{v.name} is not a parameter variable")
         self._by_name = {g.name: g for g in self.generators}
-        self._table = self._build_table(dict(table))
+        self._table, self._terms = self._build_table(table)
         self.virasoro_name = self._detect_virasoro()
 
     # ---- construction helpers -----------------------------------------
@@ -167,15 +173,16 @@ class ConformalAlgebra:
                         f"bracket {pair} coefficient uses {v.name}; only d, x and "
                         f"declared parameters are allowed")
 
-    def _skew_image(self, elem: LambdaElement) -> LambdaElement:
-        """``-elem`` with x -> -(x + d), in closed form: a term c d^i x^j
-        becomes -(-1)^j c C(j, t) d^(i+j-t) x^t for t = 0..j."""
+    def _skew_image(self, terms) -> LambdaElement:
+        """``-elem`` with x -> -(x + d), in closed form, from ``terms``, the
+        element as ``entry_terms`` lists one: a term c d^i x^j becomes
+        -(-1)^j c C(j, t) d^(i+j-t) x^t for t = 0..j."""
         comb = math.comb
         out = {}
-        for g, p in elem.items():
+        for g, p_terms in terms:
             acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
             get = acc.get
-            for i, j, rest, c in split_terms(p):
+            for i, j, rest, c in p_terms:
                 sign = c if j % 2 else -c
                 for t in range(j + 1):
                     key = (i + j - t, t, 0, rest)
@@ -183,25 +190,33 @@ class ConformalAlgebra:
             out[g] = join_terms(self.registry, acc)
         return LambdaElement(self.registry, out)
 
-    def _build_table(self, table):
-        """Validate ``table`` and complete each pair given in one order only
-        by its skew image; see the module docstring."""
+    def _build_table(self, given):
+        """Validate ``given`` and complete each pair given in one order only
+        by its skew image; see the module docstring.  Returns the table and
+        each entry split once, as ``entry_terms`` lists it."""
         names = [g.name for g in self.generators]
-        for (a, b), elem in table.items():
+        table, terms = {}, {}
+
+        def store(pair, elem: LambdaElement) -> None:
+            table[pair] = elem
+            terms[pair] = [(g, split_terms(p)) for g, p in elem.items()]
+
+        for (a, b), elem in given.items():
             if a not in self._by_name or b not in self._by_name:
                 raise DefinitionError(f"bracket ({a},{b}) names an undeclared generator")
             if not isinstance(elem, LambdaElement):
                 raise DefinitionError(f"bracket ({a},{b}) is not a LambdaElement")
             self._validate_entry((a, b), elem)
+            store((a, b), elem)
         for i, a in enumerate(names):
             for b in names[i:]:
                 if (a, b) not in table:
                     if a == b or (b, a) not in table:
                         raise DefinitionError(f"missing bracket entry ({a},{b})")
-                    table[(a, b)] = self._skew_image(table[(b, a)])
+                    store((a, b), self._skew_image(terms[(b, a)]))
                 elif (b, a) not in table:
-                    table[(b, a)] = self._skew_image(table[(a, b)])
-        return table
+                    store((b, a), self._skew_image(terms[(a, b)]))
+        return table, terms
 
     def _detect_virasoro(self) -> str | None:
         reg = self.registry
@@ -231,6 +246,14 @@ class ConformalAlgebra:
             raise DefinitionError(f"no bracket entry ({a},{b})")
         return self._table[(a, b)]
 
+    def entry_terms(self, a: str, b: str) -> list[tuple[Generator, list]]:
+        """The entry [a_x b] as (generator, ``split_terms`` of its
+        coefficient) pairs in ``items`` order, split once when the algebra
+        was built; readers must not change the lists."""
+        if (a, b) not in self._terms:
+            raise DefinitionError(f"no bracket entry ({a},{b})")
+        return self._terms[(a, b)]
+
     def full_table(self) -> dict[tuple[str, str], LambdaElement]:
         return dict(self._table)
 
@@ -258,6 +281,9 @@ class ConformalAlgebra:
 
         Every declared parameter must be bound exactly once, to a value
         ``exact_rational`` accepts; binding an undeclared name is an error.
+        Each stored term c d^i x^j m of ``entry_terms`` becomes
+        c m(values) d^i x^j, and ``join_terms`` adds the terms into the
+        bound coefficients, with no ``Poly`` substitution.
         """
         bindings = dict(bindings or {})
         declared = {v.name for v in self.params}
@@ -269,60 +295,21 @@ class ConformalAlgebra:
             raise BindingError(f"{self.name} needs binding(s) for {missing}")
         if not self.params:
             return self
-        sub = {v: exact_rational(v.name, bindings[v.name]) for v in self.params}
-        table = {pair: elem.map_coeffs(lambda p: p.subs(sub))
-                 for pair, elem in self._table.items()}
-        values = {**self.param_values, **{v.name: value for v, value in sub.items()}}
+        bound = {v.index: exact_rational(v.name, bindings[v.name]) for v in self.params}
+        table = {}
+        for pair, terms in self._terms.items():
+            coeffs = {}
+            for g, p_terms in terms:
+                acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
+                for i, j, rest, c in p_terms:
+                    key = (i, j, 0, ())
+                    value = math.prod((bound[k] ** e for k, e in rest), start=c)
+                    acc[key] = acc.get(key, 0) + value
+                coeffs[g] = join_terms(self.registry, acc)
+            table[pair] = LambdaElement(self.registry, coeffs)
+        values = {**self.param_values, **{v.name: bound[v.index] for v in self.params}}
         return ConformalAlgebra(self.name, self.registry, self.generators, table, (),
                                 closed_ann_form=self.closed_ann_form, param_values=values)
-
-    # ---- bracket machinery ---------------------------------------------------
-
-    def _as_element(self, xelem) -> LambdaElement:
-        if isinstance(xelem, Generator):
-            if xelem.name not in self._by_name or self._by_name[xelem.name] != xelem:
-                raise DefinitionError(f"generator {xelem.name} does not belong to {self.name}")
-            return LambdaElement.of(self.registry, xelem)
-        if isinstance(xelem, LambdaElement):
-            for g, p in xelem.items():
-                if g.name not in self._by_name or self._by_name[g.name] != g:
-                    raise DefinitionError(f"element uses foreign generator {g.name}")
-            return xelem
-        raise DefinitionError(f"cannot bracket a {type(xelem).__name__}")
-
-    def bracket(self, xelem, yelem) -> LambdaElement:
-        """Lambda-bracket of two elements with d-polynomial coefficients.
-
-        Sesquilinear extension of the table: coefficients of the left entry
-        are evaluated at -x, coefficients of the right entry at d + x.
-        """
-        reg = self.registry
-        xelem = self._as_element(xelem)
-        yelem = self._as_element(yelem)
-        d, lam = reg.d, reg.x
-        dx = Poly.from_var(reg, d) + Poly.from_var(reg, lam)
-        minus_lam = -Poly.from_var(reg, lam)
-        out = LambdaElement(reg)
-        for g, p in xelem.items():
-            if p.degree(lam) > 0:
-                raise DefinitionError("bracket inputs must have x-free coefficients")
-            pl = p.substitute(d, minus_lam)
-            for h, q in yelem.items():
-                if q.degree(lam) > 0:
-                    raise DefinitionError("bracket inputs must have x-free coefficients")
-                qr = q.substitute(d, dx)
-                out = out + self._table[(g.name, h.name)].map_coeffs(lambda r: r * pl * qr)
-        return out
-
-    def jth_product(self, xelem, yelem, j: int) -> LambdaElement:
-        """The j-th product, j! times the x^j coefficient of the bracket."""
-        if j < 0:
-            raise ValueError("j-th products need j >= 0")
-        return jth_product_of(self.bracket(xelem, yelem), j)
-
-    def locality_order(self, xelem, yelem) -> int:
-        """Least N with all j-th products for j >= N zero; max x-degree + 1."""
-        return locality_order_of(self.bracket(xelem, yelem))
 
     # ---- axiom checks -----------------------------------------------------------
 
@@ -330,14 +317,13 @@ class ConformalAlgebra:
         """Residual [g_x h] + ([h_x g] with x -> -x - d) per ordered pair."""
         entries = []
         for a, b in self.ordered_pairs():
-            residual = self._table[(a, b)] - self._skew_image(self._table[(b, a)])
+            residual = self._table[(a, b)] - self._skew_image(self._terms[(b, a)])
             entries.append(ReportEntry((a, b), residual.render(), residual.is_zero()))
         return AxiomReport("skew-symmetry", entries)
 
-    def _jacobi_residual(self, terms, a: str, b: str, c: str) -> LambdaElement:
-        """The Jacobi residual of (a, b, c) in closed form, from ``terms``,
-        each table entry as (generator, ``split_terms`` of its coefficient)
-        pairs.  With r, q, p terms c d^i x^j of the coefficients in the
+    def _jacobi_residual(self, a: str, b: str, c: str) -> LambdaElement:
+        """The Jacobi residual of (a, b, c) in closed form, from the stored
+        ``entry_terms`` of the table.  With r, q, p terms c d^i x^j of the coefficients in the
         brackets named below, each double bracket expands by binomials into
         one dict per output generator, keyed like ``join_terms``:
           - [a_x [b_y c]] adds r(d, x) q(d+x, y) for q k in [b_x c] and r in
@@ -350,7 +336,7 @@ class ConformalAlgebra:
             d^i x^j of r and d^k x^l of q.
         Coefficients add as ints while they are integral; only the surviving
         terms become ``Fraction``s."""
-        comb = math.comb
+        comb, terms = math.comb, self._terms
         accs: dict[Generator, dict] = {}
         for k, q_terms in terms[(b, c)]:
             for m, r_terms in terms[(a, k.name)]:
@@ -381,13 +367,11 @@ class ConformalAlgebra:
     def check_jacobi(self) -> AxiomReport:
         """Residual [a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]] per triple."""
         names = [g.name for g in self.generators]
-        terms = {pair: [(g, split_terms(p)) for g, p in elem.items()]
-                 for pair, elem in self._table.items()}
         entries = []
         for a in names:
             for b in names:
                 for c in names:
-                    residual = self._jacobi_residual(terms, a, b, c)
+                    residual = self._jacobi_residual(a, b, c)
                     entries.append(ReportEntry((a, b, c), residual.render(), residual.is_zero()))
         return AxiomReport("jacobi", entries)
 

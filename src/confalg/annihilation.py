@@ -18,11 +18,12 @@ per expansion term), and d lowers degree by one.  Truncating at depth N
 (degrees 0 to N-1) yields a finite-dimensional Lie algebra whose solvability
 is decided exactly over the rationals.
 
-Every reader takes a table entry as ``_pair_terms`` lists it, by
-``split_terms``: one term c x^j d^e rest k at a time, with rest a parameter
-monomial (empty at bound parameters) and c an int while it is integral.  The
-truncation applies the binomial and falling-factorial rule to these scalars
-in integer index arithmetic; ``ann_bracket`` and ``expanded_sums`` apply the
+Every reader takes a table entry as ``_pair_terms`` lists it, flattened
+from the algebra's ``entry_terms``, split once when it was built: one term
+c x^j d^e rest k at a time, with rest a parameter monomial (empty at bound
+parameters) and c an int while it is integral.  The truncation applies the
+binomial and falling-factorial rule to these scalars in integer index
+arithmetic; ``ann_bracket`` and ``expanded_sums`` apply the
 same rule and group the sums by target symbol, sorted once per label pair.
 ``render_sums`` spells such a bracket from the sums, with no ``AnnElement``
 and no polynomial.
@@ -46,7 +47,7 @@ from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
 from .poly import (PARAMETER, TEXT, Combination, Poly, Spelling, mono_mul,
-                   render_terms, scaled, signed_sum, split_terms)
+                   render_terms, scaled, signed_sum)
 from .algebra import ConformalAlgebra, Generator, is_exact_rational
 from .solve import integer_echelon
 
@@ -59,6 +60,8 @@ class AnnBasis:
     label: Fraction
 
     def __post_init__(self):
+        if not is_exact_rational(self.label):
+            raise LabelError(f"{self.gen.name} label {self.label!r} is not an int or a Fraction")
         object.__setattr__(self, "label", Fraction(self.label))
         internal = self.label + self.gen.label_offset
         if internal.denominator != 1 or internal < 0:
@@ -129,9 +132,9 @@ def _check_membership(alg: ConformalAlgebra, elem: AnnElement) -> None:
 def _pair_terms(alg: ConformalAlgebra, gname: str, hname: str) -> list:
     """The table entry [g_x h] as its terms (j, (k, rest), e, c) for
     c x^j d^e rest k: rest a monomial in parameters and c an int while it is
-    integral."""
+    integral, flattened from the entry's stored ``entry_terms``."""
     return [(j, (k, rest), e, c)
-            for k, p in alg.entry(gname, hname).items() for e, j, rest, c in split_terms(p)]
+            for k, p_terms in alg.entry_terms(gname, hname) for e, j, rest, c in p_terms]
 
 
 def _coefficient_terms(expansion, m: int, n: int) -> dict:

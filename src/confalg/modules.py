@@ -66,7 +66,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import (BindingError, DefinitionError, DiscrepancyError, DivisibilityError,
                      UnsupportedError)
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry,
-                      add_bracket_term, parse_algebra)
+                      add_bracket_term, is_exact_rational, parse_algebra)
 from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, join_terms,
                    monic_div_rem, mono_mul, split_terms)
 from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
@@ -93,6 +93,9 @@ class Rank1Action:
         for name in names:
             p = actions[name]
             if not isinstance(p, Poly):
+                if not is_exact_rational(p):
+                    raise DefinitionError(f"action of {name} is {p!r}, not a Poly, an int or a "
+                                          f"Fraction")
                 p = Poly.const(reg, p)
             if p.registry is not reg:
                 raise DefinitionError("action polynomial from a different registry")
@@ -143,9 +146,10 @@ def _rank1_terms(alg: ConformalAlgebra, terms_of: Callable[[str], list],
                  aname: str, bname: str) -> dict[tuple[int, int, int, tuple], int | Fraction]:
     """The residual of the pair (a, b) in closed form, as the dict
     ``join_terms`` reads, from ``terms_of(g)``, the ``split_terms`` of the
-    action of g, for a, b and every generator in [a_x b].  With their terms
-    written a_ij d^i x^j and b_kl d^k x^l, the three parts expand by
-    binomials:
+    action of g, for a, b and every generator in [a_x b], and from the
+    stored ``entry_terms`` of [a_x b], which it does not split again.  With
+    their terms written a_ij d^i x^j and b_kl d^k x^l, the three parts
+    expand by binomials:
       - A_a(d, x) A_b(d+x, y) adds a_ij b_kl C(k,e) d^(i+e) x^(j+k-e) y^l;
       - -A_b(d, y) A_a(d+y, x) adds -a_ij b_kl C(i,e) d^(k+e) x^j y^(l+i-e),
         whose term e = i cancels the first part's term e = k, so neither is
@@ -168,8 +172,8 @@ def _rank1_terms(alg: ConformalAlgebra, terms_of: Callable[[str], list],
             for e in range(i):
                 key = (k + e, j, l + i - e, rest)
                 acc[key] = get(key, 0) - c * comb(i, e)
-    for gen, coeff in alg.entry(aname, bname).items():
-        add_bracket_term(acc, split_terms(coeff), terms_of(gen.name))
+    for gen, p_terms in alg.entry_terms(aname, bname):
+        add_bracket_term(acc, p_terms, terms_of(gen.name))
     return acc
 
 

@@ -1,17 +1,25 @@
-"""Lambda-bracket tables, sesquilinear extension, and the axiom checks."""
+"""Lambda-bracket tables, their stored terms, parameter binding, and the
+axiom checks; the sesquilinear extension of a table is the test oracle
+``bracket``."""
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confalg.algebra import ConformalAlgebra, Generator, LambdaElement, parse_algebra
+import confalg.algebra as algebra
+import confalg.annihilation as annihilation
+import confalg.modules as modules
+from confalg.algebra import (ConformalAlgebra, Generator, LambdaElement, jth_product_of,
+                             locality_order_of, parse_algebra)
 from confalg.errors import BindingError, DefinitionError, ParseError
-from confalg.poly import Poly, parse_poly
-from confalg.presets import instantiate
+from confalg.poly import Poly, parse_poly, split_terms
+from confalg.presets import instantiate, rank1_module
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,6 +29,27 @@ def elem(alg, text_by_gen):
     reg = alg.registry
     return LambdaElement(reg, {alg.gen(name): parse_poly(reg, text)
                                for name, text in text_by_gen.items()})
+
+
+def bracket(alg, xelem, yelem):
+    """Lambda-bracket of two generators or elements with d-polynomial
+    coefficients, by the sesquilinear extension of the table: coefficients
+    of the left entry are evaluated at -x, coefficients of the right entry
+    at d + x, and multiplied into the table entry.  The oracle for what the
+    package reads off the table, by ``Poly`` substitutions and products."""
+    reg = alg.registry
+    d, lam = reg.d, reg.x
+    dx = Poly.from_var(reg, d) + Poly.from_var(reg, lam)
+    minus_lam = -Poly.from_var(reg, lam)
+    xelem, yelem = (LambdaElement.of(reg, e) if isinstance(e, Generator) else e
+                    for e in (xelem, yelem))
+    out = LambdaElement(reg)
+    for g, p in xelem.items():
+        pl = p.substitute(d, minus_lam)
+        for h, q in yelem.items():
+            qr = q.substitute(d, dx)
+            out = out + alg.entry(g.name, h.name).map_coeffs(lambda r: r * pl * qr)
+    return out
 
 
 class TestAxioms:
@@ -150,7 +179,7 @@ class TestClosedFormAxioms:
     @given(_jacobi_algebras(), st.data())
     def test_skew_image_matches_the_oracle(self, alg, data):
         elem = data.draw(_drawn_element(alg, 0, 5))
-        got = alg._skew_image(elem)
+        got = alg._skew_image([(g, split_terms(p)) for g, p in elem.items()])
         want = _substituted_skew_image(alg, elem)
         assert got == want and got.render() == want.render()
         assert all(type(c) is Fraction for _, p in got.items() for _, c in p.terms())
@@ -195,33 +224,20 @@ class TestClosedFormAxioms:
 class TestBracket:
     def test_virasoro_table(self):
         alg = instantiate("vir")
-        got = alg.bracket(alg.gen("L"), alg.gen("L"))
+        got = bracket(alg, alg.gen("L"), alg.gen("L"))
         assert got.render() == "(d + 2*x) L"
 
     def test_left_sesquilinearity_example(self):
         alg = instantiate("w")
         reg = alg.registry
         dL = elem(alg, {"L": "d"})
-        got = alg.bracket(dL, alg.gen("W"))
+        got = bracket(alg, dL, alg.gen("W"))
         want = elem(alg, {"W": "-x*(d + a*x + b)"})
         assert got == want
 
     def test_zero_entry(self):
         alg = instantiate("w")
-        assert alg.bracket(alg.gen("W"), alg.gen("W")).is_zero()
-
-    def test_foreign_generator_rejected(self):
-        alg = instantiate("vir")
-        stranger = Generator("L", Fraction(1), Fraction(0))
-        other = instantiate("w")
-        with pytest.raises(DefinitionError):
-            alg.bracket(other.gen("W"), alg.gen("L"))
-        assert alg.bracket(stranger, alg.gen("L")).render() == "(d + 2*x) L"
-
-    def test_x_dependent_input_rejected(self):
-        alg = instantiate("vir")
-        with pytest.raises(DefinitionError):
-            alg.bracket(elem(alg, {"L": "x"}), alg.gen("L"))
+        assert bracket(alg, alg.gen("W"), alg.gen("W")).is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)),
@@ -245,24 +261,22 @@ class TestBracket:
         u, v = build(left_terms), build(right_terms)
         du = u.map_coeffs(lambda p: p * Poly.from_var(reg, d))
         dv = v.map_coeffs(lambda p: p * Poly.from_var(reg, d))
-        base = alg.bracket(u, v)
+        base = bracket(alg, u, v)
         lam = Poly.from_var(reg, x)
         dpl = Poly.from_var(reg, d) + lam
-        assert alg.bracket(du, v) == base.map_coeffs(lambda p: -lam * p)
-        assert alg.bracket(u, dv) == base.map_coeffs(lambda p: dpl * p)
+        assert bracket(alg, du, v) == base.map_coeffs(lambda p: -lam * p)
+        assert bracket(alg, u, dv) == base.map_coeffs(lambda p: dpl * p)
 
 
 class TestProducts:
+    """``jth_product_of`` and ``locality_order_of`` on the oracle's brackets."""
+
     def test_w_products(self):
         alg = instantiate("w")
-        assert alg.jth_product(alg.gen("L"), alg.gen("W"), 0) == elem(alg, {"W": "d + b"})
-        assert alg.jth_product(alg.gen("L"), alg.gen("W"), 1) == elem(alg, {"W": "a"})
-        assert alg.jth_product(alg.gen("L"), alg.gen("L"), 2).is_zero()
-
-    def test_negative_index_rejected(self):
-        alg = instantiate("vir")
-        with pytest.raises(ValueError):
-            alg.jth_product(alg.gen("L"), alg.gen("L"), -1)
+        L, W = alg.gen("L"), alg.gen("W")
+        assert jth_product_of(bracket(alg, L, W), 0) == elem(alg, {"W": "d + b"})
+        assert jth_product_of(bracket(alg, L, W), 1) == elem(alg, {"W": "a"})
+        assert jth_product_of(bracket(alg, L, L), 2).is_zero()
 
     @pytest.mark.parametrize("name,pair,order", [
         ("vir", ("L", "L"), 2),
@@ -273,7 +287,7 @@ class TestProducts:
     ])
     def test_locality_orders(self, name, pair, order):
         alg = instantiate(name)
-        assert alg.locality_order(alg.gen(pair[0]), alg.gen(pair[1])) == order
+        assert locality_order_of(bracket(alg, alg.gen(pair[0]), alg.gen(pair[1]))) == order
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_products_reassemble_bracket(self, name):
@@ -282,13 +296,13 @@ class TestProducts:
         lam = Poly.from_var(reg, reg.x)
         for a, b in alg.ordered_pairs():
             g, h = alg.gen(a), alg.gen(b)
-            br = alg.bracket(g, h)
+            br = bracket(alg, g, h)
             total = LambdaElement(reg)
             fact = 1
-            for j in range(alg.locality_order(g, h)):
+            for j in range(locality_order_of(br)):
                 if j:
                     fact *= j
-                term = alg.jth_product(g, h, j)
+                term = jth_product_of(br, j)
                 total = total + term.map_coeffs(
                     lambda p: p * lam ** j * Fraction(1, fact))
             assert total == br
@@ -347,6 +361,170 @@ class TestConstruction:
         with pytest.raises(DefinitionError):
             Generator("B", Fraction(0), Fraction(1, 3))
 
+    @pytest.mark.parametrize("value", [1.0, 0.5, 0.0, True, False, "1/2", "0"])
+    @pytest.mark.parametrize("field", ["label offset", "filtration shift"])
+    def test_generator_metadata_must_be_an_int_or_a_fraction(self, field, value):
+        # A float, bool or str is refused by name, not read by Fraction's
+        # own rules (True as offset 1, "1/2" as shift 1/2).
+        args = (value, 0) if field == "label offset" else (0, value)
+        with pytest.raises(DefinitionError,
+                           match=re.escape(f"generator L: {field} {value!r} is not")):
+            Generator("L", *args)
+
+    def test_generator_metadata_reads_ints_and_fractions_exactly(self):
+        assert Generator("L", 1, 0).label_offset == Fraction(1)
+        assert Generator("Y", Fraction(1, 2), Fraction(1, 2)).filtration_shift == Fraction(1, 2)
+
+
+def _substituted_specialization(alg, bindings):
+    """``alg`` with its parameters bound by ``Poly.subs`` on every
+    coefficient: the oracle for ``specialize``, which binds on the terms
+    stored when the algebra was built."""
+    sub = {v: Fraction(bindings[v.name]) for v in alg.params}
+    table = {pair: e.map_coeffs(lambda p: p.subs(sub)) for pair, e in alg.full_table().items()}
+    values = {**alg.param_values, **{v.name: value for v, value in sub.items()}}
+    return ConformalAlgebra(alg.name, alg.registry, alg.generators, table, (),
+                            closed_ann_form=alg.closed_ann_form, param_values=values)
+
+
+# Bindings: zero, negative and fractional rationals, as ints and Fractions.
+_BINDINGS = st.one_of(st.sampled_from([0, -1, 2, Fraction(0), Fraction(-3, 2)]), _RATIONALS)
+
+
+@st.composite
+def _parametric_algebras(draw):
+    """A preset or golden table with parameters, with up to three entries
+    bumped by a term c d^i x^j m g, m a monomial of degree 2 or 3 in the
+    parameters, such as a^2 b."""
+    source = draw(st.sampled_from(["w", "wb", "tsv", "tsvc", "wbad"]))
+    if source == "wbad":
+        alg = parse_algebra((GOLDEN / "wbad.alg").read_text())
+    else:
+        alg = instantiate(source)
+    reg = alg.registry
+    d, x = Poly.from_var(reg, reg.d), Poly.from_var(reg, reg.x)
+    params = [Poly.from_var(reg, v) for v in alg.params]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(alg.ordered_pairs()))
+        first, *rest = draw(st.lists(st.sampled_from(params), min_size=2, max_size=3))
+        m = math.prod(rest, start=first)
+        c, i, j = draw(_RATIONALS), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        bump = LambdaElement(reg, {draw(st.sampled_from(alg.generators)): c * d ** i * x ** j * m})
+        alg = alg.with_entry(a, b, alg.entry(a, b) + bump)
+    return alg
+
+
+class TestSpecialize:
+    """``specialize`` binds each stored term c d^i x^j m to c m(values)
+    d^i x^j; the oracle substitutes into every coefficient."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_parametric_algebras(), st.data())
+    def test_specialize_matches_the_oracle(self, alg, data):
+        bindings = {v.name: data.draw(_BINDINGS) for v in alg.params}
+        got, want = alg.specialize(bindings), _substituted_specialization(alg, bindings)
+        assert list(got.full_table().items()) == list(want.full_table().items())
+        assert got.param_values == want.param_values
+        assert [e.render() for e in got.full_table().values()] == \
+            [e.render() for e in want.full_table().values()]
+        assert all(type(c) is Fraction
+                   for e in got.full_table().values() for _, p in e.items() for _, c in p.terms())
+        assert (got.params, got.virasoro_name) == ((), want.virasoro_name)
+
+    def test_degree_three_monomial_binds(self):
+        alg = instantiate("w")
+        bumped = alg.with_entry("L", "W", alg.entry("L", "W") + elem(alg, {"W": "a^2*b*x*d"}))
+        bound = bumped.specialize({"a": Fraction(-1, 2), "b": -2})
+        assert bound.entry("L", "W").render() == "(-1/2*d*x + d - 1/2*x - 2) W"
+        assert bound.param_values == {"a": Fraction(-1, 2), "b": Fraction(-2)}
+
+
+def _count_splits(monkeypatch) -> list:
+    """Patch ``split_terms`` in algebra, modules and annihilation to record
+    each call as (module, whether an algebra was being built, polynomial)."""
+    calls, building = [], []
+    for module in (algebra, modules, annihilation):
+        def record(p, _module=module.__name__.rsplit(".", 1)[1]):
+            calls.append((_module, bool(building), p))
+            return split_terms(p)
+        monkeypatch.setattr(module, "split_terms", record, raising=False)
+    real_init = ConformalAlgebra.__init__
+
+    def init(self, *args, **kwargs):
+        building.append(self)
+        try:
+            real_init(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(ConformalAlgebra, "__init__", init)
+    return calls
+
+
+def _coefficient_ids(alg) -> list[int]:
+    """The ids of the table's coefficients, in table and ``items`` order."""
+    return [id(p) for e in alg.full_table().values() for _, p in e.items()]
+
+
+def _test_algebras():
+    return [instantiate(name) for name in ALL_PRESETS] + \
+        [parse_algebra((GOLDEN / f"{name}.alg").read_text())
+         for name in ("broken", "wbad", "wl", "two", "heis")]
+
+
+class TestStoredTerms:
+    """A work count: each table entry is split once, when the algebra is
+    built, and every reader takes the stored terms."""
+
+    def test_construction_splits_each_coefficient_once(self, monkeypatch):
+        for alg in _test_algebras():
+            # Only the upper pairs are given, so the lower ones are skew images.
+            given = {pair: alg.entry(*pair) for pair in alg.upper_pairs()}
+            calls = _count_splits(monkeypatch)
+            built = ConformalAlgebra(alg.name, alg.registry, alg.generators, given, alg.params)
+            assert [(module, inside) for module, inside, _ in calls] == \
+                [("algebra", True)] * len(calls)
+            assert [id(p) for _, _, p in calls] == _coefficient_ids(built)
+            assert built.full_table() == alg.full_table()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("alg", _test_algebras(), ids=lambda alg: alg.name)
+    def test_readers_split_no_table_entry(self, monkeypatch, alg):
+        bound = alg.specialize({v.name: Fraction(-1, 2) for v in alg.params})
+        subs = []
+        real_subs = Poly.subs
+        monkeypatch.setattr(Poly, "subs", lambda p, *args: subs.append(p) or real_subs(p, *args))
+        calls = _count_splits(monkeypatch)
+        for target in (alg, bound):
+            axioms = target.check_skew().passed and target.check_jacobi().passed
+            graded = not annihilation.filtration_check(target)
+            annihilation.expanded_sums(target, 2)
+            if target.closed_ann_form:
+                annihilation.compare_closed_form(target, 3)
+        if axioms and graded:
+            annihilation.truncated_quotient(bound, 4)
+        assert calls == []
+        rebound = alg.specialize({v.name: Fraction(-1, 2) for v in alg.params})
+        # The bound algebra's own construction splits each of its entries once.
+        assert [(module, inside) for module, inside, _ in calls] == \
+            [("algebra", True)] * len(calls)
+        assert [id(p) for _, _, p in calls] == \
+            (_coefficient_ids(rebound) if alg.params else [])
+        assert subs == []
+
+    def test_module_readers_split_only_actions(self, monkeypatch):
+        alg = instantiate("tsv", {"a": 1, "b": 0})
+        action = rank1_module(alg, "alpha", "beta")
+        calls = _count_splits(monkeypatch)
+        assert modules.check_module(alg, action).passed
+        assert [(module, id(p)) for module, _, p in calls] == \
+            [("modules", id(p)) for _, p in action.items()]
+        calls.clear()
+        assert modules.rank1_classify(alg, 2)
+        table = set(_coefficient_ids(alg))
+        assert calls and {module for module, _, _ in calls} == {"modules"}
+        assert not any(inside or id(p) in table for _, inside, p in calls)
+
 
 class TestParser:
     def test_line_numbers_in_errors(self):
@@ -382,8 +560,8 @@ class TestParser:
         preset = instantiate("w")
         assert [g.name for g in parsed.generators] == [g.name for g in preset.generators]
         for a, b in preset.ordered_pairs():
-            got = parsed.bracket(parsed.gen(a), parsed.gen(b)).render()
-            assert got == preset.bracket(preset.gen(a), preset.gen(b)).render()
+            got = bracket(parsed, parsed.gen(a), parsed.gen(b)).render()
+            assert got == bracket(preset, preset.gen(a), preset.gen(b)).render()
 
     @pytest.mark.parametrize("option", ["offset=\u0661", "shift=\u0661", "offset=1/0",
                                         "offset=", "shift=1_/2"])

@@ -104,6 +104,19 @@ class TestLabels:
         with pytest.raises(LabelError):
             AnnBasis(tsv.gen("Y"), Fraction(0))
 
+    @pytest.mark.parametrize("value", [1.0, 0.5, True, False, "2", "1/2"])
+    def test_label_must_be_an_int_or_a_fraction(self, value):
+        # A float, bool or str is refused by name: True is not W_1 and "2"
+        # is not W_2.
+        w = instantiate("w")
+        with pytest.raises(LabelError, match=re.escape(f"W label {value!r} is not")):
+            AnnBasis(w.gen("W"), value)
+
+    def test_labels_read_ints_and_fractions_exactly(self):
+        tsv = instantiate("tsv")
+        assert [str(AnnBasis(tsv.gen("L"), 2)), str(AnnBasis(tsv.gen("Y"), Fraction(-1, 2)))] \
+            == ["L_2", "Y_-1/2"]
+
 
 class TestElements:
     def test_render_orders_and_signs(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -283,6 +284,18 @@ class TestRank1Action:
         reg = vir.registry
         with pytest.raises(DefinitionError):
             Rank1Action(vir, {"L": Poly.from_var(reg, reg.y)})
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, False, "1/2", "0"])
+    def test_constant_action_must_be_an_int_or_a_fraction(self, value):
+        # A float, bool or str is refused by name: not a TypeError from
+        # Poly.const, and True does not act by 1.
+        w = instantiate("w", {"a": 1, "b": 0})
+        with pytest.raises(DefinitionError, match=re.escape(f"action of L is {value!r}, not")):
+            Rank1Action(w, {"L": value, "W": 0})
+
+    def test_constant_actions_read_ints_and_fractions_exactly(self):
+        w = instantiate("w", {"a": 1, "b": 0})
+        assert Rank1Action(w, {"L": 0, "W": Fraction(-3, 2)}).render() == "L -> 0; W -> -3/2"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -15,7 +15,7 @@ from confalg import (
     rank1_module,
     zero_module,
 )
-from confalg.algebra import LambdaElement
+from confalg.algebra import LambdaElement, jth_product_of, locality_order_of
 from confalg.annihilation import AnnBasis, AnnElement, render_sums
 from confalg.poly import Poly
 from confalg.report import (
@@ -30,6 +30,7 @@ from confalg.report import (
     render_tex,
     render_text,
 )
+from test_algebra import bracket
 
 
 @pytest.fixture
@@ -174,19 +175,17 @@ class TestBuildReport:
         assert len(calls) == 9
 
     @pytest.mark.parametrize("name", ["tsvc", "w"])
-    def test_locality_and_products_are_read_off_the_table(self, monkeypatch, name):
+    def test_locality_and_products_are_read_off_the_table(self, name):
         """Each upper pair's locality order and j-th products come from its
-        table entry, with no ``bracket`` call, and agree with the methods."""
+        table entry and agree with those of the sesquilinear ``bracket``
+        oracle."""
         alg = instantiate(name)
         pairs = alg.upper_pairs()
-        orders = [alg.locality_order(alg.gen(a), alg.gen(b)) for a, b in pairs]
-        products = [{"pair": [a, b], "j": j,
-                     "value": alg.jth_product(alg.gen(a), alg.gen(b), j).render()}
-                    for (a, b), order in zip(pairs, orders) for j in range(order)]
-        calls = []
-        monkeypatch.setattr(type(alg), "bracket", lambda *args: calls.append(args))
+        brackets = [bracket(alg, alg.gen(a), alg.gen(b)) for a, b in pairs]
+        orders = [locality_order_of(br) for br in brackets]
+        products = [{"pair": [a, b], "j": j, "value": jth_product_of(br, j).render()}
+                    for (a, b), br, order in zip(pairs, brackets, orders) for j in range(order)]
         data = build_report(alg)
-        assert calls == []
         assert data["locality"] == [{"pair": [a, b], "order": order}
                                     for (a, b), order in zip(pairs, orders)]
         assert data["jth_products"] == products

@@ -64,14 +64,58 @@ def _references(tree: ast.AST) -> Counter:
                    or isinstance(node, ast.Attribute))
 
 
+def _unrelated_private_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Each private method name that two module-level classes define where
+    neither inherits it from a package class that defines it: a hook
+    overridden in subclasses has one such root, the base.  References are
+    counted by name, so only one family of classes may own a name."""
+    classes = {node.name: (filename, node) for filename, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def private_methods(node: ast.ClassDef) -> set[str]:
+        return {m.name for m in node.body if isinstance(m, ast.FunctionDef)
+                and m.name.startswith("_") and not m.name.startswith("__")}
+
+    def inherits(node: ast.ClassDef, name: str) -> bool:
+        bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                 for b in node.bases]
+        return any(base in classes and (name in private_methods(classes[base][1])
+                                        or inherits(classes[base][1], name))
+                   for base in bases)
+
+    roots: dict[str, list[str]] = {}
+    for cname, (filename, node) in classes.items():
+        for name in sorted(private_methods(node)):
+            if not inherits(node, name):
+                roots.setdefault(name, []).append(f"{filename}:{cname}")
+    return [f"{name}: {', '.join(owners)}" for name, owners in sorted(roots.items())
+            if len(owners) > 1]
+
+
+def test_unrelated_private_methods_are_named():
+    source = ("class Base:\n    def _hook(self): pass\n"
+              "class Sub(Base):\n    def _hook(self): pass\n"
+              "class Leaf(Sub):\n    def _hook(self): pass\n"
+              "class Other:\n    def _hook(self): pass\n    def _own(self): pass\n")
+    trees = {"a.py": ast.parse(source),
+             "b.py": ast.parse("class Far:\n    def _own(self): pass\n")}
+    assert _unrelated_private_methods(trees) == ["_hook: a.py:Base, a.py:Other",
+                                                 "_own: a.py:Other, b.py:Far"]
+    del trees["b.py"]
+    trees["a.py"].body.pop()
+    assert _unrelated_private_methods(trees) == []
+
+
 def test_private_names_are_referenced():
     """Every private module-level function, class or constant, every private
     method of a module-level class, and every public module-level function
     or class that ``confalg`` does not export, is read somewhere in the
     package outside its own definition, so a deletion leaves no orphan
-    helper behind."""
+    helper behind.  A private method name belongs to one class and its
+    overrides, so a read of the name is a read of that method."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(confalg.__file__).parent.glob("*.py"))}
+    assert _unrelated_private_methods(trees) == []
     used = sum((_references(tree) for tree in trees.values()), Counter())
     exported = set(confalg.__all__)
     orphans = []
