@@ -60,7 +60,9 @@ class Generator:
     (internal index = label + offset); ``filtration_shift`` relates labels to
     filtration degrees (degree = label - shift).  The standard relabelings use
     offset 1 for Virasoro-type generators, 1/2 for odd generators indexed by
-    half-integers, and 0 otherwise.  Both must be ``is_exact_rational``.
+    half-integers, and 0 otherwise.  Both must be ``is_exact_rational``, and
+    the name must be a str that ``poly.is_name`` accepts, as ``parse_algebra``
+    demands of a ``gen`` line.
     """
 
     name: str
@@ -68,6 +70,8 @@ class Generator:
     filtration_shift: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and is_name(self.name)):
+            raise DefinitionError(f"generator name {self.name!r} is not an identifier")
         for field in ("label_offset", "filtration_shift"):
             value = getattr(self, field)
             if not is_exact_rational(value):

@@ -93,14 +93,21 @@ class AnnElement(Combination):
     """Finite rational-coefficient combination of coefficient-algebra symbols.
 
     Coefficients are polynomials in the declared parameters only, so bracket
-    tables can be compared symbolically before parameters are bound.  Terms
-    are listed by generator name, then label, and rendered as a signed sum.
+    tables can be compared symbolically before parameters are bound; a
+    constant may also be given as an int or a Fraction
+    (``algebra.is_exact_rational``).  Terms are listed by generator name,
+    then label, and rendered as a signed sum.
     """
 
     __slots__ = ()
 
     def _coefficient(self, basis: AnnBasis, c: Poly | Fraction | int) -> Poly:
-        p = super()._coefficient(basis, c if isinstance(c, Poly) else Poly.const(self.registry, c))
+        if not isinstance(c, Poly):
+            if not is_exact_rational(c):
+                raise DefinitionError(f"coefficient of {basis} is {c!r}, not a Poly, an int "
+                                      f"or a Fraction")
+            c = Poly.const(self.registry, c)
+        p = super()._coefficient(basis, c)
         for v in p.variables():
             if v.kind != PARAMETER:
                 raise DefinitionError(

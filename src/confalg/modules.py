@@ -23,6 +23,12 @@ is ``algebra.add_bracket_term``, shared with the Jacobi identity.
 Submodules need no solving: a monic nonconstant p(d) generates one iff p
 divides G(d), the gcd in Q[d] of all x-coefficients of all A_g (p(r + x) is
 nonzero at a root r of p), so C[d]v is irreducible iff G is a nonzero constant.
+That work is univariate in d, so it runs on dense coefficient lists
+(constant first) divided by ``solve.dense_div_rem``, the division behind
+the Sturm search: G by Euclid, its roots' multiplicities, each divisor, and
+the induced action's quotients of A_g(d, x) p(d + x) by p(d), one list per
+x-power and parameter monomial.  ``Poly``s are built only for what is
+returned or named in an error.
 
 Classification is staged.  The Virasoro generator acts by f = 0 or by
 f = d + alpha*x + beta (the completeness of this list is itself checkable
@@ -64,12 +70,12 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import (BindingError, DefinitionError, DiscrepancyError, DivisibilityError,
-                     UnsupportedError)
+                     NonMonicDivisorError, UnsupportedError)
 from .algebra import (AxiomReport, ConformalAlgebra, Generator, ReportEntry,
                       add_bracket_term, is_exact_rational, parse_algebra)
-from .poly import (PARAMETER, Poly, Registry, Var, group_coefficients, join_terms,
-                   monic_div_rem, mono_mul, split_terms)
-from .solve import SolutionFamily, SolutionSet, rational_roots, solve_system
+from .poly import (PARAMETER, Mono, Poly, Registry, Var, group_coefficients, join_terms,
+                   mono_mul, split_terms)
+from .solve import SolutionFamily, SolutionSet, dense_div_rem, rational_roots, solve_system
 
 
 class Rank1Action:
@@ -590,6 +596,53 @@ def _require_bound_action(action: Rank1Action) -> None:
         raise UnsupportedError(f"bind module parameters {stray} before scanning")
 
 
+def _d_lists(p: Poly) -> dict[tuple[int, Mono], list]:
+    """``p``, which uses no formal variable but d and x, as dense lists in d
+    (constant first, ints while integral, no trailing zeros) keyed by
+    (x-power, parameter monomial): the coefficients ``_extract(p, (d,))``
+    reads as ``Poly``s."""
+    lists: dict[tuple[int, Mono], list] = {}
+    for i, j, rest, c in split_terms(p):
+        row = lists.get((j, rest)) or lists.setdefault((j, rest), [])
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] = c
+    return lists
+
+
+def _d_poly(reg: Registry, coeffs: Sequence) -> Poly:
+    """The polynomial in d with the dense coefficient list ``coeffs``."""
+    return join_terms(reg, {(i, 0, 0, ()): c for i, c in enumerate(coeffs)})
+
+
+def _shifted_quotients(action: Rank1Action, monic: list):
+    """Per generator g, A_g(d, x) p(d + x) divided by the monic p(d) with
+    dense coefficient list ``monic``: (g, quotient, remainder), both dicts
+    ``join_terms`` reads.  p(d + x) is expanded by binomials once, as lists
+    in d keyed by x-power; each term c d^i x^j m of A_g adds c d^i times
+    each of them into the product's list keyed by (x-power, parameter
+    monomial m).  A divisor in d alone divides each list on its own, so
+    ``dense_div_rem`` on each gives the quotient and remainder
+    ``monic_div_rem`` gives on the whole product."""
+    comb, n = math.comb, len(monic) - 1
+    shift = [[comb(i + k, k) * monic[i + k] for i in range(n + 1 - k)] for k in range(n + 1)]
+    for g, a in action.items():
+        products: dict[tuple[int, Mono], list] = {}
+        for i, j, rest, c in split_terms(a):
+            for k, column in enumerate(shift):
+                row = products.get((j + k, rest)) or products.setdefault((j + k, rest), [])
+                row.extend([0] * (i + len(column) - len(row)))
+                for e, s in enumerate(column):
+                    row[i + e] += c * s
+        quotient, remainder = {}, {}
+        for (j, rest), row in products.items():
+            while row and row[-1] == 0:
+                row.pop()
+            q, r = dense_div_rem(row, monic)
+            quotient.update(((i, j, 0, rest), c) for i, c in enumerate(q))
+            remainder.update(((i, j, 0, rest), c) for i, c in enumerate(r))
+        yield g, quotient, remainder
+
+
 def induced_action(alg: ConformalAlgebra, action: Rank1Action,
                    divisor: Poly) -> Rank1Action:
     """Action induced on the submodule generated by ``divisor``(d) v.
@@ -598,27 +651,31 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
     divisible by divisor(d); the quotients form the induced action, which is
     re-certified before being returned.  When it fails, the source action is
     checked too, and a source that is no module is named as the culprit.
+    The division runs on dense coefficient lists in d
+    (``_shifted_quotients``); ``Poly``s are built only for the quotients
+    and for a remainder that refutes the divisor.
     """
     _require_own_action(alg, action)
     reg = alg.registry
-    d, x = reg.d, reg.x
     if divisor.registry is not reg:
         raise DefinitionError("divisor from a different registry")
-    if any(v is not d for v in divisor.variables()):
+    if any(v is not reg.d for v in divisor.variables()):
         raise DefinitionError("divisor must be a polynomial in d alone")
     if divisor.is_constant():
         if divisor.constant_value() != 1:
             raise DefinitionError("a constant divisor must be the unit 1")
         return action
-    shift = divisor.substitute(d, Poly.from_var(reg, d) + Poly.from_var(reg, x))
+    (monic,) = _d_lists(divisor).values()
+    if monic[-1] != 1:
+        raise NonMonicDivisorError(
+            f"divisor is not monic in d: leading coefficient {monic[-1]}")
     quotients = {}
-    for g, p in action.items():
-        q, r = monic_div_rem(p * shift, divisor, d)
-        if not r.is_zero():
+    for g, quotient, remainder in _shifted_quotients(action, monic):
+        if remainder:
             raise DivisibilityError(
                 f"{divisor} does not generate a submodule: the action of {g} "
-                f"leaves remainder {r}")
-        quotients[g] = q
+                f"leaves remainder {join_terms(reg, remainder)}")
+        quotients[g] = join_terms(reg, quotient)
     induced = Rank1Action(alg, quotients)
     failures = check_module(alg, induced).failures()
     if failures:
@@ -632,30 +689,53 @@ def induced_action(alg: ConformalAlgebra, action: Rank1Action,
     return induced
 
 
+def _submodule_gcd(action: Rank1Action) -> list:
+    """G(d), the monic gcd in Q[d] of every x-coefficient of every action,
+    as a dense coefficient list; the empty list when the action is zero.
+    Euclid runs on each action's ``_d_lists``, keeping the running gcd
+    monic; the monic gcd is unique, so the order of the lists is free."""
+    g: list = []
+    for _, p in action.items():
+        for c in _d_lists(p).values():
+            while c:
+                if c[-1] != 1:
+                    scale = Fraction(1) / c[-1]
+                    c = [v * scale for v in c]
+                g, c = c, dense_div_rem(g, c)[1]
+    return g
+
+
 def _submodule_generators(action: Rank1Action, max_degree: int) -> list[Poly]:
     """The monic divisors of G(d) of degree 1..max_degree, from G's rational roots,
-    in the order ``submodules`` prints: by degree, then by rendered coefficients."""
+    in the order ``submodules`` prints: by degree, then by rendered coefficients.
+
+    G, each root's multiplicity (by division by d - r) and each divisor are
+    dense coefficient lists in d, and the sort key is read off the lists;
+    each divisor's ``Poly`` is made straight from its list, with no product."""
     reg = action.algebra.registry
-    d, dp = reg.d, Poly.from_var(reg, reg.d)
-    g = Poly.zero(reg)  # Euclid in Q[d], keeping the running gcd monic
-    for _, p in action.items():
-        for c in _extract(p, (d,)):
-            while not c.is_zero():
-                c = c / c.coeff_of(d, c.degree(d)).constant_value()
-                g, c = c, monic_div_rem(g, c, d)[1]
-    if g.is_zero():
+    g = _submodule_gcd(action)
+    if not g:
         raise UnsupportedError("the action is zero: every monic polynomial generates a submodule")
     roots, rest = [], g
-    for r in rational_roots([g.coeff_of(d, k).constant_value() for k in range(g.degree(d) + 1)]):
-        while (division := monic_div_rem(rest, dp - r, d))[1].is_zero():
+    for r in rational_roots(g):
+        while not (division := dense_div_rem(rest, [-r, 1]))[1]:
             roots.append(r)
             rest = division[0]
-    if not rest.is_constant():
-        raise UnsupportedError(f"the submodule gcd {g} has a factor with no rational root")
-    divisors = {math.prod((dp - r for r in chosen), start=Poly.one(reg))
-                for k in range(1, max_degree + 1) for chosen in itertools.combinations(roots, k)}
-    return sorted(divisors, key=lambda p: (p.degree(d), "{%s}" % "; ".join(
-        f"t{i} = {p.coeff_of(d, i)}" for i in range(p.degree(d)))))
+    if len(rest) > 1:
+        raise UnsupportedError(
+            f"the submodule gcd {_d_poly(reg, g)} has a factor with no rational root")
+    divisors = []
+    for chosen in dict.fromkeys(c for k in range(1, max_degree + 1)
+                                for c in itertools.combinations(roots, k)):
+        p = [1]  # the product of d - r over the chosen roots r
+        for r in chosen:
+            p = [0] + p
+            for k in range(len(p) - 1):
+                p[k] -= r * p[k + 1]
+        divisors.append(p)
+    divisors.sort(key=lambda p: (len(p) - 1, "{%s}" % "; ".join(
+        f"t{i} = {c}" for i, c in enumerate(p[:-1]))))
+    return [_d_poly(reg, p) for p in divisors]
 
 
 def submodule_scan(alg: ConformalAlgebra, action: Rank1Action,

@@ -197,17 +197,24 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return sorted(set(roots))
 
 
-def _poly_rem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense coefficient lists (constant first, no trailing
-    zeros, q nonzero); the zero polynomial is the empty list."""
-    rem = list(p)
-    while len(rem) >= len(q):
-        c, shift = rem[-1] / q[-1], len(rem) - len(q)
-        for k, qc in enumerate(q):
-            rem[shift + k] -= c * qc
+def dense_div_rem(p: Sequence[Fraction | int],
+                  q: Sequence[Fraction | int]) -> tuple[list, list]:
+    """Quotient and remainder of dense coefficient lists in one variable
+    (constant first, ints or Fractions, no trailing zeros, q nonzero); the
+    zero polynomial is the empty list.  A monic q is never divided by, so
+    int lists divided by a monic int q stay ints."""
+    rem, n = list(p), len(q) - 1
+    scale = None if q[-1] == 1 else Fraction(1) / q[-1]
+    quot = [0] * max(len(rem) - n, 0)
+    while len(rem) > n:
+        c = rem.pop() if scale is None else rem.pop() * scale
+        shift = len(rem) - n
+        quot[shift] = c
+        for k in range(n):
+            rem[shift + k] -= c * q[k]
         while rem and rem[-1] == 0:
             rem.pop()
-    return rem
+    return quot, rem
 
 
 def _derivative(p: list) -> list:
@@ -237,7 +244,7 @@ def _integer_roots(ints: list[int]) -> list[Fraction]:
     monic = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     sturm = [[Fraction(c) for c in monic], [Fraction(c) for c in _derivative(monic)]]
     while True:
-        rem = _poly_rem(sturm[-2], sturm[-1])
+        rem = dense_div_rem(sturm[-2], sturm[-1])[1]
         if not rem:
             break
         sturm.append([-c for c in rem])

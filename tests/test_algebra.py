@@ -371,6 +371,14 @@ class TestConstruction:
                            match=re.escape(f"generator L: {field} {value!r} is not")):
             Generator("L", *args)
 
+    @pytest.mark.parametrize("name", [5, None, b"L", "", "2x", "L W", "L'"])
+    def test_generator_name_must_be_an_identifier(self, name):
+        # The rule parse_algebra applies to a gen line; Generator(5) used to
+        # be built, and str() of it raised TypeError.
+        with pytest.raises(DefinitionError,
+                           match=re.escape(f"generator name {name!r} is not an identifier")):
+            Generator(name)
+
     def test_generator_metadata_reads_ints_and_fractions_exactly(self):
         assert Generator("L", 1, 0).label_offset == Fraction(1)
         assert Generator("Y", Fraction(1, 2), Fraction(1, 2)).filtration_shift == Fraction(1, 2)

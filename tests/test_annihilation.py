@@ -167,6 +167,20 @@ class TestElements:
         e = AnnElement(w.registry, {basis(w, "L", 0): Fraction(0)})
         assert e.is_zero()
 
+    @pytest.mark.parametrize("value", [True, False, 0.5, 1.0, "1/2", "2"])
+    def test_coefficient_must_be_an_int_or_a_fraction(self, value):
+        # A bool, float or str is refused by name, not read as 1, 0 or by
+        # Poly.const's untyped TypeError.
+        w = instantiate("w")
+        with pytest.raises(DefinitionError,
+                           match=re.escape(f"coefficient of W_1 is {value!r}, not a Poly")):
+            AnnElement(w.registry, {basis(w, "W", 1): value})
+
+    def test_int_and_fraction_coefficients_are_read_exactly(self):
+        w = instantiate("w")
+        e = AnnElement(w.registry, {basis(w, "W", 1): 2, basis(w, "L", 0): Fraction(-1, 2)})
+        assert e.render() == "-1/2*L_0 + 2*W_1"
+
     def test_non_parameter_coefficient_rejected(self):
         from confalg import Poly
         w = instantiate("w")

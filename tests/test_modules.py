@@ -40,8 +40,11 @@ from confalg import (
     zero_module,
 )
 from confalg import modules
+from confalg import poly as poly_module
 from confalg import solve as solve_module
 from confalg.algebra import LambdaElement, parse_algebra
+from confalg.errors import NonMonicDivisorError
+from confalg.poly import group_coefficients, join_terms, monic_div_rem
 from confalg.solve import SolutionFamily, SolutionSet, solve_system
 
 
@@ -1227,6 +1230,197 @@ class TestSubmoduleGcd:
         action = Rank1Action(vir, {"L": parse_poly(reg, "(d^2 + 1)*(d - 1)*(x + 1)")})
         with pytest.raises(UnsupportedError, match=r"d\^3 - d\^2 \+ d - 1"):
             submodule_scan(vir, action, 3)
+
+
+def _reference_gcd(action):
+    """G(d) by Euclid on ``Poly``s with ``monic_div_rem``: the old body of
+    the scan's gcd, the oracle for ``_submodule_gcd``."""
+    reg = action.algebra.registry
+    d = reg.d
+    g = Poly.zero(reg)
+    for _, p in action.items():
+        for c in group_coefficients(p, (d,)).values():
+            while not c.is_zero():
+                c = c / c.coeff_of(d, c.degree(d)).constant_value()
+                g, c = c, monic_div_rem(g, c, d)[1]
+    return g
+
+
+def _reference_generators(action, max_degree):
+    """The old ``_submodule_generators`` body: root multiplicities by
+    ``monic_div_rem`` and each divisor a product of ``Poly``s."""
+    reg = action.algebra.registry
+    d, dp = reg.d, Poly.from_var(reg, reg.d)
+    g = _reference_gcd(action)
+    if g.is_zero():
+        raise UnsupportedError("the action is zero: every monic polynomial generates a submodule")
+    roots, rest = [], g
+    for r in solve_module.rational_roots(
+            [g.coeff_of(d, k).constant_value() for k in range(g.degree(d) + 1)]):
+        while (division := monic_div_rem(rest, dp - r, d))[1].is_zero():
+            roots.append(r)
+            rest = division[0]
+    if not rest.is_constant():
+        raise UnsupportedError(f"the submodule gcd {g} has a factor with no rational root")
+    divisors = {math.prod((dp - r for r in chosen), start=Poly.one(reg))
+                for k in range(1, max_degree + 1) for chosen in itertools.combinations(roots, k)}
+    return sorted(divisors, key=lambda p: (p.degree(d), "{%s}" % "; ".join(
+        f"t{i} = {p.coeff_of(d, i)}" for i in range(p.degree(d)))))
+
+
+def _reference_division(action, divisor):
+    """Per generator, (g, quotient, remainder) of ``monic_div_rem(A_g *
+    divisor(d + x), divisor, d)``: the old body of ``induced_action``'s
+    division."""
+    reg = action.algebra.registry
+    d = reg.d
+    shift = divisor.substitute(d, Poly.from_var(reg, d) + Poly.from_var(reg, reg.x))
+    return [(g, *monic_div_rem(p * shift, divisor, d)) for g, p in action.items()]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the text of the UnsupportedError it raises."""
+    try:
+        return fn(*args)
+    except UnsupportedError as exc:
+        return str(exc)
+
+
+# x-parts c d^i x^j m, m a monomial in the module parameters alpha and beta.
+_PARAM_MONOS = ["1", "alpha", "beta", "alpha*beta", "alpha^2"]
+_PARAM_PART = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(_PARAM_MONOS)),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]), max_size=4)
+
+
+def _param_action(alg, roots, parts):
+    """Each generator acts by prod_r (d - r) times its x-part, whose terms
+    may carry parameter monomials, so several lists share an x-power."""
+    reg = alg.registry
+    g0 = parse_poly(reg, "*".join(f"(d - ({r}))" for r in roots) or "1")
+    return Rank1Action(alg, {
+        gen.name: g0 * sum((c * parse_poly(reg, f"d^{i}*x^{j}*{m}")
+                            for (i, j, m), c in part.items()), Poly.zero(reg))
+        for gen, part in zip(alg.generators, parts)})
+
+
+def _param_algebra():
+    alg = instantiate("w", {"a": 1, "b": 0})
+    alg.registry.params("alpha", "beta")
+    return alg
+
+
+class TestDenseKernel:
+    """The submodule scan and the induced action divide dense coefficient
+    lists in d; ``monic_div_rem`` on ``Poly``s and the old scan body are the
+    oracles, on actions whose x-parts carry parameter monomials."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROOTS, st.lists(_PARAM_PART, min_size=2, max_size=2),
+           st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]),
+                    min_size=1, max_size=3))
+    def test_division_matches_monic_div_rem(self, roots, parts, divisor_roots):
+        alg = _param_algebra()
+        reg = alg.registry
+        action = _param_action(alg, roots, parts)
+        divisor = parse_poly(reg, "*".join(f"(d - ({r}))" for r in divisor_roots))
+        monic = [divisor.coeff_of(reg.d, i).constant_value()
+                 for i in range(divisor.degree(reg.d) + 1)]
+        want = _reference_division(action, divisor)
+        got = [(g, join_terms(reg, q), join_terms(reg, r))
+               for g, q, r in modules._shifted_quotients(action, monic)]
+        assert got == want
+        refuted = [(g, r) for g, _, r in want if not r.is_zero()]
+        if refuted:
+            g, r = refuted[0]
+            with pytest.raises(DivisibilityError) as caught:
+                induced_action(alg, action, divisor)
+            assert str(caught.value) == (f"{divisor} does not generate a submodule: the "
+                                         f"action of {g} leaves remainder {r}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROOTS, st.lists(_PARAM_PART, min_size=2, max_size=2), st.integers(1, 3))
+    def test_gcd_and_divisor_order_match_the_poly_scan(self, roots, parts, bound):
+        action = _param_action(_param_algebra(), roots, parts)
+        reg = action.algebra.registry
+        g = _reference_gcd(action)
+        assert modules._submodule_gcd(action) == \
+            [g.coeff_of(reg.d, i).constant_value() for i in range(g.degree(reg.d) + 1)]
+        assert _outcome(modules._submodule_generators, action, bound) == \
+            _outcome(_reference_generators, action, bound)
+
+    def test_repeated_and_fractional_roots(self):
+        """G = (d + 1)^2 (d - 1/2): its divisors in print order (by degree,
+        then by the rendered coefficients as strings), each dividing the
+        action through the dense kernel as it does through the oracle."""
+        alg = _param_algebra()
+        reg = alg.registry
+        action = Rank1Action(alg, {"L": parse_poly(reg, "(d + 1)^2*(d - 1/2)*(x + alpha)"),
+                                   "W": parse_poly(reg, "(d + 1)^3*(d - 1/2)*beta*x^2")})
+        found = modules._submodule_generators(action, 3)
+        assert [str(p) for p in found] == [
+            "d - 1/2", "d + 1", "d^2 + 1/2*d - 1/2", "d^2 + 2*d + 1",
+            "d^3 + 3/2*d^2 - 1/2"]
+        assert found == _reference_generators(action, 3)
+        for divisor in found:
+            monic = [divisor.coeff_of(reg.d, i).constant_value()
+                     for i in range(divisor.degree(reg.d) + 1)]
+            assert [(g, join_terms(reg, q), join_terms(reg, r)) for g, q, r in
+                    modules._shifted_quotients(action, monic)] == \
+                _reference_division(action, divisor)
+
+    def test_non_monic_divisor_keeps_its_refusal(self, vir):
+        for text, lead in (("2*d + 1", "2"), ("1/2*d^2 - d", "1/2"), ("-d", "-1")):
+            with pytest.raises(NonMonicDivisorError,
+                               match=re.escape(f"divisor is not monic in d: leading "
+                                               f"coefficient {lead}")):
+                induced_action(vir, named_module(vir, "M_0_2"), parse_poly(vir.registry, text))
+
+    def test_no_division_or_product_of_polys(self, monkeypatch):
+        """``submodule_scan``, ``irreducibility_verdict`` and
+        ``induced_action`` make no ``monic_div_rem`` call and no ``Poly``
+        product on vir, w, tsv and tsvc modules (built before counting)."""
+        cases = []
+        for preset, bindings in [("vir", None), ("w", {"a": 1, "b": 0}),
+                                 ("w", {"a": 2, "b": 1}), ("tsv", {"a": 1, "b": 0}),
+                                 ("tsvc", {"c": 1})]:
+            alg = instantiate(preset, bindings)
+            carrier = gamma_carrier(alg) is not None
+            for a0, b0 in itertools.product((0, 1, Fraction(1, 2)), (0, 2, Fraction(-3, 2))):
+                for c0 in ((0, 1) if carrier else (None,)):
+                    cases.append((alg, rank1_module(alg, a0, b0, c0),
+                                  parse_poly(alg.registry, f"d + ({b0})"),
+                                  parse_poly(alg.registry, "d^2 + 7")))
+        counts = Counter()
+        real_div, real_mul = monic_div_rem, Poly.__mul__
+
+        def counted_div(*args):
+            counts["monic_div_rem"] += 1
+            return real_div(*args)
+
+        def counted_mul(self, other):
+            counts["Poly.__mul__"] += 1
+            return real_mul(self, other)
+
+        for module in (poly_module, modules, solve_module):
+            if hasattr(module, "monic_div_rem"):
+                monkeypatch.setattr(module, "monic_div_rem", counted_div)
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+        witnesses = 0
+        for alg, action, divisor, non_divisor in cases:
+            try:
+                found = submodule_scan(alg, action, 3)
+            except UnsupportedError:  # the zero action
+                found = []
+            witnesses += len(found)
+            irreducibility_verdict(alg, action, 3)
+            if found:
+                induced_action(alg, action, divisor)
+            with pytest.raises(DivisibilityError):
+                induced_action(alg, action, non_divisor)
+        assert witnesses > 0
+        assert counts == Counter()
 
 
 class TestInducedAction:
