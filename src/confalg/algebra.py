@@ -17,8 +17,8 @@ Axioms checked here, with residuals reported per pair or triple:
 
 Both residuals are computed in closed form, with no ``Poly`` product or
 substitution.  Table coefficients use only d, x and parameters, so each is
-split once into terms c d^i x^j m (m a parameter monomial, c an int while it
-is integral, see ``poly.split_terms``).  The skew image of a term is
+kept as terms c d^i x^j m (m a parameter monomial, c an int while it is
+integral, see ``poly.split_terms``).  The skew image of a term is
 -c d^i (-(x + d))^j, expanded by C(j, t); each double bracket of the Jacobi
 identity is a product of two coefficients with some variables shifted, and
 expands by binomials term by term (``_jacobi_residual`` lists the three).
@@ -30,11 +30,14 @@ generator keyed by the exponents of d, x and y and the parameter monomial,
 and ``poly.join_terms`` turns the nonzero ones into the same canonical
 ``Poly`` that substituting and multiplying would give.
 
-Each entry is split so once, when the algebra is built, and kept with the
-table for both orders of every pair (``entry_terms``): the skew completion,
-both axiom checks, the module identity in ``modules`` and the expansions in
-``annihilation`` read that list, and ``specialize`` binds parameters on its
-terms.
+The table is kept only as these term lists, one per ordered pair
+(``entry_terms``).  A given entry is split into them once, when the
+algebra is built; a skew completion is written straight as terms
+(``_skew_terms``), and ``specialize`` binds parameters on the stored terms
+and hands its term lists to the constructor, so neither splits anything.  Both axiom checks, the module
+identity in ``modules`` and the expansions in ``annihilation`` read those
+lists; ``entry`` and ``full_table`` join them into ``LambdaElement``s only
+for a caller that prints or compares one.
 """
 
 from __future__ import annotations
@@ -140,13 +143,16 @@ class AxiomReport:
 class ConformalAlgebra:
     """A finite Lie conformal algebra given by its lambda-bracket table.
 
-    ``virasoro_name`` is detected from the table, never declared: it names
-    the first generator g with [g_x g] = (d + 2x) g, or is None.
+    Each entry of ``table`` is a ``LambdaElement`` or a list as
+    ``entry_terms`` returns one.  ``virasoro_name`` is detected from the
+    table, never declared: it names the first generator g with
+    [g_x g] = (d + 2x) g, or is None.
     """
 
     def __init__(self, name: str, registry: Registry, generators: Sequence[Generator],
-                 table: Mapping[tuple[str, str], LambdaElement], params: Sequence[Var] = (),
-                 *, closed_ann_form=None, param_values: Mapping[str, Fraction] | None = None):
+                 table: Mapping[tuple[str, str], "LambdaElement | list"],
+                 params: Sequence[Var] = (), *, closed_ann_form=None,
+                 param_values: Mapping[str, Fraction] | None = None):
         self.name = name
         self.registry = registry
         self.generators = tuple(generators)
@@ -160,76 +166,67 @@ class ConformalAlgebra:
             if v.kind != PARAMETER:
                 raise DefinitionError(f"{v.name} is not a parameter variable")
         self._by_name = {g.name: g for g in self.generators}
-        self._table, self._terms = self._build_table(table)
+        self._terms = self._build_terms(table)
         self.virasoro_name = self._detect_virasoro()
 
     # ---- construction helpers -----------------------------------------
 
-    def _validate_entry(self, pair, elem: LambdaElement) -> None:
-        allowed = {self.registry.d.index, self.registry.x.index}
-        allowed.update(v.index for v in self.params)
-        for g, p in elem.items():
+    def _validate_entry(self, pair, terms) -> None:
+        allowed = {v.index for v in self.params}
+        for g, p_terms in terms:
             if g.name not in self._by_name or self._by_name[g.name] != g:
                 raise DefinitionError(f"bracket {pair} uses foreign generator {g.name}")
-            for v in p.variables():
-                if v.index not in allowed:
-                    raise DefinitionError(
-                        f"bracket {pair} coefficient uses {v.name}; only d, x and "
-                        f"declared parameters are allowed")
+            # split_terms leaves every variable but d and x in the monomial
+            foreign = {k for _, _, rest, _ in p_terms for k, _ in rest if k not in allowed}
+            if foreign:
+                raise DefinitionError(
+                    f"bracket {pair} coefficient uses {self.registry.name_of(min(foreign))}; "
+                    f"only d, x and declared parameters are allowed")
 
-    def _skew_image(self, terms) -> LambdaElement:
-        """``-elem`` with x -> -(x + d), in closed form, from ``terms``, the
-        element as ``entry_terms`` lists one: a term c d^i x^j becomes
-        -(-1)^j c C(j, t) d^(i+j-t) x^t for t = 0..j."""
-        comb = math.comb
-        out = {}
-        for g, p_terms in terms:
-            acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
-            get = acc.get
-            for i, j, rest, c in p_terms:
-                sign = c if j % 2 else -c
-                for t in range(j + 1):
-                    key = (i + j - t, t, 0, rest)
-                    acc[key] = get(key, 0) + sign * comb(j, t)
-            out[g] = join_terms(self.registry, acc)
-        return LambdaElement(self.registry, out)
-
-    def _build_table(self, given):
+    def _build_terms(self, given):
         """Validate ``given`` and complete each pair given in one order only
-        by its skew image; see the module docstring.  Returns the table and
-        each entry split once, as ``entry_terms`` lists it."""
+        by its skew image; see the module docstring.  Returns every entry
+        as ``entry_terms`` lists it: a ``LambdaElement`` is split once, a
+        term list is kept as given."""
         names = [g.name for g in self.generators]
-        table, terms = {}, {}
-
-        def store(pair, elem: LambdaElement) -> None:
-            table[pair] = elem
-            terms[pair] = [(g, split_terms(p)) for g, p in elem.items()]
-
+        terms = {}
         for (a, b), elem in given.items():
             if a not in self._by_name or b not in self._by_name:
                 raise DefinitionError(f"bracket ({a},{b}) names an undeclared generator")
-            if not isinstance(elem, LambdaElement):
+            if isinstance(elem, LambdaElement):
+                elem = [(g, split_terms(p)) for g, p in elem.items()]
+            elif not isinstance(elem, list):
                 raise DefinitionError(f"bracket ({a},{b}) is not a LambdaElement")
             self._validate_entry((a, b), elem)
-            store((a, b), elem)
+            terms[(a, b)] = elem
         for i, a in enumerate(names):
             for b in names[i:]:
-                if (a, b) not in table:
-                    if a == b or (b, a) not in table:
+                if (a, b) not in terms:
+                    if a == b or (b, a) not in terms:
                         raise DefinitionError(f"missing bracket entry ({a},{b})")
-                    store((a, b), self._skew_image(terms[(b, a)]))
-                elif (b, a) not in table:
-                    store((b, a), self._skew_image(terms[(a, b)]))
-        return table, terms
+                    terms[(a, b)] = _skew_terms(terms[(b, a)])
+                elif (b, a) not in terms:
+                    terms[(b, a)] = _skew_terms(terms[(a, b)])
+        return terms
 
     def _detect_virasoro(self) -> str | None:
-        reg = self.registry
-        d_2x = join_terms(reg, {(1, 0, 0, ()): 1, (0, 1, 0, ()): 2})
+        d_2x = {(1, 0, ()): 1, (0, 1, ()): 2}
         for g in self.generators:
-            want = LambdaElement(reg, {g: d_2x})
-            if self._table[(g.name, g.name)] == want:
+            entry = self._terms[(g.name, g.name)]
+            if len(entry) == 1 and entry[0][0] == g and \
+                    {(i, j, rest): c for i, j, rest, c in entry[0][1]} == d_2x:
                 return g.name
         return None
+
+    def _joined(self, terms) -> LambdaElement:
+        """The ``LambdaElement`` of terms listed as ``entry_terms`` lists
+        them; terms with the same generator and monomial add."""
+        reg, accs = self.registry, {}
+        for g, p_terms in terms:
+            acc = accs.setdefault(g, {})
+            for i, j, rest, c in p_terms:
+                acc[i, j, 0, rest] = acc.get((i, j, 0, rest), 0) + c
+        return LambdaElement(reg, {g: join_terms(reg, acc) for g, acc in accs.items()})
 
     # ---- basic access ----------------------------------------------------
 
@@ -244,22 +241,23 @@ class ConformalAlgebra:
         return self._by_name.get(self.virasoro_name) if self.virasoro_name else None
 
     def entry(self, a: "Generator | str", b: "Generator | str") -> LambdaElement:
+        """The entry [a_x b], joined from its ``entry_terms`` on each call."""
         a = a.name if isinstance(a, Generator) else a
         b = b.name if isinstance(b, Generator) else b
-        if (a, b) not in self._table:
-            raise DefinitionError(f"no bracket entry ({a},{b})")
-        return self._table[(a, b)]
+        return self._joined(self.entry_terms(a, b))
 
     def entry_terms(self, a: str, b: str) -> list[tuple[Generator, list]]:
         """The entry [a_x b] as (generator, ``split_terms`` of its
-        coefficient) pairs in ``items`` order, split once when the algebra
-        was built; readers must not change the lists."""
+        coefficient) pairs in ``items`` order: the table's one stored form.
+        A given entry was split once when the algebra was built; a skew
+        image or a bound entry was written as terms.  Readers must not
+        change the lists."""
         if (a, b) not in self._terms:
             raise DefinitionError(f"no bracket entry ({a},{b})")
         return self._terms[(a, b)]
 
     def full_table(self) -> dict[tuple[str, str], LambdaElement]:
-        return dict(self._table)
+        return {pair: self._joined(terms) for pair, terms in self._terms.items()}
 
     def ordered_pairs(self) -> list[tuple[str, str]]:
         names = [g.name for g in self.generators]
@@ -272,7 +270,7 @@ class ConformalAlgebra:
     def with_entry(self, a: str, b: str, elem: LambdaElement) -> "ConformalAlgebra":
         """Copy of the algebra with one table entry replaced verbatim (no skew
         completion), for perturbation experiments."""
-        table = self.full_table()
+        table = dict(self._terms)
         table[(a, b)] = elem
         return ConformalAlgebra(self.name, self.registry, self.generators, table,
                                 self.params, closed_ann_form=self.closed_ann_form,
@@ -286,8 +284,9 @@ class ConformalAlgebra:
         Every declared parameter must be bound exactly once, to a value
         ``exact_rational`` accepts; binding an undeclared name is an error.
         Each stored term c d^i x^j m of ``entry_terms`` becomes
-        c m(values) d^i x^j, and ``join_terms`` adds the terms into the
-        bound coefficients, with no ``Poly`` substitution.
+        c m(values) d^i x^j; terms with the same d^i x^j add, and the bound
+        term lists go to the constructor as they are, with no ``Poly``,
+        ``LambdaElement`` or second split.
         """
         bindings = dict(bindings or {})
         declared = {v.name for v in self.params}
@@ -300,17 +299,26 @@ class ConformalAlgebra:
         if not self.params:
             return self
         bound = {v.index: exact_rational(v.name, bindings[v.name]) for v in self.params}
+        # an integral value binds as an int, so products stay in int arithmetic
+        scalars = {k: q.numerator if q.denominator == 1 else q for k, q in bound.items()}
         table = {}
         for pair, terms in self._terms.items():
-            coeffs = {}
+            entry = []
             for g, p_terms in terms:
-                acc: dict[tuple[int, int, int, tuple], int | Fraction] = {}
+                acc: dict[tuple[int, int, tuple], int | Fraction] = {}
+                get = acc.get
                 for i, j, rest, c in p_terms:
-                    key = (i, j, 0, ())
-                    value = math.prod((bound[k] ** e for k, e in rest), start=c)
-                    acc[key] = acc.get(key, 0) + value
-                coeffs[g] = join_terms(self.registry, acc)
-            table[pair] = LambdaElement(self.registry, coeffs)
+                    for k, e in rest:
+                        c *= scalars[k] ** e
+                    # a term bound to zero adds no key, as in ``Poly.subs``,
+                    # so the terms keep the order substitution gives them
+                    if c:
+                        key = (i, j, ())
+                        acc[key] = get(key, 0) + c
+                bound_terms = _nonzero_terms(acc)
+                if bound_terms:
+                    entry.append((g, bound_terms))
+            table[pair] = entry
         values = {**self.param_values, **{v.name: bound[v.index] for v in self.params}}
         return ConformalAlgebra(self.name, self.registry, self.generators, table, (),
                                 closed_ann_form=self.closed_ann_form, param_values=values)
@@ -321,7 +329,7 @@ class ConformalAlgebra:
         """Residual [g_x h] + ([h_x g] with x -> -x - d) per ordered pair."""
         entries = []
         for a, b in self.ordered_pairs():
-            residual = self._table[(a, b)] - self._skew_image(self._terms[(b, a)])
+            residual = self._joined(self._terms[(a, b)] + _skew_terms(self._terms[(b, a)], 1))
             entries.append(ReportEntry((a, b), residual.render(), residual.is_zero()))
         return AxiomReport("skew-symmetry", entries)
 
@@ -381,6 +389,35 @@ class ConformalAlgebra:
 
     def __repr__(self) -> str:
         return f"ConformalAlgebra({self.name}, generators={[g.name for g in self.generators]})"
+
+
+def _nonzero_terms(acc: Mapping[tuple[int, int, tuple], int | Fraction]) -> list:
+    """The nonzero sums of ``acc``, keyed by (i, j, rest), as ``split_terms``
+    lists them: (i, j, rest, c) in ``acc`` order, c an int while integral."""
+    return [(i, j, rest, c.numerator if c.denominator == 1 else c)
+            for (i, j, rest), c in acc.items() if c]
+
+
+def _skew_terms(terms, sign: int = -1) -> list[tuple[Generator, list]]:
+    """``sign`` times an entry with x -> -(x + d), the entry and the result
+    listed as ``entry_terms`` lists one, in closed form: a term c d^i x^j
+    becomes sign (-1)^j c C(j, t) d^(i+j-t) x^t for t = 0..j.  The default
+    sign gives the skew image.  A generator whose terms all cancel is left
+    out."""
+    comb = math.comb
+    out = []
+    for g, p_terms in terms:
+        acc: dict[tuple[int, int, tuple], int | Fraction] = {}
+        get = acc.get
+        for i, j, rest, c in p_terms:
+            signed = -sign * c if j % 2 else sign * c
+            for t in range(j + 1):
+                key = (i + j - t, t, rest)
+                acc[key] = get(key, 0) + signed * comb(j, t)
+        image = _nonzero_terms(acc)
+        if image:
+            out.append((g, image))
+    return out
 
 
 def add_bracket_term(acc: dict, p_terms, r_terms) -> None:

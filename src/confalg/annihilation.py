@@ -137,10 +137,11 @@ def _check_membership(alg: ConformalAlgebra, elem: AnnElement) -> None:
 
 
 def _pair_terms(alg: ConformalAlgebra, gname: str, hname: str) -> list:
-    """The table entry [g_x h] as its terms (j, (k, rest), e, c) for
-    c x^j d^e rest k: rest a monomial in parameters and c an int while it is
-    integral, flattened from the entry's stored ``entry_terms``."""
-    return [(j, (k, rest), e, c)
+    """The table entry [g_x h] as its terms (j, (kname, rest), e, c) for
+    c x^j d^e rest k: kname the name of generator k, rest a monomial in
+    parameters and c an int while it is integral, flattened from the entry's
+    stored ``entry_terms``.  Keys hold the name, whose hash is a str's."""
+    return [(j, (k.name, rest), e, c)
             for k, p_terms in alg.entry_terms(gname, hname) for e, j, rest, c in p_terms]
 
 
@@ -148,8 +149,8 @@ def _coefficient_terms(expansion, m: int, n: int) -> dict:
     """[a_(m), b_(n)] for internal indices m, n from one generator pair's
     expansion given as scalar (j, key, e, c) terms, as ``{(key, internal
     index): coefficient}``: the key is a generator position for
-    ``truncated_quotient``, or a (generator, parameter monomial) pair of
-    ``_pair_terms``.  A key whose terms cancel is kept with a zero sum."""
+    ``truncated_quotient``, or a (generator name, parameter monomial) pair
+    of ``_pair_terms``.  A key whose terms cancel is kept with a zero sum."""
     out = {}
     for j, k, e, c in expansion:
         t = m + n - j
@@ -163,15 +164,15 @@ def _coefficient_terms(expansion, m: int, n: int) -> dict:
 
 
 def _target_sums(expansion, m: int, n: int) -> list:
-    """[a_(m), b_(n)] from a pair's ``_pair_terms`` as ``[((target generator,
-    internal index), {parameter monomial: coefficient})]``, sorted as
+    """[a_(m), b_(n)] from a pair's ``_pair_terms`` as ``[((target generator
+    name, internal index), {parameter monomial: coefficient})]``, sorted as
     ``AnnElement`` lists its terms.  Zero sums are left out, and so is a
     target whose sums all cancel."""
     groups: dict = {}
-    for ((k, rest), t), c in _coefficient_terms(expansion, m, n).items():
+    for ((kname, rest), t), c in _coefficient_terms(expansion, m, n).items():
         if c:
-            groups.setdefault((k, t), {})[rest] = c
-    return sorted(groups.items(), key=lambda item: (item[0][0].name, item[0][1]))
+            groups.setdefault((kname, t), {})[rest] = c
+    return sorted(groups.items(), key=lambda item: item[0])
 
 
 def _coefficient_poly(reg, terms: Mapping) -> Poly:
@@ -198,7 +199,9 @@ def render_sums(reg, sums, spelling: Spelling = TEXT, symbol=str, group: str = _
 
 def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
     """Lie bracket in the coefficient algebra, by the binomial expansion of
-    the lambda-bracket table with falling-factorial reduction of d-powers."""
+    the lambda-bracket table with falling-factorial reduction of d-powers.
+    A coefficient of 1 on either side, as a basis element has, is not
+    multiplied by."""
     left = _as_ann_element(alg, left)
     right = _as_ann_element(alg, right)
     _check_membership(alg, left)
@@ -208,13 +211,18 @@ def ann_bracket(alg: ConformalAlgebra, left, right) -> AnnElement:
     expansions: dict[tuple[str, str], list] = {}
     for abasis, ca in left.items():
         for bbasis, cb in right.items():
+            factors = [p for p in (ca, cb) if p != 1]
             pair = (abasis.gen.name, bbasis.gen.name)
             if pair not in expansions:
                 expansions[pair] = _pair_terms(alg, *pair)
-            for (k, t), terms in _target_sums(expansions[pair], abasis.internal, bbasis.internal):
+            for (kname, t), terms in _target_sums(expansions[pair], abasis.internal,
+                                                  bbasis.internal):
+                k = alg.gen(kname)
                 target = AnnBasis(k, Fraction(t) - k.label_offset)
                 c = _coefficient_poly(reg, terms)
-                acc[target] = acc.get(target, Poly.zero(reg)) + c * ca * cb
+                for p in factors:
+                    c = c * p
+                acc[target] = acc[target] + c if target in acc else c
     return AnnElement(reg, acc)
 
 
@@ -239,7 +247,8 @@ def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
     return [Fraction(t) - gen.label_offset for t in range(top + 1)]
 
 
-def _pair_sums(g: Generator, h: Generator, expansion, max_label: Fraction | int):
+def _pair_sums(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
+               max_label: Fraction | int):
     """Yield ``(m, n, sums)`` for all labels up to ``max_label`` from the
     ``_pair_terms`` expansion of the pair ``(g, h)``: the ``_target_sums``
     of [g_m, h_n] with each target an ``AnnBasis``, built once per pair."""
@@ -252,7 +261,8 @@ def _pair_sums(g: Generator, h: Generator, expansion, max_label: Fraction | int)
             for key, terms in _target_sums(expansion, internal, other):
                 target = targets.get(key)
                 if target is None:
-                    k, t = key
+                    kname, t = key
+                    k = alg.gen(kname)
                     target = targets[key] = AnnBasis(k, t - k.label_offset)
                 sums.append((target, terms))
             yield m, n, sums
@@ -267,7 +277,8 @@ def expanded_sums(alg: ConformalAlgebra, max_label: Fraction | int):
     rule of ``ann_bracket`` to that expansion."""
     for g in alg.generators:
         for h in alg.generators:
-            for m, n, sums in _pair_sums(g, h, _pair_terms(alg, g.name, h.name), max_label):
+            for m, n, sums in _pair_sums(alg, g, h, _pair_terms(alg, g.name, h.name),
+                                         max_label):
                 yield g, m, h, n, sums
 
 
@@ -377,7 +388,8 @@ def _falling(value, k: int):
     return math.prod((value - i for i in range(k)), start=1)
 
 
-def _identity_holds(g: Generator, h: Generator, expansion, rule) -> bool:
+def _identity_holds(alg: ConformalAlgebra, g: Generator, h: Generator, expansion,
+                    rule) -> bool:
     """Whether one pair's ``_pair_terms`` expansion equals its closed rule as
     polynomials in formal labels m and n, compared as rationals keyed by
     (target, shift, power of m, power of n, parameter monomial) with target
@@ -393,14 +405,15 @@ def _identity_holds(g: Generator, h: Generator, expansion, rule) -> bool:
             key = (kname, shift, i, k, rest)
             diff[key] = diff.get(key, 0) - c
     factors: dict = {}
-    for j, (k, rest), e, c in expansion:
+    offsets = {k.name: _integral(k.label_offset) for k in alg.generators}
+    for j, (kname, rest), e, c in expansion:
         factor = factors.get((j, e))
         if factor is None:
             factor = factors[j, e] = _LabelPoly.terms_of(
                 _falling(left, j) * _falling(total - j, e) * (-1) ** e)
-        shift = base - j - e - _integral(k.label_offset)
+        shift = base - j - e - offsets[kname]
         for (i, power, _), v in factor.items():
-            key = (k.name, shift, i, power, rest)
+            key = (kname, shift, i, power, rest)
             diff[key] = diff.get(key, 0) + c * v
     return not any(diff.values())
 
@@ -428,10 +441,10 @@ def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -
         for h in alg.generators:
             expansion = _pair_terms(alg, g.name, h.name)
             rule = rules[(g.name, h.name)]
-            if _identity_holds(g, h, expansion, rule):
+            if _identity_holds(alg, g, h, expansion, rule):
                 continue
             listed = len(mismatches)
-            for m, n, sums in _pair_sums(g, h, expansion, max_label):
+            for m, n, sums in _pair_sums(alg, g, h, expansion, max_label):
                 got = _element(reg, sums)
                 want = _closed_bracket(alg, rule, m, n)
                 if got != want:
@@ -456,11 +469,11 @@ def filtration_check(alg: ConformalAlgebra) -> list[str]:
     parameter monomials its coefficient has, in ``ordered_pairs`` order and
     then by the name of k, j and e."""
     violations = []
+    levels = {k.name: k.label_offset + k.filtration_shift for k in alg.generators}
     for gname, hname in alg.ordered_pairs():
-        g, h = alg.gen(gname), alg.gen(hname)
-        base = g.label_offset + g.filtration_shift + h.label_offset + h.filtration_shift
-        drops = {(k.name, j, e, base - k.label_offset - k.filtration_shift - j - e)
-                 for j, (k, _), e, _ in _pair_terms(alg, gname, hname)}
+        base = levels[gname] + levels[hname]
+        drops = {(kname, j, e, base - levels[kname] - j - e)
+                 for j, (kname, _), e, _ in _pair_terms(alg, gname, hname)}
         violations += [f"[{gname}_x {hname}] term x^{j} d^{e} {kname}: drop {drop}"
                        for kname, j, e, drop in sorted(drops) if drop < 0]
     return violations
@@ -716,8 +729,8 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
             pair = (i // depth, j // depth)
             if pair not in expansions:
                 g, h = (gens[pos].name for pos in pair)
-                expansion = [(p, position[k.name], e, c)
-                             for p, (k, _), e, c in _pair_terms(alg, g, h)]
+                expansion = [(p, position[kname], e, c)
+                             for p, (kname, _), e, c in _pair_terms(alg, g, h)]
                 # a term lands at degree m + n - (p + e + base[k]), so every
                 # term is at degree >= depth once m + n reaches this bound (an
                 # empty entry brackets to zero at every m + n >= 0)

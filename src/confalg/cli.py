@@ -107,7 +107,9 @@ def _load_grid(args) -> tuple[ConformalAlgebra, list[tuple[dict, ConformalAlgebr
 
     Returns the unbound algebra, the (point, bound algebra) pairs and
     whether a grid was applied; a grid on a parameterless algebra is
-    dropped with a warning.
+    dropped with a warning.  The first point is bound from the unbound
+    algebra; every later point is loaded afresh, since classifying at one
+    point grows its algebra's registry.
     """
     bindings = _parse_bindings(args.param)
     grid = _parse_grid(args.param_grid)
@@ -124,7 +126,10 @@ def _load_grid(args) -> tuple[ConformalAlgebra, list[tuple[dict, ConformalAlgebr
     axes = sorted(grid)
     points = [{**bindings, **dict(zip(axes, combo))}
               for combo in itertools.product(*(grid[name] for name in axes))]
-    return base, [(point, _load_algebra(args.algebra, point)) for point in points], bool(grid)
+    first, *rest = points
+    pairs = [(first, base.specialize(first) if first else base)]
+    pairs += [(point, _load_algebra(args.algebra, point)) for point in rest]
+    return base, pairs, bool(grid)
 
 
 # ---- subcommands: each returns (all checks passed, the document for stdout) -------

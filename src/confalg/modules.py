@@ -485,7 +485,7 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
         raise UnsupportedError(f"{alg.name} has no generator with a Virasoro bracket")
     others = [g for g in alg.generators if g.name != virasoro.name]
     for g in others:
-        if alg.entry(virasoro, g).is_zero():
+        if not alg.entry_terms(virasoro.name, g.name):
             raise UnsupportedError(
                 f"{g.name} brackets to zero with {virasoro.name}; the staged "
                 f"search needs every generator coupled to the Virasoro one")

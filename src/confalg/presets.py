@@ -50,6 +50,13 @@ def _closed_form(rules):
     return out
 
 
+# Generators are frozen and compare by value, so the presets share them.
+_L = Generator("L", Fraction(1), Fraction(0))
+_W = Generator("W", Fraction(0), Fraction(0))
+_Y = Generator("Y", Fraction(1, 2), Fraction(1, 2))
+_M = Generator("M", Fraction(0), Fraction(0))
+
+
 def _witt(m, n):
     return {("L", 0): m - n}
 
@@ -61,13 +68,12 @@ def _abelian(m, n):
 def _build_vir() -> ConformalAlgebra:
     reg = Registry()
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    L = Generator("L", Fraction(1), Fraction(0))
-    table = {("L", "L"): LambdaElement(reg, {L: d + 2 * x})}
+    table = {("L", "L"): LambdaElement(reg, {_L: d + 2 * x})}
 
     def closed():
         return _closed_form({("L", "L"): _witt})
 
-    return ConformalAlgebra("vir", reg, [L], table, (), closed_ann_form=closed)
+    return ConformalAlgebra("vir", reg, [_L], table, (), closed_ann_form=closed)
 
 
 def _build_w() -> ConformalAlgebra:
@@ -75,11 +81,9 @@ def _build_w() -> ConformalAlgebra:
     a, b = reg.param("a"), reg.param("b")
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
     pa, pb = (Poly.from_var(reg, v) for v in (a, b))
-    L = Generator("L", Fraction(1), Fraction(0))
-    W = Generator("W", Fraction(0), Fraction(0))
     table = {
-        ("L", "L"): LambdaElement(reg, {L: d + 2 * x}),
-        ("L", "W"): LambdaElement(reg, {W: d + pa * x + pb}),
+        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
+        ("L", "W"): LambdaElement(reg, {_W: d + pa * x + pb}),
         ("W", "W"): LambdaElement(reg),
     }
 
@@ -90,7 +94,7 @@ def _build_w() -> ConformalAlgebra:
             ("W", "W"): _abelian,
         })
 
-    return ConformalAlgebra("w", reg, [L, W], table, (a, b), closed_ann_form=closed)
+    return ConformalAlgebra("w", reg, [_L, _W], table, (a, b), closed_ann_form=closed)
 
 
 def _build_wb() -> ConformalAlgebra:
@@ -98,11 +102,9 @@ def _build_wb() -> ConformalAlgebra:
     b = reg.param("b")
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
     pb = Poly.from_var(reg, b)
-    L = Generator("L", Fraction(1), Fraction(0))
-    W = Generator("W", Fraction(0), Fraction(0))
     table = {
-        ("L", "L"): LambdaElement(reg, {L: d + 2 * x}),
-        ("L", "W"): LambdaElement(reg, {W: d + (1 - pb) * x}),
+        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
+        ("L", "W"): LambdaElement(reg, {_W: d + (1 - pb) * x}),
         ("W", "W"): LambdaElement(reg),
     }
 
@@ -113,13 +115,7 @@ def _build_wb() -> ConformalAlgebra:
             ("W", "W"): _abelian,
         })
 
-    return ConformalAlgebra("wb", reg, [L, W], table, (b,), closed_ann_form=closed)
-
-
-def _tsv_generators():
-    return (Generator("L", Fraction(1), Fraction(0)),
-            Generator("Y", Fraction(1, 2), Fraction(1, 2)),
-            Generator("M", Fraction(0), Fraction(0)))
+    return ConformalAlgebra("wb", reg, [_L, _W], table, (b,), closed_ann_form=closed)
 
 
 def _build_tsv() -> ConformalAlgebra:
@@ -127,12 +123,11 @@ def _build_tsv() -> ConformalAlgebra:
     a, b = reg.param("a"), reg.param("b")
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
     pa, pb = (Poly.from_var(reg, v) for v in (a, b))
-    L, Y, M = _tsv_generators()
     table = {
-        ("L", "L"): LambdaElement(reg, {L: d + 2 * x}),
-        ("L", "Y"): LambdaElement(reg, {Y: d + pa * x + pb}),
-        ("L", "M"): LambdaElement(reg, {M: d + 2 * (pa - 1) * x + 2 * pb}),
-        ("Y", "Y"): LambdaElement(reg, {M: d + 2 * x}),
+        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
+        ("L", "Y"): LambdaElement(reg, {_Y: d + pa * x + pb}),
+        ("L", "M"): LambdaElement(reg, {_M: d + 2 * (pa - 1) * x + 2 * pb}),
+        ("Y", "Y"): LambdaElement(reg, {_M: d + 2 * x}),
         ("Y", "M"): LambdaElement(reg),
         ("M", "M"): LambdaElement(reg),
     }
@@ -148,7 +143,7 @@ def _build_tsv() -> ConformalAlgebra:
             ("M", "M"): _abelian,
         })
 
-    return ConformalAlgebra("tsv", reg, [L, Y, M], table, (a, b), closed_ann_form=closed)
+    return ConformalAlgebra("tsv", reg, [_L, _Y, _M], table, (a, b), closed_ann_form=closed)
 
 
 def _build_tsvc() -> ConformalAlgebra:
@@ -156,12 +151,11 @@ def _build_tsvc() -> ConformalAlgebra:
     c = reg.param("c")
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
     pc = Poly.from_var(reg, c)
-    L, Y, M = _tsv_generators()
     table = {
-        ("L", "L"): LambdaElement(reg, {L: d + 2 * x}),
-        ("L", "Y"): LambdaElement(reg, {Y: d + Fraction(3, 2) * x + pc}),
-        ("L", "M"): LambdaElement(reg, {M: d + 2 * pc}),
-        ("Y", "Y"): LambdaElement(reg, {M: (d + 2 * x) * (-d - 2 * pc)}),
+        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
+        ("L", "Y"): LambdaElement(reg, {_Y: d + Fraction(3, 2) * x + pc}),
+        ("L", "M"): LambdaElement(reg, {_M: d + 2 * pc}),
+        ("Y", "Y"): LambdaElement(reg, {_M: (d + 2 * x) * (-d - 2 * pc)}),
         ("Y", "M"): LambdaElement(reg),
         ("M", "M"): LambdaElement(reg),
     }
@@ -176,7 +170,7 @@ def _build_tsvc() -> ConformalAlgebra:
             ("M", "M"): _abelian,
         })
 
-    return ConformalAlgebra("tsvc", reg, [L, Y, M], table, (c,), closed_ann_form=closed)
+    return ConformalAlgebra("tsvc", reg, [_L, _Y, _M], table, (c,), closed_ann_form=closed)
 
 
 _BUILDERS = {
@@ -190,7 +184,8 @@ _BUILDERS = {
 
 def instantiate(name: str, bindings: Mapping[str, Fraction | int] | None = None
                 ) -> ConformalAlgebra:
-    """A fresh copy of a preset, optionally with parameters bound."""
+    """A fresh copy of a preset, optionally with parameters bound: the
+    preset is built once and ``specialize`` binds its stored terms."""
     if name not in _BUILDERS:
         raise DefinitionError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     alg = _BUILDERS[name]()

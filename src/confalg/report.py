@@ -139,9 +139,10 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
     skew = alg.check_skew()
     jacobi = alg.check_jacobi()
     # A generator pair's bracket is its table entry.
-    locality, products = [], []
+    locality, products, table = [], [], []
     for a, b in alg.upper_pairs():
         entry = alg.entry(a, b)
+        table.append({"pair": [a, b], "value": entry.render()})
         order = locality_order_of(entry)
         locality.append({"pair": [a, b], "order": order})
         products += [{"pair": [a, b], "j": j, "value": jth_product_of(entry, j).render()}
@@ -152,8 +153,7 @@ def build_report(alg: ConformalAlgebra, depth: int = _REPORT_DEPTH) -> dict:
         "free_params": sorted(v.name for v in alg.params),
         "generators": [{"name": g.name, "offset": str(g.label_offset),
                         "shift": str(g.filtration_shift)} for g in alg.generators],
-        "table": [{"pair": [a, b], "value": alg.entry(a, b).render()}
-                  for a, b in alg.upper_pairs()],
+        "table": table,
         "axioms": {
             "skew": skew.passed,
             "jacobi": jacobi.passed,

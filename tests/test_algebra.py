@@ -179,9 +179,12 @@ class TestClosedFormAxioms:
     @given(_jacobi_algebras(), st.data())
     def test_skew_image_matches_the_oracle(self, alg, data):
         elem = data.draw(_drawn_element(alg, 0, 5))
-        got = alg._skew_image([(g, split_terms(p)) for g, p in elem.items()])
-        want = _substituted_skew_image(alg, elem)
+        image = algebra._skew_terms([(g, split_terms(p)) for g, p in elem.items()])
+        got, want = alg._joined(image), _substituted_skew_image(alg, elem)
         assert got == want and got.render() == want.render()
+        # written as split_terms lists one: an int while integral, no zero
+        assert all(c and (type(c) is int or c.denominator != 1)
+                   for _, p_terms in image for *_, c in p_terms)
         assert all(type(c) is Fraction for _, p in got.items() for _, c in p.terms())
         report = [(e.key, e.residual, e.ok) for e in alg.check_skew().entries]
         oracle = []
@@ -438,6 +441,12 @@ class TestSpecialize:
         assert all(type(c) is Fraction
                    for e in got.full_table().values() for _, p in e.items() for _, c in p.terms())
         assert (got.params, got.virasoro_name) == ((), want.virasoro_name)
+        # the stored terms themselves, in order, an int while integral
+        for pair in alg.ordered_pairs():
+            got_terms, want_terms = got.entry_terms(*pair), want.entry_terms(*pair)
+            assert got_terms == want_terms
+            assert [type(c) for _, p_terms in got_terms for *_, c in p_terms] == \
+                [type(c) for _, p_terms in want_terms for *_, c in p_terms]
 
     def test_degree_three_monomial_binds(self):
         alg = instantiate("w")
@@ -469,9 +478,17 @@ def _count_splits(monkeypatch) -> list:
     return calls
 
 
-def _coefficient_ids(alg) -> list[int]:
-    """The ids of the table's coefficients, in table and ``items`` order."""
-    return [id(p) for e in alg.full_table().values() for _, p in e.items()]
+def _count_elements(monkeypatch) -> list:
+    """Patch ``LambdaElement.__init__`` to record each element built."""
+    built = []
+    real_init = LambdaElement.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LambdaElement, "__init__", init)
+    return built
 
 
 def _test_algebras():
@@ -481,20 +498,32 @@ def _test_algebras():
 
 
 class TestStoredTerms:
-    """A work count: each table entry is split once, when the algebra is
-    built, and every reader takes the stored terms."""
+    """A work count: each given table entry is split once, when the algebra
+    is built; skew images and bindings are written as terms, and every
+    reader takes the stored terms."""
 
-    def test_construction_splits_each_coefficient_once(self, monkeypatch):
+    def test_construction_splits_each_given_coefficient_once(self, monkeypatch):
         for alg in _test_algebras():
             # Only the upper pairs are given, so the lower ones are skew images.
             given = {pair: alg.entry(*pair) for pair in alg.upper_pairs()}
             calls = _count_splits(monkeypatch)
+            elements = _count_elements(monkeypatch)
             built = ConformalAlgebra(alg.name, alg.registry, alg.generators, given, alg.params)
             assert [(module, inside) for module, inside, _ in calls] == \
                 [("algebra", True)] * len(calls)
-            assert [id(p) for _, _, p in calls] == _coefficient_ids(built)
-            assert built.full_table() == alg.full_table()
+            assert [id(p) for _, _, p in calls] == \
+                [id(p) for elem in given.values() for _, p in elem.items()]
+            assert elements == []
             monkeypatch.undo()
+            assert built.full_table() == alg.full_table()
+            assert built.virasoro_name == alg.virasoro_name
+
+    @pytest.mark.parametrize("alg", _test_algebras(), ids=lambda alg: alg.name)
+    def test_specialize_splits_and_joins_nothing(self, monkeypatch, alg):
+        calls = _count_splits(monkeypatch)
+        elements = _count_elements(monkeypatch)
+        bound = alg.specialize({v.name: Fraction(-1, 2) for v in alg.params})
+        assert (calls, elements) == ([], [])
 
     @pytest.mark.parametrize("alg", _test_algebras(), ids=lambda alg: alg.name)
     def test_readers_split_no_table_entry(self, monkeypatch, alg):
@@ -512,12 +541,6 @@ class TestStoredTerms:
         if axioms and graded:
             annihilation.truncated_quotient(bound, 4)
         assert calls == []
-        rebound = alg.specialize({v.name: Fraction(-1, 2) for v in alg.params})
-        # The bound algebra's own construction splits each of its entries once.
-        assert [(module, inside) for module, inside, _ in calls] == \
-            [("algebra", True)] * len(calls)
-        assert [id(p) for _, _, p in calls] == \
-            (_coefficient_ids(rebound) if alg.params else [])
         assert subs == []
 
     def test_module_readers_split_only_actions(self, monkeypatch):
@@ -528,8 +551,10 @@ class TestStoredTerms:
         assert [(module, id(p)) for module, _, p in calls] == \
             [("modules", id(p)) for _, p in action.items()]
         calls.clear()
+        # a table coefficient exists only in a LambdaElement joined from it
+        elements = _count_elements(monkeypatch)
         assert modules.rank1_classify(alg, 2)
-        table = set(_coefficient_ids(alg))
+        table = {id(p) for elem in elements for _, p in elem.items()}
         assert calls and {module for module, _, _ in calls} == {"modules"}
         assert not any(inside or id(p) in table for _, inside, p in calls)
 

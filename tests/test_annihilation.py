@@ -540,11 +540,11 @@ def _poly_identity_holds(alg, g, h, expansion, rule):
     total = left + n + h.label_offset
     diff = {key: -c for key, c in rule(m, n).items()}
     factors = {}
-    for j, (k, rest), e, c in expansion:
+    for j, (kname, rest), e, c in expansion:
         if (j, e) not in factors:
             factors[j, e] = annihilation._falling(left, j) * annihilation._falling(total - j, e) \
                 * (-1) ** e
-        key = (k.name, g.label_offset + h.label_offset - j - e - k.label_offset)
+        key = (kname, g.label_offset + h.label_offset - j - e - alg.gen(kname).label_offset)
         term = factors[j, e] * Poly(reg, {rest: Fraction(c)}, _normalized=True)
         diff[key] = diff[key] + term if key in diff else term
     return not any(diff.values())
@@ -557,7 +557,7 @@ def _identity_verdicts(alg):
     for gname, hname in alg.ordered_pairs():
         g, h = alg.gen(gname), alg.gen(hname)
         expansion = annihilation._pair_terms(alg, gname, hname)
-        out.append((annihilation._identity_holds(g, h, expansion, rules[(gname, hname)]),
+        out.append((annihilation._identity_holds(alg, g, h, expansion, rules[(gname, hname)]),
                     _poly_identity_holds(alg, g, h, expansion, poly_rules[(gname, hname)])))
     return out
 
@@ -630,7 +630,7 @@ class TestIdentityOracle:
         holds = annihilation._identity_holds
 
         def counting(*args):
-            calls.append(args[:2])
+            calls.append(args[1:3])
             return holds(*args)
 
         def refuse(*args):
@@ -845,6 +845,35 @@ class TestScalarExpansion:
             monkeypatch.setattr(Poly, name, refuse)
         rows = list(expanded_brackets(alg, 6))
         assert any(not v.is_zero() for *_, v in rows)
+
+    @pytest.mark.parametrize("preset,bindings", [(p, None) for p in ALL_PRESETS]
+                             + PRESET_BINDINGS)
+    def test_basis_brackets_multiply_no_polynomials(self, preset, bindings, monkeypatch):
+        """A work count: a basis element's coefficient is 1, so a bracket
+        of two of them makes no ``Poly`` product; a coefficient other than
+        1 is still multiplied by."""
+        alg = instantiate(preset, bindings)
+        symbols = [AnnBasis(g, m) for g in alg.generators for m in labels_through(g, 3)]
+        want = [ann_bracket(alg, a, b) for a in symbols for b in symbols]
+        calls = []
+        real = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: calls.append(q) or real(p, q))
+        assert [ann_bracket(alg, a, b) for a in symbols for b in symbols] == want
+        assert calls == []
+        scaled = AnnElement(alg.registry, {symbols[-1]: 3})
+        assert ann_bracket(alg, symbols[0], scaled) == want[len(symbols) - 1].scale(3)
+        assert calls
+
+    def test_expansion_keys_hash_no_generator(self, monkeypatch):
+        """A work count: the expansion keys its sums by generator name, so
+        ``expanded_sums`` and ``ann_bracket`` hash no ``Generator``."""
+        alg = instantiate("tsv")
+        calls = []
+        real = Generator.__hash__
+        monkeypatch.setattr(Generator, "__hash__", lambda g: calls.append(g) or real(g))
+        assert sum(len(sums) for *_, sums in expanded_sums(alg, 4))
+        assert not ann_bracket(alg, basis(alg, "L", 1), basis(alg, "Y", Fraction(1, 2))).is_zero()
+        assert calls == []
 
 
 class TestTableReads:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confalg import solve
+from confalg import presets, solve
 from confalg.cli import main
 
 BROKEN = "algebra broken\ngen L offset=1\n[L,L] = (d + 3*x) L\n"
@@ -685,6 +685,62 @@ class TestParser:
         assert len(builds) == 1
         defaults = cli._build_parser().parse_args(["verify", "vir"])
         assert defaults.param == defaults.param_grid == []
+
+
+def _grid_blocks(out: str) -> dict[str, str]:
+    """A grid run's text output as {heading: block}, each block unindented
+    to read as the single-point run does."""
+    blocks: dict[str, list[str]] = {}
+    for line in out.splitlines():
+        if line.startswith("at "):
+            block = blocks[line] = []
+        else:
+            block.append(line.removeprefix("  "))
+    return {heading: "".join(line + "\n" for line in lines) for heading, lines in blocks.items()}
+
+
+class TestLoading:
+    """A bound preset is built once: the grid binds its first point from
+    the algebra it checks the grid against, and loads every later point
+    afresh, so no point sees another point's registry."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name, build in presets._BUILDERS.items():
+            def counting(_name=name, _build=build):
+                calls.append(_name)
+                return _build()
+            monkeypatch.setitem(presets._BUILDERS, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("args, want", [
+        (["submodules", "w", "M_0_1", "--param", "a=1", "b=0", "--degree", "1"], ["w"]),
+        (["classify", "tsv", "--degree", "1", "--param", "a=1", "b=0"], ["tsv"]),
+        (["classify", "vir", "--degree", "1"], ["vir"]),
+        (["verify", "tsvc", "--param", "c=1"], ["tsvc"]),
+        (["verify", "w", "--param-grid", "a=0..2", "b=0"], ["w"] * 3),
+    ])
+    def test_each_point_builds_its_preset_once(self, capsys, builds, args, want):
+        assert run(capsys, args)[0] == 0
+        assert builds == want
+
+    @pytest.mark.parametrize("command, axes", [
+        (["classify", "w", "--degree", "2"], [["a=1,2", "b=0,1"], ["a=2,1", "b=1,0"]]),
+        (["verify", "w"], [["a=0..1", "b=0"], ["a=1,0", "b=0"]]),
+    ])
+    def test_grid_blocks_match_single_point_runs(self, capsys, command, axes):
+        blocks = []
+        for grid in axes:
+            code, out, _ = run(capsys, [*command, "--param-grid", *grid])
+            assert code == 0
+            blocks.append(_grid_blocks(out))
+        forward, backward = blocks
+        assert list(backward) == list(reversed(forward))
+        assert backward == forward
+        for heading, block in forward.items():
+            point = heading.removeprefix("at ").removesuffix(":").replace(" = ", "=").split(", ")
+            assert run(capsys, [*command, "--param", *point])[1] == block
 
 
 class TestDeterminism:

@@ -45,6 +45,17 @@ class TestCatalog:
         assert alg.param_values == {"a": Fraction(-1, 2), "b": Fraction(3)}
         assert all(type(v) is Fraction for v in alg.param_values.values())
 
+    @pytest.mark.parametrize("preset, bindings", [
+        ("w", {"a": 1, "b": 0}), ("wb", {"b": 0}), ("tsv", {"a": 1, "b": 0}),
+        ("tsvc", {"c": Fraction(1, 2)})])
+    def test_bound_registry_lists_structure_parameters_first(self, preset, bindings):
+        # Variable indices order printed terms, so the structure parameters
+        # must stay registered before the module's alpha and beta.
+        alg = instantiate(preset, bindings)
+        rank1_module(alg, "alpha", "beta")
+        assert [v.name for v in alg.registry.all_vars()] == \
+            ["d", "x", "y", "z", *bindings, "alpha", "beta"]
+
 
 class TestExactBindings:
     """A parameter binds only to an int that is not a bool, or a Fraction, at

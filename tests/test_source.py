@@ -106,16 +106,49 @@ def test_unrelated_private_methods_are_named():
     assert _unrelated_private_methods(trees) == []
 
 
+def _shared_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Each private name that two module-level definitions, or a
+    module-level definition and a method, share.  References are counted
+    by name, so a read of one would pass for a read of the other."""
+    owners: dict[str, list[str]] = {}
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    owners.setdefault(name, []).append(filename)
+    methods = {m.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef) for m in node.body
+               if isinstance(m, ast.FunctionDef)}
+    return [f"{name}: {', '.join(files)}" for name, files in sorted(owners.items())
+            if len(files) > 1 or name in methods]
+
+
+def test_shared_private_names_are_named():
+    trees = {"a.py": ast.parse("def _one(): pass\n_two = 1\n"
+                               "class C:\n    def _one(self): pass\n"),
+             "b.py": ast.parse("def _two(): pass\ndef _three(): pass\n")}
+    assert _shared_private_names(trees) == ["_one: a.py", "_two: a.py, b.py"]
+
+
 def test_private_names_are_referenced():
     """Every private module-level function, class or constant, every private
     method of a module-level class, and every public module-level function
     or class that ``confalg`` does not export, is read somewhere in the
     package outside its own definition, so a deletion leaves no orphan
     helper behind.  A private method name belongs to one class and its
-    overrides, so a read of the name is a read of that method."""
+    overrides, and a private module-level name to one definition, so a
+    read of the name is a read of that definition."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(confalg.__file__).parent.glob("*.py"))}
     assert _unrelated_private_methods(trees) == []
+    assert _shared_private_names(trees) == []
     used = sum((_references(tree) for tree in trees.values()), Counter())
     exported = set(confalg.__all__)
     orphans = []
