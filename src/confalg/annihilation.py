@@ -41,8 +41,10 @@ of the identity are dicts of rationals and no ``Poly`` is multiplied.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import BindingError, DefinitionError, LabelError, UnsupportedError
@@ -517,6 +519,15 @@ class FiniteLie:
     Jacobi identity), so a series step stops reading brackets once its rank
     reaches the dimension of the space it started from: that space is then
     reached again and the series is stable.
+
+    The labels, scaled by the lcm of their denominators, grade the basis in
+    integers deg_i, and delta is the least deg_k - deg_i - deg_j over the
+    stored nonzero constants c_ij^k, read off the table itself.  With F_p
+    the span of the basis vectors of degree >= p, every table then has
+    [F_p, F_q] in F_{p+q+delta}, whether or not it respects a filtration.
+    So two vectors whose lowest degrees sum to more than max(deg) - delta
+    bracket to zero: a series step sorts its rows by lowest degree and
+    brackets each row only with the rows below that bound.
     """
 
     def __init__(self, basis: Sequence[tuple[str, Fraction]],
@@ -541,12 +552,14 @@ class FiniteLie:
                 if not is_exact_rational(c):
                     raise DefinitionError(f"bracket ({i},{j}) has coefficient {c!r} at {k!r}, "
                                           f"not an int or a Fraction")
-            cleaned = {k: Fraction(c) for k, c in terms.items() if c}
+            cleaned = {k: c for k, c in terms.items() if c}
             for k in cleaned:
                 if not (_is_index(k) and 0 <= k < dim):
                     raise DefinitionError(f"bracket ({i},{j}) targets invalid index {k!r}")
             if cleaned:
                 table[(i, j)] = cleaned
+        # an int has numerator and denominator too, so no constant is
+        # converted to a Fraction on its way into the integer table
         scale = math.lcm(*(c.denominator for terms in table.values() for c in terms.values()))
         ad: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for (i, j), terms in table.items():
@@ -555,6 +568,13 @@ class FiniteLie:
             ad[j][i] = {k: -c for k, c in ints.items()}
         self._scale = scale
         self._ad = ad
+        unit = math.lcm(*(label.denominator for _, label in self.basis))
+        degrees = [label.numerator * (unit // label.denominator) for _, label in self.basis]
+        delta = min((degrees[k] - degrees[i] - degrees[j]
+                     for (i, j), terms in table.items() for k in terms), default=0)
+        self._degrees = degrees
+        # two vectors whose lowest degrees sum past this bracket to zero
+        self._reach = max(degrees, default=0) - delta
 
     @property
     def dim(self) -> int:
@@ -631,6 +651,14 @@ class FiniteLie:
 
     # ---- span arithmetic ----
 
+    def _by_lowest_degree(self, space) -> tuple[list[int], list]:
+        """The lowest degrees of the rows of ``space`` in ascending order,
+        and the rows in that order."""
+        degrees = self._degrees
+        graded = sorted(((min(degrees[i] for i, _ in row), row) for row in space),
+                        key=itemgetter(0))
+        return [low for low, _ in graded], [row for _, row in graded]
+
     def _series_dims(self, step) -> list[int]:
         """Dimensions of g, [g, g] and the spaces reached from it by repeating
         ``step``, which maps a basis of sparse integer rows to brackets
@@ -654,13 +682,29 @@ class FiniteLie:
     def derived_series(self) -> list[int]:
         """Dimensions of g, [g,g], [[g,g],[g,g]], ... until zero or stable."""
         def step(space):
-            return (self._bracket(u, v) for a, u in enumerate(space) for v in space[a + 1:])
+            lows, rows = self._by_lowest_degree(space)
+            for a, u in enumerate(rows):
+                # rows from ``end`` on have lowest degrees too high to meet u's
+                end = bisect_right(lows, self._reach - lows[a])
+                if end <= a + 1:
+                    return  # and so for every later row, whose bound is no higher
+                for v in rows[a + 1:end]:
+                    yield self._bracket(u, v)
         return self._series_dims(step)
 
     def lower_central_series(self) -> list[int]:
         """Dimensions of g, [g,g], [g,[g,g]], ... until zero or stable."""
+        degrees = self._degrees
+        basis = sorted(range(self.dim), key=degrees.__getitem__)
+
         def step(space):
-            return (self._bracket(((i, 1),), v) for i in range(self.dim) for v in space)
+            lows, rows = self._by_lowest_degree(space)
+            for i in basis:
+                end = bisect_right(lows, self._reach - degrees[i])
+                if not end:
+                    return  # and so for every later basis vector
+                for v in rows[:end]:
+                    yield self._bracket(((i, 1),), v)
         return self._series_dims(step)
 
     def is_solvable(self) -> tuple[bool, int | None]:
@@ -710,6 +754,8 @@ def truncated_quotient(alg: ConformalAlgebra, depth: int) -> FiniteLie:
     the filtration is still refused at its first offending pair.  The Jacobi
     identity of the result is re-checked after truncation.
     """
+    if not _is_index(depth):
+        raise ValueError(f"truncation depth must be an int, not {depth!r}")
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
     if alg.params:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from confalg import (
     AnnBasis,
@@ -41,6 +41,7 @@ from confalg import (
 )
 from confalg import annihilation
 from confalg.annihilation import expanded_sums
+from confalg.solve import integer_echelon
 
 ALL_PRESETS = ["vir", "w", "wb", "tsv", "tsvc"]
 PRESET_BINDINGS = [("vir", None), ("w", {"a": 2, "b": 1}), ("wb", {"b": Fraction(1, 2)}),
@@ -965,6 +966,11 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncated_quotient(instantiate("vir"), 0)
 
+    @pytest.mark.parametrize("depth", [True, 2.0, Fraction(2), "2"])
+    def test_depth_must_be_an_int(self, depth):
+        with pytest.raises(ValueError, match=re.escape(f"not {depth!r}")):
+            truncated_quotient(instantiate("vir"), depth)
+
     @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS + [
         ("w", {"a": Fraction(1, 3), "b": -1}), ("wb", {"b": Fraction(-1, 2)}),
         ("tsv", {"a": Fraction(1, 3), "b": -1}), ("tsvc", {"c": Fraction(-1, 2)}),
@@ -1162,6 +1168,42 @@ class TestFiniteLie:
         assert Fraction(1, 2) * 3 + 1 == Fraction(5, 2)
         assert count[0] == 2
 
+    def test_series_skip_the_brackets_the_grading_makes_zero(self, monkeypatch):
+        q = truncated_quotient(instantiate("tsv", {"a": 0, "b": 0}), 12)
+        calls = [0]
+        bracket = FiniteLie._bracket
+
+        def counting(self, u, v):
+            calls[0] += 1
+            return bracket(self, u, v)
+
+        monkeypatch.setattr(FiniteLie, "_bracket", counting)
+        assert q.derived_series() == [36, 35, 31, 21, 3, 0]
+        assert q.lower_central_series() == [36, 35, 35]
+        # bracketing every pair of each step took 1,308 brackets
+        assert calls[0] == 535 < 1308 // 2
+
+    def test_construction_makes_no_fraction_per_constant(self, monkeypatch):
+        dim = 12
+        basis = [("e", i) for i in range(dim)]
+        ints = {(i, j): {k: i * j - k for k in range(dim)}
+                for i in range(dim) for j in range(i + 1, dim)}
+        fractions = {pair: {k: Fraction(c, 6) for k, c in terms.items()}
+                     for pair, terms in ints.items()}
+        count = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            count[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for brackets in (ints, fractions):
+            count[0] = 0
+            FiniteLie(basis, brackets)
+            # one per basis label, none of the 792 constants
+            assert count[0] <= dim
+
     def test_series_step_stops_at_rank_bound(self, monkeypatch):
         q = truncated_quotient(instantiate("w", {"a": 2, "b": 1}), 8)
         calls = [0]
@@ -1270,6 +1312,66 @@ def _sympy_series(sympy, lie, lower):
 
 
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_LABELS = st.sampled_from([Fraction(n, 2) for n in range(-4, 7)])
+
+
+@st.composite
+def _labelled_tables(draw, graded):
+    """Tables on up to 6 basis symbols with drawn labels: negative,
+    half-integer and shared by several names.  When ``graded``, every label
+    is positive and each stored constant c_ij^k has label_k >= label_i +
+    label_j; otherwise targets are arbitrary and some bracket lowers the
+    labels, so the table breaks the filtration."""
+    labels = _LABELS.filter(lambda label: label > 0) if graded else _LABELS
+    basis = draw(st.lists(st.tuples(st.sampled_from("uvw"), labels),
+                          min_size=1, max_size=6, unique=True))
+    dim = len(basis)
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            targets = [k for k in range(dim)
+                       if not graded or basis[k][1] >= basis[i][1] + basis[j][1]]
+            if targets and draw(st.booleans()):
+                brackets[(i, j)] = draw(st.dictionaries(st.sampled_from(targets), _COEFFS,
+                                                        min_size=1, max_size=2))
+    if not graded:
+        assume(any(c and basis[k][1] < basis[i][1] + basis[j][1]
+                   for (i, j), terms in brackets.items() for k, c in terms.items()))
+    return FiniteLie(basis, brackets)
+
+
+def _unpruned_series(lie, lower):
+    """Series dimensions from the integer table, bracketing every pair of
+    each step in index order and reducing the whole span."""
+    rows = [terms for i, row in enumerate(lie._ad) for j, terms in row.items() if i < j]
+    size = lie.dim
+    dims = [size]
+    while True:
+        space = [list(row.items()) for row in integer_echelon(rows)]
+        dims.append(len(space))
+        if not space or len(space) == size:
+            return dims
+        size = len(space)
+        if lower:
+            rows = [lie._bracket(((i, 1),), v) for i in range(lie.dim) for v in space]
+        else:
+            rows = [lie._bracket(u, v) for a, u in enumerate(space) for v in space[a + 1:]]
+
+
+def _counted(lie, series):
+    """The named series of ``lie`` and the number of brackets it took."""
+    calls = []
+    bracket = lie._bracket
+
+    def counting(u, v):
+        calls.append(None)
+        return bracket(u, v)
+
+    lie._bracket = counting
+    try:
+        return getattr(lie, series)(), len(calls)
+    finally:
+        del lie._bracket
 
 
 @st.composite
@@ -1395,6 +1497,24 @@ class TestFiniteLieOracle:
         sympy = pytest.importorskip("sympy")
         assert lie.derived_series() == _sympy_series(sympy, lie, lower=False)
         assert lie.lower_central_series() == _sympy_series(sympy, lie, lower=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_labelled_tables(graded=True), _labelled_tables(graded=False)))
+    def test_pruned_series_match_unpruned_and_sympy(self, lie):
+        sympy = pytest.importorskip("sympy")
+        assert lie.derived_series() == _unpruned_series(lie, lower=False) \
+            == _sympy_series(sympy, lie, lower=False)
+        assert lie.lower_central_series() == _unpruned_series(lie, lower=True) \
+            == _sympy_series(sympy, lie, lower=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_labelled_tables(graded=True))
+    def test_graded_tables_skip_pairs(self, lie):
+        dims, calls = _counted(lie, "lower_central_series")
+        # Unpruned, a step from a space of dimension d brackets all dim basis
+        # vectors with its d rows.  Every degree is positive and no bracket
+        # lowers one, so a basis vector of top degree meets no row.
+        assert calls <= sum((lie.dim - 1) * d for d in dims[1:-1])
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(_random_tables(), _perturbed_truncations()))
