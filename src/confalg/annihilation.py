@@ -514,11 +514,16 @@ class FiniteLie:
     Jacobi re-check walks the stored pairs and the rows of their targets,
     so a triple whose double brackets all vanish is never formed, and both
     series read [g, g] off the stored rows without bracketing basis pairs.
-    In any bilinear algebra each term of the derived and of the lower
-    central series lies in the one before it (by induction, without the
-    Jacobi identity), so a series step stops reading brackets once its rank
-    reaches the dimension of the space it started from: that space is then
-    reached again and the series is stable.
+    A later step brackets rows of an echelon basis, and two rows of one
+    entry each, as in every series of the presets' truncations, bracket to
+    a stored row times the product of their entries: the row itself, not a
+    copy, when that product is 1.  The table's rows are therefore read-only
+    to every reader, ``integer_echelon`` included.  In any bilinear
+    algebra each term of the derived and of the lower central series lies
+    in the one before it (by induction, without the Jacobi identity), so a
+    series step stops reading brackets once its rank reaches the dimension
+    of the space it started from: that space is then reached again and the
+    series is stable.
 
     The labels, scaled by the lcm of their denominators, grade the basis in
     integers deg_i, and delta is the least deg_k - deg_i - deg_j over the
@@ -592,7 +597,21 @@ class FiniteLie:
 
     def _bracket(self, u, v) -> dict:
         """D [u, v] for vectors given as (index, coeff) pairs; zero entries
-        are dropped from the result."""
+        are dropped from the result.
+
+        For two one-entry vectors, the shape of every bracket in the
+        presets' series, D [c e_i, c' e_j] is c c' times the stored row
+        ``_ad[i][j]``: that row itself when c c' is 1, which the caller must
+        not write to (the series only hand it to ``integer_echelon``, which
+        writes to no input), and a scaled copy otherwise."""
+        if len(u) == 1 and len(v) == 1:
+            (i, ci), = u
+            (j, cj), = v
+            terms = self._ad[i].get(j)
+            cij = ci * cj
+            if not terms or not cij:
+                return {}
+            return terms if cij == 1 else {k: cij * c for k, c in terms.items()}
         out = {}
         for i, ci in u:
             row = self._ad[i]

@@ -216,11 +216,10 @@ def _cmd_truncate(args) -> tuple[bool, str]:
     alg = _load_algebra(args.algebra, _parse_bindings(args.param))
     finite = truncated_quotient(alg, args.truncate)
     if args.format == "tex":
-        def tex_symbol(index):
-            return ann_symbol_to_latex(*finite.basis[index])
+        tex = [ann_symbol_to_latex(*symbol) for symbol in finite.basis]
         return True, document(align(
-            f"[{tex_symbol(i)}, {tex_symbol(j)}] &= "
-            f"{signed_sum(scaled(c, tex_symbol(k), LATEX) for k, c in terms)} \\\\"
+            f"[{tex[i]}, {tex[j]}] &= "
+            f"{signed_sum(scaled(c, tex[k], LATEX) for k, c in terms)} \\\\"
             for (i, j), terms in finite.nonzero_brackets()))
     series = finite.derived_series()
     lower = finite.lower_central_series()
@@ -236,11 +235,11 @@ def _cmd_truncate(args) -> tuple[bool, str]:
             "nilpotent": nilpotent,
         })
         return True, render_json(data)
-    lines = [f"dimension {finite.dim}",
-             "basis: " + ", ".join(finite.symbol(i) for i in range(finite.dim))]
+    symbols = [finite.symbol(i) for i in range(finite.dim)]
+    lines = [f"dimension {finite.dim}", "basis: " + ", ".join(symbols)]
     for (i, j), terms in finite.nonzero_brackets():
-        rhs = " + ".join(scaled(c, finite.symbol(k)) for k, c in terms)
-        lines.append(f"[{finite.symbol(i)}, {finite.symbol(j)}] = {rhs}")
+        rhs = " + ".join(scaled(c, symbols[k]) for k, c in terms)
+        lines.append(f"[{symbols[i]}, {symbols[j]}] = {rhs}")
     lines += [f"derived series dims: {series}",
               f"lower central series dims: {lower}",
               f"solvable: yes (derived length {length})" if solvable else "solvable: no",

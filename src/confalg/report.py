@@ -301,7 +301,10 @@ def _write_json(out: list, value, newline: str) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` spells
     it, with ``newline`` the line break and indent before the value's
     closing bracket.  Types are tried in ``json``'s order; a value of any
-    other type (a float, or one ``json`` rejects) is left to ``json.dumps``."""
+    other type (a float, or one ``json`` rejects) is left to ``json.dumps``.
+    An item of a list or dict whose type is exactly ``str`` or ``int`` is
+    written in place, without a call; a subclass, ``bool`` among them, goes
+    through the call like any other item."""
     if isinstance(value, str):
         out.append(_encode_string(value))
     elif value is None:
@@ -320,7 +323,12 @@ def _write_json(out: list, value, newline: str) -> None:
         out.append("[")
         for item in value:
             out.append(inner)
-            _write_json(out, item, inner)
+            if type(item) is str:
+                out.append(_encode_string(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(out, item, inner)
             out.append(",")
         out[-1] = newline + "]"
     elif isinstance(value, dict):
@@ -331,7 +339,12 @@ def _write_json(out: list, value, newline: str) -> None:
         out.append("{")
         for key, item in value.items():
             out += (inner, _encode_string(_json_key(key)), ": ")
-            _write_json(out, item, inner)
+            if type(item) is str:
+                out.append(_encode_string(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(out, item, inner)
             out.append(",")
         out[-1] = newline + "}"
     else:

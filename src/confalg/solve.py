@@ -508,25 +508,48 @@ def integer_echelon(rows: Iterable[Mapping[Hashable, Fraction | int]],
     from the earlier ones.  Every pivot column is zero in the other rows, and
     no row holds a zero entry.  When the rank reaches ``rank_bound`` no
     further row is read, so a caller that knows the span lies in a space of
-    that dimension gets a basis of that space without reducing the rest.
+    that dimension gets a basis of that space without reducing the rest; a
+    bound of 0 reads no row at all.  No input row is written to or kept, so
+    a caller may pass rows it shares with others.
 
     Most rows the callers pass are unit rows, with one nonzero entry, and
-    most of those are already spanned.  A unit row {k: c} becomes {k: ±1}
-    and is dropped at once when column k's pivot row is itself a unit row,
-    and a pivot entry of 1 cancels without multiplying; the output is the
-    one the general reduction gives, signs and order included.
+    most of those are already spanned.  A unit row {k: c} whose column k has
+    a unit pivot row {k: ±1} is dropped before it is scaled.  A unit pivot
+    {k: ±1} reduces a row by deleting the row's entry at k and, for -1,
+    negating the row, so a row's hits on unit pivots are cleared in one pass
+    that deletes those columns and negates the row once if an odd number of
+    them are -1; only wider pivots are cross-multiplied, and a pivot entry
+    of 1 cancels without multiplying.  The output is the one the general
+    reduction gives, signs and key order included: no pivot row holds
+    another pivot's column, so deletions, negations and cross-multiplication
+    commute, and none of them reorders the keys that remain.
     """
+    if rank_bound == 0:
+        return []
     pivots: dict = {}
     for row in rows:
-        vec = _primitive(row)
-        if vec is None or (len(vec) == 1 and len(pivots.get(min(vec), ())) == 1):
+        if len(row) == 1 and len(pivots.get(next(iter(row)), ())) == 1:
+            continue  # spanned by the unit pivot on its column
+        vec = _primitive(row)  # a new dict, so it may be written to
+        if vec is None:
             continue
         hits = [k for k in vec if k in pivots]
         if hits:  # else vec is as primitive as _primitive made it
+            negate = False
+            wide = []
             for col in hits:
+                pivot = pivots[col]
+                if len(pivot) == 1:
+                    del vec[col]
+                    negate ^= pivot[col] < 0
+                else:
+                    wide.append(col)
+            for col in wide:
                 vec = _cancel(vec, pivots[col], col)
             if not vec:
                 continue
+            if negate:
+                vec = {k: -c for k, c in vec.items()}
             vec = _content_free(vec)
         lead = min(vec)
         for col, prow in pivots.items():

@@ -1480,6 +1480,73 @@ class TestIntegerTable:
         assert lie.lower_central_series() == _sympy_series(sympy, lie, lower=True)
         assert lie.check_jacobi() == _naive_jacobi(lie)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_wide_inputs(), st.data())
+    def test_unit_brackets_match_the_expansion(self, inputs, data):
+        """``_bracket`` of two one-entry vectors is D times their bracket
+        summed over every stored pair of the raw inputs, and the stored row
+        itself when the coefficients multiply to 1."""
+        dim, brackets = inputs
+        lie = FiniteLie([("e", i) for i in range(dim)], brackets)
+        i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+        coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-6, 6), _WIDE_COEFFS)
+        ci, cj = data.draw(coeff), data.draw(coeff)
+        u, v = [0] * dim, [0] * dim
+        u[i], v[j] = ci, cj
+        want = {k: c * lie._scale
+                for k, c in enumerate(_fraction_bracket(dim, brackets, u, v)) if c}
+        got = lie._bracket(((i, ci),), ((j, cj),))
+        assert got == want
+        if want and ci * cj == 1:
+            assert got is lie._ad[i][j]
+
+    def test_unit_brackets_scale_the_stored_row(self):
+        lie = FiniteLie([("e", 0), ("f", 1), ("g", 2)],
+                        {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(-2, 3), 2: 1}})
+        assert lie._scale == 6
+        assert lie._bracket(((0, 2),), ((1, -3),)) == {2: -18}
+        assert lie._bracket(((2, Fraction(1, 2)),), ((0, 4),)) == {1: 8, 2: -12}
+        assert lie._bracket(((1, -1),), ((0, -1),)) is lie._ad[1][0]
+        assert lie._bracket(((0, 0),), ((1, 5),)) == {}
+        assert lie._bracket(((1, 1),), ((2, 1),)) == {}
+        assert lie._ad[0][1] == {2: 3} and lie._ad[1][0] == {2: -3}
+
+
+def _table_snapshot(lie):
+    """The integer table with every row's key order."""
+    return [[(j, list(terms.items())) for j, terms in row.items()] for row in lie._ad]
+
+
+def _read_everything(lie):
+    lie.derived_series()
+    lie.lower_central_series()
+    lie.check_jacobi()
+    lie.to_json()
+
+
+class TestTableIsReadOnly:
+    """The series hand stored rows of the table to ``integer_echelon``
+    uncopied, so nothing that reads the table may write to it."""
+
+    @pytest.mark.parametrize("position", range(len(PRESET_BINDINGS)))
+    @pytest.mark.parametrize("depth", [3, 8])
+    def test_preset_truncations(self, position, depth):
+        preset, bindings = PRESET_BINDINGS[position]
+        lie = truncated_quotient(instantiate(preset, bindings), depth)
+        before = _table_snapshot(lie)
+        _read_everything(lie)
+        assert _table_snapshot(lie) == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_wide_inputs().map(
+        lambda inputs: FiniteLie([("e", i) for i in range(inputs[0])], inputs[1])),
+        _random_tables(), _labelled_tables(graded=True), _labelled_tables(graded=False),
+        _perturbed_truncations(max_depth=6, max_changes=3)))
+    def test_drawn_tables(self, lie):
+        before = _table_snapshot(lie)
+        _read_everything(lie)
+        assert _table_snapshot(lie) == before
+
 
 class TestFiniteLieOracle:
     @pytest.mark.parametrize("preset,bindings", PRESET_BINDINGS)

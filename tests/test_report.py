@@ -228,6 +228,25 @@ class TestJsonWriter:
     def test_floats_keep_json_spelling(self, value):
         assert render_json(value) == _dumps(value)
 
+    class _Name(str):
+        pass
+
+    class _Count(int):
+        pass
+
+    @pytest.mark.parametrize("value", [
+        [True, None, 1, "a", [False, 2, "b"], {"c": 3}, -4, "", {}],
+        {"t": True, "n": None, "i": 0, "s": "é\n", "l": [1, True, "x"],
+         "d": {"f": False, "i": -7}, "e": []},
+        [_Name("s"), _Count(5), {"k": _Name("v"), "j": _Count(-1)}, (True, _Count(0))],
+        {"x": [[1, [None, "y"]], {"z": {"w": False}}], "y": 10 ** 30},
+    ])
+    def test_scalar_items_next_to_containers(self, value):
+        """Items written in place (exact ``str`` and ``int``) next to nested
+        containers and to ``bool``, ``None`` and subclass items, which go
+        through the call: ``True`` never comes out as ``1``."""
+        assert render_json(value) == _dumps(value)
+
     @pytest.mark.parametrize("value", [
         Fraction(1, 2), {"a": [1, {2}]}, {"k": object()}, {(1, 2): 0}, {"a": {Fraction(1): 1}}])
     def test_other_types_raise_json_type_error(self, value):

@@ -384,6 +384,11 @@ def _traffic_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(_traffic_rows(), st.integers(1, 6))
 @example([{0: 1, 1: -1}, {0: -1}, {1: 2}], 2)
+# the last row hits a +1 unit pivot, a -1 unit pivot and a wider pivot
+@example([{0: 1}, {1: -1}, {2: 1, 3: 2}, {0: 3, 1: 2, 2: 5, 3: 1, 4: -2}], 4)
+@example([{0: Fraction(-2, 3)}, {1: -5}, {2: 2, 4: 3}, {4: 6, 1: 4, 2: -1, 0: 9}], 3)
+# _primitive shrinks the second and third rows to one entry
+@example([{1: 2}, {0: 0, 1: 3}, {0: 0, 2: Fraction(-4, 3)}, {2: 1, 3: 1}], 2)
 def test_integer_echelon_matches_the_reference(rows, bound):
     """The kernel returns exactly the reference's rows, entries, signs, key
     order and row order, and stops reading at the same row under a rank
@@ -395,6 +400,23 @@ def test_integer_echelon_matches_the_reference(rows, bound):
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
         assert all(type(c) is int for row in got for c in row.values())
         assert len(list(got_rows)) == len(list(want_rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traffic_rows(), st.one_of(st.none(), st.integers(0, 6)))
+def test_integer_echelon_writes_to_no_input_row(rows, bound):
+    """Every input row is left as it was, and no output row is an input
+    row, so callers may pass rows they share, such as a stored table's."""
+    before = [list(row.items()) for row in rows]
+    got = integer_echelon(rows, bound)
+    assert [list(row.items()) for row in rows] == before
+    assert not any(out is row for out in got for row in rows)
+
+
+def test_rank_bound_zero_reads_no_row():
+    rows = iter([{0: 1}, {1: 2}])
+    assert integer_echelon(rows, 0) == []
+    assert list(rows) == [{0: 1}, {1: 2}]
 
 
 def test_spanned_unit_rows_are_skipped_without_cancelling(monkeypatch):
