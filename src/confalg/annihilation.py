@@ -243,9 +243,16 @@ def partial_action(alg: ConformalAlgebra, value) -> AnnElement:
     return AnnElement(reg, acc)
 
 
+def _label_bound(max_label) -> Fraction:
+    """``max_label`` as a bound on labels; it must be ``is_exact_rational``."""
+    if not is_exact_rational(max_label):
+        raise LabelError(f"label bound {max_label!r} is not an int or a Fraction")
+    return Fraction(max_label)
+
+
 def labels_through(gen: Generator, max_label: Fraction | int) -> list[Fraction]:
     """All valid labels of ``gen`` that do not exceed ``max_label``."""
-    top = math.floor(Fraction(max_label) + gen.label_offset)
+    top = math.floor(_label_bound(max_label) + gen.label_offset)
     return [Fraction(t) - gen.label_offset for t in range(top + 1)]
 
 
@@ -277,6 +284,7 @@ def expanded_sums(alg: ConformalAlgebra, max_label: Fraction | int):
     in ``AnnElement`` order, nonzero coefficients only.  Each pair's table
     entry is split into terms once; every label pair applies the coefficient
     rule of ``ann_bracket`` to that expansion."""
+    _label_bound(max_label)
     for g in alg.generators:
         for h in alg.generators:
             for m, n, sums in _pair_sums(alg, g, h, _pair_terms(alg, g.name, h.name),
@@ -436,6 +444,7 @@ def compare_closed_form(alg: ConformalAlgebra, max_label: Fraction | int = 10) -
     when the formulas match; ``max_label`` bounds only which mismatches are
     listed.  The rules are built once per call.
     """
+    _label_bound(max_label)
     rules = _closed_rules(alg)
     reg = alg.registry
     mismatches = []

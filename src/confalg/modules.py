@@ -247,6 +247,7 @@ def vir_completeness(max_degree: int) -> list[Poly]:
     coefficients renamed to alpha and beta.  The expected outcome is exactly
     [0, d + alpha*x + beta] for every bound.
     """
+    _require_degree(max_degree)
     if not 1 <= max_degree <= 3:
         raise UnsupportedError("completeness search is supported for degree bounds 1 to 3")
     vir = parse_algebra("algebra vir\ngen L\n[L,L] = (d + 2*x) L\n")
@@ -477,6 +478,7 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
     classification is re-run over a rational grid of (alpha, beta) values
     and any discrepancy with the symbolic families is an error.
     """
+    _require_degree(max_degree)
     if alg.params:
         raise BindingError(f"{alg.name} has unbound structure parameters; "
                            f"call specialize first")
@@ -588,6 +590,11 @@ class Verdict:
         lines = [f"{head}: {self.reason}"]
         lines += [f"  {w.render()}" for w in self.witnesses]
         return "\n".join(lines)
+
+
+def _require_degree(max_degree) -> None:
+    if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+        raise ValueError(f"degree bound must be an int, not {max_degree!r}")
 
 
 def _require_bound_action(action: Rank1Action) -> None:
@@ -748,6 +755,7 @@ def submodule_scan(alg: ConformalAlgebra, action: Rank1Action,
     """
     _require_own_action(alg, action)
     _require_bound_action(action)
+    _require_degree(max_degree)
     if max_degree < 1:
         raise ValueError("scan degree must be at least 1")
     return [SubmoduleWitness(p, induced_action(alg, action, p))
@@ -766,6 +774,7 @@ def irreducibility_verdict(alg: ConformalAlgebra, action: Rank1Action,
     """
     _require_own_action(alg, action)
     _require_bound_action(action)
+    _require_degree(max_degree)
     if action.is_zero():
         witness = SubmoduleWitness(Poly.from_var(alg.registry, alg.registry.d), action)
         return Verdict("reducible", "the action is zero, so every ideal of"

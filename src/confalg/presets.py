@@ -11,9 +11,14 @@ Available presets:
             generator Y (half-integer labels) and a central-type M.
 * ``tsvc``  the one-parameter twisted family TSV(c).
 
-Each preset carries a closed formula for its coefficient-algebra bracket,
-used to cross-check the general binomial expansion, and enough metadata
-(label offsets, filtration shifts) for truncations.  The closed formula is a
+Each preset is one row of the ``_PRESETS`` table: its generators, with the
+metadata truncations need (label offsets, filtration shifts), its parameter
+names, its bracket table written with the d, x and parameter polynomials,
+and a closed formula for its coefficient-algebra bracket, used to
+cross-check the general binomial expansion.  ``instantiate`` is the one
+builder: it registers the parameters in the order listed, splits each
+coefficient once with ``split_terms`` and hands the term lists to
+``ConformalAlgebra``, as ``specialize`` does.  The closed formula is a
 function of the structure parameters (keyword arguments by name) returning
 one rule per ordered generator pair; a rule maps the labels (m, n) to
 ``{(target generator, shift): coefficient}`` for the target label
@@ -33,11 +38,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BindingError, DefinitionError, ParseError, UnsupportedError
-from .poly import Poly, Registry, parse_rational
-from .algebra import ConformalAlgebra, Generator, LambdaElement, exact_rational
+from .poly import Poly, Registry, parse_rational, split_terms
+from .algebra import ConformalAlgebra, Generator, exact_rational
 from .modules import Rank1Action, check_module
-
-PRESET_NAMES = ("vir", "w", "wb", "tsv", "tsvc")
 
 
 def _closed_form(rules):
@@ -65,133 +68,80 @@ def _abelian(m, n):
     return {}
 
 
-def _build_vir() -> ConformalAlgebra:
-    reg = Registry()
-    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    table = {("L", "L"): LambdaElement(reg, {_L: d + 2 * x})}
-
-    def closed():
-        return _closed_form({("L", "L"): _witt})
-
-    return ConformalAlgebra("vir", reg, [_L], table, (), closed_ann_form=closed)
-
-
-def _build_w() -> ConformalAlgebra:
-    reg = Registry()
-    a, b = reg.param("a"), reg.param("b")
-    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    pa, pb = (Poly.from_var(reg, v) for v in (a, b))
-    table = {
-        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
-        ("L", "W"): LambdaElement(reg, {_W: d + pa * x + pb}),
-        ("W", "W"): LambdaElement(reg),
-    }
-
-    def closed(a, b):
-        return _closed_form({
-            ("L", "L"): _witt,
-            ("L", "W"): lambda m, n: {("W", 0): (a - 1) * (m + 1) - n, ("W", 1): b},
-            ("W", "W"): _abelian,
-        })
-
-    return ConformalAlgebra("w", reg, [_L, _W], table, (a, b), closed_ann_form=closed)
-
-
-def _build_wb() -> ConformalAlgebra:
-    reg = Registry()
-    b = reg.param("b")
-    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    pb = Poly.from_var(reg, b)
-    table = {
-        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
-        ("L", "W"): LambdaElement(reg, {_W: d + (1 - pb) * x}),
-        ("W", "W"): LambdaElement(reg),
-    }
-
-    def closed(b):
-        return _closed_form({
-            ("L", "L"): _witt,
-            ("L", "W"): lambda m, n: {("W", 0): -b * (m + 1) - n},
-            ("W", "W"): _abelian,
-        })
-
-    return ConformalAlgebra("wb", reg, [_L, _W], table, (b,), closed_ann_form=closed)
-
-
-def _build_tsv() -> ConformalAlgebra:
-    reg = Registry()
-    a, b = reg.param("a"), reg.param("b")
-    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    pa, pb = (Poly.from_var(reg, v) for v in (a, b))
-    table = {
-        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
-        ("L", "Y"): LambdaElement(reg, {_Y: d + pa * x + pb}),
-        ("L", "M"): LambdaElement(reg, {_M: d + 2 * (pa - 1) * x + 2 * pb}),
-        ("Y", "Y"): LambdaElement(reg, {_M: d + 2 * x}),
-        ("Y", "M"): LambdaElement(reg),
-        ("M", "M"): LambdaElement(reg),
-    }
-
-    def closed(a, b):
-        return _closed_form({
-            ("L", "L"): _witt,
-            ("L", "Y"): lambda m, p: {("Y", 0): (a - 1) * (m + 1) - (p + Fraction(1, 2)),
-                                      ("Y", 1): b},
-            ("L", "M"): lambda m, n: {("M", 0): (2 * a - 3) * (m + 1) - n, ("M", 1): 2 * b},
-            ("Y", "Y"): lambda p, q: {("M", 0): p - q},
-            ("Y", "M"): _abelian,
-            ("M", "M"): _abelian,
-        })
-
-    return ConformalAlgebra("tsv", reg, [_L, _Y, _M], table, (a, b), closed_ann_form=closed)
-
-
-def _build_tsvc() -> ConformalAlgebra:
-    reg = Registry()
-    c = reg.param("c")
-    d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    pc = Poly.from_var(reg, c)
-    table = {
-        ("L", "L"): LambdaElement(reg, {_L: d + 2 * x}),
-        ("L", "Y"): LambdaElement(reg, {_Y: d + Fraction(3, 2) * x + pc}),
-        ("L", "M"): LambdaElement(reg, {_M: d + 2 * pc}),
-        ("Y", "Y"): LambdaElement(reg, {_M: (d + 2 * x) * (-d - 2 * pc)}),
-        ("Y", "M"): LambdaElement(reg),
-        ("M", "M"): LambdaElement(reg),
-    }
-
-    def closed(c):
-        return _closed_form({
-            ("L", "L"): _witt,
-            ("L", "Y"): lambda m, p: {("Y", 0): m / 2 - p, ("Y", 1): c},
-            ("L", "M"): lambda m, n: {("M", 0): -(m + 1) - n, ("M", 1): 2 * c},
-            ("Y", "Y"): lambda p, q: {("M", -1): (p - q) * (p + q), ("M", 0): 2 * c * (q - p)},
-            ("Y", "M"): _abelian,
-            ("M", "M"): _abelian,
-        })
-
-    return ConformalAlgebra("tsvc", reg, [_L, _Y, _M], table, (c,), closed_ann_form=closed)
-
-
-_BUILDERS = {
-    "vir": _build_vir,
-    "w": _build_w,
-    "wb": _build_wb,
-    "tsv": _build_tsv,
-    "tsvc": _build_tsvc,
+# A row is (generators, parameter names, table, rules).  ``table`` maps the
+# d, x and parameter polynomials to {pair: {generator: coefficient}}, and
+# ``rules`` maps the parameter values to one closed rule per pair given.
+_PRESETS = {
+    "vir": ((_L,), (), lambda d, x: {("L", "L"): {_L: d + 2 * x}},
+            lambda: {("L", "L"): _witt}),
+    "w": ((_L, _W), ("a", "b"), lambda d, x, a, b: {
+        ("L", "L"): {_L: d + 2 * x},
+        ("L", "W"): {_W: d + a * x + b},
+        ("W", "W"): {},
+    }, lambda a, b: {
+        ("L", "L"): _witt,
+        ("L", "W"): lambda m, n: {("W", 0): (a - 1) * (m + 1) - n, ("W", 1): b},
+        ("W", "W"): _abelian,
+    }),
+    "wb": ((_L, _W), ("b",), lambda d, x, b: {
+        ("L", "L"): {_L: d + 2 * x},
+        ("L", "W"): {_W: d + (1 - b) * x},
+        ("W", "W"): {},
+    }, lambda b: {
+        ("L", "L"): _witt,
+        ("L", "W"): lambda m, n: {("W", 0): -b * (m + 1) - n},
+        ("W", "W"): _abelian,
+    }),
+    "tsv": ((_L, _Y, _M), ("a", "b"), lambda d, x, a, b: {
+        ("L", "L"): {_L: d + 2 * x},
+        ("L", "Y"): {_Y: d + a * x + b},
+        ("L", "M"): {_M: d + 2 * (a - 1) * x + 2 * b},
+        ("Y", "Y"): {_M: d + 2 * x},
+        ("Y", "M"): {},
+        ("M", "M"): {},
+    }, lambda a, b: {
+        ("L", "L"): _witt,
+        ("L", "Y"): lambda m, p: {("Y", 0): (a - 1) * (m + 1) - (p + Fraction(1, 2)), ("Y", 1): b},
+        ("L", "M"): lambda m, n: {("M", 0): (2 * a - 3) * (m + 1) - n, ("M", 1): 2 * b},
+        ("Y", "Y"): lambda p, q: {("M", 0): p - q},
+        ("Y", "M"): _abelian,
+        ("M", "M"): _abelian,
+    }),
+    "tsvc": ((_L, _Y, _M), ("c",), lambda d, x, c: {
+        ("L", "L"): {_L: d + 2 * x},
+        ("L", "Y"): {_Y: d + Fraction(3, 2) * x + c},
+        ("L", "M"): {_M: d + 2 * c},
+        ("Y", "Y"): {_M: (d + 2 * x) * (-d - 2 * c)},
+        ("Y", "M"): {},
+        ("M", "M"): {},
+    }, lambda c: {
+        ("L", "L"): _witt,
+        ("L", "Y"): lambda m, p: {("Y", 0): m / 2 - p, ("Y", 1): c},
+        ("L", "M"): lambda m, n: {("M", 0): -(m + 1) - n, ("M", 1): 2 * c},
+        ("Y", "Y"): lambda p, q: {("M", -1): (p - q) * (p + q), ("M", 0): 2 * c * (q - p)},
+        ("Y", "M"): _abelian,
+        ("M", "M"): _abelian,
+    }),
 }
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def instantiate(name: str, bindings: Mapping[str, Fraction | int] | None = None
                 ) -> ConformalAlgebra:
     """A fresh copy of a preset, optionally with parameters bound: the
-    preset is built once and ``specialize`` binds its stored terms."""
-    if name not in _BUILDERS:
+    preset's row is built once and ``specialize`` binds its stored terms."""
+    if name not in _PRESETS:
         raise DefinitionError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    alg = _BUILDERS[name]()
-    if bindings is not None:
-        alg = alg.specialize(bindings)
-    return alg
+    generators, names, table, rules = _PRESETS[name]
+    reg = Registry()
+    params = tuple(reg.param(p) for p in names)
+    entries = table(*(Poly.from_var(reg, v) for v in (reg.d, reg.x, *params)))
+    # every entry names at most one generator, so it is in ``items`` order
+    terms = {pair: [(g, split_terms(c)) for g, c in e.items()] for pair, e in entries.items()}
+    alg = ConformalAlgebra(name, reg, generators, terms, params,
+                           closed_ann_form=lambda **values: _closed_form(rules(**values)))
+    return alg if bindings is None else alg.specialize(bindings)
 
 
 # ---- standard rank-one modules -------------------------------------------------
@@ -210,9 +160,7 @@ def gamma_carrier(alg: ConformalAlgebra) -> Generator | None:
         raise UnsupportedError(f"{alg.name} has no generator with a Virasoro bracket")
     reg = alg.registry
     d, x = (Poly.from_var(reg, v) for v in (reg.d, reg.x))
-    alpha = Poly.from_var(reg, reg.param("alpha"))
-    beta = Poly.from_var(reg, reg.param("beta"))
-    gamma = Poly.from_var(reg, reg.param("gamma"))
+    alpha, beta, gamma = (Poly.from_var(reg, reg.param(n)) for n in ("alpha", "beta", "gamma"))
     carriers = []
     for g in alg.generators:
         if g.name == virasoro.name:

@@ -197,7 +197,7 @@ class TestClosedFormAxioms:
         """A work count: building each preset's algebra from its table (skew
         completion and Virasoro detection), ``check_skew`` and
         ``check_jacobi`` call none of ``Poly.subs``, ``Poly.substitute``,
-        ``Poly.__mul__`` or ``__rmul__``.  The preset builders' own table
+        ``Poly.__mul__`` or ``__rmul__``.  The preset table's own
         literals, such as ``d + 2 * x``, are outside the count."""
         calls, counting = [], []
         for name in ("subs", "substitute", "__mul__", "__rmul__"):

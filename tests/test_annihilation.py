@@ -113,6 +113,22 @@ class TestLabels:
         with pytest.raises(LabelError, match=re.escape(f"W label {value!r} is not")):
             AnnBasis(w.gen("W"), value)
 
+    @pytest.mark.parametrize("value", [0.1, 2.5, True, "3", None])
+    def test_label_bound_must_be_an_int_or_a_fraction(self, value):
+        # Read by Fraction, 0.1 would bound the labels at 0, True at 1 and
+        # "3" at 3; each is refused by name instead, also by an algebra with
+        # no generators and by a closed form whose identities all hold.
+        w = instantiate("w", {"a": 2, "b": 1})
+        message = re.escape(f"label bound {value!r} is not an int or a Fraction")
+        with pytest.raises(LabelError, match=message):
+            labels_through(w.gen("L"), value)
+        for alg in (w, parse_algebra("algebra empty\n")):
+            with pytest.raises(LabelError, match=message):
+                list(expanded_sums(alg, value))
+        assert compare_closed_form(w, 3) == []
+        with pytest.raises(LabelError, match=message):
+            compare_closed_form(w, value)
+
     def test_labels_read_ints_and_fractions_exactly(self):
         tsv = instantiate("tsv")
         assert [str(AnnBasis(tsv.gen("L"), 2)), str(AnnBasis(tsv.gen("Y"), Fraction(-1, 2)))] \

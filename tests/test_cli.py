@@ -740,12 +740,13 @@ class TestLoading:
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        # ``instantiate`` calls a row's table once per build
         calls = []
-        for name, build in presets._BUILDERS.items():
-            def counting(_name=name, _build=build):
+        for name, (generators, params, table, rules) in presets._PRESETS.items():
+            def counting(*polys, _name=name, _table=table):
                 calls.append(_name)
-                return _build()
-            monkeypatch.setitem(presets._BUILDERS, name, counting)
+                return _table(*polys)
+            monkeypatch.setitem(presets._PRESETS, name, (generators, params, counting, rules))
         return calls
 
     @pytest.mark.parametrize("args, want", [

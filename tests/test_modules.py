@@ -386,6 +386,44 @@ class TestCompleteness:
             vir_completeness(4)
 
 
+class TestDegreeBounds:
+    """A degree bound is an int that is not a bool, as a truncation depth is:
+    True is not 1 and 2.0 is not 2."""
+
+    @staticmethod
+    def refused(value):
+        return pytest.raises(ValueError, match=re.escape(
+            f"degree bound must be an int, not {value!r}"))
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None])
+    def test_rank1_classify(self, value):
+        w = instantiate("w", {"a": 1, "b": 0})
+        with self.refused(value):
+            rank1_classify(w, value)
+        assert len(rank1_classify(w, 0)) == 2
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None])
+    def test_submodule_scan(self, vir, value):
+        with self.refused(value):
+            submodule_scan(vir, named_module(vir, "M_0_2"), value)
+        with pytest.raises(ValueError, match="scan degree must be at least 1"):
+            submodule_scan(vir, named_module(vir, "M_0_2"), 0)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None])
+    def test_irreducibility_verdict(self, vir, value):
+        # refused before the zero action is decided without a scan
+        for module in ("zero", "M_0_2"):
+            with self.refused(value):
+                irreducibility_verdict(vir, named_module(vir, module), value)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None])
+    def test_vir_completeness(self, value):
+        with self.refused(value):
+            vir_completeness(value)
+        with pytest.raises(UnsupportedError):
+            vir_completeness(0)
+
+
 class TestClassification:
     def test_virasoro(self, vir):
         fams = rank1_classify(vir, 4)

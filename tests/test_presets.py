@@ -12,6 +12,7 @@ from confalg import (
     BindingError,
     DefinitionError,
     instantiate,
+    parse_algebra,
     rank1_module,
 )
 
@@ -133,6 +134,74 @@ class TestRelationsBetweenPresets:
         assert tsvc.entry("L", "M").render() == "(d) M"
         assert tsv.entry("Y", "Y").render() == "(d + 2*x) M"
         assert tsvc.entry("Y", "Y").render() == "(-d^2 - 2*d*x) M"
+
+
+# The presets written as ``.alg`` files, from the paper's tables: a second
+# path to each algebra, through ``parse_algebra`` instead of the preset table.
+ALG_TEXTS = {
+    "vir": """\
+algebra vir
+gen L offset=1 shift=0
+[L,L] = (d + 2*x) L
+""",
+    "w": """\
+algebra w params a b
+gen L offset=1 shift=0
+gen W offset=0 shift=0
+[L,L] = (d + 2*x) L
+[L,W] = (d + a*x + b) W
+[W,W] = 0
+""",
+    "wb": """\
+algebra wb params b
+gen L offset=1 shift=0
+gen W offset=0 shift=0
+[L,L] = (d + 2*x) L
+[L,W] = (d + (1 - b)*x) W
+[W,W] = 0
+""",
+    "tsv": """\
+algebra tsv params a b
+gen L offset=1 shift=0
+gen Y offset=1/2 shift=1/2
+gen M offset=0 shift=0
+[L,L] = (d + 2*x) L
+[L,Y] = (d + a*x + b) Y
+[L,M] = (d + 2*(a - 1)*x + 2*b) M
+[Y,Y] = (d + 2*x) M
+[Y,M] = 0
+[M,M] = 0
+""",
+    "tsvc": """\
+algebra tsvc params c
+gen L offset=1 shift=0
+gen Y offset=1/2 shift=1/2
+gen M offset=0 shift=0
+[L,L] = (d + 2*x) L
+[L,Y] = (d + 3/2*x + c) Y
+[L,M] = (d + 2*c) M
+[Y,Y] = (d + 2*x)*(-d - 2*c) M
+[Y,M] = 0
+[M,M] = 0
+""",
+}
+
+
+class TestAlgFilePath:
+    def test_every_preset_has_a_file(self):
+        assert tuple(ALG_TEXTS) == PRESET_NAMES
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_parsed_file_matches_the_preset(self, preset):
+        parsed, built = parse_algebra(ALG_TEXTS[preset]), instantiate(preset)
+        assert parsed.name == built.name
+        for pair in built.ordered_pairs():
+            assert parsed.entry(*pair).render() == built.entry(*pair).render(), pair
+        meta = [[(g.name, g.label_offset, g.filtration_shift) for g in alg.generators]
+                for alg in (parsed, built)]
+        assert meta[0] == meta[1]
+        assert [v.name for v in parsed.params] == [v.name for v in built.params]
+        assert parsed.virasoro_name == built.virasoro_name == "L"
 
 
 class TestModuleHelpers:
