@@ -55,8 +55,10 @@ which does not depend on f, and in the parts that multiply s, A and B.
 Every Virasoro action, f = 0 (s = 0), the symbolic one and each grid
 point's, folds those rows with its own integer weights straight into the
 integer rows the solver's one elimination reads, and solves them on its
-own.  The Virasoro generator's own pair needs no check: it is detected by
-its (d + 2x) bracket, and
+own.  The folds no action changes (f = 0, the constant monomial of
+d + A*x + B, and the A- and B-parts alone) are built once per row and
+handed over as they are.  The Virasoro generator's own pair needs no
+check: it is detected by its (d + 2x) bracket, and
 f(d,x) f(d+x,y) - f(d,y) f(d+y,x) = (x - y) f(d, x+y) for f = 0 and for
 every f = d + A*x + B with A and B free of d and x.
 """
@@ -272,23 +274,38 @@ def vir_completeness(max_degree: int) -> list[Poly]:
     return results
 
 
-def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+def _slot_weights(f: Poly) -> list[tuple[int | Fraction, ...]]:
     """How a stage-one row's four slot equations fold into equations for
     the Virasoro action f = s*d + A*x + B, A and B free of d and x: per
     monomial m in f's parameters, the weights (1 if m = 1 else 0, s if m = 1
-    else 0, the coefficient of m in A, the coefficient of m in B).  The
-    staged shapes are those with s*f = f, that is f = 0 (s = 0) and
-    f = d + A*x + B (s = 1), since (s - 1)*f = 0 only when f = 0 or s = 1;
-    any other f is unsupported."""
+    else 0, the coefficient of m in A, the coefficient of m in B), ints
+    while integral, m = 1 first, then A's monomials, then B's others, each
+    in ``Poly.terms`` order.  The staged shapes are those with s*f = f,
+    that is f = 0 (s = 0) and f = d + A*x + B (s = 1), since (s - 1)*f = 0
+    only when f = 0 or s = 1; any other f is unsupported.  The weights are
+    read off f's terms in that order, so no ``Poly`` is built: a staged f
+    has only the term d, terms x*m and terms m, with m a monomial in
+    parameters."""
     reg = f.registry
-    s = f.coeff_of(reg.d, 1)
-    a, b = f.coeff_of(reg.x, 1), f.coeff_of(reg.x, 0) - s * Poly.from_var(reg, reg.d)
-    if not (f.is_zero() or s == 1) or f.degree(reg.x) > 1 or \
-            any(v.kind != PARAMETER for v in a.variables() + b.variables()):
+    d, x = ((reg.d.index, 1),), ((reg.x.index, 1),)
+    # A monomial's first index is its least, and the formal variables come
+    # first in the registry, so m is free of them when its first one is.
+    variables = reg.all_vars()
+    s, a, b, staged = 0, {}, {}, True
+    for m, c in f.terms():
+        c = c.numerator if c.denominator == 1 else c
+        if m == d and c == 1:
+            s = 1
+        elif m[:1] == x and (len(m) == 1 or variables[m[1][0]].kind == PARAMETER):
+            a[m[1:]] = c
+        elif not m or variables[m[0][0]].kind == PARAMETER:
+            b[m] = c
+        else:
+            staged = False
+    if not (staged and (s or f.is_zero())):
         raise UnsupportedError(f"the Virasoro action {f} is neither 0 nor d + A*x + B "
                                f"with A and B free of d and x")
-    s, a, b = s.constant_value(), dict(a.terms()), dict(b.terms())
-    return [(Fraction(m == ()), s * (m == ()), a.get(m, Fraction(0)), b.get(m, Fraction(0)))
+    return [(int(m == ()), s if m == () else 0, a.get(m, 0), b.get(m, 0))
             for m in dict.fromkeys([(), *a, *b])]
 
 
@@ -297,6 +314,56 @@ def _slot_weights(f: Poly) -> list[tuple[Fraction, Fraction, Fraction, Fraction]
 # before every unknown and registers no variable.
 _MARKED_F = [(1, 0, ((-3, 1),), 1), (0, 1, ((-2, 1),), 1), (0, 0, ((-1, 1),), 1)]
 _SLOTS = {-3: 1, -2: 2, -1: 3}
+
+
+# The weight tuples whose folds no Virasoro action changes, in the order a
+# row keeps its folds: f = 0, the constant monomial of f = d + A*x + B, and
+# a lone monomial of A or of B with coefficient 1, as in d + alpha*x + beta.
+_STORED_WEIGHTS = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _restricted(weights: tuple[int, ...], slots: int) -> tuple[int, ...]:
+    """``weights`` with the weight of each slot whose bit is clear in
+    ``slots`` set to 0."""
+    w0, w1, w2, w3 = weights
+    return (w0 if slots & 1 else 0, w1 if slots & 2 else 0,
+            w2 if slots & 4 else 0, w3 if slots & 8 else 0)
+
+
+# Per set of slots a row fills, each stored weight tuple restricted to it,
+# mapped to the position of its fold in ``_Row.folds``.
+_STORED_BY_SLOTS = [{_restricted(w, slots): i for i, w in enumerate(_STORED_WEIGHTS)}
+                    for slots in range(16)]
+
+
+class _Row(dict):
+    """A stage-one row, ``{column: (bracket, d, A, B)}``, with the folds of
+    ``_STORED_WEIGHTS``, built in one pass over its columns.  Bit i of
+    ``slots`` is set when some column's slot i is nonzero, so a row's fold
+    by any weights equals its fold by the weights restricted to ``slots``.
+    ``folds`` holds {k: c0}, {k: c0 + c1}, {k: c2} and {k: c3}, zeros
+    dropped, in the row's column order.  They are attributes of the row, so
+    reordering the rows carries them along."""
+
+    __slots__ = ("slots", "folds")
+
+    def __init__(self, entries: Mapping[int, tuple[int, int, int, int]]):
+        super().__init__(entries)
+        bracket, constant, a_part, b_part = {}, {}, {}, {}
+        d_part = False
+        for k, (c0, c1, c2, c3) in self.items():
+            if c0:
+                bracket[k] = c0
+            if c1:
+                d_part = True
+            if c0 + c1:
+                constant[k] = c0 + c1
+            if c2:
+                a_part[k] = c2
+            if c3:
+                b_part[k] = c3
+        self.folds = (bracket, constant, a_part, b_part)
+        self.slots = bool(bracket) | d_part << 1 | bool(a_part) << 2 | bool(b_part) << 3
 
 
 class _Ansatz:
@@ -319,12 +386,16 @@ class _Ansatz:
     columns, keyed as ``solve_system`` reads affine rows, and each column
     holds its four slot coefficients (bracket, d, A, B) as integers.  A row
     holding a ``Fraction`` is scaled by the lcm of its denominators, which
-    scales its folded equations and spans the same ones.  ``rows`` runs by
-    generator, then by (p, q, r) descending; the solver reads its rows
-    sparsest first, so this order only breaks ties between rows of one
-    size, and the solutions depend on neither.  ``stage_one(f)`` folds each
-    row by each weight tuple of ``_slot_weights(f)`` in ints straight into
-    the solver's rows, with no ``Poly`` per equation.
+    scales its folded equations and spans the same ones.  Each row is a
+    ``_Row``, which also keeps, in the same pass, its folds for f = 0, for
+    the constant monomial of f = d + A*x + B and for the A- and B-parts
+    alone; they travel with the row.  ``rows`` runs by generator, then by
+    (p, q, r) descending; the solver reads its rows sparsest first, so this
+    order only breaks ties between rows of one size, and the solutions
+    depend on neither.  ``stage_one(f)`` turns each row, by each weight
+    tuple of ``_slot_weights(f)``, into one of the solver's rows: a stored
+    fold when the weights select one, else a fold in ints, with no
+    ``Poly`` per equation.
 
     The pair (L, L) needs no equation: the Virasoro generator is detected
     by [L_x L] = (d + 2x) L, and for A and B free of d and x,
@@ -371,23 +442,35 @@ class _Ansatz:
                 if denominators:
                     scale = math.lcm(*denominators)
                     row = {k: tuple(int(c * scale) for c in entry) for k, entry in row.items()}
-                self.rows.append(row)
+                self.rows.append(_Row(row))
 
     def stage_one(self, f: Poly) -> list[dict[int, int]]:
         """The stage-one equations of the Virasoro action f as integer rows
-        keyed by column: each row folded, in one pass over its columns, by
-        each monomial's weights from ``_slot_weights(f)`` scaled by the lcm
-        of their denominators, zero sums dropped and empty equations
-        skipped.  The fold is int arithmetic and builds no ``Poly``."""
+        keyed by column: each row folded by each monomial's weights from
+        ``_slot_weights(f)`` scaled by the lcm of their denominators, empty
+        equations skipped.  When the weights, restricted to the slots the
+        row fills, equal a stored weight tuple so restricted, the row hands
+        over that stored fold uncopied, which ``integer_echelon`` allows, as
+        it writes to no input row: every row at f = 0 and at the symbolic
+        action, and at a grid point every row the point's A and B do not
+        reach.  Any other row is folded in one pass over its columns, zero
+        sums dropped.  The fold is int arithmetic and builds no ``Poly``."""
         weights = []
         for slot_weights in _slot_weights(f):
             scale = math.lcm(*(w.denominator for w in slot_weights))
-            weights.append(tuple(int(w * scale) for w in slot_weights))
+            ws = tuple(int(w * scale) for w in slot_weights)
+            weights.append((ws, [stored.get(_restricted(ws, slots))
+                                 for slots, stored in enumerate(_STORED_BY_SLOTS)]))
         eqs = []
         for row in self.rows:
-            for w0, w1, w2, w3 in weights:
-                folded = {k: t for k, (c0, c1, c2, c3) in row.items()
-                          if (t := w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3)}
+            folds, slots = row.folds, row.slots
+            for (w0, w1, w2, w3), picks in weights:
+                pick = picks[slots]
+                if pick is None:
+                    folded = {k: t for k, (c0, c1, c2, c3) in row.items()
+                              if (t := w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3)}
+                else:
+                    folded = folds[pick]
                 if folded:
                     eqs.append(folded)
         return eqs
@@ -476,9 +559,12 @@ def rank1_classify(alg: ConformalAlgebra, max_degree: int = 4,
     with the Virasoro action written as d + alpha*x + beta (or zero) and any
     remaining freedom renamed to gamma.  When ``cross_check`` is set, the
     classification is re-run over a rational grid of (alpha, beta) values
-    and any discrepancy with the symbolic families is an error.
+    and any discrepancy with the symbolic families is an error.  A negative
+    ``max_degree`` leaves no ansatz term and is refused.
     """
     _require_degree(max_degree)
+    if max_degree < 0:
+        raise ValueError(f"degree bound must be at least 0, not {max_degree}")
     if alg.params:
         raise BindingError(f"{alg.name} has unbound structure parameters; "
                            f"call specialize first")
@@ -524,22 +610,26 @@ def _grid_cross_check(ansatz: _Ansatz, affine: Poly, expected: SolutionSet):
     """Re-solve the classification at rational (alpha, beta) points and
     demand the families of the symbolic Virasoro action ``affine``; sporadic
     extras would invalidate the formal stage.  Each point folds the stage-one
-    rows with its own action and solves them from scratch.  A disagreement
-    names every family found on one side only, rendered as actions at the
-    grid point."""
+    rows with its own action (rows its A and B do not reach hand over their
+    stored folds) and solves them from scratch: one stage-one elimination,
+    then one stage-two solve per family.  The expected families are made a
+    set once, and each point's found families once.  A disagreement names
+    every family found on one side only, rendered as actions at the grid
+    point."""
     alg = ansatz.alg
     alpha, beta = alg.registry.param("alpha"), alg.registry.param("beta")
+    families = set(expected)
     for a0 in _GRID_ALPHAS:
         for b0 in _GRID_BETAS:
             f = affine.subs({alpha: a0, beta: b0})
-            found = ansatz.solve(f)
-            if found == expected:
+            found = set(ansatz.solve(f))
+            if found == families:
                 continue
             lines = sorted(
                 f"\n  missing from {where}: "
                 f"{Rank1Action(alg, ansatz.named_actions(f, fam)).render()}"
-                for where, fams in (("the symbolic families", set(found) - set(expected)),
-                                    ("the grid point", set(expected) - set(found)))
+                for where, fams in (("the symbolic families", found - families),
+                                    ("the grid point", families - found))
                 for fam in fams)
             raise DiscrepancyError(
                 f"classification at alpha={a0}, beta={b0} disagrees with the "
